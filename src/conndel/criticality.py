@@ -1,11 +1,19 @@
 """Critical edges, mixed cuts, partner sets, segments, and clean stretches.
 
 An edge of a biconnected graph is critical when deleting it destroys
-biconnectivity.  Deleting a non-critical pivot edge e = (x, y) can make
-other edges newly critical; each such edge on one path of a value-2 x-y
-flow pairs with "partner" vertices on the other path to form mixed cuts.
-The machinery here computes that structure and locates clean stretches,
-which the solver mines for irrelevant edges.
+biconnectivity.  For a biconnected G on n >= 3 vertices, e is critical
+iff e is a bridge of G - w for some vertex w: a cut-vertex w of G - e
+separates the ends of e in G - w, and conversely.  So the critical set
+costs n lowpoint passes, one per removed vertex, instead of one
+biconnectivity pass per edge.  By convention every edge is critical when
+G is not biconnected or has fewer than three vertices (deleting any edge
+leaves a graph that is not biconnected).
+
+Deleting a non-critical pivot edge e = (x, y) can make other edges newly
+critical; each such edge on one path of a value-2 x-y flow pairs with
+"partner" vertices on the other path to form mixed cuts.  The machinery
+here computes that structure and locates clean stretches, which the
+solver mines for irrelevant edges.
 """
 
 from __future__ import annotations
@@ -17,6 +25,7 @@ from .errors import InternalInconsistencyError, InvalidInputError
 from .graphs import (
     Path,
     UndirectedGraph,
+    bridges_without,
     has_path_without,
     is_biconnected_without,
 )
@@ -30,21 +39,27 @@ def is_critical(g: UndirectedGraph, eid: int) -> bool:
 
 
 def critical_set(g: UndirectedGraph) -> FrozenSet[int]:
-    return frozenset(e for e in g.edges if is_critical(g, e))
+    """All critical edges: the union over vertices w of the bridges of
+    G - w, or every edge when g is not biconnected or n < 3."""
+    if g.n < 3:
+        return frozenset(g.edges)
+    crit = set()
+    for w in g.vertices:
+        bridges = bridges_without(g, w)
+        if bridges is None:  # G - w is disconnected
+            return frozenset(g.edges)
+        crit.update(bridges)
+    return frozenset(crit)
 
 
 def newly_critical(g: UndirectedGraph, eid: int) -> FrozenSet[int]:
     """Edges critical in g - e but not in g (the pivot itself excluded)."""
-    if is_critical(g, eid):
+    if not g.has_edge(eid):
+        raise InvalidInputError(f"no edge with id {eid}")
+    before = critical_set(g)
+    if eid in before:
         raise InvalidInputError("pivot edge must be non-critical")
-    out = set()
-    for e2 in g.edges:
-        if e2 == eid:
-            continue
-        if is_biconnected_without(g, frozenset((e2,))):
-            if not is_biconnected_without(g, frozenset((eid, e2))):
-                out.add(e2)
-    return frozenset(out)
+    return critical_set(g.without_edge(eid)) - before
 
 
 def verify_mixed_cut(g: UndirectedGraph, x: int, y: int, eid: int, vertex: int) -> bool:
@@ -179,13 +194,15 @@ def build_partner_analysis(
     pivot: int,
     p1: Path,
     p2: Path,
-    marked: FrozenSet[int],
+    newly: FrozenSet[int],
     deleted_endpoints: Iterable[Tuple[int, int]],
     k: int,
 ) -> PartnerAnalysis:
     """Assemble the full partner structure for one pivot edge.
 
-    ``marked`` restricts which newly critical edges are analyzed.
+    ``newly`` is the set of edges to analyze: the caller's marked edges
+    that deleting the pivot makes newly critical, that is
+    ``newly_critical(gprime, pivot) & marked``.
     ``deleted_endpoints`` are the endpoint pairs of the edges removed from
     the original graph to form G'; a component touching one is affected.
     """
@@ -195,8 +212,7 @@ def build_partner_analysis(
     if p1.vertices[-1] != y or p2.vertices[-1] != y:
         raise InvalidInputError("flow paths must run from x to y")
 
-    newly = newly_critical(gprime, pivot)
-    edge_ids = tuple(e for e in p1.edges if e in newly and e in marked)
+    edge_ids = tuple(e for e in p1.edges if e in newly)
     if not edge_ids:
         raise InvalidInputError("no marked newly critical edges on P1")
 

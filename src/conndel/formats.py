@@ -16,6 +16,7 @@ file order starting at 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Tuple
 
@@ -77,6 +78,8 @@ def parse_undirected(text: str) -> UndirectedInstanceText:
             w = float(tok[3])
         except ValueError:
             raise ParseError(no, f"bad weight '{tok[3]}'") from None
+        if not math.isfinite(w):
+            raise ParseError(no, f"weight must be finite, got '{tok[3]}'")
         if w < 0:
             raise ParseError(no, "weights must be non-negative")
         if len(tok) == 5:

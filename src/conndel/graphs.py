@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 from .errors import ContractionError, InvalidInputError
 
@@ -65,8 +66,9 @@ class UndirectedGraph:
         return self._vertices
 
     @property
-    def edges(self) -> Dict[int, Edge]:
-        return dict(self._edges)
+    def edges(self) -> Mapping[int, Edge]:
+        """Read-only view of edge id -> (u, v) with u < v."""
+        return MappingProxyType(self._edges)
 
     def edge_ids(self) -> List[int]:
         return sorted(self._edges)
@@ -107,11 +109,16 @@ class UndirectedGraph:
         for eid in gone:
             if eid not in self._edges:
                 raise InvalidInputError(f"no edge with id {eid}")
-        return UndirectedGraph(
-            self._vertices,
-            [(eid, u, v) for eid, (u, v) in self._edges.items() if eid not in gone],
-            next_edge_id=self._next_edge_id,
-        )
+        # A filtered copy: what is left is already valid and sorted.
+        g = object.__new__(UndirectedGraph)
+        g._vertices = self._vertices
+        g._edges = {e: uv for e, uv in self._edges.items() if e not in gone}
+        g._pair_to_id = {uv: e for e, uv in g._edges.items()}
+        g._adj = {
+            v: [a for a in lst if a[1] not in gone] for v, lst in self._adj.items()
+        }
+        g._next_edge_id = self._next_edge_id
+        return g
 
     def without_edge(self, eid: int) -> "UndirectedGraph":
         return self.without_edges((eid,))
@@ -215,8 +222,9 @@ class Digraph:
         return self._vertices
 
     @property
-    def arcs(self) -> Dict[int, Edge]:
-        return dict(self._arcs)
+    def arcs(self) -> Mapping[int, Edge]:
+        """Read-only view of arc id -> (tail, head)."""
+        return MappingProxyType(self._arcs)
 
     @property
     def n(self) -> int:
@@ -432,6 +440,47 @@ def is_biconnected_without(
                 elif lv >= disc[p]:
                     return False
     return len(disc) == nv and root_children <= 1
+
+
+def bridges_without(g: UndirectedGraph, removed_vertex: int) -> Optional[List[int]]:
+    """Bridges of g minus one vertex, or None when g minus it is
+    disconnected.  One iterative lowpoint pass: the tree edge into v is a
+    bridge iff no back edge from v's subtree climbs above v's parent.
+    """
+    adj = g._adj
+    root = next((v for v in g._vertices if v != removed_vertex), None)
+    if root is None:
+        return []
+    disc: Dict[int, int] = {root: 0}
+    low: Dict[int, int] = {root: 0}
+    clock = 1
+    bridges: List[int] = []
+    stack: List[Tuple[int, int, Iterable]] = [(root, -1, iter(adj[root]))]
+    while stack:
+        v, parent_eid, it = stack[-1]
+        for u, eid in it:
+            if u == removed_vertex or eid == parent_eid:
+                continue
+            du = disc.get(u)
+            if du is None:
+                disc[u] = low[u] = clock
+                clock += 1
+                stack.append((u, eid, iter(adj[u])))
+                break
+            if du < low[v]:
+                low[v] = du
+        else:
+            stack.pop()
+            if stack:
+                p = stack[-1][0]
+                lv = low[v]
+                if lv < low[p]:
+                    low[p] = lv
+                elif lv > disc[p]:
+                    bridges.append(parent_eid)
+    if len(disc) != len(g._vertices) - (removed_vertex in g._vertices):
+        return None
+    return bridges
 
 
 def is_biconnected(g: UndirectedGraph) -> bool:

@@ -21,7 +21,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from .criticality import build_partner_analysis, find_clean_stretch, is_critical, newly_critical
+from .criticality import build_partner_analysis, find_clean_stretch
 from .errors import (
     BudgetExceededError,
     InternalInconsistencyError,
@@ -33,9 +33,11 @@ from .solver import (
     SolverConfig,
     WbdInstance,
     find_rich_flow,
+    greedy_deletion_set,
     irrelevant_edge,
     normalize,
     solution_from_distinct_partners,
+    validate_instance,
 )
 
 PROVIDERS = ("trivial", "exhaustive")
@@ -385,12 +387,15 @@ def kernelize(
     """Shrink an unweighted instance to an equivalent one with few
     potential solution edges and a vertex count polynomial in that number.
 
-    Detected yes-instances are replaced by a constant yes-instance with the
-    result's answer field set.
+    Detected yes-instances are replaced by a constant yes-instance and
+    decided no-instances by a constant no-instance, with the result's
+    answer field set to "yes" or "no"; otherwise it is None.
     """
     if provider not in PROVIDERS:
         raise InvalidInputError(f"unknown cut-covering provider '{provider}'")
-    inst = normalize(unit_instance(graph, k, frozen))
+    inst = unit_instance(graph, k, frozen)
+    validate_instance(inst)
+    inst = normalize(inst)
     stats: Dict[str, object] = {
         "provider": provider,
         "f_before": len(inst.potential_edges()),
@@ -422,26 +427,14 @@ def _phase_one(inst: WbdInstance, config: SolverConfig, stats: Dict[str, object]
             return inst
         stats["phase1_rounds"] = int(stats["phase1_rounds"]) + 1
 
-        picks: List[int] = []
-        counts: List[int] = []
-        cur = inst.graph
-        marked = frozenset(pool)
-        for _ in range(inst.k):
-            pick = next(
-                (e for e in pool if cur.has_edge(e) and not is_critical(cur, e)),
-                None,
-            )
-            if pick is None:
-                break
-            counts.append(len(newly_critical(cur, pick) & marked))
-            picks.append(pick)
-            cur = cur.without_edge(pick)
-
+        # The whole pool, in id order, is both greedy's order and the marked set.
+        run = greedy_deletion_set(inst, config, pool)
+        picks = run.picks
         if len(picks) == inst.k:
             return "yes"
 
         threshold = config.good_step_threshold(inst.k)
-        rich = next((i for i, c in enumerate(counts) if c >= threshold), None)
+        rich = next((i for i, c in enumerate(run.counts) if c >= threshold), None)
         if rich is None:
             if config.is_default:
                 raise InternalInconsistencyError(
@@ -451,9 +444,10 @@ def _phase_one(inst: WbdInstance, config: SolverConfig, stats: Dict[str, object]
             return inst
         gprime = inst.graph.without_edges(picks[:rich])
         pivot = picks[rich]
-        p1, p2 = find_rich_flow(gprime, pivot, marked)
+        newly = run.newly[rich]
+        p1, p2 = find_rich_flow(gprime, pivot, newly)
         deleted_pairs = [inst.graph.endpoints(e) for e in picks[:rich]]
-        pa = build_partner_analysis(gprime, pivot, p1, p2, marked, deleted_pairs, inst.k)
+        pa = build_partner_analysis(gprime, pivot, p1, p2, newly, deleted_pairs, inst.k)
 
         if pa.distinct_partner_sets > 3 * inst.k:
             solution_from_distinct_partners(pa, inst.k)
@@ -464,7 +458,8 @@ def _phase_one(inst: WbdInstance, config: SolverConfig, stats: Dict[str, object]
             return inst
         ej = irrelevant_edge(pa, stretch, inst.weights)
         stats["irrelevant_frozen"] = int(stats["irrelevant_frozen"]) + 1
-        inst = normalize(inst.with_frozen(frozenset((ej,))))
+        # The graph is unchanged, so its critical edges are already frozen.
+        inst = inst.with_frozen(frozenset((ej,)))
 
 
 def _phase_two(
@@ -485,7 +480,7 @@ def _phase_two(
         if not y_set:
             # No deletable edges and nothing worth keeping: k >= 1 cannot
             # be met, so any constant no-instance is equivalent.
-            return constant_no_instance(inst.k), None
+            return constant_no_instance(inst.k), "no"
         fired = rule_one(inst, y_set)
         if fired is not None:
             stats["rule_one_fired"] = int(stats["rule_one_fired"]) + 1

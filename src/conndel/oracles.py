@@ -19,7 +19,7 @@ from .graphs import (
     is_biconnected_without,
     is_strongly_connected,
 )
-from .solver import Solution, WbdInstance
+from .solver import Solution, WbdInstance, validate_instance
 
 
 @dataclass(frozen=True)
@@ -53,6 +53,7 @@ def oracle_wbd(
     inst: WbdInstance, budget: OracleBudget = DEFAULT_BUDGET
 ) -> Optional[Solution]:
     """Max-weight feasible deletion set by checking all subsets of size <= k."""
+    validate_instance(inst)
     g = inst.graph
     budget.admit_graph(g.n, g.m, inst.k)
     pool = inst.potential_edges()

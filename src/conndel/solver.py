@@ -18,15 +18,13 @@ import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .criticality import (
     PartnerAnalysis,
     build_partner_analysis,
     critical_set,
     find_clean_stretch,
-    is_critical,
-    newly_critical,
 )
 from .errors import InternalInconsistencyError, InvalidInputError
 from .graphs import (
@@ -151,6 +149,20 @@ class SolveStats:
         self.analyses.extend(other.analyses)
 
 
+def validate_instance(inst: WbdInstance) -> None:
+    """Reject a negative budget, a non-finite target or a non-finite weight.
+
+    Checked once at the public entries; derived instances inherit validity.
+    """
+    if inst.k < 0:
+        raise InvalidInputError(f"k must be non-negative, got {inst.k}")
+    if not math.isfinite(inst.w_star):
+        raise InvalidInputError(f"w* must be finite, got {inst.w_star}")
+    for eid, w in inst.weights.items():
+        if not math.isfinite(w):
+            raise InvalidInputError(f"edge {eid} has non-finite weight {w}")
+
+
 def normalize(inst: WbdInstance) -> WbdInstance:
     """Freeze all currently-critical edges and zero frozen weights.
 
@@ -218,47 +230,69 @@ def enumerate_small(inst: WbdInstance, config: SolverConfig = DEFAULT_CONFIG) ->
 
 @dataclass(frozen=True)
 class GreedyRun:
-    """Greedy deletion picks with the per-step newly-critical-heavy counts."""
+    """Greedy deletion picks; ``newly[i]`` holds the marked edges that pick
+    i made newly critical in the residual graph.
+
+    A run of k picks has no entry for the k-th: callers branch on such a
+    run (or answer yes) without reading it, so it is not computed.
+    """
 
     picks: Tuple[int, ...]
-    counts: Tuple[int, ...]
+    newly: Tuple[FrozenSet[int], ...]
+
+    @property
+    def counts(self) -> Tuple[int, ...]:
+        return tuple(len(s) for s in self.newly)
 
 
 def greedy_deletion_set(
-    inst: WbdInstance, config: SolverConfig = DEFAULT_CONFIG
+    inst: WbdInstance,
+    config: SolverConfig = DEFAULT_CONFIG,
+    pool: Optional[Sequence[int]] = None,
 ) -> GreedyRun:
-    """Repeatedly delete the heaviest still-non-critical heavy edge.
+    """Repeatedly delete the first still-non-critical edge of the pool.
 
-    Stops after k picks or when every remaining heavy edge is critical in
-    the residual graph.  Every prefix leaves the graph biconnected.
+    The pool, which is also the marked set, defaults to the mu(k) heaviest
+    potential edges, heaviest first.  Stops after k picks or when every
+    remaining pool edge is critical in the residual graph.  Every prefix
+    leaves the graph biconnected.
+
+    Precondition: the instance is normalized, so no pool edge is critical
+    in ``inst.graph``.  The residual critical set is then carried from step
+    to step, one ``critical_set`` per pick before the k-th.
     """
-    pool = heavy(inst, config.mu(inst.k))
+    if pool is None:
+        pool = heavy(inst, config.mu(inst.k))
     marked = frozenset(pool)
     picks: List[int] = []
-    counts: List[int] = []
+    newly: List[FrozenSet[int]] = []
+    crit: FrozenSet[int] = frozenset()
     cur = inst.graph
     for _ in range(inst.k):
-        pick = None
-        for e in pool:
-            if cur.has_edge(e) and not is_critical(cur, e):
-                pick = e
-                break
+        pick = next((e for e in pool if e not in crit and e not in picks), None)
         if pick is None:
             break
-        counts.append(len(newly_critical(cur, pick) & marked))
         picks.append(pick)
+        if len(picks) == inst.k:
+            break
         cur = cur.without_edge(pick)
-    return GreedyRun(tuple(picks), tuple(counts))
+        after = critical_set(cur)
+        newly.append((after - crit) & marked)
+        crit = after
+    return GreedyRun(tuple(picks), tuple(newly))
 
 
 def find_rich_flow(
     gprime: UndirectedGraph,
     pivot: int,
-    marked: FrozenSet[int],
+    newly: FrozenSet[int],
     stats: Optional[SolveStats] = None,
 ) -> Tuple[Path, Path]:
     """A value-2 flow between the pivot's endpoints in G' - pivot, with the
-    path carrying at least half the marked newly-critical edges first."""
+    path carrying at least half the marked newly-critical edges first.
+
+    ``newly`` is ``newly_critical(gprime, pivot) & marked``, as computed
+    by the caller; greedy records it per pick (``GreedyRun.newly``)."""
     x, y = gprime.endpoints(pivot)
     flow = max_flow_bounded(gprime.without_edge(pivot), x, y, cap=3)
     if stats is not None:
@@ -267,7 +301,6 @@ def find_rich_flow(
         raise InternalInconsistencyError(
             f"expected a value-2 flow between {x} and {y}, got {flow.value}"
         )
-    newly = newly_critical(gprime, pivot) & marked
     if not newly:
         raise InvalidInputError("pivot deletion makes no marked edge critical")
     a, b = flow.paths
@@ -325,6 +358,7 @@ def solve(
     """Decide the instance and return a witness solution when one exists."""
     if jobs < 1:
         raise InvalidInputError("jobs must be positive")
+    validate_instance(inst)
     if stats is None:
         stats = SolveStats()
     inst = normalize(inst)
@@ -375,11 +409,11 @@ def _solve(
 
         gprime = inst.graph.without_edges(run.picks[:rich])
         pivot = run.picks[rich]
-        marked = frozenset(heavy(inst, config.mu(inst.k)))
-        p1, p2 = find_rich_flow(gprime, pivot, marked, stats)
+        newly = run.newly[rich]
+        p1, p2 = find_rich_flow(gprime, pivot, newly, stats)
         deleted_pairs = [inst.graph.endpoints(e) for e in run.picks[:rich]]
         pa = build_partner_analysis(
-            gprime, pivot, p1, p2, marked, deleted_pairs, inst.k
+            gprime, pivot, p1, p2, newly, deleted_pairs, inst.k
         )
         stats.analyses.append(pa)
 
@@ -396,23 +430,21 @@ def _solve(
         stats.irrelevant_edges.append(ej)
         frozen_here += 1
         stats.max_irrelevant_per_node = max(stats.max_irrelevant_per_node, frozen_here)
-        inst = normalize(inst.with_frozen(frozenset((ej,))))
+        # The graph is unchanged, so its critical edges are already frozen.
+        inst = inst.with_frozen(frozenset((ej,)))
 
 
 def _branch(
     inst: WbdInstance, config: SolverConfig, stats: SolveStats, depth: int, jobs: int
 ) -> Optional[Tuple[int, ...]]:
-    """Branch over heavy edges whose removal preserves biconnectivity; a
-    solution, if any exists, intersects them."""
-    candidates = [
-        e for e in heavy(inst, config.mu(inst.k)) if not is_critical(inst.graph, e)
-    ]
+    """Branch over the heavy edges; a solution, if any exists, intersects
+    them.  The instance is normalized, so deleting any one of them keeps
+    the graph biconnected."""
+    candidates = heavy(inst, config.mu(inst.k))
     stats.max_branch_factor = max(stats.max_branch_factor, len(candidates))
 
     if jobs > 1 and len(candidates) > 1:
-        children = [
-            normalize(inst.child_after_deleting(e)) for e in candidates
-        ]
+        children = [_child(inst, e) for e in candidates]
         with ThreadPoolExecutor(max_workers=jobs) as ex:
             futures = [
                 ex.submit(_solve_isolated, child, config, depth + 1)
@@ -428,11 +460,19 @@ def _branch(
             return result
 
     for e in candidates:
-        child = normalize(inst.child_after_deleting(e))
-        sub = _solve(child, config, stats, depth + 1, jobs)
+        sub = _solve(_child(inst, e), config, stats, depth + 1, jobs)
         if sub is not None:
             return sub + (e,)
     return None
+
+
+def _child(inst: WbdInstance, eid: int) -> WbdInstance:
+    """The branch child after deleting one edge.  A child with k = 0 or
+    w* <= 0 is decided by ``_solve`` at once and is not normalized."""
+    child = inst.child_after_deleting(eid)
+    if child.k == 0 or child.w_star <= 0:
+        return child
+    return normalize(child)
 
 
 def _solve_isolated(

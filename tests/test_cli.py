@@ -165,3 +165,34 @@ class TestKernelizeCommand:
 
     def test_usage_error_exit_two(self):
         assert main(["kernelize"]) == 2
+
+
+class TestInputValidation:
+    def test_weight_left_out_before_inf_is_a_parse_error(self, tmp_path, capsys):
+        p = tmp_path / "noweight.graph"
+        p.write_text(K4.replace("e 3 4 1", "e 3 4 inf"))
+        assert main(["solve", str(p), "--k", "1", "--wstar", "1"]) == 2
+        assert "line 7" in capsys.readouterr().err
+
+    def test_nan_weight_is_a_parse_error(self, tmp_path, capsys):
+        p = tmp_path / "nan.graph"
+        p.write_text(K4.replace("e 3 4 1", "e 3 4 nan"))
+        assert main(["solve", str(p), "--k", "1", "--wstar", "1"]) == 2
+        assert "finite" in capsys.readouterr().err
+
+    def test_nan_wstar_is_a_usage_error(self, files, capsys):
+        assert main(["solve", files["k4"], "--k", "1", "--wstar", "nan"]) == 2
+        assert "w*" in capsys.readouterr().err
+
+    def test_negative_k_is_a_usage_error(self, files, capsys):
+        assert main(["solve", files["k4"], "--k", "-1", "--wstar", "1"]) == 2
+        assert main(["kernelize", files["k4"], "--k", "-1"]) == 2
+        assert main(["oracle", "wbd", files["k4"], "--k", "-1"]) == 2
+
+
+class TestKernelizeDecidedNo:
+    def test_no_deletable_edge_left_exits_one(self, tmp_path, capsys):
+        p = tmp_path / "c4.graph"
+        p.write_text("p graph 4 4\ne 1 2 1\ne 2 3 1\ne 3 4 1\ne 1 4 1\n")
+        assert main(["kernelize", str(p), "--k", "1", "--provider", "exhaustive"]) == 1
+        assert '"answer": "no"' in capsys.readouterr().out

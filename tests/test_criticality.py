@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, settings
 
 from conndel.criticality import (
     build_partner_analysis,
@@ -25,6 +26,7 @@ from conndel.solver import find_rich_flow, normalize
 
 from . import naive
 from .checks import check_partner_invariants
+from .strategies import biconnected_graphs, undirected_graphs
 
 
 def cycle(n):
@@ -66,6 +68,24 @@ class TestCritical:
     def test_unknown_edge_rejected(self):
         with pytest.raises(InvalidInputError):
             is_critical(cycle(4), 99)
+
+
+def critical_by_definition(g):
+    return frozenset(e for e in g.edges if naive_critical(g, e))
+
+
+class TestCriticalSetProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(biconnected_graphs())
+    def test_matches_definition_on_biconnected_graphs(self, g):
+        assert naive.biconnected_by_definition(set(g.vertices), list(g.edges.values()))
+        assert critical_set(g) == critical_by_definition(g)
+
+    @settings(max_examples=150, deadline=None)
+    @given(undirected_graphs(min_n=1, max_n=8))
+    def test_non_biconnected_input_yields_every_edge(self, g):
+        assume(not naive.biconnected_by_definition(set(g.vertices), list(g.edges.values())))
+        assert critical_set(g) == frozenset(g.edges)
 
 
 class TestNewlyCritical:
@@ -190,7 +210,7 @@ class TestPartnerSets:
         hub = shared_partner_instance(q=5, k=1)
         inst = normalize(hub.instance)
         g = inst.graph
-        p1, p2 = find_rich_flow(g, hub.chord, frozenset(g.edges))
+        p1, p2 = find_rich_flow(g, hub.chord, newly_critical(g, hub.chord))
         crits = [e for e in p1.edges if e in newly_critical(g, hub.chord)]
         assert len(crits) >= 2
         sets = [set(partner_set(g, hub.chord, p1, p2, e)) for e in crits]
@@ -230,18 +250,18 @@ def analyzed_wheel(q=7, k=2):
     hub = shared_partner_instance(q=q, k=k)
     inst = normalize(hub.instance)
     g = inst.graph
-    marked = frozenset(g.edges)
-    p1, p2 = find_rich_flow(g, hub.chord, marked)
-    return build_partner_analysis(g, hub.chord, p1, p2, marked, [], k), hub
+    newly = newly_critical(g, hub.chord)
+    p1, p2 = find_rich_flow(g, hub.chord, newly)
+    return build_partner_analysis(g, hub.chord, p1, p2, newly, [], k), hub
 
 
 def analyzed_staircase(q=6, k=2):
     hub = distinct_partner_instance(q=q, k=k)
     inst = normalize(hub.instance)
     g = inst.graph
-    marked = frozenset(g.edges)
-    p1, p2 = find_rich_flow(g, hub.chord, marked)
-    return build_partner_analysis(g, hub.chord, p1, p2, marked, [], k), hub
+    newly = newly_critical(g, hub.chord)
+    p1, p2 = find_rich_flow(g, hub.chord, newly)
+    return build_partner_analysis(g, hub.chord, p1, p2, newly, [], k), hub
 
 
 class TestPartnerAnalysis:
@@ -271,10 +291,10 @@ class TestPartnerAnalysis:
             if e not in hub.rim_edges and e != hub.chord
         )
         gprime = g.without_edge(spoke)
-        marked = frozenset(gprime.edges)
-        p1, p2 = find_rich_flow(gprime, hub.chord, marked)
+        newly = newly_critical(gprime, hub.chord)
+        p1, p2 = find_rich_flow(gprime, hub.chord, newly)
         pa = build_partner_analysis(
-            gprime, hub.chord, p1, p2, marked, [g.endpoints(spoke)], 2
+            gprime, hub.chord, p1, p2, newly, [g.endpoints(spoke)], 2
         )
         assert any(rim_v in pa.components.get(i, ()) for i in pa.affected)
         check_partner_invariants(pa)
@@ -290,7 +310,7 @@ class TestPartnerAnalysis:
         g, pivot, p1, p2 = pivot_chord_hexagon()
         assert newly_critical(g, pivot) == frozenset()
         with pytest.raises(InvalidInputError):
-            build_partner_analysis(g, pivot, p1, p2, frozenset(g.edges), [], 1)
+            build_partner_analysis(g, pivot, p1, p2, newly_critical(g, pivot), [], 1)
 
 
 class TestSegmentStructure:

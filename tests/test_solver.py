@@ -54,6 +54,28 @@ def ladder(m):
     return UndirectedGraph.from_edges(range(2 * m), edges)
 
 
+class TestBoundaryValidation:
+    def test_public_entries_reject_bad_instances(self):
+        from conndel.kernel import kernelize
+
+        g = complete(4)
+        weights = {e: 1.0 for e in g.edges}
+        bad = [
+            unit(g, -1, 1),
+            WbdInstance(g, 1, float("nan"), weights, frozenset()),
+            WbdInstance(g, 1, float("inf"), weights, frozenset()),
+            WbdInstance(g, 1, 1.0, {**weights, 0: float("inf")}, frozenset()),
+            WbdInstance(g, 1, 1.0, {**weights, 0: float("nan")}, frozenset()),
+        ]
+        for inst in bad:
+            with pytest.raises(InvalidInputError):
+                solve(inst)
+            with pytest.raises(InvalidInputError):
+                oracle_wbd(inst)
+        with pytest.raises(InvalidInputError):
+            kernelize(g, -1)
+
+
 class TestNormalize:
     def test_cycle_freezes_everything(self):
         inst = normalize(unit(cycle(5), 1, 1))
@@ -142,15 +164,15 @@ class TestGreedy:
 
 class TestDistinctPartners:
     def test_staircase_seven_partners_k2(self):
-        from conndel.criticality import build_partner_analysis
+        from conndel.criticality import build_partner_analysis, newly_critical
         from conndel.solver import find_rich_flow
 
         hub = distinct_partner_instance(q=6, k=2)
         inst = normalize(hub.instance)
         g = inst.graph
-        marked = frozenset(g.edges)
-        p1, p2 = find_rich_flow(g, hub.chord, marked)
-        pa = build_partner_analysis(g, hub.chord, p1, p2, marked, [], 2)
+        newly = newly_critical(g, hub.chord)
+        p1, p2 = find_rich_flow(g, hub.chord, newly)
+        pa = build_partner_analysis(g, hub.chord, p1, p2, newly, [], 2)
         assert pa.distinct_partner_sets == 7
         sel = solution_from_distinct_partners(pa, 2)
         assert len(sel) == 2
@@ -160,29 +182,29 @@ class TestDistinctPartners:
         assert sel1 == (pa.edge(1),)
 
     def test_too_few_partner_sets_rejected(self):
-        from conndel.criticality import build_partner_analysis
+        from conndel.criticality import build_partner_analysis, newly_critical
         from conndel.solver import find_rich_flow
 
         hub = shared_partner_instance(q=7, k=2)
         inst = normalize(hub.instance)
         g = inst.graph
-        marked = frozenset(g.edges)
-        p1, p2 = find_rich_flow(g, hub.chord, marked)
-        pa = build_partner_analysis(g, hub.chord, p1, p2, marked, [], 2)
+        newly = newly_critical(g, hub.chord)
+        p1, p2 = find_rich_flow(g, hub.chord, newly)
+        pa = build_partner_analysis(g, hub.chord, p1, p2, newly, [], 2)
         with pytest.raises(InvalidInputError):
             solution_from_distinct_partners(pa, 1)
 
 
 def wheel_analysis(q=7, k=2, rim_weights=None):
-    from conndel.criticality import build_partner_analysis
+    from conndel.criticality import build_partner_analysis, newly_critical
     from conndel.solver import find_rich_flow
 
     hub = shared_partner_instance(q=q, k=k, rim_weights=rim_weights)
     inst = normalize(hub.instance)
     g = inst.graph
-    marked = frozenset(g.edges)
-    p1, p2 = find_rich_flow(g, hub.chord, marked)
-    pa = build_partner_analysis(g, hub.chord, p1, p2, marked, [], k)
+    newly = newly_critical(g, hub.chord)
+    p1, p2 = find_rich_flow(g, hub.chord, newly)
+    pa = build_partner_analysis(g, hub.chord, p1, p2, newly, [], k)
     return pa, inst
 
 
