@@ -6,10 +6,12 @@ be removed with total weight meeting the target while the graph stays
 biconnected.
 
 Strategy per node: when few potential solution edges remain, enumerate;
-otherwise greedily delete heavy non-critical edges.  A full greedy run or
-many distinct partner sets certifies that the heavy edges intersect some
-solution, so we branch on them; a long clean stretch instead yields an
-irrelevant edge that is frozen, shrinking the instance without branching.
+otherwise answer no if the k heaviest weights miss the target, and
+greedily delete heavy non-critical edges.  A full greedy run that reaches
+the target is a solution; one that misses it, or many distinct partner
+sets, certifies that the heavy edges intersect some solution, so we
+branch on them; a long clean stretch instead yields an irrelevant edge
+that is frozen, shrinking the instance without branching.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .criticality import (
     PartnerAnalysis,
@@ -79,7 +81,13 @@ class WbdInstance:
 
     Edges in ``frozen`` can never be deleted; the remaining edges are the
     potential solution edges.  A normalized instance additionally has every
-    currently-critical edge frozen with weight zero.
+    currently-critical edge frozen with weight zero.  A branch child keeps
+    the root's ``w_star`` and records the weights already deleted on the
+    way to it in ``deleted``.
+
+    Weights are summed with ``math.fsum``: one correctly rounded sum, so a
+    total does not depend on the order of its terms, and adding a
+    non-negative term never lowers it.
     """
 
     graph: UndirectedGraph
@@ -87,19 +95,27 @@ class WbdInstance:
     w_star: float
     weights: Dict[int, float] = field(repr=False)
     frozen: FrozenSet[int] = frozenset()
+    deleted: Tuple[float, ...] = ()
 
     def potential_edges(self) -> List[int]:
         return [e for e in sorted(self.graph.edges) if e not in self.frozen]
 
     def weight_of(self, edges) -> float:
-        return sum(self.weights.get(e, 0.0) for e in edges)
+        return math.fsum(self.weights.get(e, 0.0) for e in edges)
+
+    def reaches(self, edges: Iterable[int]) -> bool:
+        """Do the deleted weights plus the weights of these edges reach w*?"""
+        added = (self.weights.get(e, 0.0) for e in edges)
+        return math.fsum(itertools.chain(self.deleted, added)) >= self.w_star
 
     def with_frozen(self, extra: FrozenSet[int]) -> "WbdInstance":
         new_frozen = self.frozen | extra
         new_weights = {
             e: (0.0 if e in new_frozen else w) for e, w in self.weights.items()
         }
-        return WbdInstance(self.graph, self.k, self.w_star, new_weights, new_frozen)
+        return WbdInstance(
+            self.graph, self.k, self.w_star, new_weights, new_frozen, self.deleted
+        )
 
     def child_after_deleting(self, eid: int) -> "WbdInstance":
         g = self.graph.without_edge(eid)
@@ -107,9 +123,10 @@ class WbdInstance:
         return WbdInstance(
             g,
             self.k - 1,
-            max(0.0, self.w_star - self.weights.get(eid, 0.0)),
+            self.w_star,
             w,
             frozenset(e for e in self.frozen if e != eid),
+            self.deleted + (self.weights.get(eid, 0.0),),
         )
 
 
@@ -150,7 +167,8 @@ class SolveStats:
 
 
 def validate_instance(inst: WbdInstance) -> None:
-    """Reject a negative budget, a non-finite target or a non-finite weight.
+    """Reject a negative budget, a non-finite target or a non-finite or
+    negative weight (the solver's weight bounds assume non-negative ones).
 
     Checked once at the public entries; derived instances inherit validity.
     """
@@ -161,6 +179,8 @@ def validate_instance(inst: WbdInstance) -> None:
     for eid, w in inst.weights.items():
         if not math.isfinite(w):
             raise InvalidInputError(f"edge {eid} has non-finite weight {w}")
+        if w < 0:
+            raise InvalidInputError(f"edge {eid} has negative weight {w}")
 
 
 def normalize(inst: WbdInstance) -> WbdInstance:
@@ -198,29 +218,53 @@ def verify_solution(inst: WbdInstance, edges) -> bool:
         return False
     if es & inst.frozen:
         return False
-    if inst.weight_of(es) < inst.w_star:
+    if not inst.reaches(es):
         return False
     return is_biconnected_without(inst.graph, frozenset(es))
 
 
 def _enumerate_best(inst: WbdInstance) -> Optional[Solution]:
-    """Max-weight feasible subset by direct enumeration, smallest first."""
-    pool = inst.potential_edges()
-    best: Optional[Solution] = None
-    for size in range(0, min(inst.k, len(pool)) + 1):
-        for combo in itertools.combinations(pool, size):
-            w = inst.weight_of(combo)
-            if w < inst.w_star:
+    """The first feasible deletion set whose weight reaches w*, or None.
+
+    This is a decision, so the first witness is returned, not the heaviest
+    one.  Depth-first over ``heavy_order`` (heaviest first, ties by id), so
+    the witness is deterministic.  Two cuts, both exact for non-negative
+    weights and an ``fsum`` total:
+
+    * a level stops once the chosen weights plus the next r pool weights
+      (r the budget left) miss w*, since every later candidate is lighter;
+    * a prefix whose deletion breaks biconnectivity is dropped, since
+      deleting more edges never restores it.
+    """
+    order = heavy_order(inst)
+    chosen: List[int] = []
+
+    def extend(start: int, removed: FrozenSet[int]) -> bool:
+        if inst.reaches(chosen):
+            return True
+        r = inst.k - len(chosen)
+        if r == 0:
+            return False
+        for i in range(start, len(order)):
+            if not inst.reaches(chosen + order[i : i + r]):
+                return False
+            s = removed | {order[i]}
+            if not is_biconnected_without(inst.graph, s):
                 continue
-            if best is not None and w <= best.weight:
-                continue
-            if is_biconnected_without(inst.graph, frozenset(combo)):
-                best = Solution(tuple(combo), w)
-    return best
+            chosen.append(order[i])
+            if extend(i + 1, s):
+                return True
+            chosen.pop()
+        return False
+
+    if not extend(0, frozenset()):
+        return None
+    return Solution(tuple(chosen), inst.weight_of(chosen))
 
 
 def enumerate_small(inst: WbdInstance, config: SolverConfig = DEFAULT_CONFIG) -> Optional[Solution]:
-    """Exhaustive base case; only valid when few potential edges remain."""
+    """Exhaustive base case, only valid when at most mu(k) potential edges
+    remain: the first witness that reaches w* (see ``_enumerate_best``)."""
     if len(inst.potential_edges()) > config.mu(inst.k):
         raise InternalInconsistencyError(
             "enumeration base case invoked with too many potential edges"
@@ -376,7 +420,7 @@ def _solve(
 ) -> Optional[Tuple[int, ...]]:
     stats.nodes += 1
     stats.max_depth = max(stats.max_depth, depth)
-    if inst.w_star <= 0:
+    if inst.reaches(()):
         return ()
     if inst.k == 0:
         return None
@@ -389,8 +433,16 @@ def _solve(
             sol = _enumerate_best(inst)
             return sol.edges if sol else None
 
+        # Even the k heaviest potential edges miss w*: no.  (The
+        # enumerator's level cut makes the same test first.)
+        if not inst.reaches(heavy(inst, inst.k)):
+            return None
+
         run = greedy_deletion_set(inst, config)
         if len(run.picks) == inst.k:
+            # Every prefix of greedy's picks keeps the graph biconnected.
+            if inst.reaches(run.picks):
+                return run.picks
             return _branch(inst, config, stats, depth, jobs)
 
         threshold = config.good_step_threshold(inst.k)
@@ -444,11 +496,10 @@ def _branch(
     stats.max_branch_factor = max(stats.max_branch_factor, len(candidates))
 
     if jobs > 1 and len(candidates) > 1:
-        children = [_child(inst, e) for e in candidates]
         with ThreadPoolExecutor(max_workers=jobs) as ex:
             futures = [
-                ex.submit(_solve_isolated, child, config, depth + 1)
-                for child in children
+                ex.submit(_solve_isolated, inst, e, config, depth + 1)
+                for e in candidates
             ]
             result = None
             for e, fut in zip(candidates, futures):
@@ -460,23 +511,34 @@ def _branch(
             return result
 
     for e in candidates:
-        sub = _solve(_child(inst, e), config, stats, depth + 1, jobs)
+        sub = _solve_child(inst, e, config, stats, depth + 1, jobs)
         if sub is not None:
             return sub + (e,)
     return None
 
 
-def _child(inst: WbdInstance, eid: int) -> WbdInstance:
-    """The branch child after deleting one edge.  A child with k = 0 or
-    w* <= 0 is decided by ``_solve`` at once and is not normalized."""
-    child = inst.child_after_deleting(eid)
-    if child.k == 0 or child.w_star <= 0:
-        return child
-    return normalize(child)
+def _solve_child(
+    inst: WbdInstance,
+    eid: int,
+    config: SolverConfig,
+    stats: SolveStats,
+    depth: int,
+    jobs: int,
+) -> Optional[Tuple[int, ...]]:
+    """Decide the branch child after deleting one edge.  A leaf child
+    (k = 0, or w* reached) is decided from k and the deleted weights
+    alone, without copying the graph; any other child is normalized."""
+    reached = inst.reaches((eid,))
+    if reached or inst.k == 1:
+        stats.nodes += 1
+        stats.max_depth = max(stats.max_depth, depth)
+        return () if reached else None
+    child = normalize(inst.child_after_deleting(eid))
+    return _solve(child, config, stats, depth, jobs)
 
 
 def _solve_isolated(
-    inst: WbdInstance, config: SolverConfig, depth: int
+    inst: WbdInstance, eid: int, config: SolverConfig, depth: int
 ) -> Tuple[Optional[Tuple[int, ...]], SolveStats]:
     local = SolveStats()
-    return _solve(inst, config, local, depth, jobs=1), local
+    return _solve_child(inst, eid, config, local, depth, jobs=1), local

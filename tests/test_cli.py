@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from conndel.cli import main
@@ -56,6 +58,19 @@ class TestSolve:
         p.write_text("p graph 2 1\ne 1 5 1\n")
         assert main(["solve", str(p), "--k", "1", "--wstar", "1"]) == 2
         assert "line 2" in capsys.readouterr().err
+
+    def test_decimal_weights_exit_like_the_oracle(self, tmp_path):
+        # 0.3 + 0.7 + 0.3 falls just short of 1.3 as one correctly rounded
+        # sum, but reaches it when summed left to right.
+        heavy = {(2, 4): "0.3", (2, 5): "0.7", (2, 6): "0.3"}
+        pairs = itertools.combinations(range(1, 7), 2)
+        text = "p graph 6 15\n" + "".join(
+            f"e {u} {v} {heavy.get((u, v), '0')}\n" for u, v in pairs
+        )
+        p = tmp_path / "k6.graph"
+        p.write_text(text)
+        args = [str(p), "--k", "3", "--wstar", "1.3"]
+        assert main(["solve", *args]) == main(["oracle", "wbd", *args])
 
     def test_explain_prints_analysis_when_reached(self, tmp_path, capsys):
         from conndel.families import shared_partner_instance

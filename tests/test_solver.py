@@ -1,7 +1,10 @@
 import itertools
 import random
+from decimal import Decimal
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conndel.criticality import find_clean_stretch
 from conndel.errors import InternalInconsistencyError, InvalidInputError
@@ -54,6 +57,17 @@ def ladder(m):
     return UndirectedGraph.from_edges(range(2 * m), edges)
 
 
+def greedy_miss_instance():
+    """K4 at k = 2, w* = 4, pool cut to 4 by the knob: greedy deletes 01
+    (3), which makes 02 and 13 critical, then 23 (0.5), and misses w*;
+    the top two weights (5) do not rule the target out, so the solver
+    branches and finds the matching {02, 13} (2 + 2)."""
+    g = complete(4)
+    by_pair = {(0, 1): 3.0, (0, 2): 2.0, (1, 3): 2.0, (2, 3): 0.5, (0, 3): 0.25, (1, 2): 0.25}
+    weights = {e: by_pair[g.endpoints(e)] for e in g.edges}
+    return WbdInstance(g, 2, 4.0, weights, frozenset()), SolverConfig(mu_override=lambda k: 4)
+
+
 class TestBoundaryValidation:
     def test_public_entries_reject_bad_instances(self):
         from conndel.kernel import kernelize
@@ -66,6 +80,7 @@ class TestBoundaryValidation:
             WbdInstance(g, 1, float("inf"), weights, frozenset()),
             WbdInstance(g, 1, 1.0, {**weights, 0: float("inf")}, frozenset()),
             WbdInstance(g, 1, 1.0, {**weights, 0: float("nan")}, frozenset()),
+            WbdInstance(g, 1, 1.0, {**weights, 0: -0.5}, frozenset()),
         ]
         for inst in bad:
             with pytest.raises(InvalidInputError):
@@ -298,9 +313,8 @@ class TestSolve:
         expect = oracle_wbd(normalize(hub.instance), BIG)
         assert (sol is None) == (expect is None)
 
-    def test_ladder_knob_branches(self):
-        inst = unit(ladder(6), 2, 2)
-        cfg = SolverConfig(mu_override=lambda k: 2)
+    def test_knob_branches_when_greedy_misses_target(self):
+        inst, cfg = greedy_miss_instance()
         stats = SolveStats()
         sol = solve(inst, cfg, stats)
         assert sol is not None and len(sol.edges) == 2
@@ -330,8 +344,7 @@ class TestSolve:
         assert sol is not None and sol.weight >= 1.0
 
     def test_parallel_branching_matches_sequential(self):
-        inst = unit(ladder(6), 2, 2)
-        cfg = SolverConfig(mu_override=lambda k: 2)
+        inst, cfg = greedy_miss_instance()
         s1, s2 = SolveStats(), SolveStats()
         a = solve(inst, cfg, s1, jobs=1)
         b = solve(inst, cfg, s2, jobs=4)
@@ -345,3 +358,35 @@ class TestSolve:
         sol = solve(inst)
         assert sol is not None
         assert not (set(sol.edges) & {0, 1})
+
+
+# Zero four times over: most edges weigh nothing, so a few decimal weights
+# decide the answer.
+DECIMALS = ("0", "0", "0", "0", "0.1", "0.2", "0.3", "0.4", "0.6", "0.7", "1.1", "1.3")
+
+
+class TestDecimalWeights:
+    """Decimal weights such as 0.3 + 0.7 + 0.3 = 1.3, whose float sums
+    depend on the order of summation: the solver must still agree with the
+    oracle and never report an inconsistency."""
+
+    @pytest.mark.parametrize("mu_knob", [None, 2, 6])
+    @settings(max_examples=500, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_solver_agrees_with_oracle(self, mu_knob, rng):
+        n = rng.randint(4, 8)
+        g = random_biconnected_graph(rng, n, rng.randint(n, 2 * n))
+        texts = {e: rng.choice(DECIMALS) for e in g.edges}
+        weights = {e: float(t) for e, t in texts.items()}
+        k = rng.randint(1, 3)
+        # The target is the exact decimal weight of the heaviest deletion
+        # set, where rounding decides the answer.
+        heaviest = oracle_wbd(normalize(WbdInstance(g, k, 0.0, weights)), BIG)
+        w_star = float(sum(Decimal(texts[e]) for e in heaviest.edges))
+        inst = WbdInstance(g, k, w_star, weights, frozenset())
+        cfg = SolverConfig() if mu_knob is None else SolverConfig(mu_override=lambda _: mu_knob)
+        got = solve(inst, cfg)
+        expect = oracle_wbd(normalize(inst), BIG)
+        assert (got is None) == (expect is None)
+        if got is not None:
+            assert verify_solution(normalize(inst), got.edges)
