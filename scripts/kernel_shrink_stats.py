@@ -1,6 +1,9 @@
 #!/usr/bin/env python3
 """Kernelize random unit-weight instances and tabulate how much the
-potential-edge and vertex counts shrink under each provider."""
+potential-edge and vertex counts shrink under each provider.
+
+Every kernel output must answer like its input under the brute-force
+oracle (a decided answer must match too); any mismatch exits 1."""
 
 import argparse
 import random
@@ -11,6 +14,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from conndel.families import random_biconnected_graph
 from conndel.kernel import build_auxiliary_digraph, kernelize, unit_instance
+from conndel.oracles import OracleBudget, oracle_wbd
 from conndel.solver import normalize
 
 
@@ -24,16 +28,25 @@ def main() -> int:
     args = ap.parse_args()
 
     rng = random.Random(args.seed)
+    budget = OracleBudget(
+        max_vertices=max(4, args.max_n), max_edges=4 * args.max_n, max_k=max(3, args.k)
+    )
     rows = []
+    mismatches = 0
     for _ in range(args.count):
         g = random_biconnected_graph(rng, rng.randint(4, args.max_n), rng.randint(0, 3))
         inst = normalize(unit_instance(g, args.k, frozenset()))
+        want = oracle_wbd(inst, budget) is not None
         aux = build_auxiliary_digraph(g, inst.potential_edges())
         providers = ["trivial"]
         if len(aux.terminals) <= args.max_terminals:
             providers.append("exhaustive")
         for provider in providers:
             res = kernelize(g, args.k, provider=provider, max_terminals=args.max_terminals)
+            got = oracle_wbd(res.instance, budget) is not None
+            if got != want or res.answer not in (None, "yes" if want else "no"):
+                mismatches += 1
+                print(f"MISMATCH provider={provider} n={g.n} m={g.m} k={args.k}")
             rows.append(
                 (
                     provider,
@@ -56,7 +69,8 @@ def main() -> int:
         print(
             f"-- {provider}: {len(subset)} runs, {shrunk} shrank the vertex set --"
         )
-    return 0
+    print(f"{len(rows)} kernel outputs, {mismatches} oracle mismatches")
+    return 1 if mismatches else 0
 
 
 if __name__ == "__main__":

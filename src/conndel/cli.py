@@ -108,7 +108,7 @@ def cmd_solve(args) -> int:
     inst = WbdInstance(parsed.graph, args.k, args.wstar, dict(parsed.weights), parsed.frozen)
     stats = SolveStats()
     t0 = time.perf_counter()
-    sol = solve(inst, stats=stats, jobs=args.jobs)
+    sol = solve(inst, stats=stats)
     elapsed = time.perf_counter() - t0
     if args.explain:
         for pa in stats.analyses:
@@ -303,8 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--wstar", type=float, required=True)
     p.add_argument("--explain", action="store_true")
     p.add_argument("--oracle-check", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0, help="reserved; all components are deterministic")
     _add_budget_flags(p)
     p.set_defaults(func=cmd_solve)
 

@@ -26,8 +26,8 @@ from .graphs import (
     Path,
     UndirectedGraph,
     bridges_without,
-    has_path_without,
     is_biconnected_without,
+    reachable,
 )
 
 
@@ -68,7 +68,7 @@ def verify_mixed_cut(g: UndirectedGraph, x: int, y: int, eid: int, vertex: int) 
         raise InvalidInputError("cut vertex may not be a terminal")
     if not g.has_edge(eid):
         raise InvalidInputError(f"no edge with id {eid}")
-    return not has_path_without(g, x, y, frozenset((eid,)), vertex)
+    return y not in reachable(g, (x,), frozenset((eid,)), frozenset((vertex,)), target=y)
 
 
 @dataclass(frozen=True)
@@ -86,30 +86,14 @@ class MixedCut:
 
 def find_size2_mixed_cut(g: UndirectedGraph, eid: int) -> Optional[MixedCut]:
     """Search for terminals x, y and a vertex v with {edge, v} a mixed cut."""
-    u1, u2 = g.endpoints(eid)
+    g.endpoints(eid)  # rejects an unknown edge
     for v in sorted(g.vertices):
         rest = sorted(g.vertices - {v})
-        comp: Dict[int, int] = {}
-        label = 0
-        for s in rest:
-            if s in comp:
-                continue
-            stack = [s]
-            comp[s] = label
-            while stack:
-                a = stack.pop()
-                for b, e2 in zip(g.neighbors(a), g.incident(a)):
-                    if b == v or e2 == eid or b in comp:
-                        continue
-                    comp[b] = label
-                    stack.append(b)
-            label += 1
-        if label >= 2:
-            first = {}
-            for s in rest:
-                first.setdefault(comp[s], s)
-            xs = sorted(first.values())
-            return MixedCut(eid, v, xs[0], xs[1])
+        if not rest:
+            continue
+        comp = reachable(g, rest[:1], frozenset((eid,)), frozenset((v,)))
+        if len(comp) < len(rest):
+            return MixedCut(eid, v, rest[0], min(u for u in rest if u not in comp))
     return None
 
 
@@ -129,10 +113,12 @@ def partner_set(
     if crit not in p1.edges:
         raise InvalidInputError("critical edge must lie on the first flow path")
     removed = frozenset((pivot, crit))
-    out = []
-    for v in p2.interior:
-        if not has_path_without(gprime, p2.vertices[0], p2.vertices[-1], removed, v):
-            out.append(v)
+    a, b = p2.vertices[0], p2.vertices[-1]
+    out = [
+        v
+        for v in p2.interior
+        if b not in reachable(gprime, (a,), removed, frozenset((v,)), target=b)
+    ]
     if not out:
         raise InternalInconsistencyError(
             f"edge {crit} has an empty partner set; every newly critical "
@@ -244,7 +230,9 @@ def build_partner_analysis(
             )
         w = pset[0]
         shared[i] = w
-        comp = _reachable(gprime, segments[i], frozenset((edge_ids[i - 1], edge_ids[i])), w)
+        comp = frozenset(
+            reachable(gprime, segments[i], frozenset(edge_ids[i - 1 : i + 1]), frozenset((w,)))
+        )
         components[i] = comp
         gamma = set()
         for eid, (a, b) in gprime.edges.items():
@@ -280,24 +268,6 @@ def build_partner_analysis(
         affected=affected,
         k=k,
     )
-
-
-def _reachable(
-    g: UndirectedGraph,
-    sources: Tuple[int, ...],
-    removed_edges: FrozenSet[int],
-    removed_vertex: int,
-) -> FrozenSet[int]:
-    seen = set(sources)
-    stack = list(sources)
-    while stack:
-        v = stack.pop()
-        for u, eid in zip(g.neighbors(v), g.incident(v)):
-            if u == removed_vertex or eid in removed_edges or u in seen:
-                continue
-            seen.add(u)
-            stack.append(u)
-    return frozenset(seen)
 
 
 def stretch_guarantee_threshold(k: int) -> int:

@@ -4,14 +4,29 @@ Both graph classes are immutable from the caller's perspective: every
 mutating operation returns a new value.  Vertex and edge/arc ids are stable
 under deletion (ids of deleted elements are never reused), so id-keyed data
 such as weights or frozen-edge sets survives graph surgery.
+
+The package has one reachability routine (``reachable``) and one
+augmenting-path flow (``FlowNetwork``, unit vertex capacities on a split
+network), used for undirected x-y flows and for the kernel's digraph cuts
+and linkages alike.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
+from typing import (
+    AbstractSet,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from .errors import ContractionError, InvalidInputError
 
@@ -174,7 +189,7 @@ class UndirectedGraph:
 class Digraph:
     """Simple digraph (no loops, at most one arc per ordered pair)."""
 
-    __slots__ = ("_vertices", "_arcs", "_pair_to_id", "_out", "_in", "_next_arc_id", "_next_vertex_id")
+    __slots__ = ("_vertices", "_arcs", "_pair_to_id", "_out", "_in", "_next_arc_id", "_next_vertex_id", "_network")
 
     def __init__(
         self,
@@ -212,6 +227,7 @@ class Digraph:
             next_vertex_id = max(self._vertices, default=-1) + 1
         self._next_arc_id = next_arc_id
         self._next_vertex_id = next_vertex_id
+        self._network: Optional[FlowNetwork] = None
 
     @classmethod
     def from_arcs(cls, vertices: Iterable[int], pairs: Iterable[Edge]) -> "Digraph":
@@ -251,6 +267,13 @@ class Digraph:
 
     def in_neighbors(self, v: int) -> List[int]:
         return [t for t, _ in self._in[v]]
+
+    def flow_network(self) -> "FlowNetwork":
+        """Split network for vertex-disjoint paths (every vertex capacity
+        1, arcs unbounded), built on first use; the digraph is immutable."""
+        if self._network is None:
+            self._network = FlowNetwork(sorted(self._vertices), self.arc_pairs(), _UNBOUNDED)
+        return self._network
 
     def without_vertices(self, vs: Iterable[int]) -> "Digraph":
         gone = set(vs)
@@ -333,58 +356,33 @@ class FlowDecomposition:
 # ---------------------------------------------------------------------------
 
 
-def is_connected_without(
+def reachable(
     g: UndirectedGraph,
-    removed_edges: FrozenSet[int] = frozenset(),
-    removed_vertex: Optional[int] = None,
-) -> bool:
-    adj = g._adj
-    start = None
-    nv = 0
-    for v in g._vertices:
-        if v != removed_vertex:
-            nv += 1
-            if start is None:
-                start = v
-    if nv == 0:
-        return True
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for u, eid in adj[v]:
-            if u == removed_vertex or eid in removed_edges or u in seen:
-                continue
-            seen.add(u)
-            stack.append(u)
-    return len(seen) == nv
-
-
-def has_path_without(
-    g: UndirectedGraph,
-    x: int,
-    y: int,
-    removed_edges: FrozenSet[int] = frozenset(),
-    removed_vertex: Optional[int] = None,
-) -> bool:
-    """Is y reachable from x once the given edges and vertex are removed?"""
-    if x == removed_vertex or y == removed_vertex:
+    sources: Iterable[int],
+    removed_edges: AbstractSet[int] = frozenset(),
+    removed_vertices: AbstractSet[int] = frozenset(),
+    target: Optional[int] = None,
+) -> Set[int]:
+    """Vertices reachable from the sources once the given edges and
+    vertices are removed.  With a target the search stops as soon as it
+    gets there, so ``target in reachable(...)`` asks for a path."""
+    seen = set(sources)
+    if target in removed_vertices or not seen.isdisjoint(removed_vertices):
         raise InvalidInputError("terminal removed from graph")
-    if x == y:
-        return True
+    if target in seen:
+        return seen
     adj = g._adj
-    seen = {x}
-    stack = [x]
+    stack = list(seen)
     while stack:
         v = stack.pop()
         for u, eid in adj[v]:
-            if u == removed_vertex or eid in removed_edges or u in seen:
+            if u in seen or eid in removed_edges or u in removed_vertices:
                 continue
-            if u == y:
-                return True
             seen.add(u)
+            if u == target:
+                return seen
             stack.append(u)
-    return False
+    return seen
 
 
 def is_biconnected_without(
@@ -557,73 +555,148 @@ def is_strongly_connected(d: Digraph) -> bool:
 # ---------------------------------------------------------------------------
 
 
+_UNBOUNDED = 1 << 30
+
+
+class FlowNetwork:
+    """Split network for vertex-disjoint paths, built once per graph.
+
+    Vertex v with index i becomes an in-node 2i and an out-node 2i + 1
+    joined by a capacity-1 arc (unbounded for an open vertex); a graph arc
+    (u, v) runs from u's out-node to v's in-node.  Arcs are integer ids
+    into flat ``head``/``cap`` lists, arc a's residual twin being a ^ 1.
+    Each node lists its arcs in insertion order, split arc first, so the
+    searches are deterministic; graph arc j has id ``2 * n + 2 * j``.
+    """
+
+    __slots__ = ("index", "head", "cap", "adj")
+
+    def __init__(
+        self,
+        vertices: Sequence[int],
+        arcs: Iterable[Edge],
+        arc_cap: int,
+        open_vertices: AbstractSet[int] = frozenset(),
+    ):
+        self.index: Dict[int, int] = {v: i for i, v in enumerate(vertices)}
+        head: List[int] = []
+        cap: List[int] = []
+        adj: List[List[int]] = [[] for _ in range(2 * len(self.index))]
+
+        def add(a: int, b: int, c: int) -> None:
+            adj[a].append(len(head))
+            head.append(b)
+            cap.append(c)
+            adj[b].append(len(head))
+            head.append(a)
+            cap.append(0)
+
+        for v, i in self.index.items():
+            add(2 * i, 2 * i + 1, _UNBOUNDED if v in open_vertices else 1)
+        for u, v in arcs:
+            add(2 * self.index[u] + 1, 2 * self.index[v], arc_cap)
+        self.head, self.cap, self.adj = head, cap, adj
+
+    def max_flow(
+        self,
+        sources: Iterable[int],
+        sinks: Iterable[int],
+        removed: Iterable[int] = (),
+        limit: Optional[int] = None,
+    ) -> Tuple[int, List[int]]:
+        """Vertex-disjoint source-to-sink paths in the network minus the
+        removed vertices, stopping at ``limit``; returns the value and the
+        residual capacities.  Vertices not in the network are ignored."""
+        cap = self.cap[:]
+        value, _ = self._augment(cap, sources, sinks, removed, limit)
+        return value, cap
+
+    def min_cut(
+        self, sources: Iterable[int], sinks: Iterable[int], removed: Iterable[int] = ()
+    ) -> FrozenSet[int]:
+        """The minimum source-sink vertex cut closest to the sources (it may
+        contain sources and sinks) in the network minus the removed vertices."""
+        _, via = self._augment(self.cap[:], sources, sinks, removed, None)
+        return frozenset(
+            v for v, i in self.index.items() if via[2 * i] != -1 and via[2 * i + 1] == -1
+        )
+
+    def _augment(self, cap, sources, sinks, removed, limit) -> Tuple[int, List[int]]:
+        """Push one unit along a shortest residual path, found by BFS from
+        the sources' in-nodes to a sink's out-node, until none is left or
+        ``limit`` is reached.  Also returns, per node, the arc by which the
+        last search reached it (-1 unreached, -2 start or removed): after a
+        search that found nothing, the reached nodes are a min cut's source
+        side."""
+        index, head, adj = self.index, self.head, self.adj
+        starts = [2 * index[v] for v in sources if v in index]
+        sink_nodes = {2 * index[v] + 1 for v in sinks if v in index}
+        blocked = [2 * index[v] + s for v in removed if v in index for s in (0, 1)]
+        value = 0
+        via: List[int] = []
+        while limit is None or value < limit:
+            via = [-1] * len(adj)
+            for node in blocked:
+                via[node] = -2
+            queue = []
+            for node in starts:
+                if via[node] == -1:
+                    via[node] = -2
+                    queue.append(node)
+            hit = -1
+            for node in queue:
+                for a in adj[node]:
+                    if cap[a]:
+                        b = head[a]
+                        if via[b] == -1:
+                            via[b] = a
+                            if b in sink_nodes:
+                                hit = b
+                                break
+                            queue.append(b)
+                if hit >= 0:
+                    break
+            if hit < 0:
+                break
+            while via[hit] >= 0:
+                a = via[hit]
+                cap[a] -= 1
+                cap[a ^ 1] += 1
+                hit = head[a ^ 1]
+            value += 1
+        return value, via
+
+
 def max_flow_bounded(
     g: UndirectedGraph, x: int, y: int, cap: Optional[int] = None
 ) -> FlowDecomposition:
     """Maximum set of internally vertex-disjoint x-y paths, stopping at cap.
 
-    Unit-capacity vertex splitting: each vertex other than x, y becomes an
-    in/out node pair joined by a capacity-1 arc, each edge a capacity-1 arc
-    per direction.  Each augmentation is one BFS.
+    A ``FlowNetwork`` with x and y open and each edge a capacity-1 arc per
+    direction (so a direct x-y edge carries one path).
     """
     if x == y:
         raise InvalidInputError("flow endpoints must differ")
     if x not in g.vertices or y not in g.vertices:
         raise InvalidInputError("flow endpoint not in graph")
+    eids = sorted(g._edges)
+    arcs: List[Edge] = []
+    for eid in eids:
+        u, v = g._edges[eid]
+        arcs += ((u, v), (v, u))
+    net = FlowNetwork(sorted(g._vertices), arcs, 1, frozenset((x, y)))
+    value, residual = net.max_flow((x,), (y,), limit=cap)
 
-    # Nodes: (v, 0) = in-copy, (v, 1) = out-copy.  Source x uses only its
-    # out-copy, sink y only its in-copy.
-    residual: Dict[Tuple[int, int], Dict[Tuple[int, int], int]] = {}
-
-    def arc(a, b, c):
-        residual.setdefault(a, {})[b] = c
-        residual.setdefault(b, {}).setdefault(a, 0)
-
-    for v in sorted(g.vertices):
-        if v != x and v != y:
-            arc((v, 0), (v, 1), 1)
-    for eid in sorted(g.edges):
-        u, v = g.endpoints(eid)
-        arc((u, 1), (v, 0), 1)
-        arc((v, 1), (u, 0), 1)
-    src = (x, 1)
-    snk = (y, 0)
-    residual.setdefault(src, {})
-    residual.setdefault(snk, {})
-
-    value = 0
-    while cap is None or value < cap:
-        parent: Dict[Tuple[int, int], Tuple[int, int]] = {src: src}
-        queue = deque([src])
-        found = False
-        while queue and not found:
-            a = queue.popleft()
-            for b, c in residual[a].items():
-                if c > 0 and b not in parent:
-                    parent[b] = a
-                    if b == snk:
-                        found = True
-                        break
-                    queue.append(b)
-        if not found:
-            break
-        b = snk
-        while b != src:
-            a = parent[b]
-            residual[a][b] -= 1
-            residual[b][a] += 1
-            b = a
-        value += 1
-
-    # Decompose: an edge-arc carries flow iff its residual dropped below 1.
+    # Decompose: an edge arc carries flow iff its residual dropped to 0.
     # Unit vertex capacities force at most one used out-arc per internal
     # vertex, so each walk from x is deterministic after the first hop.
+    first = 2 * g.n
     used_out: Dict[int, List[int]] = {}
-    for eid in sorted(g.edges):
-        u, v = g.endpoints(eid)
-        if residual[(u, 1)][(v, 0)] == 0:
+    for t, eid in enumerate(eids):
+        u, v = g._edges[eid]
+        if residual[first + 4 * t] == 0:
             used_out.setdefault(u, []).append(v)
-        if residual[(v, 1)][(u, 0)] == 0:
+        if residual[first + 4 * t + 2] == 0:
             used_out.setdefault(v, []).append(u)
 
     paths = []
@@ -635,8 +708,8 @@ def max_flow_bounded(
             used_out[cur].remove(nxt)
             seq.append(nxt)
             cur = nxt
-        eids = tuple(g.edge_between(a, b) for a, b in zip(seq, seq[1:]))
-        paths.append(Path(tuple(seq), eids))
+        eids_on = tuple(g.edge_between(a, b) for a, b in zip(seq, seq[1:]))
+        paths.append(Path(tuple(seq), eids_on))
     paths.sort(key=lambda p: p.vertices)
     return FlowDecomposition(x, y, tuple(paths))
 

@@ -1,12 +1,14 @@
 """Kernelization for unweighted biconnectivity deletion.
 
-Phase 1 bounds the number of potential solution edges using the solver's
-greedy/partner machinery (unit weights): a full greedy run or many
-distinct partner sets certifies a yes-instance, a clean stretch yields an
+Phase 1 bounds the number of potential solution edges with the solver's
+``reduction_step`` (unit weights): a full greedy run or many distinct
+partner sets certifies a yes-instance, a clean stretch yields an
 irrelevant edge to freeze.  Phase 2 shrinks the vertex set: an auxiliary
-digraph reduces deletion-set feasibility to linkage questions, a
-cut-covering set of that digraph selects the vertices worth keeping, and
-three reduction rules contract the graph onto them (its torso).
+digraph reduces deletion-set feasibility to linkage questions (flows in
+its ``graphs.FlowNetwork``), a cut-covering set of that digraph selects
+the vertices worth keeping, and three reduction rules contract the graph
+onto them (its torso).  An instance with k >= 1 and no deletable edge
+left is a decided no.
 
 The cut-covering set construction is pluggable: the ``trivial`` provider
 keeps every vertex (sound, shrinks nothing), the ``exhaustive`` provider
@@ -17,25 +19,21 @@ the number of terminals, so it refuses beyond a small cap.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from .criticality import build_partner_analysis, find_clean_stretch
 from .errors import (
     BudgetExceededError,
     InternalInconsistencyError,
     InvalidInputError,
 )
-from .graphs import Digraph, UndirectedGraph, is_biconnected
+from .graphs import Digraph, UndirectedGraph, is_biconnected, reachable
 from .solver import (
     DEFAULT_CONFIG,
     SolverConfig,
     WbdInstance,
-    find_rich_flow,
-    greedy_deletion_set,
-    irrelevant_edge,
     normalize,
+    reduction_step,
     solution_from_distinct_partners,
     validate_instance,
 )
@@ -142,74 +140,8 @@ def build_auxiliary_digraph(g: UndirectedGraph, f_edges: Iterable[int]) -> Auxil
 
 
 # ---------------------------------------------------------------------------
-# vertex-capacity flow on digraphs
+# linkages and cuts
 # ---------------------------------------------------------------------------
-
-_INF = 1 << 30
-
-
-def _vertex_flow(
-    d: Digraph,
-    sources: FrozenSet[int],
-    sinks: FrozenSet[int],
-    removed: FrozenSet[int] = frozenset(),
-) -> Tuple[int, Set[Tuple[int, int]]]:
-    """Max set of vertex-disjoint source-to-sink paths (terminals count as
-    capacity-1 too); returns the value and the residual-reachable node set.
-    """
-    verts = [v for v in sorted(d.vertices) if v not in removed]
-    vset = set(verts)
-    residual: Dict[Tuple[int, int], Dict[Tuple[int, int], int]] = {"s": {}, "t": {}}
-
-    def add(a, b, c):
-        residual.setdefault(a, {})[b] = c
-        residual.setdefault(b, {}).setdefault(a, 0)
-
-    for v in verts:
-        add((v, 0), (v, 1), 1)
-    for t, h in d.arc_pairs():
-        if t in vset and h in vset:
-            add((t, 1), (h, 0), _INF)
-    for a in sorted(sources):
-        if a in vset:
-            add("s", (a, 0), _INF)
-    for b in sorted(sinks):
-        if b in vset:
-            add((b, 1), "t", _INF)
-
-    value = 0
-    while True:
-        parent = {"s": "s"}
-        queue = deque(["s"])
-        found = False
-        while queue and not found:
-            a = queue.popleft()
-            for b, c in residual[a].items():
-                if c > 0 and b not in parent:
-                    parent[b] = a
-                    if b == "t":
-                        found = True
-                        break
-                    queue.append(b)
-        if not found:
-            break
-        b = "t"
-        while b != "s":
-            a = parent[b]
-            residual[a][b] -= 1
-            residual[b][a] += 1
-            b = a
-        value += 1
-
-    reach = {"s"}
-    stack = ["s"]
-    while stack:
-        a = stack.pop()
-        for b, c in residual[a].items():
-            if c > 0 and b not in reach:
-                reach.add(b)
-                stack.append(b)
-    return value, reach
 
 
 def po_min_cut(
@@ -223,21 +155,15 @@ def po_min_cut(
     The cut may contain terminals; removing it leaves no directed path
     from the surviving A-vertices to the surviving B-vertices.
     """
-    removed = frozenset(r)
-    _, reach = _vertex_flow(d, frozenset(a), frozenset(b), removed)
-    cut = set()
-    for v in d.vertices:
-        if v not in removed and (v, 0) in reach and (v, 1) not in reach:
-            cut.add(v)
-    return frozenset(cut)
+    return d.flow_network().min_cut(a, b, r)
 
 
 def linkage_exists(aux: AuxiliaryDigraph, removed_x: Iterable[int], u: int, v: int) -> bool:
     """Is there a 2-linkage from {u+, u} to {v-, v} avoiding the given
     subdivision vertices?"""
-    sources = frozenset((aux.v_plus[u], u))
-    sinks = frozenset((aux.v_minus[v], v))
-    value, _ = _vertex_flow(aux.digraph, sources, sinks, frozenset(removed_x))
+    sources = (aux.v_plus[u], u)
+    sinks = (aux.v_minus[v], v)
+    value, _ = aux.digraph.flow_network().max_flow(sources, sinks, removed_x, limit=2)
     return value >= 2
 
 
@@ -305,29 +231,6 @@ def rule_zero(inst: WbdInstance) -> Optional[WbdInstance]:
     return None
 
 
-def _path_avoiding(
-    g: UndirectedGraph,
-    x: int,
-    y: int,
-    banned_edges: Set[int],
-    banned_vertices: Set[int],
-) -> bool:
-    if x in banned_vertices or y in banned_vertices:
-        raise InvalidInputError("terminal banned")
-    seen = {x}
-    stack = [x]
-    while stack:
-        v = stack.pop()
-        for u, eid in zip(g.neighbors(v), g.incident(v)):
-            if eid in banned_edges or u in banned_vertices or u in seen:
-                continue
-            if u == y:
-                return True
-            seen.add(u)
-            stack.append(u)
-    return False
-
-
 def rule_one(inst: WbdInstance, y_set: FrozenSet[int]) -> Optional[WbdInstance]:
     """Delete a deletable edge (u, v) joined by a path that avoids every
     deletable edge and all of Y except the endpoints; spend one budget unit.
@@ -335,8 +238,7 @@ def rule_one(inst: WbdInstance, y_set: FrozenSet[int]) -> Optional[WbdInstance]:
     f_set = set(inst.potential_edges())
     for eid in sorted(f_set):
         u, v = inst.graph.endpoints(eid)
-        banned_vertices = set(y_set) - {u, v}
-        if _path_avoiding(inst.graph, u, v, f_set, banned_vertices):
+        if v in reachable(inst.graph, (u,), f_set, y_set - {u, v}, target=v):
             g2 = inst.graph.without_edge(eid)
             return normalize(
                 unit_instance(g2, inst.k - 1, frozenset(e for e in inst.frozen if e != eid))
@@ -353,7 +255,7 @@ def rule_two_torso(inst: WbdInstance, y_set: FrozenSet[int]) -> WbdInstance:
     for u, v in itertools.combinations(sorted(y_set), 2):
         if g.edge_between(u, v) is not None:
             continue
-        if _path_avoiding(g, u, v, set(), set(y_set) - {u, v}):
+        if v in reachable(g, (u,), frozenset(), y_set - {u, v}, target=v):
             shortcuts.append((u, v))
     reduced = g.induced(y_set)
     new_ids = []
@@ -420,7 +322,8 @@ def kernelize(
 
 
 def _phase_one(inst: WbdInstance, config: SolverConfig, stats: Dict[str, object]):
-    """Bound the potential solution edges; returns 'yes' or the instance."""
+    """Bound the potential solution edges with the solver's reduction step;
+    returns 'yes' or the instance."""
     while True:
         pool = inst.potential_edges()
         if len(pool) <= config.mu(inst.k):
@@ -428,38 +331,17 @@ def _phase_one(inst: WbdInstance, config: SolverConfig, stats: Dict[str, object]
         stats["phase1_rounds"] = int(stats["phase1_rounds"]) + 1
 
         # The whole pool, in id order, is both greedy's order and the marked set.
-        run = greedy_deletion_set(inst, config, pool)
-        picks = run.picks
-        if len(picks) == inst.k:
+        step = reduction_step(inst, config, pool)
+        if step.kind == "full":
             return "yes"
-
-        threshold = config.good_step_threshold(inst.k)
-        rich = next((i for i, c in enumerate(run.counts) if c >= threshold), None)
-        if rich is None:
-            if config.is_default:
-                raise InternalInconsistencyError(
-                    "kernel greedy stalled with every step below the "
-                    "newly-critical threshold despite many potential edges"
-                )
-            return inst
-        gprime = inst.graph.without_edges(picks[:rich])
-        pivot = picks[rich]
-        newly = run.newly[rich]
-        p1, p2 = find_rich_flow(gprime, pivot, newly)
-        deleted_pairs = [inst.graph.endpoints(e) for e in picks[:rich]]
-        pa = build_partner_analysis(gprime, pivot, p1, p2, newly, deleted_pairs, inst.k)
-
-        if pa.distinct_partner_sets > 3 * inst.k:
-            solution_from_distinct_partners(pa, inst.k)
+        if step.kind == "distinct":
+            solution_from_distinct_partners(step.analysis, inst.k)
             return "yes"
-
-        stretch = find_clean_stretch(pa, inst.k)
-        if stretch is None:
+        if step.kind == "stuck":
             return inst
-        ej = irrelevant_edge(pa, stretch, inst.weights)
         stats["irrelevant_frozen"] = int(stats["irrelevant_frozen"]) + 1
         # The graph is unchanged, so its critical edges are already frozen.
-        inst = inst.with_frozen(frozenset((ej,)))
+        inst = inst.with_frozen(frozenset((step.edge,)))
 
 
 def _phase_two(
@@ -472,15 +354,15 @@ def _phase_two(
         if inst.k == 0:
             return constant_yes_instance(), "yes"
         pool = inst.potential_edges()
+        if not pool:
+            # No deletable edge left: k >= 1 cannot be met, so any constant
+            # no-instance is equivalent.
+            return constant_no_instance(inst.k), "no"
         aux = build_auxiliary_digraph(inst.graph, pool)
         z = cut_covering_set(aux, provider, max_terminals)
         y_set = frozenset(z & inst.graph.vertices) | frozenset(
             v for e in pool for v in inst.graph.endpoints(e)
         )
-        if not y_set:
-            # No deletable edges and nothing worth keeping: k >= 1 cannot
-            # be met, so any constant no-instance is equivalent.
-            return constant_no_instance(inst.k), "no"
         fired = rule_one(inst, y_set)
         if fired is not None:
             stats["rule_one_fired"] = int(stats["rule_one_fired"]) + 1

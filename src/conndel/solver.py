@@ -6,19 +6,21 @@ be removed with total weight meeting the target while the graph stays
 biconnected.
 
 Strategy per node: when few potential solution edges remain, enumerate;
-otherwise answer no if the k heaviest weights miss the target, and
-greedily delete heavy non-critical edges.  A full greedy run that reaches
-the target is a solution; one that misses it, or many distinct partner
-sets, certifies that the heavy edges intersect some solution, so we
-branch on them; a long clean stretch instead yields an irrelevant edge
-that is frozen, shrinking the instance without branching.
+otherwise answer no if the k heaviest weights miss the target, and take
+one ``reduction_step``: greedily delete heavy non-critical edges and, if
+greedy stalls, analyze the partner structure of its first rich step.  A
+full greedy run that reaches the target is a solution; one that misses
+it, or many distinct partner sets, certifies that the heavy edges
+intersect some solution, so we branch on them; a long clean stretch
+instead yields an irrelevant edge that is frozen, shrinking the instance
+without branching.  The kernel's first phase takes the same step on unit
+weights.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
@@ -47,26 +49,23 @@ def mu(k: int) -> int:
 class SolverConfig:
     """Solver thresholds.
 
-    The overrides exist only so tests can steer tiny instances into the
-    greedy/branching/irrelevant-edge code paths; they violate the proven
-    threshold constants, and the solver compensates by falling back to
+    The override exists only so tests can steer tiny instances into the
+    greedy/branching/irrelevant-edge code paths; it violates the proven
+    threshold constant, and the solver compensates by falling back to
     exhaustive enumeration whenever a guarantee that holds under the real
-    constants fails under lowered ones.  Production use keeps both None.
+    constant fails under a lowered one.  Production use keeps it None.
     """
 
     mu_override: Optional[Callable[[int], int]] = None
-    good_step_override: Optional[Callable[[int], int]] = None
 
     @property
     def is_default(self) -> bool:
-        return self.mu_override is None and self.good_step_override is None
+        return self.mu_override is None
 
     def mu(self, k: int) -> int:
         return self.mu_override(k) if self.mu_override else mu(k)
 
     def good_step_threshold(self, k: int) -> int:
-        if self.good_step_override:
-            return self.good_step_override(k)
         if k <= 0:
             return 1
         return max(1, math.ceil((self.mu(k) - k) / k))
@@ -151,19 +150,6 @@ class SolveStats:
     irrelevant_edges: List[int] = field(default_factory=list)
     max_irrelevant_per_node: int = 0
     analyses: List[PartnerAnalysis] = field(default_factory=list)
-
-    def merge(self, other: "SolveStats") -> None:
-        self.nodes += other.nodes
-        self.max_depth = max(self.max_depth, other.max_depth)
-        self.max_branch_factor = max(self.max_branch_factor, other.max_branch_factor)
-        self.enumerations += other.enumerations
-        self.flow_calls += other.flow_calls
-        self.fallbacks += other.fallbacks
-        self.irrelevant_edges.extend(other.irrelevant_edges)
-        self.max_irrelevant_per_node = max(
-            self.max_irrelevant_per_node, other.max_irrelevant_per_node
-        )
-        self.analyses.extend(other.analyses)
 
 
 def validate_instance(inst: WbdInstance) -> None:
@@ -327,10 +313,7 @@ def greedy_deletion_set(
 
 
 def find_rich_flow(
-    gprime: UndirectedGraph,
-    pivot: int,
-    newly: FrozenSet[int],
-    stats: Optional[SolveStats] = None,
+    gprime: UndirectedGraph, pivot: int, newly: FrozenSet[int]
 ) -> Tuple[Path, Path]:
     """A value-2 flow between the pivot's endpoints in G' - pivot, with the
     path carrying at least half the marked newly-critical edges first.
@@ -339,8 +322,6 @@ def find_rich_flow(
     by the caller; greedy records it per pick (``GreedyRun.newly``)."""
     x, y = gprime.endpoints(pivot)
     flow = max_flow_bounded(gprime.without_edge(pivot), x, y, cap=3)
-    if stats is not None:
-        stats.flow_calls += 1
     if flow.value != 2:
         raise InternalInconsistencyError(
             f"expected a value-2 flow between {x} and {y}, got {flow.value}"
@@ -393,20 +374,76 @@ def irrelevant_edge(
     return min(interior, key=lambda e: (weights.get(e, 0.0), e))
 
 
+@dataclass(frozen=True)
+class Reduction:
+    """What one reduction step found; ``kind`` is one of
+
+    * ``"full"``: greedy made k picks (``picks``), a feasible deletion set;
+    * ``"distinct"``: the analysis has more than 3k distinct partner sets;
+    * ``"freeze"``: ``edge`` lies inside a clean stretch and is irrelevant;
+    * ``"stuck"``: no greedy step made enough marked edges critical (only
+      under a lowered threshold), or the analysis has no clean stretch.
+
+    ``analysis`` is the partner analysis, when one was built.
+    """
+
+    kind: str
+    picks: Tuple[int, ...] = ()
+    analysis: Optional[PartnerAnalysis] = None
+    edge: Optional[int] = None
+
+
+def reduction_step(
+    inst: WbdInstance, config: SolverConfig, pool: Sequence[int]
+) -> Reduction:
+    """One round of the reduction shared by the solver and the kernel.
+
+    Greedy runs over ``pool``, which is also the marked set; on a stalled
+    run the first rich step (one making at least ``good_step_threshold``
+    marked edges critical) gets its rich flow, its partner analysis and a
+    clean stretch.  The instance must be normalized.
+
+    The paper's lemma marks the mu(k) heaviest potential edges, heaviest
+    first: that is the solver's pool, and its branching rests on it.  The
+    kernel works on unit weights, where every potential edge is equally
+    heavy, and marks its whole pool in id order; it never branches.
+    """
+    run = greedy_deletion_set(inst, config, pool)
+    if len(run.picks) == inst.k:
+        return Reduction("full", picks=run.picks)
+    threshold = config.good_step_threshold(inst.k)
+    rich = next((i for i, c in enumerate(run.counts) if c >= threshold), None)
+    if rich is None:
+        if config.is_default:
+            raise InternalInconsistencyError(
+                "greedy stalled without any step making enough marked edges critical"
+            )
+        return Reduction("stuck")
+    gprime = inst.graph.without_edges(run.picks[:rich])
+    pivot = run.picks[rich]
+    newly = run.newly[rich]
+    p1, p2 = find_rich_flow(gprime, pivot, newly)
+    deleted_pairs = [inst.graph.endpoints(e) for e in run.picks[:rich]]
+    pa = build_partner_analysis(gprime, pivot, p1, p2, newly, deleted_pairs, inst.k)
+    if pa.distinct_partner_sets > 3 * inst.k:
+        return Reduction("distinct", analysis=pa)
+    stretch = find_clean_stretch(pa, inst.k)
+    if stretch is None:
+        return Reduction("stuck", analysis=pa)
+    return Reduction("freeze", analysis=pa, edge=irrelevant_edge(pa, stretch, inst.weights))
+
+
 def solve(
     inst: WbdInstance,
     config: SolverConfig = DEFAULT_CONFIG,
     stats: Optional[SolveStats] = None,
-    jobs: int = 1,
 ) -> Optional[Solution]:
     """Decide the instance and return a witness solution when one exists."""
-    if jobs < 1:
-        raise InvalidInputError("jobs must be positive")
     validate_instance(inst)
     if stats is None:
         stats = SolveStats()
     inst = normalize(inst)
-    edges = _solve(inst, config, stats, depth=0, jobs=jobs)
+    edges = _solve(inst, config, stats, depth=0)
     if edges is None:
         return None
     sol = Solution(tuple(sorted(edges)), inst.weight_of(edges))
@@ -416,7 +453,7 @@ def solve(
 
 
 def _solve(
-    inst: WbdInstance, config: SolverConfig, stats: SolveStats, depth: int, jobs: int
+    inst: WbdInstance, config: SolverConfig, stats: SolveStats, depth: int
 ) -> Optional[Tuple[int, ...]]:
     stats.nodes += 1
     stats.max_depth = max(stats.max_depth, depth)
@@ -427,91 +464,49 @@ def _solve(
 
     frozen_here = 0
     while True:
-        pool = inst.potential_edges()
-        if len(pool) <= config.mu(inst.k):
+        if len(inst.potential_edges()) <= config.mu(inst.k):
             stats.enumerations += 1
-            sol = _enumerate_best(inst)
-            return sol.edges if sol else None
+            break
 
         # Even the k heaviest potential edges miss w*: no.  (The
         # enumerator's level cut makes the same test first.)
-        if not inst.reaches(heavy(inst, inst.k)):
+        order = heavy_order(inst)
+        if not inst.reaches(order[: inst.k]):
             return None
 
-        run = greedy_deletion_set(inst, config)
-        if len(run.picks) == inst.k:
+        step = reduction_step(inst, config, order[: config.mu(inst.k)])
+        if step.analysis is not None:
+            stats.flow_calls += 1
+            stats.analyses.append(step.analysis)
+        if step.kind == "full" and inst.reaches(step.picks):
             # Every prefix of greedy's picks keeps the graph biconnected.
-            if inst.reaches(run.picks):
-                return run.picks
-            return _branch(inst, config, stats, depth, jobs)
-
-        threshold = config.good_step_threshold(inst.k)
-        rich = next(
-            (i for i, c in enumerate(run.counts) if c >= threshold), None
-        )
-        if rich is None:
-            if config.is_default:
-                raise InternalInconsistencyError(
-                    "greedy stalled without any step making enough heavy "
-                    "edges critical"
-                )
+            return step.picks
+        if step.kind in ("full", "distinct"):
+            return _branch(inst, config, stats, depth)
+        if step.kind == "stuck":
             stats.fallbacks += 1
-            sol = _enumerate_best(inst)
-            return sol.edges if sol else None
+            break
 
-        gprime = inst.graph.without_edges(run.picks[:rich])
-        pivot = run.picks[rich]
-        newly = run.newly[rich]
-        p1, p2 = find_rich_flow(gprime, pivot, newly, stats)
-        deleted_pairs = [inst.graph.endpoints(e) for e in run.picks[:rich]]
-        pa = build_partner_analysis(
-            gprime, pivot, p1, p2, newly, deleted_pairs, inst.k
-        )
-        stats.analyses.append(pa)
-
-        if pa.distinct_partner_sets > 3 * inst.k:
-            return _branch(inst, config, stats, depth, jobs)
-
-        stretch = find_clean_stretch(pa, inst.k)
-        if stretch is None:
-            stats.fallbacks += 1
-            sol = _enumerate_best(inst)
-            return sol.edges if sol else None
-
-        ej = irrelevant_edge(pa, stretch, inst.weights)
-        stats.irrelevant_edges.append(ej)
+        stats.irrelevant_edges.append(step.edge)
         frozen_here += 1
         stats.max_irrelevant_per_node = max(stats.max_irrelevant_per_node, frozen_here)
         # The graph is unchanged, so its critical edges are already frozen.
-        inst = inst.with_frozen(frozenset((ej,)))
+        inst = inst.with_frozen(frozenset((step.edge,)))
+
+    sol = _enumerate_best(inst)
+    return sol.edges if sol else None
 
 
 def _branch(
-    inst: WbdInstance, config: SolverConfig, stats: SolveStats, depth: int, jobs: int
+    inst: WbdInstance, config: SolverConfig, stats: SolveStats, depth: int
 ) -> Optional[Tuple[int, ...]]:
     """Branch over the heavy edges; a solution, if any exists, intersects
     them.  The instance is normalized, so deleting any one of them keeps
     the graph biconnected."""
     candidates = heavy(inst, config.mu(inst.k))
     stats.max_branch_factor = max(stats.max_branch_factor, len(candidates))
-
-    if jobs > 1 and len(candidates) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            futures = [
-                ex.submit(_solve_isolated, inst, e, config, depth + 1)
-                for e in candidates
-            ]
-            result = None
-            for e, fut in zip(candidates, futures):
-                sub_edges, sub_stats = fut.result()
-                if result is None:
-                    stats.merge(sub_stats)
-                    if sub_edges is not None:
-                        result = sub_edges + (e,)
-            return result
-
     for e in candidates:
-        sub = _solve_child(inst, e, config, stats, depth + 1, jobs)
+        sub = _solve_child(inst, e, config, stats, depth + 1)
         if sub is not None:
             return sub + (e,)
     return None
@@ -523,7 +518,6 @@ def _solve_child(
     config: SolverConfig,
     stats: SolveStats,
     depth: int,
-    jobs: int,
 ) -> Optional[Tuple[int, ...]]:
     """Decide the branch child after deleting one edge.  A leaf child
     (k = 0, or w* reached) is decided from k and the deleted weights
@@ -534,11 +528,4 @@ def _solve_child(
         stats.max_depth = max(stats.max_depth, depth)
         return () if reached else None
     child = normalize(inst.child_after_deleting(eid))
-    return _solve(child, config, stats, depth, jobs)
-
-
-def _solve_isolated(
-    inst: WbdInstance, eid: int, config: SolverConfig, depth: int
-) -> Tuple[Optional[Tuple[int, ...]], SolveStats]:
-    local = SolveStats()
-    return _solve_child(inst, eid, config, local, depth, jobs=1), local
+    return _solve(child, config, stats, depth)

@@ -40,12 +40,12 @@ class TestSolve:
         assert "oracle-agrees: True" in capsys.readouterr().out
 
     def test_deterministic_reports(self, files, capsys):
-        def run(jobs):
-            main(["solve", files["k4"], "--k", "2", "--wstar", "2", "--jobs", jobs])
+        def run():
+            main(["solve", files["k4"], "--k", "2", "--wstar", "2"])
             out = capsys.readouterr().out
             return [l for l in out.splitlines() if not l.startswith("elapsed")]
 
-        assert run("1") == run("1") == run("4")
+        assert run() == run() == run()
 
     def test_non_biconnected_input_reports_usage_error(self, tmp_path, capsys):
         p = tmp_path / "path.graph"
@@ -165,7 +165,7 @@ class TestGenerateAndVerify:
 class TestKernelizeCommand:
     def test_writes_reduced_instance_and_stats(self, files, tmp_path, capsys):
         out = tmp_path / "reduced.graph"
-        code = main(["kernelize", files["c5"], "--k", "1", "--out", str(out)])
+        code = main(["kernelize", files["k4"], "--k", "1", "--out", str(out)])
         assert code == 0
         stats = capsys.readouterr().out
         assert '"provider": "trivial"' in stats
@@ -206,6 +206,11 @@ class TestInputValidation:
 
 
 class TestKernelizeDecidedNo:
+    def test_empty_pool_is_a_decided_no_under_the_default_provider(self, files, capsys):
+        # Every edge of C5 is critical, so nothing is deletable at k = 1.
+        assert main(["kernelize", files["c5"], "--k", "1"]) == 1
+        assert '"answer": "no"' in capsys.readouterr().out
+
     def test_no_deletable_edge_left_exits_one(self, tmp_path, capsys):
         p = tmp_path / "c4.graph"
         p.write_text("p graph 4 4\ne 1 2 1\ne 2 3 1\ne 3 4 1\ne 1 4 1\n")

@@ -18,6 +18,7 @@ from conndel.graphs import (
     max_flow,
     max_flow_bounded,
     path_contract,
+    reachable,
 )
 
 from . import naive
@@ -169,6 +170,28 @@ class TestMaxFlow:
             if not naive.connected(set(g.vertices), list(g.edges.values())):
                 continue
             assert max_flow(g, x, y).value == len(sep)
+
+
+class TestReachable:
+    @settings(max_examples=200, deadline=None)
+    @given(undirected_graphs(min_n=2, max_n=8), st.data())
+    def test_matches_components_of_the_remaining_graph(self, g, data):
+        vs = sorted(g.vertices)
+        x, y = data.draw(st.lists(st.sampled_from(vs), min_size=2, max_size=2, unique=True))
+        gone_v = {v for v in vs if v not in (x, y) and data.draw(st.booleans())}
+        gone_e = {e for e in sorted(g.edges) if data.draw(st.booleans())}
+        left = [
+            uv for e, uv in g.edges.items() if e not in gone_e and not set(uv) & gone_v
+        ]
+        comp = next(c for c in naive.components(set(vs) - gone_v, left) if x in c)
+        assert reachable(g, (x,), gone_e, gone_v) == comp
+        assert (y in reachable(g, (x,), gone_e, gone_v, target=y)) == (y in comp)
+
+    def test_removed_terminal_is_rejected(self):
+        with pytest.raises(InvalidInputError):
+            reachable(cycle(4), (0,), removed_vertices={2}, target=2)
+        with pytest.raises(InvalidInputError):
+            reachable(cycle(4), (0,), removed_vertices={0})
 
 
 class TestPathContract:

@@ -311,32 +311,64 @@ class TestRules:
         assert (oracle_wbd(inst, BIG) is None) == (oracle_wbd(torso, BIG) is None)
 
 
+@pytest.fixture
+def outcomes(monkeypatch):
+    """The kinds of the reduction steps phase one takes, in order."""
+    import conndel.kernel
+    from conndel.solver import reduction_step
+
+    kinds = []
+
+    def recording(*args, **kwargs):
+        step = reduction_step(*args, **kwargs)
+        kinds.append(step.kind)
+        return step
+
+    monkeypatch.setattr(conndel.kernel, "reduction_step", recording)
+    return kinds
+
+
+def chord_first(hub):
+    """The hub's graph with the chord relabelled to edge id 0, so that the
+    kernel's id-ordered greedy deletes it first, as the solver's
+    heaviest-first greedy does."""
+    g = hub.instance.graph
+    order = [hub.chord] + [e for e in sorted(g.edges) if e != hub.chord]
+    return UndirectedGraph(g.vertices, [(i, *g.endpoints(e)) for i, e in enumerate(order)])
+
+
 class TestKernelize:
-    def test_phase1_detects_greedy_yes(self):
+    def test_phase1_detects_greedy_yes(self, outcomes):
         g = complete(4)
         cfg = SolverConfig(mu_override=lambda k: 2)
         res = kernelize(g, 2, config=cfg)
+        assert outcomes == ["full"]
         assert res.answer == "yes"
         assert oracle_wbd(res.instance, BIG) is not None
 
-    def test_phase1_wheel_freezes_irrelevant_edge(self):
+    def test_phase1_wheel_freezes_irrelevant_edge(self, outcomes):
         # q=9: the rim-edge pivot's partner sets have two elements at the
         # ends, so the uniform middle needs 2k+3 = 7 clean steps on its own.
+        # After the freeze no clean stretch is left: phase one is stuck.
         hub = shared_partner_instance(q=9, k=2, subdivide=True)
         g = hub.instance.graph
         cfg = SolverConfig(mu_override=lambda k: 6)
         res = kernelize(g, 2, config=cfg)
+        assert outcomes == ["freeze", "stuck"]
         assert res.stats["irrelevant_frozen"] >= 1
         big = OracleBudget(max_vertices=40, max_edges=80, max_k=3)
         before = oracle_wbd(normalize(unit_instance(g, 2, frozenset())), big) is not None
         after = (res.answer == "yes") or (oracle_wbd(res.instance, big) is not None)
         assert before == after
 
-    def test_phase1_staircase_detects_distinct_partner_yes(self):
-        hub = distinct_partner_instance(q=7, k=2, subdivide=True)
-        g = hub.instance.graph
+    def test_phase1_staircase_detects_distinct_partner_yes(self, outcomes):
+        # In id order greedy would delete two rim edges first and answer
+        # from a full run; with the chord first, its deletion is the rich
+        # step and the staircase gives more than 3k distinct partner sets.
+        g = chord_first(distinct_partner_instance(q=7, k=2, subdivide=True))
         cfg = SolverConfig(mu_override=lambda k: 6)
         res = kernelize(g, 2, config=cfg)
+        assert outcomes == ["distinct"]
         assert res.answer == "yes"
         before = oracle_wbd(
             normalize(unit_instance(g, 2, frozenset())),
