@@ -26,6 +26,7 @@ from .graphs import (
     Path,
     UndirectedGraph,
     bridges_without,
+    has_path_without,
     is_biconnected_without,
     reachable,
 )
@@ -68,7 +69,7 @@ def verify_mixed_cut(g: UndirectedGraph, x: int, y: int, eid: int, vertex: int) 
         raise InvalidInputError("cut vertex may not be a terminal")
     if not g.has_edge(eid):
         raise InvalidInputError(f"no edge with id {eid}")
-    return y not in reachable(g, (x,), frozenset((eid,)), frozenset((vertex,)), target=y)
+    return not has_path_without(g, x, y, frozenset((eid,)), frozenset((vertex,)))
 
 
 @dataclass(frozen=True)
@@ -114,11 +115,7 @@ def partner_set(
         raise InvalidInputError("critical edge must lie on the first flow path")
     removed = frozenset((pivot, crit))
     a, b = p2.vertices[0], p2.vertices[-1]
-    out = [
-        v
-        for v in p2.interior
-        if b not in reachable(gprime, (a,), removed, frozenset((v,)), target=b)
-    ]
+    out = [v for v in p2.interior if not has_path_without(gprime, a, b, removed, frozenset((v,)))]
     if not out:
         raise InternalInconsistencyError(
             f"edge {crit} has an empty partner set; every newly critical "

@@ -5,10 +5,10 @@ mutating operation returns a new value.  Vertex and edge/arc ids are stable
 under deletion (ids of deleted elements are never reused), so id-keyed data
 such as weights or frozen-edge sets survives graph surgery.
 
-The package has one reachability routine (``reachable``) and one
-augmenting-path flow (``FlowNetwork``, unit vertex capacities on a split
-network), used for undirected x-y flows and for the kernel's digraph cuts
-and linkages alike.
+The package has one reachability routine (``reachable``, with
+``has_path_without`` its path query) and one augmenting-path flow
+(``FlowNetwork``, unit vertex capacities on a split network), used for
+undirected x-y flows and for the kernel's digraph cuts and linkages alike.
 """
 
 from __future__ import annotations
@@ -385,6 +385,17 @@ def reachable(
     return seen
 
 
+def has_path_without(
+    g: UndirectedGraph,
+    x: int,
+    y: int,
+    removed_edges: AbstractSet[int] = frozenset(),
+    removed_vertices: AbstractSet[int] = frozenset(),
+) -> bool:
+    """Is y reachable from x once the given edges and vertices are removed?"""
+    return y in reachable(g, (x,), removed_edges, removed_vertices, target=y)
+
+
 def is_biconnected_without(
     g: UndirectedGraph,
     removed_edges: FrozenSet[int] = frozenset(),
@@ -611,13 +622,27 @@ class FlowNetwork:
         value, _ = self._augment(cap, sources, sinks, removed, limit)
         return value, cap
 
+    def carries(self, residual: List[int], j: int) -> bool:
+        """Does graph arc j (in construction order) carry flow in a residual
+        that ``max_flow`` returned?"""
+        a = 2 * len(self.index) + 2 * j
+        return residual[a] < self.cap[a]
+
     def min_cut(
-        self, sources: Iterable[int], sinks: Iterable[int], removed: Iterable[int] = ()
-    ) -> FrozenSet[int]:
-        """The minimum source-sink vertex cut closest to the sources (it may
-        contain sources and sinks) in the network minus the removed vertices."""
-        _, via = self._augment(self.cap[:], sources, sinks, removed, None)
-        return frozenset(
+        self,
+        sources: Iterable[int],
+        sinks: Iterable[int],
+        removed: Iterable[int] = (),
+        limit: Optional[int] = None,
+    ) -> Tuple[int, FrozenSet[int]]:
+        """The flow value, as ``max_flow``, and the minimum source-sink
+        vertex cut closest to the sources (it may contain sources and sinks)
+        in the network minus the removed vertices; the cut is empty when
+        the flow stopped at ``limit``."""
+        value, via = self._augment(self.cap[:], sources, sinks, removed, limit)
+        if value == limit:
+            return value, frozenset()
+        return value, frozenset(
             v for v, i in self.index.items() if via[2 * i] != -1 and via[2 * i + 1] == -1
         )
 
@@ -687,16 +712,15 @@ def max_flow_bounded(
     net = FlowNetwork(sorted(g._vertices), arcs, 1, frozenset((x, y)))
     value, residual = net.max_flow((x,), (y,), limit=cap)
 
-    # Decompose: an edge arc carries flow iff its residual dropped to 0.
-    # Unit vertex capacities force at most one used out-arc per internal
-    # vertex, so each walk from x is deterministic after the first hop.
-    first = 2 * g.n
+    # Decompose.  Unit vertex capacities force at most one used out-arc per
+    # internal vertex, so each walk from x is deterministic after the first
+    # hop.
     used_out: Dict[int, List[int]] = {}
     for t, eid in enumerate(eids):
         u, v = g._edges[eid]
-        if residual[first + 4 * t] == 0:
+        if net.carries(residual, 2 * t):
             used_out.setdefault(u, []).append(v)
-        if residual[first + 4 * t + 2] == 0:
+        if net.carries(residual, 2 * t + 1):
             used_out.setdefault(v, []).append(u)
 
     paths = []

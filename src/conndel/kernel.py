@@ -27,7 +27,7 @@ from .errors import (
     InternalInconsistencyError,
     InvalidInputError,
 )
-from .graphs import Digraph, UndirectedGraph, is_biconnected, reachable
+from .graphs import Digraph, UndirectedGraph, has_path_without, is_biconnected
 from .solver import (
     DEFAULT_CONFIG,
     SolverConfig,
@@ -144,6 +144,20 @@ def build_auxiliary_digraph(g: UndirectedGraph, f_edges: Iterable[int]) -> Auxil
 # ---------------------------------------------------------------------------
 
 
+def _vertex_flow(
+    d: Digraph,
+    sources: Iterable[int],
+    sinks: Iterable[int],
+    removed: Iterable[int] = (),
+    limit: Optional[int] = None,
+) -> Tuple[int, FrozenSet[int]]:
+    """Vertex-disjoint source-to-sink paths in D - removed (terminals count
+    as capacity-1 too), stopping at limit, on D's split network, which is
+    built once per digraph: the value and the minimum cut closest to the
+    sources (empty if the limit stopped the flow)."""
+    return d.flow_network().min_cut(sources, sinks, removed, limit)
+
+
 def po_min_cut(
     d: Digraph,
     a: Iterable[int],
@@ -155,7 +169,7 @@ def po_min_cut(
     The cut may contain terminals; removing it leaves no directed path
     from the surviving A-vertices to the surviving B-vertices.
     """
-    return d.flow_network().min_cut(a, b, r)
+    return _vertex_flow(d, a, b, r)[1]
 
 
 def linkage_exists(aux: AuxiliaryDigraph, removed_x: Iterable[int], u: int, v: int) -> bool:
@@ -163,8 +177,7 @@ def linkage_exists(aux: AuxiliaryDigraph, removed_x: Iterable[int], u: int, v: i
     subdivision vertices?"""
     sources = (aux.v_plus[u], u)
     sinks = (aux.v_minus[v], v)
-    value, _ = aux.digraph.flow_network().max_flow(sources, sinks, removed_x, limit=2)
-    return value >= 2
+    return _vertex_flow(aux.digraph, sources, sinks, removed_x, limit=2)[0] >= 2
 
 
 def is_deletion_set_via_linkages(
@@ -238,7 +251,7 @@ def rule_one(inst: WbdInstance, y_set: FrozenSet[int]) -> Optional[WbdInstance]:
     f_set = set(inst.potential_edges())
     for eid in sorted(f_set):
         u, v = inst.graph.endpoints(eid)
-        if v in reachable(inst.graph, (u,), f_set, y_set - {u, v}, target=v):
+        if has_path_without(inst.graph, u, v, f_set, y_set - {u, v}):
             g2 = inst.graph.without_edge(eid)
             return normalize(
                 unit_instance(g2, inst.k - 1, frozenset(e for e in inst.frozen if e != eid))
@@ -255,7 +268,7 @@ def rule_two_torso(inst: WbdInstance, y_set: FrozenSet[int]) -> WbdInstance:
     for u, v in itertools.combinations(sorted(y_set), 2):
         if g.edge_between(u, v) is not None:
             continue
-        if v in reachable(g, (u,), frozenset(), y_set - {u, v}, target=v):
+        if has_path_without(g, u, v, frozenset(), y_set - {u, v}):
             shortcuts.append((u, v))
     reduced = g.induced(y_set)
     new_ids = []

@@ -275,15 +275,11 @@ class GreedyRun:
         return tuple(len(s) for s in self.newly)
 
 
-def greedy_deletion_set(
-    inst: WbdInstance,
-    config: SolverConfig = DEFAULT_CONFIG,
-    pool: Optional[Sequence[int]] = None,
-) -> GreedyRun:
+def greedy_deletion_set(inst: WbdInstance, pool: Sequence[int]) -> GreedyRun:
     """Repeatedly delete the first still-non-critical edge of the pool.
 
-    The pool, which is also the marked set, defaults to the mu(k) heaviest
-    potential edges, heaviest first.  Stops after k picks or when every
+    The pool is also the marked set (``reduction_step`` says which pool
+    each caller passes).  Stops after k picks or when every
     remaining pool edge is critical in the residual graph.  Every prefix
     leaves the graph biconnected.
 
@@ -291,8 +287,6 @@ def greedy_deletion_set(
     in ``inst.graph``.  The residual critical set is then carried from step
     to step, one ``critical_set`` per pick before the k-th.
     """
-    if pool is None:
-        pool = heavy(inst, config.mu(inst.k))
     marked = frozenset(pool)
     picks: List[int] = []
     newly: List[FrozenSet[int]] = []
@@ -408,7 +402,7 @@ def reduction_step(
     kernel works on unit weights, where every potential edge is equally
     heavy, and marks its whole pool in id order; it never branches.
     """
-    run = greedy_deletion_set(inst, config, pool)
+    run = greedy_deletion_set(inst, pool)
     if len(run.picks) == inst.k:
         return Reduction("full", picks=run.picks)
     threshold = config.good_step_threshold(inst.k)

@@ -159,7 +159,7 @@ class TestGreedy:
     def test_ladder_reaches_full_budget(self):
         inst = normalize(unit(ladder(6), 2, 2))
         cfg = SolverConfig(mu_override=lambda k: 2)
-        run = greedy_deletion_set(inst, cfg)
+        run = greedy_deletion_set(inst, heavy(inst, cfg.mu(inst.k)))
         assert len(run.picks) == 2
         assert is_biconnected_without(inst.graph, frozenset(run.picks))
 
@@ -167,13 +167,13 @@ class TestGreedy:
         hub = shared_partner_instance(q=7, k=2)
         inst = normalize(hub.instance)
         cfg = SolverConfig(mu_override=lambda k: 9)
-        run = greedy_deletion_set(inst, cfg)
+        run = greedy_deletion_set(inst, heavy(inst, cfg.mu(inst.k)))
         assert run.picks == (hub.chord,)
         assert run.counts[0] == len(hub.rim_edges)
 
     def test_frozen_graph_runs_zero_steps(self):
         inst = normalize(unit(cycle(5), 2, 1))
-        run = greedy_deletion_set(inst)
+        run = greedy_deletion_set(inst, heavy(inst, mu(inst.k)))
         assert run.picks == ()
 
 
