@@ -12,7 +12,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from conndel.families import random_biconnected_graph, random_weights
 from conndel.oracles import OracleBudget, oracle_wbd
-from conndel.solver import SolveStats, WbdInstance, normalize, solve
+from conndel.solver import SolveStats, WbdInstance, solve
 
 
 def main() -> int:
@@ -37,7 +37,7 @@ def main() -> int:
         t0 = time.perf_counter()
         got = solve(inst, stats=SolveStats())
         times.append(time.perf_counter() - t0)
-        expect = oracle_wbd(normalize(inst), budget)
+        expect = oracle_wbd(inst, budget)
         if (got is None) != (expect is None):
             mismatches += 1
             print(f"MISMATCH trial={trial} n={g.n} m={g.m} k={k}")

@@ -120,12 +120,15 @@ def cmd_solve(args) -> int:
         "witness": _edge_names(parsed.graph, sol.edges) if sol else "",
         "weight": sol.weight if sol else 0.0,
         "branch-nodes": stats.nodes,
+        "max-depth": stats.max_depth,
+        "enumerations": stats.enumerations,
+        "fallbacks": stats.fallbacks,
         "irrelevant-edges": len(stats.irrelevant_edges),
         "flow-calls": stats.flow_calls,
     }
     if args.oracle_check:
         try:
-            oracle = oracle_wbd(normalize(inst), _budget_from_args(args))
+            oracle = oracle_wbd(inst, _budget_from_args(args))
             report["oracle-agrees"] = (oracle is None) == (sol is None)
         except BudgetExceededError:
             report["oracle-agrees"] = "skipped"

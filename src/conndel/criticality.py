@@ -1,13 +1,13 @@
 """Critical edges, mixed cuts, partner sets, segments, and clean stretches.
 
 An edge of a biconnected graph is critical when deleting it destroys
-biconnectivity.  For a biconnected G on n >= 3 vertices, e is critical
-iff e is a bridge of G - w for some vertex w: a cut-vertex w of G - e
-separates the ends of e in G - w, and conversely.  So the critical set
-costs n lowpoint passes, one per removed vertex, instead of one
-biconnectivity pass per edge.  By convention every edge is critical when
-G is not biconnected or has fewer than three vertices (deleting any edge
-leaves a graph that is not biconnected).
+biconnectivity, that is, when G - e has a cut vertex.  ``critical_set``
+finds them all from one DFS tree: subtree sums decide every back edge,
+lowpoint-style rules and a short walk down the tree decide almost every
+tree edge, and a tree edge they leave open gets one biconnectivity test.
+By convention every edge is critical when G is not biconnected or has
+fewer than three vertices (deleting any edge leaves a graph that is not
+biconnected).
 
 Deleting a non-critical pivot edge e = (x, y) can make other edges newly
 critical; each such edge on one path of a value-2 x-y flow pairs with
@@ -19,13 +19,12 @@ solver mines for irrelevant edges.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from .errors import InternalInconsistencyError, InvalidInputError
 from .graphs import (
     Path,
     UndirectedGraph,
-    bridges_without,
     has_path_without,
     is_biconnected_without,
     reachable,
@@ -40,16 +39,210 @@ def is_critical(g: UndirectedGraph, eid: int) -> bool:
 
 
 def critical_set(g: UndirectedGraph) -> FrozenSet[int]:
-    """All critical edges: the union over vertices w of the bridges of
-    G - w, or every edge when g is not biconnected or n < 3."""
-    if g.n < 3:
-        return frozenset(g.edges)
-    crit = set()
-    for w in g.vertices:
-        bridges = bridges_without(g, w)
-        if bridges is None:  # G - w is disconnected
-            return frozenset(g.edges)
-        crit.update(bridges)
+    """All critical edges, or every edge when g is not biconnected or n < 3.
+
+    One iterative DFS from a maximum-degree vertex (ties: smallest id)
+    gives a tree T in which every other edge is a back edge joining a
+    vertex to a proper ancestor.  T(q) is q's subtree; an *upward edge* of
+    T(q) is a back edge from T(q) to a proper ancestor of q.  The same pass
+    checks biconnectivity: one root child, and for every u at depth >= 2 a
+    back edge from T(u) above parent(u).  In a biconnected G, deleting e
+    leaves G - e connected, so e is critical iff G - e has a cut vertex.
+
+    * A back edge e is critical iff, for some u at depth >= 2, e is the
+      only back edge from T(u) landing above parent(u).  T is still a DFS
+      tree of G - e, whose root keeps its one child, and a non-root
+      parent(u) is a cut vertex exactly when no back edge from T(u) lands
+      above it.  Per u the count and the id sum of those edges are subtree
+      sums: +1/+id at the lower end, -1/-id at the child of the upper end
+      on the tree path.
+
+    For a tree edge (p, q), p = parent(q), every cut vertex w of
+    H = G - (p, q) separates p from q in H - w, so w is not p or q.  If
+    w were neither an ancestor of p nor in T(q), then T(q), the root path
+    of p and the upward edges between them (there is one, as G - (p, q)
+    is connected) would join q to p.  So w is a proper ancestor of p or
+    lies inside T(q) below q.  high(v) is the deepest landing point of
+    T(v)'s upward edges, high2(v) that of its back edges landing above
+    parent(v), and low(v) the lowest landing point of its back edges.
+
+    * Above p: let c be w's child towards p.  T(q) and T(c) - T(q) are
+      connected, and the rest of H - w (if any) is connected through the
+      tree above w, with w's other child subtrees hanging from it by their
+      upward edges.  So w is a cut vertex iff it cuts off T(q) (every
+      upward edge of T(q) lands on w) or T(c) - T(q) (no upward edge of
+      T(q) lands between c and p, and no back edge from T(c) - T(q) lands
+      above w).
+    * Inside T(q): H - w splits into A = V - T(q), which holds p, and
+      B = T(q) - T(w), which holds q, both connected by tree edges, plus
+      w's child subtrees T(d).  The A-B edges are the upward edges of T(q)
+      starting in B.  T(d) meets A by its back edges above q, B by those
+      landing on the path from q to parent(w), and one of the two by a
+      back edge above w.  So w is a cut vertex iff (i) every upward edge
+      of T(q) starts in T(w) and (ii) no child d of w has
+      low(d) < depth(q) <= high2(d).
+
+    The rules, in order:
+
+    1. p or q has degree 2: critical (its other neighbour cuts it off).
+    2. Every upward edge of T(q) lands on one vertex a != p: critical, as
+       a cuts off T(q).  Tested as low(q) = high(q) < depth(p).  The guard
+       matters: when all of them land on p, no w above p cuts off T(q).
+    3. Inside T(q), exactly.  If q has an upward edge of its own, or two
+       children whose subtrees reach above q, no w meets (i): that edge
+       starts at q, outside T(w), and w lies in at most one of the two
+       subtrees.  Otherwise the w meeting (i) form a tree path down from
+       q's one reaching child s, walked with c = s: while c has no back
+       edge above q and one child x reaching above q, c meets (i), its
+       other children miss A, and c is a cut vertex iff high2(x) <
+       depth(q); else the walk steps to x.  At the last c no deeper w
+       meets (i); test (ii) over c's children.  A cut vertex found:
+       critical.  The walk is no longer than a path of T, below the
+       O(n + m) of rule 5.
+    4. Non-critical when some upward edge of T(q) lands on p, or a back
+       edge from p or from a sibling subtree of q lands strictly above
+       high(q).  Rule 2 failed, so no w above p cuts off T(q), and none
+       cuts off T(c) - T(q): a w above high(q) has T(q)'s edge to high(q)
+       landing between c and p (p itself included), and a w at or below
+       high(q) has p and q's siblings' subtrees inside T(c) - T(q), one of
+       them with a back edge landing above w.  Rule 3 found no w inside.
+    5. Anything else: one ``is_biconnected_without`` test.
+
+    high and high2 come from union-find sweeps over the back edges,
+    deepest landing first: each edge assigns its landing depth to the
+    still unassigned vertices on the tree path from its lower end up to
+    the child (for high2, the grandchild) of its upper end.
+    """
+    edges = g._edges
+    n = g.n
+    if n < 3:
+        return frozenset(edges)
+    adj = g._adj
+    root = min(g._vertices, key=lambda v: (-len(adj[v]), v))
+
+    # Vertices are numbered in preorder: ``order[i]`` is vertex i, and
+    # ``path`` holds the numbers on the tree path to the current vertex.
+    num = {root: 0}
+    order = [root]
+    parent = [-1]
+    tree_edge = [-1]
+    depth = [0]
+    own = [n]  # lowest landing depth of a vertex's own back edges
+    back = []  # (upper end's depth, id, lower end, upper end's path child)
+    path = [0]
+    iters = [iter(adj[root])]
+    while iters:
+        i = path[-1]
+        parent_depth = len(path) - 2
+        for u, eid in iters[-1]:
+            j = num.get(u)
+            if j is None:
+                j = len(order)
+                num[u] = j
+                order.append(u)
+                parent.append(i)
+                tree_edge.append(eid)
+                depth.append(len(path))
+                own.append(n)
+                path.append(j)
+                iters.append(iter(adj[u]))
+                break
+            dj = depth[j]
+            if dj < parent_depth:  # a proper ancestor above the parent
+                back.append((dj, eid, i, path[dj + 1]))
+                if dj < own[i]:
+                    own[i] = dj
+        else:
+            path.pop()
+            iters.pop()
+    size = len(order)
+    if size < n:
+        return frozenset(edges)
+
+    # Subtree sums, children before parents: the lowest landing depth, and
+    # the count and id sum of back edges landing above the parent.
+    low = own[:]
+    above = [0] * size
+    above_ids = [0] * size
+    for _, eid, d, c in back:
+        above[d] += 1
+        above_ids[d] += eid
+        above[c] -= 1
+        above_ids[c] -= eid
+    for j in range(size - 1, 0, -1):
+        p = parent[j]
+        if low[j] < low[p]:
+            low[p] = low[j]
+        above[p] += above[j]
+        above_ids[p] += above_ids[j]
+    if any(parent[j] == 0 for j in range(2, size)) or any(
+        low[j] >= depth[j] - 1 for j in range(2, size)
+    ):
+        return frozenset(edges)
+
+    # Per vertex, its children, the two lowest lows among them and the
+    # child with the lowest; two children reach above v iff low2[v] < depth[v].
+    children = [[] for _ in range(size)]
+    low1 = [n] * size
+    low1_child = [-1] * size
+    low2 = [n] * size
+    for j in range(1, size):
+        p, lj = parent[j], low[j]
+        children[p].append(j)
+        if lj < low1[p]:
+            low2[p] = low1[p]
+            low1[p] = lj
+            low1_child[p] = j
+        elif lj < low2[p]:
+            low2[p] = lj
+    back.sort(reverse=True)
+
+    def deepest(offset: int) -> List[int]:
+        out = [-1] * size
+        link = list(range(size))  # nearest unassigned ancestor-or-self
+        for da, _, d, _ in back:
+            v = d
+            while True:
+                while link[v] != v:
+                    link[v] = link[link[v]]
+                    v = link[v]
+                if depth[v] <= da + offset:
+                    break
+                out[v] = da
+                link[v] = v = parent[v]
+        return out
+
+    high, high2 = deepest(0), deepest(1)
+
+    def cut_inside(q: int) -> bool:
+        t = depth[q]
+        c = low1_child[q]
+        while own[c] >= t and low2[c] >= t:
+            x = low1_child[c]
+            if high2[x] < t:
+                return True
+            c = x
+        return not any(low[d] < t <= high2[d] for d in children[c])
+
+    crit = {above_ids[j] for j in range(2, size) if above[j] == 1}
+    for q in range(1, size):
+        p = parent[q]
+        eid = tree_edge[q]
+        if len(adj[order[p]]) == 2 or len(adj[order[q]]) == 2:
+            crit.add(eid)
+            continue
+        dp, h = depth[p], high[q]
+        if low[q] == h < dp:
+            crit.add(eid)
+            continue
+        if own[q] == n and low2[q] > dp and cut_inside(q):
+            crit.add(eid)
+            continue
+        sibling = low2[p] if low1_child[p] == q else low1[p]
+        if h == dp or own[p] < h or sibling < h:
+            continue
+        if not is_biconnected_without(g, frozenset((eid,))):
+            crit.add(eid)
     return frozenset(crit)
 
 

@@ -451,47 +451,6 @@ def is_biconnected_without(
     return len(disc) == nv and root_children <= 1
 
 
-def bridges_without(g: UndirectedGraph, removed_vertex: int) -> Optional[List[int]]:
-    """Bridges of g minus one vertex, or None when g minus it is
-    disconnected.  One iterative lowpoint pass: the tree edge into v is a
-    bridge iff no back edge from v's subtree climbs above v's parent.
-    """
-    adj = g._adj
-    root = next((v for v in g._vertices if v != removed_vertex), None)
-    if root is None:
-        return []
-    disc: Dict[int, int] = {root: 0}
-    low: Dict[int, int] = {root: 0}
-    clock = 1
-    bridges: List[int] = []
-    stack: List[Tuple[int, int, Iterable]] = [(root, -1, iter(adj[root]))]
-    while stack:
-        v, parent_eid, it = stack[-1]
-        for u, eid in it:
-            if u == removed_vertex or eid == parent_eid:
-                continue
-            du = disc.get(u)
-            if du is None:
-                disc[u] = low[u] = clock
-                clock += 1
-                stack.append((u, eid, iter(adj[u])))
-                break
-            if du < low[v]:
-                low[v] = du
-        else:
-            stack.pop()
-            if stack:
-                p = stack[-1][0]
-                lv = low[v]
-                if lv < low[p]:
-                    low[p] = lv
-                elif lv > disc[p]:
-                    bridges.append(parent_eid)
-    if len(disc) != len(g._vertices) - (removed_vertex in g._vertices):
-        return None
-    return bridges
-
-
 def is_biconnected(g: UndirectedGraph) -> bool:
     """Connected, on two or more vertices, and free of cut-vertices."""
     return is_biconnected_without(g)

@@ -175,9 +175,11 @@ def normalize(inst: WbdInstance) -> WbdInstance:
     Critical edges can never be deleted, so this loses no solutions;
     idempotent.  Rejects non-biconnected graphs.
     """
-    if not is_biconnected(inst.graph):
-        raise InvalidInputError("instance graph is not biconnected")
     crit = critical_set(inst.graph)
+    # critical_set marks every edge of a graph that is not biconnected, so
+    # only a fully critical graph needs the biconnectivity check.
+    if len(crit) == inst.graph.m and not is_biconnected(inst.graph):
+        raise InvalidInputError("instance graph is not biconnected")
     return inst.with_frozen(crit)
 
 
@@ -497,10 +499,11 @@ def _branch(
     """Branch over the heavy edges; a solution, if any exists, intersects
     them.  The instance is normalized, so deleting any one of them keeps
     the graph biconnected."""
-    candidates = heavy(inst, config.mu(inst.k))
+    order = heavy_order(inst)
+    candidates = order[: config.mu(inst.k)]
     stats.max_branch_factor = max(stats.max_branch_factor, len(candidates))
     for e in candidates:
-        sub = _solve_child(inst, e, config, stats, depth + 1)
+        sub = _solve_child(inst, e, order, config, stats, depth + 1)
         if sub is not None:
             return sub + (e,)
     return None
@@ -509,15 +512,23 @@ def _branch(
 def _solve_child(
     inst: WbdInstance,
     eid: int,
+    order: List[int],
     config: SolverConfig,
     stats: SolveStats,
     depth: int,
 ) -> Optional[Tuple[int, ...]]:
-    """Decide the branch child after deleting one edge.  A leaf child
-    (k = 0, or w* reached) is decided from k and the deleted weights
-    alone, without copying the graph; any other child is normalized."""
+    """Decide the branch child after deleting one edge.
+
+    ``order`` is the parent's ``heavy_order``.  The child's potential
+    edges are a subset of the parent's other ones (normalizing it only
+    freezes more), so when the deleted weights, e's and the k - 1
+    heaviest of those miss w*, the child is a no.  That child, and a leaf
+    child (k = 0, or w* reached), is decided without copying the graph;
+    any other child is normalized.
+    """
+    best = [e for e in order[: inst.k] if e != eid][: inst.k - 1]
     reached = inst.reaches((eid,))
-    if reached or inst.k == 1:
+    if reached or not inst.reaches([eid] + best):
         stats.nodes += 1
         stats.max_depth = max(stats.max_depth, depth)
         return () if reached else None

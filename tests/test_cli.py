@@ -39,6 +39,28 @@ class TestSolve:
         )
         assert "oracle-agrees: True" in capsys.readouterr().out
 
+    def test_reports_search_counters(self, files, tmp_path, capsys):
+        assert main(["solve", files["k4"], "--k", "2", "--wstar", "2"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        for line in ("branch-nodes: 1", "max-depth: 0", "enumerations: 1", "fallbacks: 0"):
+            assert line in out
+        # K28 plus vertex 29 joined to 1, 2, 3 by edges of weight 60, 59 and
+        # 58, only one of which can go; one K28 edge weighs 30, the rest 1.
+        # 381 edges exceed mu(2) = 346, greedy's picks (60, 30) miss
+        # w* = 90.5, so the root branches over 346 edges, and each child
+        # is a no at depth 1 without enumerating.
+        hot = {(1, 29): 60, (2, 29): 59, (3, 29): 58, (4, 5): 30}
+        pairs = list(itertools.combinations(range(1, 29), 2)) + [(1, 29), (2, 29), (3, 29)]
+        text = f"p graph 29 {len(pairs)}\n" + "".join(
+            f"e {u} {v} {hot.get((u, v), 1)}\n" for u, v in pairs
+        )
+        p = tmp_path / "hot.graph"
+        p.write_text(text)
+        assert main(["solve", str(p), "--k", "2", "--wstar", "90.5"]) == 1
+        out = capsys.readouterr().out.splitlines()
+        for line in ("branch-nodes: 347", "max-depth: 1", "enumerations: 0", "fallbacks: 0"):
+            assert line in out
+
     def test_deterministic_reports(self, files, capsys):
         def run():
             main(["solve", files["k4"], "--k", "2", "--wstar", "2"])

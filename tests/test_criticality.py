@@ -3,6 +3,7 @@ import random
 
 import pytest
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conndel.criticality import (
     build_partner_analysis,
@@ -86,6 +87,60 @@ class TestCriticalSetProperties:
     def test_non_biconnected_input_yields_every_edge(self, g):
         assume(not naive.biconnected_by_definition(set(g.vertices), list(g.edges.values())))
         assert critical_set(g) == frozenset(g.edges)
+
+
+def relabelled(g, rng):
+    """g with its vertices renamed, its edge ids shuffled and its edges
+    listed in a new order: a new DFS root and a new adjacency order."""
+    names = rng.sample(range(3 * g.n), g.n)
+    rename = dict(zip(sorted(g.vertices), names))
+    pairs = [(rename[u], rename[v]) for u, v in g.edges.values()]
+    rng.shuffle(pairs)
+    ids = rng.sample(range(3 * g.m), g.m)
+    return UndirectedGraph(names, [(i, u, v) for i, (u, v) in zip(ids, pairs)])
+
+
+class TestCriticalSetRules:
+    """``critical_set`` decides most edges by rules on one DFS tree; these
+    pin each rule against the definition."""
+
+    @pytest.mark.parametrize("perm", list(itertools.permutations(range(4))))
+    def test_k4_minus_an_edge_under_every_labelling(self, perm):
+        # The two degree-3 vertices are joined by the one non-critical edge.
+        # When the DFS root is one of them and the other its child, every
+        # upward edge of the child's subtree lands on the root itself.
+        pairs = [(perm[u], perm[v]) for u, v in itertools.combinations(range(4), 2)]
+        g = UndirectedGraph.from_edges(range(4), pairs[1:])
+        middle = g.edge_between(perm[2], perm[3])
+        assert critical_set(g) == critical_by_definition(g)
+        assert critical_set(g) == frozenset(g.edges) - {middle}
+
+    def test_cut_vertex_above_the_parent_left_to_the_per_edge_test(self):
+        # Deleting 3-4 leaves 3 and 5 hanging from 2 alone.  From root 0
+        # the tree path runs 0-1-2-3-4, with 2 above 3 = parent(4): the
+        # rules on the tree cannot see it, the per-edge test must.
+        g = UndirectedGraph.from_edges(
+            range(7),
+            [(0, 1), (0, 4), (0, 6), (1, 2), (1, 6), (2, 3), (2, 5), (3, 4), (3, 5), (4, 6)],
+        )
+        assert g.edge_between(3, 4) in critical_set(g)
+        assert critical_set(g) == critical_by_definition(g)
+
+    @pytest.mark.parametrize("subdivide", [False, True])
+    @pytest.mark.parametrize("family", [shared_partner_instance, distinct_partner_instance])
+    def test_hub_families(self, family, subdivide):
+        rng = random.Random(5)
+        for q in range(3, 13):
+            g = family(q, subdivide=subdivide).instance.graph
+            for h in (g, relabelled(g, rng)):
+                assert critical_set(h) == critical_by_definition(h)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_relabelled_random_graphs(self, rng):
+        n = rng.randint(3, 25)
+        g = relabelled(random_biconnected_graph(rng, n, rng.randint(0, n)), rng)
+        assert critical_set(g) == critical_by_definition(g)
 
 
 class TestNewlyCritical:

@@ -15,6 +15,7 @@ from conndel.families import (
     shared_partner_instance,
 )
 from conndel.graphs import UndirectedGraph, is_biconnected_without
+from conndel import solver as solver_module
 from conndel.oracles import OracleBudget, oracle_irrelevance, oracle_wbd
 from conndel.solver import (
     SolveStats,
@@ -298,10 +299,10 @@ class TestSolve:
             w = random_weights(rng, g)
             inst = WbdInstance(g, rng.randint(0, 3), float(rng.randint(0, 8)), w, frozenset())
             got = solve(inst)
-            expect = oracle_wbd(normalize(inst), BIG)
+            expect = oracle_wbd(inst, BIG)
             assert (got is None) == (expect is None)
             if got is not None:
-                assert verify_solution(normalize(inst), got.edges)
+                assert verify_solution(inst, got.edges)
 
     def test_wheel_knob_fires_irrelevant_then_matches_oracle(self):
         hub = shared_partner_instance(q=7, k=2)
@@ -310,7 +311,7 @@ class TestSolve:
         sol = solve(hub.instance, cfg, stats)
         assert stats.irrelevant_edges, "expected the irrelevant-edge path to fire"
         assert stats.analyses
-        expect = oracle_wbd(normalize(hub.instance), BIG)
+        expect = oracle_wbd(hub.instance, BIG)
         assert (sol is None) == (expect is None)
 
     def test_knob_branches_when_greedy_misses_target(self):
@@ -320,8 +321,38 @@ class TestSolve:
         assert sol is not None and len(sol.edges) == 2
         assert stats.max_depth >= 1
         assert stats.max_branch_factor >= 1
-        expect = oracle_wbd(normalize(inst), BIG)
+        expect = oracle_wbd(inst, BIG)
         assert expect is not None
+
+    def test_bound_decides_branch_children_without_normalizing(self, monkeypatch):
+        # K6 plus vertex 6 joined to 0, 1, 2 by edges of weight 60, 59 and
+        # 58, of which only one can go; one K6 edge weighs 30, the rest 1.
+        # The best deletion set weighs 60 + 30 < w* = 90.5, but the top two
+        # weights reach w*, and greedy's picks (60, 30) miss it, so the root
+        # branches over its six heaviest edges.  Only the three hot edges'
+        # children reach w* with the k - 1 heaviest other parent edges; the
+        # other three are decided without being normalized.
+        g = UndirectedGraph.from_edges(
+            range(7), list(itertools.combinations(range(6), 2)) + [(0, 6), (1, 6), (2, 6)]
+        )
+        weights = {e: 1.0 for e in g.edges}
+        weights[g.edge_between(3, 4)] = 30.0
+        for u, w in ((0, 60.0), (1, 59.0), (2, 58.0)):
+            weights[g.edge_between(u, 6)] = w
+        inst = WbdInstance(g, 2, 90.5, weights, frozenset())
+        calls = []
+
+        def counting(i):
+            calls.append(i)
+            return normalize(i)
+
+        monkeypatch.setattr(solver_module, "normalize", counting)
+        stats = SolveStats()
+        assert solve(inst, SolverConfig(mu_override=lambda k: 6), stats) is None
+        assert stats.max_branch_factor == 6
+        assert stats.nodes == 7
+        assert len(calls) == 4  # the root and the three hot-edge children
+        assert oracle_wbd(inst, BIG) is None
 
     def test_structural_bounds_hold(self):
         rng = random.Random(77)
@@ -347,8 +378,8 @@ class TestSolve:
         sol = solve(inst, cfg, stats)
         assert stats.fallbacks == 1
         assert stats.nodes == 1
-        assert sol is not None and verify_solution(normalize(inst), sol.edges)
-        assert oracle_wbd(normalize(inst), BIG) is not None
+        assert sol is not None and verify_solution(inst, sol.edges)
+        assert oracle_wbd(inst, BIG) is not None
 
     def test_accepts_prefrozen_edges(self):
         g = complete(4)
@@ -379,12 +410,12 @@ class TestDecimalWeights:
         k = rng.randint(1, 3)
         # The target is the exact decimal weight of the heaviest deletion
         # set, where rounding decides the answer.
-        heaviest = oracle_wbd(normalize(WbdInstance(g, k, 0.0, weights)), BIG)
+        heaviest = oracle_wbd(WbdInstance(g, k, 0.0, weights), BIG)
         w_star = float(sum(Decimal(texts[e]) for e in heaviest.edges))
         inst = WbdInstance(g, k, w_star, weights, frozenset())
         cfg = SolverConfig() if mu_knob is None else SolverConfig(mu_override=lambda _: mu_knob)
         got = solve(inst, cfg)
-        expect = oracle_wbd(normalize(inst), BIG)
+        expect = oracle_wbd(inst, BIG)
         assert (got is None) == (expect is None)
         if got is not None:
-            assert verify_solution(normalize(inst), got.edges)
+            assert verify_solution(inst, got.edges)
