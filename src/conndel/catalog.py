@@ -184,23 +184,17 @@ def biconnected_catalog(max_n: int) -> List[UndirectedGraph]:
         n = len(verts)
         for u, v in itertools.combinations(verts, 2):
             for inner in range(0, max_n - n + 1):
+                path = [u, *range(max(verts) + 1, max(verts) + 1 + inner), v]
                 if inner == 0:
                     if g.edge_between(u, v) is not None:
                         continue
-                    h, _ = g.with_edge(u, v)
-                else:
                     h = g
-                    prev = u
-                    base = max(verts) + 1
-                    new_vs = list(range(base, base + inner))
+                else:
                     h = UndirectedGraph(
-                        set(verts) | set(new_vs),
+                        set(path) | set(verts),
                         [(i, a, b) for i, (a, b) in enumerate(g.edges.values())],
                     )
-                    for w in new_vs:
-                        h, _ = h.with_edge(prev, w)
-                        prev = w
-                    h, _ = h.with_edge(prev, v)
+                h, _ = h.with_edges(list(zip(path, path[1:])))
                 admit(h)
 
     return [found[k] for k in sorted(found)]

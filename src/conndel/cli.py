@@ -31,7 +31,7 @@ from .formats import (
     serialize_digraph,
     serialize_undirected,
 )
-from .graphs import UndirectedGraph, contract_sequence, is_strongly_connected
+from .graphs import UndirectedGraph, contract_sequence, is_biconnected, is_strongly_connected
 from .hardness import gen_pc_psc, gen_vd_psc
 from .kernel import DEFAULT_MAX_TERMINALS, kernelize
 from .oracles import (
@@ -41,7 +41,7 @@ from .oracles import (
     oracle_vdpsc,
     oracle_wbd,
 )
-from .solver import SolveStats, WbdInstance, normalize, solve, verify_solution
+from .solver import SolveStats, WbdInstance, solve, verify_solution
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -89,12 +89,6 @@ def _add_budget_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-edges", type=int, default=20)
     p.add_argument("--max-k", type=int, default=3)
     p.add_argument("--max-candidates", type=int, default=10_000_000)
-
-
-def _load_instance(path: str, k: int, w_star: float) -> WbdInstance:
-    text = _read(path)
-    parsed = parse_undirected(text)
-    return WbdInstance(parsed.graph, k, w_star, dict(parsed.weights), parsed.frozen)
 
 
 # ---------------------------------------------------------------------------
@@ -186,15 +180,20 @@ def cmd_gen(args) -> int:
     return EXIT_YES
 
 
+def _raw_instance(parsed, args) -> WbdInstance:
+    """The instance as read, for the referees: nothing frozen beyond the
+    file's own marks, so they share no criticality code with the solver."""
+    if not is_biconnected(parsed.graph):
+        raise InvalidInputError("instance graph is not biconnected")
+    return WbdInstance(parsed.graph, args.k, args.wstar, dict(parsed.weights), parsed.frozen)
+
+
 def cmd_oracle(args) -> int:
     budget = _budget_from_args(args)
     text = _read(args.path)
     if args.kind == "wbd":
         parsed = parse_undirected(text)
-        inst = normalize(
-            WbdInstance(parsed.graph, args.k, args.wstar, dict(parsed.weights), parsed.frozen)
-        )
-        sol = oracle_wbd(inst, budget)
+        sol = oracle_wbd(_raw_instance(parsed, args), budget)
         witness = _edge_names(parsed.graph, sol.edges) if sol else ""
         answer = sol is not None
     elif args.kind == "is":
@@ -258,9 +257,7 @@ def cmd_verify(args) -> int:
                 ids = None
                 break
             ids.append(eid)
-        inst = normalize(
-            WbdInstance(parsed.graph, args.k, args.wstar, dict(parsed.weights), parsed.frozen)
-        )
+        inst = _raw_instance(parsed, args)
         valid = ids is not None and verify_solution(inst, ids)
     elif args.kind == "pcpsc":
         d = parse_digraph(text)

@@ -164,15 +164,17 @@ class UndirectedGraph:
             next_edge_id=self._next_edge_id,
         )
 
-    def with_edge(self, u: int, v: int) -> Tuple["UndirectedGraph", int]:
-        """Return (graph with the new edge, its fresh id)."""
-        eid = self._next_edge_id
+    def with_edges(self, pairs: Sequence[Edge]) -> Tuple["UndirectedGraph", List[int]]:
+        """Return (graph with the new edges, their fresh ids in order)."""
+        first = self._next_edge_id
+        ids = list(range(first, first + len(pairs)))
         g = UndirectedGraph(
             self._vertices,
-            [(i, a, b) for i, (a, b) in self._edges.items()] + [(eid, u, v)],
-            next_edge_id=eid + 1,
+            [(i, a, b) for i, (a, b) in self._edges.items()]
+            + [(eid, u, v) for eid, (u, v) in zip(ids, pairs)],
+            next_edge_id=first + len(pairs),
         )
-        return g, eid
+        return g, ids
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, UndirectedGraph):

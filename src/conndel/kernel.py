@@ -5,15 +5,17 @@ Phase 1 bounds the number of potential solution edges with the solver's
 partner sets certifies a yes-instance, a clean stretch yields an
 irrelevant edge to freeze.  Phase 2 shrinks the vertex set: an auxiliary
 digraph reduces deletion-set feasibility to linkage questions (flows in
-its ``graphs.FlowNetwork``), a cut-covering set of that digraph selects
-the vertices worth keeping, and three reduction rules contract the graph
-onto them (its torso).  An instance with k >= 1 and no deletable edge
-left is a decided no.
+its ``graphs.FlowNetwork``), a cut-covering set of that digraph plus the
+deletable edges' endpoints gives Y, the vertices worth keeping, and rule
+one and the torso contract the graph onto Y from one pass over the
+components C of G - Y and their attachment sets N(C) in Y.  k = 0 is a
+decided yes, k >= 1 with no deletable edge left a decided no.
 
 The cut-covering set construction is pluggable: the ``trivial`` provider
 keeps every vertex (sound, shrinks nothing), the ``exhaustive`` provider
-unions one minimum cut per terminal triple and is priced exponentially in
-the number of terminals, so it refuses beyond a small cap.
+unions the closest minimum cut of every disjoint terminal triple and is
+priced exponentially in the number of terminals, so it refuses beyond a
+small cap.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .errors import (
     InternalInconsistencyError,
     InvalidInputError,
 )
-from .graphs import Digraph, UndirectedGraph, has_path_without, is_biconnected
+from .graphs import Digraph, UndirectedGraph, is_biconnected, reachable
 from .solver import (
     DEFAULT_CONFIG,
     SolverConfig,
@@ -217,18 +219,17 @@ def cut_covering_set(
             f"exhaustive cut covering supports at most {max_terminals} "
             f"terminals, got {len(terms)}; use the trivial provider"
         )
-    out: Set[int] = set()
-    # Triples (A, B, R) with A or B intersecting R cut exactly like their
-    # R-disjoint projections, so enumerating R and then subsets of the rest
-    # covers every triple with 5^|X| flow calls instead of 8^|X|.
-    for r_size in range(len(terms) + 1):
-        for r in itertools.combinations(terms, r_size):
-            rest = [t for t in terms if t not in r]
-            for a_size in range(1, len(rest) + 1):
-                for a in itertools.combinations(rest, a_size):
-                    for b_size in range(1, len(rest) + 1):
-                        for b in itertools.combinations(rest, b_size):
-                            out |= po_min_cut(aux.digraph, a, b, r)
+    # Disjoint triples suffice.  R meeting A or B cuts like its R-disjoint
+    # projection.  If A and B meet in C, every cut holds C (a vertex of C
+    # is a path), and the closest minimum cut is C plus that of the
+    # disjoint (A - C, B - C, R | C), or just C if a side empties.  X
+    # covers C: t is the whole cut of A = B = {t}.  So 4^|X| - 2 * 3^|X|
+    # + 2^|X| flows (12,138 at |X| = 7) replace one per overlapping pair.
+    out: Set[int] = set(terms)
+    for roles in itertools.product("rab-", repeat=len(terms)):
+        side = {c: [t for t, role in zip(terms, roles) if role == c] for c in "rab"}
+        if side["a"] and side["b"]:
+            out |= po_min_cut(aux.digraph, side["a"], side["b"], side["r"])
     return frozenset(out)
 
 
@@ -237,21 +238,32 @@ def cut_covering_set(
 # ---------------------------------------------------------------------------
 
 
-def rule_zero(inst: WbdInstance) -> Optional[WbdInstance]:
-    """Budget exhausted: any instance with k=0 is a yes-instance."""
-    if inst.k == 0:
-        return constant_yes_instance()
-    return None
+def _attachments(g: UndirectedGraph, y_set: FrozenSet[int]) -> List[FrozenSet[int]]:
+    """N(C), the vertices of Y adjacent to C, for every component C of
+    G - Y, from one pass over the graph."""
+    out: List[FrozenSet[int]] = []
+    seen: Set[int] = set()
+    for s in g.vertices - y_set:
+        if s not in seen:
+            comp = reachable(g, (s,), removed_vertices=y_set)
+            seen |= comp
+            out.append(frozenset(u for v in comp for u in g.neighbors(v) if u in y_set))
+    return out
 
 
 def rule_one(inst: WbdInstance, y_set: FrozenSet[int]) -> Optional[WbdInstance]:
-    """Delete a deletable edge (u, v) joined by a path that avoids every
-    deletable edge and all of Y except the endpoints; spend one budget unit.
+    """Delete the first deletable edge (u, v), in id order, joined by a path
+    that avoids every deletable edge and all of Y except the endpoints;
+    spend one budget unit.  Y holds every deletable edge's endpoints, so
+    such a path runs through one component C of G - Y with u, v in N(C).
     Fires at most once; the driver reapplies it to exhaustion."""
-    f_set = set(inst.potential_edges())
-    for eid in sorted(f_set):
+    pool = inst.potential_edges()
+    if not {v for e in pool for v in inst.graph.endpoints(e)} <= y_set:
+        raise InvalidInputError("Y must hold every endpoint of a deletable edge")
+    attachments = _attachments(inst.graph, y_set)
+    for eid in pool:
         u, v = inst.graph.endpoints(eid)
-        if has_path_without(inst.graph, u, v, f_set, y_set - {u, v}):
+        if any(u in attach and v in attach for attach in attachments):
             g2 = inst.graph.without_edge(eid)
             return normalize(
                 unit_instance(g2, inst.k - 1, frozenset(e for e in inst.frozen if e != eid))
@@ -261,20 +273,13 @@ def rule_one(inst: WbdInstance, y_set: FrozenSet[int]) -> Optional[WbdInstance]:
 
 def rule_two_torso(inst: WbdInstance, y_set: FrozenSet[int]) -> WbdInstance:
     """Contract the graph onto Y: keep the induced subgraph and add a frozen
-    shortcut edge for every non-adjacent pair of Y joined by a path whose
-    interior avoids Y."""
+    shortcut edge, with fresh ids in pair order, for every non-adjacent pair
+    of Y inside some N(C): exactly the pairs joined by a path whose interior
+    avoids Y, which lies in one component C of G - Y."""
     g = inst.graph
-    shortcuts: List[Tuple[int, int]] = []
-    for u, v in itertools.combinations(sorted(y_set), 2):
-        if g.edge_between(u, v) is not None:
-            continue
-        if has_path_without(g, u, v, frozenset(), y_set - {u, v}):
-            shortcuts.append((u, v))
-    reduced = g.induced(y_set)
-    new_ids = []
-    for u, v in shortcuts:
-        reduced, nid = reduced.with_edge(u, v)
-        new_ids.append(nid)
+    pairs = {p for a in _attachments(g, y_set) for p in itertools.combinations(sorted(a), 2)}
+    shortcuts = sorted(p for p in pairs if g.edge_between(*p) is None)
+    reduced, new_ids = g.induced(y_set).with_edges(shortcuts)
     frozen = frozenset(e for e in inst.frozen if reduced.has_edge(e)) | frozenset(new_ids)
     return unit_instance(reduced, inst.k, frozen)
 
@@ -365,6 +370,7 @@ def _phase_two(
 ) -> Tuple[WbdInstance, Optional[str]]:
     while True:
         if inst.k == 0:
+            # Budget exhausted: the empty set meets w* = 0.
             return constant_yes_instance(), "yes"
         pool = inst.potential_edges()
         if not pool:

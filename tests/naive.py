@@ -8,7 +8,7 @@ cross-check the real implementations against them at desk scale.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 
 def components(vertices: Set[int], edges: Iterable[Tuple[int, int]]) -> List[Set[int]]:
@@ -150,3 +150,79 @@ def separates_with_edge(
     ]
     comps = components(vertices - {cut_vertex}, kept)
     return not any(x in c and y in c for c in comps)
+
+
+def joined_avoiding(
+    vertices: Set[int],
+    edges: List[Tuple[int, int]],
+    x: int,
+    y: int,
+    blocked: Set[int],
+) -> bool:
+    """Is there an x-y path with no interior vertex in blocked?  One search."""
+    adj: Dict[int, Set[int]] = {v: set() for v in vertices}
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    seen = {x}
+    stack = [x]
+    while stack:
+        a = stack.pop()
+        for b in adj[a]:
+            if b == y:
+                return True
+            if b not in seen and b not in blocked:
+                seen.add(b)
+                stack.append(b)
+    return False
+
+
+def torso_shortcuts(
+    vertices: Set[int], edges: List[Tuple[int, int]], y_set: Set[int]
+) -> Set[Tuple[int, int]]:
+    """Non-adjacent pairs u < v of Y joined by a path whose interior avoids
+    Y, with one search per pair."""
+    adjacent = {frozenset(e) for e in edges}
+    return {
+        (u, v)
+        for u, v in itertools.combinations(sorted(y_set), 2)
+        if frozenset((u, v)) not in adjacent
+        and joined_avoiding(vertices, edges, u, v, y_set)
+    }
+
+
+def first_rule_one_edge(
+    vertices: Set[int],
+    edges: List[Tuple[int, int]],
+    pool: List[Tuple[int, int]],
+    y_set: Set[int],
+) -> Optional[Tuple[int, int]]:
+    """The first pool edge (u, v), in the given order, joined by a path
+    that uses no pool edge and has no interior vertex in Y."""
+    pooled = {frozenset(e) for e in pool}
+    rest = [e for e in edges if frozenset(e) not in pooled]
+    for u, v in pool:
+        if joined_avoiding(vertices, rest, u, v, y_set):
+            return (u, v)
+    return None
+
+
+def full_cut_cover(
+    terminals: Iterable[int],
+    cut: Callable[[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]], Iterable[int]],
+) -> Set[int]:
+    """Union of cut(A, B, R) over every terminal triple with A and B
+    non-empty and R disjoint from both; A and B may overlap.  The cut
+    routine is passed in, so only the enumeration is checked here."""
+    terms = sorted(terminals)
+    out: Set[int] = set()
+    for r_size in range(len(terms) + 1):
+        for r in itertools.combinations(terms, r_size):
+            rest = [t for t in terms if t not in r]
+            sides = [
+                s for size in range(1, len(rest) + 1) for s in itertools.combinations(rest, size)
+            ]
+            for a in sides:
+                for b in sides:
+                    out |= set(cut(a, b, r))
+    return out

@@ -151,7 +151,7 @@ class TestAcceptance:
         # add runs with prior deletions (affected components) and with
         # many distinct partner sets
         wheel = shared_partner_instance(q=12, k=3)
-        g, eid = wheel.instance.graph.with_edge(2, 4)
+        g, (eid,) = wheel.instance.graph.with_edges([(2, 4)])
         weights = dict(wheel.instance.weights)
         weights[eid] = 20.0
         decoy = WbdInstance(g, 3, 3.0, weights, frozenset())

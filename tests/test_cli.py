@@ -4,6 +4,8 @@ import pytest
 
 from conndel.cli import main
 from conndel.formats import parse_undirected, serialize_undirected
+from conndel.oracles import oracle_wbd
+from conndel.solver import WbdInstance
 
 K4 = "p graph 4 6\ne 1 2 1\ne 1 3 1\ne 1 4 1\ne 2 3 1\ne 2 4 1\ne 3 4 1\n"
 C5 = "p graph 5 5\ne 1 2 1\ne 2 3 1\ne 3 4 1\ne 4 5 1\ne 1 5 1\n"
@@ -238,3 +240,54 @@ class TestKernelizeDecidedNo:
         p.write_text("p graph 4 4\ne 1 2 1\ne 2 3 1\ne 3 4 1\ne 1 4 1\n")
         assert main(["kernelize", str(p), "--k", "1", "--provider", "exhaustive"]) == 1
         assert '"answer": "no"' in capsys.readouterr().out
+
+
+class TestIndependentReferee:
+    """``oracle wbd`` and ``verify wbd`` judge the instance as read, so a
+    fault in the solver's criticality code cannot change their answers."""
+
+    # C4 plus the chord 1-3: the chord is the one deletable edge.
+    CHORDED_C4 = "p graph 4 5\ne 1 2 1\ne 2 3 1\ne 3 4 1\ne 1 4 1\ne 1 3 1\n"
+
+    @pytest.fixture
+    def chorded(self, tmp_path):
+        p = tmp_path / "chorded.graph"
+        p.write_text(self.CHORDED_C4)
+        w = tmp_path / "chord.txt"
+        w.write_text("e 1 3\n")
+        return str(p), str(w)
+
+    @pytest.fixture
+    def chord_reported_critical(self, monkeypatch):
+        """A planted fault: ``critical_set`` also reports the chord."""
+        import conndel.solver
+
+        real = conndel.solver.critical_set
+
+        def faulty(g):
+            return real(g) | {g.edge_between(1, 3)}
+
+        monkeypatch.setattr(conndel.solver, "critical_set", faulty)
+
+    def test_non_biconnected_input_exits_two(self, tmp_path, capsys):
+        p = tmp_path / "path.graph"
+        p.write_text("p graph 3 2\ne 1 2 1\ne 2 3 1\n")
+        w = tmp_path / "w.txt"
+        w.write_text("e 1 2\n")
+        assert main(["oracle", "wbd", str(p), "--k", "1", "--wstar", "1"]) == 2
+        assert "not biconnected" in capsys.readouterr().err
+        args = ["verify", "wbd", str(p), "--witness", str(w), "--k", "1", "--wstar", "1"]
+        assert main(args) == 2
+        assert "not biconnected" in capsys.readouterr().err
+
+    def test_oracle_ignores_a_faulty_critical_set(self, chorded, chord_reported_critical):
+        path, _ = chorded
+        parsed = parse_undirected(self.CHORDED_C4)
+        raw = WbdInstance(parsed.graph, 1, 1.0, dict(parsed.weights), parsed.frozen)
+        assert oracle_wbd(raw) is not None
+        assert main(["oracle", "wbd", path, "--k", "1", "--wstar", "1"]) == 0
+
+    def test_verify_ignores_a_faulty_critical_set(self, chorded, chord_reported_critical):
+        path, witness = chorded
+        args = ["verify", "wbd", path, "--witness", witness, "--k", "1", "--wstar", "1"]
+        assert main(args) == 0

@@ -278,7 +278,7 @@ class TestGraphValue:
         eid = g.edge_between(1, 2)
         g2 = g.without_edge(eid)
         assert set(g2.edges) == set(g.edges) - {eid}
-        g3, new_id = g2.with_edge(1, 2)
+        g3, (new_id,) = g2.with_edges([(1, 2)])
         assert new_id not in g.edges  # tombstoned ids are never reused
 
     def test_rejects_self_loops_parallels_and_ghost_vertices(self):

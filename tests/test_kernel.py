@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conndel.catalog import edge_colored_canonical_form
 from conndel.errors import BudgetExceededError, InvalidInputError
@@ -20,11 +22,13 @@ from conndel.kernel import (
     po_min_cut,
     rule_one,
     rule_two_torso,
-    rule_zero,
     unit_instance,
 )
 from conndel.oracles import OracleBudget, oracle_wbd
 from conndel.solver import SolverConfig, mu, normalize
+
+from . import naive
+from .strategies import ear_graphs
 
 BIG = OracleBudget(max_vertices=30, max_edges=60, max_k=3)
 
@@ -245,11 +249,11 @@ class TestCutCovering:
 
 class TestRules:
     def test_rule_zero_fires_only_at_zero_budget(self):
-        inst = normalize(unit_instance(complete(4), 0, frozenset()))
-        out = rule_zero(inst)
-        assert out is not None and out.k == 0
-        assert oracle_wbd(out, BIG) is not None
-        assert rule_zero(normalize(unit_instance(complete(4), 1, frozenset()))) is None
+        res = kernelize(complete(4), 0)
+        assert res.answer == "yes" and res.instance.k == 0
+        assert oracle_wbd(res.instance, BIG) is not None
+        res = kernelize(complete(4), 1)
+        assert res.answer is None and res.instance.k == 1
 
     def test_rule_zero_constant_instance_is_yes(self):
         const = constant_yes_instance()
@@ -309,6 +313,83 @@ class TestRules:
         )
         torso = normalize(rule_two_torso(inst, y))
         assert (oracle_wbd(inst, BIG) is None) == (oracle_wbd(torso, BIG) is None)
+
+
+@st.composite
+def instances_with_y(draw):
+    """A unit instance on a random biconnected graph, with some of its
+    deletable edges frozen, and a random Y holding every endpoint of a
+    deletable edge left, so that shortcuts and rule one both fire."""
+    g = draw(ear_graphs(min_n=4, max_n=12))
+    k = draw(st.integers(min_value=1, max_value=2))
+    inst = normalize(unit_instance(g, k, frozenset()))
+    pool = inst.potential_edges()
+    keep = draw(st.sets(st.sampled_from(pool), max_size=4)) if pool else set()
+    inst = unit_instance(g, k, inst.frozen | (frozenset(pool) - keep))
+    extra = draw(st.sets(st.sampled_from(sorted(g.vertices)), max_size=g.n // 2))
+    return inst, frozenset(extra) | frozenset(v for e in keep for v in g.endpoints(e))
+
+
+class TestRulesAgainstDefinitions:
+    """The one-pass rules and the disjoint-triple cover against the
+    pairwise definitions in ``tests/naive.py``."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(instances_with_y())
+    def test_torso_matches_pairwise_shortcuts(self, case):
+        inst, y = case
+        g = inst.graph
+        edges = list(g.edges.values())
+        shortcuts = sorted(naive.torso_shortcuts(set(g.vertices), edges, set(y)))
+        out = rule_two_torso(inst, y)
+        assert out.graph.vertices == y
+        kept = {e: uv for e, uv in g.edges.items() if set(uv) <= y}
+        added = {e: uv for e, uv in out.graph.edges.items() if e not in g.edges}
+        assert {e: uv for e, uv in out.graph.edges.items() if e in g.edges} == kept
+        # Fresh ids above every old one, handed out in sorted pair order.
+        assert [added[e] for e in sorted(added)] == shortcuts
+        assert min(added, default=max(g.edges) + 1) > max(g.edges)
+        assert out.frozen == frozenset(added) | (inst.frozen & frozenset(kept))
+        assert out.k == inst.k
+
+    @settings(max_examples=100, deadline=None)
+    @given(instances_with_y())
+    def test_rule_one_matches_pairwise_paths(self, case):
+        inst, y = case
+        g = inst.graph
+        pool = [g.endpoints(e) for e in inst.potential_edges()]
+        want = naive.first_rule_one_edge(set(g.vertices), list(g.edges.values()), pool, set(y))
+        out = rule_one(inst, y)
+        if want is None:
+            assert out is None
+            return
+        assert out is not None and out.k == inst.k - 1
+        assert out.graph == g.without_edge(g.edge_between(*want))
+
+    def test_rule_one_needs_the_pool_endpoints_in_y(self):
+        g = UndirectedGraph.from_edges(range(4), [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
+        inst = normalize(unit_instance(g, 1, frozenset()))
+        with pytest.raises(InvalidInputError):
+            rule_one(inst, frozenset({0}))
+
+    @pytest.mark.parametrize(
+        "pairs, pool_edge",
+        [
+            # K5 minus an edge; C6 plus a chord; a 5-vertex ear graph.  On
+            # each, dropping the triples with R non-empty loses a vertex.
+            ([p for p in itertools.combinations(range(5), 2) if p != (3, 4)], (2, 3)),
+            ([(i, (i + 1) % 6) for i in range(6)] + [(0, 4)], (0, 4)),
+            ([(0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (3, 4)], (0, 1)),
+        ],
+    )
+    def test_exhaustive_cover_matches_every_triple(self, pairs, pool_edge):
+        g = UndirectedGraph.from_edges(range(1 + max(map(max, pairs))), pairs)
+        aux = build_auxiliary_digraph(g, [g.edge_between(*pool_edge)])
+        assert len(aux.terminals) == 7
+        want = naive.full_cut_cover(
+            aux.terminals, lambda a, b, r: po_min_cut(aux.digraph, a, b, r)
+        )
+        assert cut_covering_set(aux, "exhaustive", max_terminals=7) == want
 
 
 @pytest.fixture
