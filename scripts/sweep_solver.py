@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
 """Cross-validate the solver against the brute-force oracle on random
-biconnected instances and report agreement plus timing percentiles."""
+biconnected instances and report agreement, timing percentiles and the
+number of partner analyses run.  ``--mu M`` lowers the enumeration
+threshold to M at every k, so small instances reach the reduction step."""
 
 import argparse
 import random
@@ -12,7 +14,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from conndel.families import random_biconnected_graph, random_weights
 from conndel.oracles import OracleBudget, oracle_wbd
-from conndel.solver import SolveStats, WbdInstance, solve
+from conndel.solver import SolverConfig, SolveStats, WbdInstance, solve
 
 
 def main() -> int:
@@ -22,12 +24,14 @@ def main() -> int:
     ap.add_argument("--max-n", type=int, default=10)
     ap.add_argument("--max-k", type=int, default=3)
     ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--mu", type=int, default=None, help="constant enumeration threshold")
     args = ap.parse_args()
+    config = SolverConfig(mu_override=None if args.mu is None else (lambda k: args.mu))
 
     rng = random.Random(args.seed)
     budget = OracleBudget(max_vertices=args.max_n + 2, max_edges=4 * args.max_n, max_k=args.max_k)
     times = []
-    yes = no = mismatches = 0
+    yes = no = mismatches = analyses = 0
     for trial in range(args.count):
         g = random_biconnected_graph(rng, rng.randint(args.min_n, args.max_n), rng.randint(0, 4))
         k = rng.randint(0, args.max_k)
@@ -35,8 +39,10 @@ def main() -> int:
             g, k, float(rng.randint(0, 2 + 2 * k)), random_weights(rng, g), frozenset()
         )
         t0 = time.perf_counter()
-        got = solve(inst, stats=SolveStats())
+        stats = SolveStats()
+        got = solve(inst, config, stats)
         times.append(time.perf_counter() - t0)
+        analyses += stats.flow_calls
         expect = oracle_wbd(inst, budget)
         if (got is None) != (expect is None):
             mismatches += 1
@@ -48,7 +54,8 @@ def main() -> int:
     times.sort()
     pct = lambda p: times[min(len(times) - 1, int(p * len(times)))] * 1000
     print(
-        f"{args.count} instances: {yes} yes / {no} no, {mismatches} mismatches; "
+        f"{args.count} instances: {yes} yes / {no} no, {mismatches} mismatches, "
+        f"{analyses} partner analyses; "
         f"solve ms p50={pct(0.5):.2f} p90={pct(0.9):.2f} max={times[-1] * 1000:.2f}"
     )
     return 1 if mismatches else 0

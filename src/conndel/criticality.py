@@ -13,13 +13,15 @@ Deleting a non-critical pivot edge e = (x, y) can make other edges newly
 critical; each such edge on one path of a value-2 x-y flow pairs with
 "partner" vertices on the other path to form mixed cuts.  The machinery
 here computes that structure and locates clean stretches, which the
-solver mines for irrelevant edges.
+solver mines for irrelevant edges.  Partner sets come from one component
+pass per interior vertex of the second path, which decides every edge of
+the first path at once, not from one path query per (edge, vertex) pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import InternalInconsistencyError, InvalidInputError
 from .graphs import (
@@ -296,25 +298,64 @@ def partner_set(
     pivot: int,
     p1: Path,
     p2: Path,
-    crit: int,
-) -> Tuple[int, ...]:
-    """Partner vertices of a newly critical edge on P1: the internal
-    vertices v of P2 for which {edge, v} is a mixed x-y cut of G' - e,
-    in P2 order from x to y.  Never empty."""
+    crits: Sequence[int],
+) -> Tuple[Tuple[int, ...], ...]:
+    """Partner vertices of newly critical edges on P1, one tuple per edge
+    in ``crits`` order: the internal vertices v of P2 for which
+    {edge, v} is a mixed x-y cut of G' - pivot, in P2 order.  Never empty.
+
+    Both paths run between the pivot's endpoints x and y, and P1 avoids
+    P2's interior (the vertex-disjoint paths of ``max_flow_bounded``
+    always do).  Fix an interior vertex v of P2 and the edge e at position
+    j of P1.  P1 - e is a left piece (positions <= j, holding one
+    terminal) and a right piece (positions > j, holding the other), each
+    connected.  So x and y are joined in G' - pivot - e - v iff some path
+    leads from one piece to the other.  Cut such a path at its P1
+    vertices: some stretch starts in the left piece, ends in the right
+    one and has no P1 vertex inside.  It uses no edge of P1, as the only
+    P1 edge between the pieces is e, so it lies in one component of
+    H = G' - pivot - v - E(P1).  Conversely a component of H meeting both
+    pieces joins them.  So e separates exactly when no component of H
+    holds P1 vertices on both sides of j: one pass over H's components
+    that meet P1, then one sweep along P1, decide every edge for this v.
+    """
     x, y = gprime.endpoints(pivot)
-    if p1.vertices[0] not in (x, y) or p2.vertices[0] not in (x, y):
+    ends = {x, y}
+    if {p1.vertices[0], p1.vertices[-1]} != ends or {p2.vertices[0], p2.vertices[-1]} != ends:
         raise InvalidInputError("flow paths must run between the pivot endpoints")
-    if crit not in p1.edges:
+    pos = {e: j for j, e in enumerate(p1.edges)}
+    if any(e not in pos for e in crits):
         raise InvalidInputError("critical edge must lie on the first flow path")
-    removed = frozenset((pivot, crit))
-    a, b = p2.vertices[0], p2.vertices[-1]
-    out = [v for v in p2.interior if not has_path_without(gprime, a, b, removed, frozenset((v,)))]
-    if not out:
-        raise InternalInconsistencyError(
-            f"edge {crit} has an empty partner set; every newly critical "
-            "edge on one flow path must have a partner on the other"
-        )
-    return tuple(out)
+    if not set(p2.interior).isdisjoint(p1.vertices):
+        raise InvalidInputError("the first flow path must avoid the second's interior")
+    at = {u: i for i, u in enumerate(p1.vertices)}
+    removed = frozenset(p1.edges) | {pivot}
+    cuts: Dict[int, List[int]] = {e: [] for e in crits}
+    for v in p2.interior:
+        gone = frozenset((v,))
+        # far[i]: the last P1 position in the component of H holding P1's i-th vertex
+        far = [-1] * len(p1.vertices)
+        for i, u in enumerate(p1.vertices):
+            if far[i] < 0:
+                comp = [at[w] for w in reachable(gprime, (u,), removed, gone) if w in at]
+                last = max(comp)
+                for c in comp:
+                    far[c] = last
+        reach = -1
+        separated = []
+        for j in range(len(p1.edges)):
+            reach = max(reach, far[j])
+            separated.append(reach <= j)
+        for e in cuts:
+            if separated[pos[e]]:
+                cuts[e].append(v)
+    for e in crits:
+        if not cuts[e]:
+            raise InternalInconsistencyError(
+                f"edge {e} has an empty partner set; every newly critical "
+                "edge on one flow path must have a partner on the other"
+            )
+    return tuple(tuple(cuts[e]) for e in crits)
 
 
 @dataclass(frozen=True)
@@ -396,7 +437,7 @@ def build_partner_analysis(
     oriented = tuple(
         (p1.vertices[pos[e]], p1.vertices[pos[e] + 1]) for e in edge_ids
     )
-    partners = tuple(partner_set(gprime, pivot, p1, p2, e) for e in edge_ids)
+    partners = partner_set(gprime, pivot, p1, p2, edge_ids)
 
     t = len(edge_ids)
     switches = frozenset(
@@ -424,13 +465,9 @@ def build_partner_analysis(
             reachable(gprime, segments[i], frozenset(edge_ids[i - 1 : i + 1]), frozenset((w,)))
         )
         components[i] = comp
-        gamma = set()
-        for eid, (a, b) in gprime.edges.items():
-            if a in comp and b in comp:
-                gamma.add(eid)
-            elif (a == w and b in comp) or (b == w and a in comp):
-                gamma.add(eid)
-        gammas[i] = frozenset(gamma)
+        gammas[i] = frozenset(
+            eid for a in comp for b, eid in gprime._adj[a] if b in comp or b == w
+        )
 
     endpoints = set()
     for a, b in deleted_endpoints:

@@ -458,51 +458,6 @@ def is_biconnected(g: UndirectedGraph) -> bool:
     return is_biconnected_without(g)
 
 
-def articulation_points(g: UndirectedGraph) -> FrozenSet[int]:
-    """Cut-vertices of g (vertices whose removal disconnects a component)."""
-    adj = g._adj
-    disc: Dict[int, int] = {}
-    low: Dict[int, int] = {}
-    result = set()
-    clock = 0
-    for root in sorted(g._vertices):
-        if root in disc:
-            continue
-        disc[root] = low[root] = clock
-        clock += 1
-        root_children = 0
-        stack: List[Tuple[int, int, Iterable]] = [(root, -1, iter(adj[root]))]
-        while stack:
-            v, parent_eid, it = stack[-1]
-            advanced = False
-            for u, eid in it:
-                if eid == parent_eid:
-                    continue
-                du = disc.get(u)
-                if du is not None:
-                    if du < low[v]:
-                        low[v] = du
-                else:
-                    disc[u] = low[u] = clock
-                    clock += 1
-                    stack.append((u, eid, iter(adj[u])))
-                    advanced = True
-                    break
-            if not advanced:
-                stack.pop()
-                if stack:
-                    p = stack[-1][0]
-                    if low[v] < low[p]:
-                        low[p] = low[v]
-                    if p == root:
-                        root_children += 1
-                    elif low[v] >= disc[p]:
-                        result.add(p)
-        if root_children > 1:
-            result.add(root)
-    return frozenset(result)
-
-
 def is_strongly_connected(d: Digraph) -> bool:
     """Every ordered vertex pair joined by a directed path (double reach)."""
     if d.n <= 1:

@@ -190,13 +190,6 @@ def heavy_order(inst: WbdInstance) -> List[int]:
     )
 
 
-def heavy(inst: WbdInstance, r: int) -> List[int]:
-    """The r heaviest potential solution edges."""
-    if r < 0:
-        raise InvalidInputError("r must be non-negative")
-    return heavy_order(inst)[:r]
-
-
 def verify_solution(inst: WbdInstance, edges) -> bool:
     """Is this edge set a valid solution for the instance?"""
     es = set(edges)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from .graphs import Digraph, UndirectedGraph
+from conndel.graphs import Digraph, UndirectedGraph
 
 
 def _refine(n: int, neigh: Sequence[FrozenSet[int]], classes: List[int]) -> List[int]:

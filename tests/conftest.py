@@ -1,6 +1,6 @@
 import pytest
 
-from conndel.catalog import biconnected_catalog
+from .catalog import biconnected_catalog
 
 
 @pytest.fixture(scope="session")

@@ -10,7 +10,6 @@ import time
 
 import pytest
 
-from conndel.catalog import digraph_isomorphic
 from conndel.criticality import (
     critical_set,
     find_size2_mixed_cut,
@@ -42,6 +41,7 @@ from conndel.solver import (
     verify_solution,
 )
 
+from .catalog import digraph_isomorphic
 from .checks import check_partner_invariants
 
 BUDGET = OracleBudget(max_vertices=12, max_edges=30, max_k=3)
@@ -240,7 +240,7 @@ class TestAcceptance:
     def test_06_hardness_reductions(self):
         started = time.time()
         violations = []
-        from conndel.catalog import all_graphs
+        from .catalog import all_graphs
 
         big = OracleBudget(max_vertices=200, max_edges=400, max_k=3, max_candidates=10**8)
         for n in range(1, 6):

@@ -1,12 +1,5 @@
 import random
 
-from conndel.catalog import (
-    all_graphs,
-    canonical_form,
-    digraph_isomorphic,
-    edge_colored_canonical_form,
-    graphs_isomorphic,
-)
 from conndel.families import (
     distinct_partner_instance,
     random_biconnected_graph,
@@ -14,6 +7,14 @@ from conndel.families import (
     shared_partner_instance,
 )
 from conndel.graphs import Digraph, UndirectedGraph, is_biconnected
+
+from .catalog import (
+    all_graphs,
+    canonical_form,
+    digraph_isomorphic,
+    edge_colored_canonical_form,
+    graphs_isomorphic,
+)
 
 
 class TestCanonicalForms:

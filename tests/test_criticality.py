@@ -237,12 +237,12 @@ def pivot_chord_hexagon():
 class TestPartnerSets:
     def test_hexagon_interior_edge_partners_both_far_side_vertices(self):
         g, pivot, p1, p2 = pivot_chord_hexagon()
-        partners = partner_set(g, pivot, p1, p2, g.edge_between(2, 3))
+        (partners,) = partner_set(g, pivot, p1, p2, [g.edge_between(2, 3)])
         assert partners == (5, 4)
 
     def test_hexagon_terminal_edge_partner(self):
         g, pivot, p1, p2 = pivot_chord_hexagon()
-        partners = partner_set(g, pivot, p1, p2, g.edge_between(0, 2))
+        (partners,) = partner_set(g, pivot, p1, p2, [g.edge_between(0, 2)])
         # verified directly against the mixed-cut definition below
         expect = tuple(
             v
@@ -268,7 +268,7 @@ class TestPartnerSets:
         p1, p2 = find_rich_flow(g, hub.chord, newly_critical(g, hub.chord))
         crits = [e for e in p1.edges if e in newly_critical(g, hub.chord)]
         assert len(crits) >= 2
-        sets = [set(partner_set(g, hub.chord, p1, p2, e)) for e in crits]
+        sets = [set(p) for p in partner_set(g, hub.chord, p1, p2, crits)]
         assert all(sets)
         for a, b in zip(sets, sets[1:]):
             assert len(a & b) <= 1
@@ -276,7 +276,68 @@ class TestPartnerSets:
     def test_edge_off_p1_rejected(self):
         g, pivot, p1, p2 = pivot_chord_hexagon()
         with pytest.raises(InvalidInputError):
-            partner_set(g, pivot, p1, p2, g.edge_between(4, 5))
+            partner_set(g, pivot, p1, p2, [g.edge_between(4, 5)])
+
+    def test_first_path_through_second_interior_rejected(self):
+        # P1 = 0-3-2-4-1 runs through 2, the one interior vertex of P2.
+        g = UndirectedGraph.from_edges(
+            range(5), [(0, 1), (0, 2), (2, 1), (0, 3), (3, 2), (2, 4), (4, 1)]
+        )
+        p1 = Path.in_graph(g, [0, 3, 2, 4, 1])
+        p2 = Path.in_graph(g, [0, 2, 1])
+        with pytest.raises(InvalidInputError):
+            partner_set(g, g.edge_between(0, 1), p1, p2, [g.edge_between(0, 3)])
+
+
+def reversed_path(p):
+    return Path(tuple(reversed(p.vertices)), tuple(reversed(p.edges)))
+
+
+def assert_partners_match_definition(g, pivot, marked, rng):
+    """``partner_set`` on the rich flow's paths, each in a random
+    orientation, against the mixed-cut definition in G' - pivot."""
+    newly = newly_critical(g, pivot) & marked
+    p1, p2 = find_rich_flow(g, pivot, newly)
+    if rng.random() < 0.5:
+        p1 = reversed_path(p1)
+    if rng.random() < 0.5:
+        p2 = reversed_path(p2)
+    crits = [e for e in p1.edges if e in newly]
+    x, y = g.endpoints(pivot)
+    kept = [g.endpoints(e) for e in g.edges if e != pivot]
+    expect = tuple(
+        tuple(
+            v
+            for v in p2.interior
+            if naive.separates_with_edge(set(g.vertices), kept, x, y, g.endpoints(e), v)
+        )
+        for e in crits
+    )
+    assert partner_set(g, pivot, p1, p2, crits) == expect
+
+
+class TestPartnerSetsAgainstDefinition:
+    @settings(max_examples=150, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_random_biconnected_graphs(self, rng):
+        n = rng.randint(5, 16)
+        g = random_biconnected_graph(rng, n, rng.randint(1, n // 3 + 1))
+        crit = critical_set(g)
+        pivots = [e for e in g.edges if e not in crit]
+        assume(pivots)
+        pivot = rng.choice(pivots)
+        marked = frozenset(e for e in g.edges if rng.random() < 0.7)
+        assume(newly_critical(g, pivot) & marked)
+        assert_partners_match_definition(g, pivot, marked, rng)
+
+    @pytest.mark.parametrize("subdivide", [False, True])
+    @pytest.mark.parametrize("family", [shared_partner_instance, distinct_partner_instance])
+    def test_hub_families(self, family, subdivide):
+        rng = random.Random(3)
+        for q in range(3, 13):
+            hub = family(q, subdivide=subdivide)
+            g = normalize(hub.instance).graph
+            assert_partners_match_definition(g, hub.chord, frozenset(g.edges), rng)
 
 
 class TestFullExistenceEquivalence:

@@ -2,7 +2,6 @@ import itertools
 
 import pytest
 
-from conndel.catalog import all_graphs
 from conndel.errors import InvalidInputError
 from conndel.graphs import UndirectedGraph, is_strongly_connected
 from conndel.hardness import gen_pc_psc, gen_vd_psc
@@ -12,6 +11,8 @@ from conndel.oracles import (
     oracle_pcpsc,
     oracle_vdpsc,
 )
+
+from .catalog import all_graphs
 
 BIG = OracleBudget(max_vertices=200, max_edges=400, max_k=3, max_candidates=10**7)
 

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conndel.catalog import edge_colored_canonical_form
 from conndel.errors import BudgetExceededError, InvalidInputError
 from conndel.families import (
     distinct_partner_instance,
@@ -28,6 +27,7 @@ from conndel.oracles import OracleBudget, oracle_wbd
 from conndel.solver import SolverConfig, mu, normalize
 
 from . import naive
+from .catalog import edge_colored_canonical_form
 from .strategies import ear_graphs
 
 BIG = OracleBudget(max_vertices=30, max_edges=60, max_k=3)

@@ -23,7 +23,7 @@ from conndel.solver import (
     WbdInstance,
     enumerate_small,
     greedy_deletion_set,
-    heavy,
+    heavy_order,
     irrelevant_edge,
     mu,
     normalize,
@@ -123,13 +123,8 @@ class TestHeavy:
         g = complete(4)
         weights = {0: 5.0, 1: 3.0, 2: 3.0, 3: 1.0, 4: 0.0, 5: 0.0}
         inst = WbdInstance(g, 2, 2.0, weights, frozenset())
-        assert heavy(inst, 2) == [0, 1]
-        assert heavy(inst, 0) == []
-        assert heavy(inst, 99) == [0, 1, 2, 3, 4, 5]
-
-    def test_negative_r_rejected(self):
-        with pytest.raises(InvalidInputError):
-            heavy(unit(complete(4), 1, 1), -1)
+        assert heavy_order(inst) == [0, 1, 2, 3, 4, 5]
+        assert heavy_order(inst)[:2] == [0, 1]
 
 
 class TestEnumerateSmall:
@@ -160,7 +155,7 @@ class TestGreedy:
     def test_ladder_reaches_full_budget(self):
         inst = normalize(unit(ladder(6), 2, 2))
         cfg = SolverConfig(mu_override=lambda k: 2)
-        run = greedy_deletion_set(inst, heavy(inst, cfg.mu(inst.k)))
+        run = greedy_deletion_set(inst, heavy_order(inst)[: cfg.mu(inst.k)])
         assert len(run.picks) == 2
         assert is_biconnected_without(inst.graph, frozenset(run.picks))
 
@@ -168,13 +163,13 @@ class TestGreedy:
         hub = shared_partner_instance(q=7, k=2)
         inst = normalize(hub.instance)
         cfg = SolverConfig(mu_override=lambda k: 9)
-        run = greedy_deletion_set(inst, heavy(inst, cfg.mu(inst.k)))
+        run = greedy_deletion_set(inst, heavy_order(inst)[: cfg.mu(inst.k)])
         assert run.picks == (hub.chord,)
         assert run.counts[0] == len(hub.rim_edges)
 
     def test_frozen_graph_runs_zero_steps(self):
         inst = normalize(unit(cycle(5), 2, 1))
-        run = greedy_deletion_set(inst, heavy(inst, mu(inst.k)))
+        run = greedy_deletion_set(inst, heavy_order(inst)[: mu(inst.k)])
         assert run.picks == ()
 
 
