@@ -493,7 +493,8 @@ class FlowNetwork:
     (u, v) runs from u's out-node to v's in-node.  Arcs are integer ids
     into flat ``head``/``cap`` lists, arc a's residual twin being a ^ 1.
     Each node lists its arcs in insertion order, split arc first, so the
-    searches are deterministic; graph arc j has id ``2 * n + 2 * j``.
+    searches are deterministic; vertex i's split arc has id 2i and graph
+    arc j has id ``2 * n + 2 * j``.
     """
 
     __slots__ = ("index", "head", "cap", "adj")
@@ -535,7 +536,7 @@ class FlowNetwork:
         removed vertices, stopping at ``limit``; returns the value and the
         residual capacities.  Vertices not in the network are ignored."""
         cap = self.cap[:]
-        value, _ = self._augment(cap, sources, sinks, removed, limit)
+        value, _ = self.augment(cap, sources, sinks, removed, limit)
         return value, cap
 
     def carries(self, residual: List[int], j: int) -> bool:
@@ -555,20 +556,23 @@ class FlowNetwork:
         vertex cut closest to the sources (it may contain sources and sinks)
         in the network minus the removed vertices; the cut is empty when
         the flow stopped at ``limit``."""
-        value, via = self._augment(self.cap[:], sources, sinks, removed, limit)
-        if value == limit:
-            return value, frozenset()
-        return value, frozenset(
-            v for v, i in self.index.items() if via[2 * i] != -1 and via[2 * i + 1] == -1
+        value, reach = self.augment(self.cap[:], sources, sinks, removed, limit)
+        return value, frozenset() if value == limit else self.closest_cut(reach)
+
+    def closest_cut(self, reach: List[int]) -> FrozenSet[int]:
+        """The minimum cut closest to the sources, from the marks of an
+        ``augment`` call whose last search found nothing."""
+        return frozenset(
+            v for v, i in self.index.items() if reach[2 * i] != -1 and reach[2 * i + 1] == -1
         )
 
-    def _augment(self, cap, sources, sinks, removed, limit) -> Tuple[int, List[int]]:
-        """Push one unit along a shortest residual path, found by BFS from
-        the sources' in-nodes to a sink's out-node, until none is left or
-        ``limit`` is reached.  Also returns, per node, the arc by which the
-        last search reached it (-1 unreached, -2 start or removed): after a
-        search that found nothing, the reached nodes are a min cut's source
-        side."""
+    def augment(self, cap, sources, sinks, removed=(), limit=None) -> Tuple[int, List[int]]:
+        """Push units into residual ``cap`` (a copy of ``self.cap`` or of an
+        earlier call's residual) along shortest paths, found by BFS from the
+        sources' in-nodes to a sink's out-node, until none is left or
+        ``limit`` is reached.  Returns the units pushed and, per node, the
+        arc by which the last search reached it (-1 unreached, -2 start or
+        removed): after a failed search, the closest minimum cut's side."""
         index, head, adj = self.index, self.head, self.adj
         starts = [2 * index[v] for v in sources if v in index]
         sink_nodes = {2 * index[v] + 1 for v in sinks if v in index}

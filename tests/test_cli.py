@@ -228,6 +228,10 @@ class TestInputValidation:
         assert main(["kernelize", files["k4"], "--k", "-1"]) == 2
         assert main(["oracle", "wbd", files["k4"], "--k", "-1"]) == 2
 
+    def test_negative_max_terminals_is_a_usage_error(self, files, capsys):
+        assert main(["kernelize", files["k4"], "--k", "1", "--max-terminals", "-3"]) == 2
+        assert "max_terminals must be non-negative" in capsys.readouterr().err
+
 
 class TestKernelizeDecidedNo:
     def test_empty_pool_is_a_decided_no_under_the_default_provider(self, files, capsys):

@@ -13,7 +13,9 @@ from conndel.families import (
 )
 from conndel.graphs import Digraph, UndirectedGraph, is_biconnected, is_biconnected_without
 from conndel.kernel import (
+    AuxiliaryDigraph,
     build_auxiliary_digraph,
+    constant_no_instance,
     constant_yes_instance,
     cut_covering_set,
     is_deletion_set_via_linkages,
@@ -78,6 +80,11 @@ def brute_po_cut_size(d, a, b, r):
             if not reach & {x for x in b if x in verts and x not in cs}:
                 return size
     return len(verts)
+
+
+def flow_per_triple(aux):
+    """The cover by definition: one from-scratch flow per terminal triple."""
+    return naive.full_cut_cover(aux.terminals, lambda a, b, r: po_min_cut(aux.digraph, a, b, r))
 
 
 class TestAuxiliaryDigraph:
@@ -386,10 +393,83 @@ class TestRulesAgainstDefinitions:
         g = UndirectedGraph.from_edges(range(1 + max(map(max, pairs))), pairs)
         aux = build_auxiliary_digraph(g, [g.edge_between(*pool_edge)])
         assert len(aux.terminals) == 7
-        want = naive.full_cut_cover(
-            aux.terminals, lambda a, b, r: po_min_cut(aux.digraph, a, b, r)
-        )
+        want = flow_per_triple(aux)
         assert cut_covering_set(aux, "exhaustive", max_terminals=7) == want
+
+
+@st.composite
+def aux_digraphs(draw):
+    """A random small digraph with 3-5 of its vertices as terminals.  Each
+    ordered pair is an arc with even odds, so most examples hold triples
+    with a flow of value 2 or more and removed terminals on a flow path,
+    the cases where the cover's walk must search again."""
+    n = draw(st.integers(min_value=5, max_value=7))
+    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+    d = Digraph.from_arcs(range(n), [p for p in pairs if draw(st.booleans())])
+    terminals = draw(st.sets(st.sampled_from(sorted(d.vertices)), min_size=3, max_size=5))
+    return AuxiliaryDigraph(d, {}, {}, {}, frozenset(terminals))
+
+
+class TestCoverWalk:
+    """The exhaustive provider's incremental flow walk against one
+    from-scratch flow per triple."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(aux_digraphs())
+    def test_walk_matches_a_flow_per_triple(self, aux):
+        want = flow_per_triple(aux)
+        assert cut_covering_set(aux, "exhaustive") == want
+
+    def test_removed_flow_carrier_outside_the_reach_set(self):
+        # A terminal can carry flow while its in-node is unreached; removing
+        # it must still restart from the base capacities.
+        arcs = [(0, 1), (1, 0), (1, 3), (1, 4), (2, 0), (2, 1), (2, 3), (2, 4), (3, 0)]
+        arcs += [(3, 2), (4, 0), (4, 1), (4, 2), (4, 3)]
+        d = Digraph.from_arcs(range(5), arcs)
+        aux = AuxiliaryDigraph(d, {}, {}, {}, frozenset({0, 2, 3, 4}))
+        want = flow_per_triple(aux)
+        assert cut_covering_set(aux, "exhaustive") == want == {0, 2, 3, 4}
+
+    def test_negative_max_terminals_is_invalid_input(self):
+        with pytest.raises(InvalidInputError, match="max_terminals"):
+            kernelize(complete(4), 1, provider="exhaustive", max_terminals=-3)
+        with pytest.raises(InvalidInputError, match="max_terminals"):
+            kernelize(complete(4), 1, max_terminals=-1)
+
+
+class TestTrivialPhaseTwo:
+    @settings(max_examples=60, deadline=None)
+    @given(ear_graphs(min_n=3, max_n=10), st.integers(min_value=0, max_value=2))
+    def test_phase_two_is_the_identity(self, g, k):
+        # Y = V(G) under the trivial provider, so phase two builds no
+        # auxiliary digraph, runs no rule and returns its input.
+        def refuse(*args, **kwargs):
+            raise AssertionError("the trivial provider's phase two did work")
+
+        inst = normalize(unit_instance(g, k, frozenset()))
+        with pytest.MonkeyPatch.context() as mp:
+            for name in ("build_auxiliary_digraph", "rule_one", "rule_two_torso"):
+                mp.setattr(f"conndel.kernel.{name}", refuse)
+            res = kernelize(g, k, provider="trivial")
+        if k == 0:
+            assert res.answer == "yes" and res.instance == constant_yes_instance()
+        elif not inst.potential_edges():
+            assert res.answer == "no" and res.instance == constant_no_instance(k)
+        else:
+            assert res.answer is None
+            assert res.instance.graph == inst.graph
+            assert (res.instance.frozen, res.instance.k) == (inst.frozen, inst.k)
+            f = len(inst.potential_edges())
+            assert res.stats == {
+                "provider": "trivial",
+                "f_before": f,
+                "v_before": g.n,
+                "irrelevant_frozen": 0,
+                "rule_one_fired": 0,
+                "phase1_rounds": 0,
+                "f_after": f,
+                "v_after": g.n,
+            }
 
 
 @pytest.fixture
