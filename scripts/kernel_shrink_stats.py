@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Kernelize random unit-weight instances and tabulate how much the
-potential-edge and vertex counts shrink under each provider.
+potential-edge and vertex counts shrink under each provider, with the
+full and resumed flow searches the cut-covering walk made.
 
 Every kernel output must answer like its input under the brute-force
 oracle (a decided answer must match too); any mismatch exits 1."""
@@ -55,6 +56,8 @@ def main() -> int:
                     res.stats["f_before"],
                     res.stats["f_after"],
                     res.answer or "-",
+                    res.stats["cover_full_searches"],
+                    res.stats["cover_resumed_searches"],
                 )
             )
 
@@ -66,8 +69,11 @@ def main() -> int:
         shrunk = sum(1 for r in subset if r[2] < r[1])
         for r in subset[:5]:
             print(f"{r[0]:<11} {r[1]:>4} {r[2]:>5} {r[3]:>4} {r[4]:>5} {r[5]}")
+        full = sum(r[6] for r in subset)
+        resumed = sum(r[7] for r in subset)
         print(
-            f"-- {provider}: {len(subset)} runs, {shrunk} shrank the vertex set --"
+            f"-- {provider}: {len(subset)} runs, {shrunk} shrank the vertex set, "
+            f"{full} full and {resumed} resumed cover searches --"
         )
     print(f"{len(rows)} kernel outputs, {mismatches} oracle mismatches")
     return 1 if mismatches else 0

@@ -9,6 +9,9 @@ The package has one reachability routine (``reachable``, with
 ``has_path_without`` its path query) and one augmenting-path flow
 (``FlowNetwork``, unit vertex capacities on a split network), used for
 undirected x-y flows and for the kernel's digraph cuts and linkages alike.
+Its ``augment`` loop runs two primitives that a caller such as the
+kernel's cut-covering walk may drive itself: ``search``, a BFS that
+continues from given marks and a queue, and ``push`` along a marked path.
 """
 
 from __future__ import annotations
@@ -497,7 +500,7 @@ class FlowNetwork:
     arc j has id ``2 * n + 2 * j``.
     """
 
-    __slots__ = ("index", "head", "cap", "adj")
+    __slots__ = ("vertices", "index", "head", "cap", "adj")
 
     def __init__(
         self,
@@ -506,7 +509,8 @@ class FlowNetwork:
         arc_cap: int,
         open_vertices: AbstractSet[int] = frozenset(),
     ):
-        self.index: Dict[int, int] = {v: i for i, v in enumerate(vertices)}
+        self.vertices: List[int] = list(vertices)
+        self.index: Dict[int, int] = {v: i for i, v in enumerate(self.vertices)}
         head: List[int] = []
         cap: List[int] = []
         adj: List[List[int]] = [[] for _ in range(2 * len(self.index))]
@@ -525,6 +529,19 @@ class FlowNetwork:
             add(2 * self.index[u] + 1, 2 * self.index[v], arc_cap)
         self.head, self.cap, self.adj = head, cap, adj
 
+    def nodes(
+        self, sources: Iterable[int], sinks: Iterable[int], removed: Iterable[int] = ()
+    ) -> Tuple[List[int], Set[int], List[int]]:
+        """The sources' in-nodes, the sinks' out-nodes and both nodes of every
+        removed vertex, the node-level arguments of ``augment``; vertices
+        not in the network are ignored."""
+        index = self.index
+        return (
+            [2 * index[v] for v in sources if v in index],
+            {2 * index[v] + 1 for v in sinks if v in index},
+            [2 * index[v] + s for v in removed if v in index for s in (0, 1)],
+        )
+
     def max_flow(
         self,
         sources: Iterable[int],
@@ -536,7 +553,7 @@ class FlowNetwork:
         removed vertices, stopping at ``limit``; returns the value and the
         residual capacities.  Vertices not in the network are ignored."""
         cap = self.cap[:]
-        value, _ = self.augment(cap, sources, sinks, removed, limit)
+        value = self.augment(cap, *self.nodes(sources, sinks, removed), limit)[0]
         return value, cap
 
     def carries(self, residual: List[int], j: int) -> bool:
@@ -556,60 +573,90 @@ class FlowNetwork:
         vertex cut closest to the sources (it may contain sources and sinks)
         in the network minus the removed vertices; the cut is empty when
         the flow stopped at ``limit``."""
-        value, reach = self.augment(self.cap[:], sources, sinks, removed, limit)
-        return value, frozenset() if value == limit else self.closest_cut(reach)
+        starts, sink_nodes, blocked = self.nodes(sources, sinks, removed)
+        value, via, reached = self.augment(self.cap[:], starts, sink_nodes, blocked, limit)
+        return value, frozenset() if value == limit else self.closest_cut(via, reached)
 
-    def closest_cut(self, reach: List[int]) -> FrozenSet[int]:
-        """The minimum cut closest to the sources, from the marks of an
-        ``augment`` call whose last search found nothing."""
+    def closest_cut(self, via: List[int], reached: Iterable[int]) -> FrozenSet[int]:
+        """The vertices whose in-node is among the reached nodes and whose
+        out-node is unmarked: after a failed search, with ``reached`` all
+        the nodes it reached, the minimum cut closest to the sources."""
+        vertices = self.vertices
         return frozenset(
-            v for v, i in self.index.items() if reach[2 * i] != -1 and reach[2 * i + 1] == -1
+            vertices[node >> 1] for node in reached if not node & 1 and via[node + 1] == -1
         )
 
-    def augment(self, cap, sources, sinks, removed=(), limit=None) -> Tuple[int, List[int]]:
+    def marks(self, starts: Iterable[int], blocked: Iterable[int]) -> Tuple[List[int], List[int]]:
+        """Fresh search marks and queue: the blocked nodes and the starts
+        are marked -2, every other node -1 (unreached); the queue holds the
+        starts not blocked."""
+        via = [-1] * len(self.adj)
+        for node in blocked:
+            via[node] = -2
+        queue = []
+        for node in starts:
+            if via[node] == -1:
+                via[node] = -2
+                queue.append(node)
+        return via, queue
+
+    def search(
+        self, cap: List[int], via: List[int], queue: List[int], sinks: AbstractSet[int]
+    ) -> int:
+        """Continue a BFS over the arcs with residual capacity in ``cap``
+        from the nodes of ``queue``, marking in ``via`` the arc by which
+        each unmarked node is first reached and appending it to the queue,
+        until a node of ``sinks`` is reached; returns that node, or -1
+        once the queue is exhausted.  Starting from ``marks`` makes a full
+        search; starting from a failed search's marks with one newly
+        marked start in the queue extends its reach set by that start's."""
+        head, adj = self.head, self.adj
+        for node in queue:
+            for a in adj[node]:
+                if cap[a]:
+                    b = head[a]
+                    if via[b] == -1:
+                        via[b] = a
+                        if b in sinks:
+                            return b
+                        queue.append(b)
+        return -1
+
+    def push(self, cap: List[int], via: List[int], node: int) -> None:
+        """Push one unit into residual ``cap`` along the marked path that
+        ends at ``node``, back to the start it came from."""
+        head = self.head
+        while via[node] >= 0:
+            a = via[node]
+            cap[a] -= 1
+            cap[a ^ 1] += 1
+            node = head[a ^ 1]
+
+    def augment(
+        self,
+        cap: List[int],
+        starts: Sequence[int],
+        sinks: AbstractSet[int],
+        blocked: Sequence[int] = (),
+        limit: Optional[int] = None,
+    ) -> Tuple[int, List[int], List[int]]:
         """Push units into residual ``cap`` (a copy of ``self.cap`` or of an
-        earlier call's residual) along shortest paths, found by BFS from the
-        sources' in-nodes to a sink's out-node, until none is left or
-        ``limit`` is reached.  Returns the units pushed and, per node, the
-        arc by which the last search reached it (-1 unreached, -2 start or
-        removed): after a failed search, the closest minimum cut's side."""
-        index, head, adj = self.index, self.head, self.adj
-        starts = [2 * index[v] for v in sources if v in index]
-        sink_nodes = {2 * index[v] + 1 for v in sinks if v in index}
-        blocked = [2 * index[v] + s for v in removed if v in index for s in (0, 1)]
+        earlier call's residual) along shortest paths, each found by a full
+        ``search`` from the start nodes to a sink node, until none is left
+        or ``limit`` is reached.  Returns the units pushed and the last
+        search's marks and queue: after a failed search, the marks of the
+        closest minimum cut's side and every node on it."""
         value = 0
         via: List[int] = []
+        queue: List[int] = []
         while limit is None or value < limit:
-            via = [-1] * len(adj)
-            for node in blocked:
-                via[node] = -2
-            queue = []
-            for node in starts:
-                if via[node] == -1:
-                    via[node] = -2
-                    queue.append(node)
-            hit = -1
-            for node in queue:
-                for a in adj[node]:
-                    if cap[a]:
-                        b = head[a]
-                        if via[b] == -1:
-                            via[b] = a
-                            if b in sink_nodes:
-                                hit = b
-                                break
-                            queue.append(b)
-                if hit >= 0:
-                    break
+            via, queue = self.marks(starts, blocked)
+            hit = self.search(cap, via, queue, sinks)
             if hit < 0:
                 break
-            while via[hit] >= 0:
-                a = via[hit]
-                cap[a] -= 1
-                cap[a ^ 1] += 1
-                hit = head[a ^ 1]
+            self.push(cap, via, hit)
             value += 1
-        return value, via
+        return value, via, queue
 
 
 def max_flow_bounded(

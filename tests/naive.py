@@ -226,3 +226,46 @@ def full_cut_cover(
                 for b in sides:
                     out |= set(cut(a, b, r))
     return out
+
+
+def closest_min_cut(
+    vertices: Set[int],
+    arcs: List[Tuple[int, int]],
+    a: Set[int],
+    b: Set[int],
+    r: Set[int] = frozenset(),
+) -> FrozenSet[int]:
+    """The minimum A-B vertex cut of the digraph minus R closest to A, by
+    brute force over vertex subsets.
+
+    A cut C may hold vertices of A and B; it leaves no directed path from
+    A - C to B - C once R and C are removed.  Its source side is what
+    A - C still reaches.  Among the cuts of least size the closest is the
+    one whose source side strictly contains no other's; minimum cuts form
+    a lattice, so exactly one qualifies."""
+    rest = sorted(vertices - set(r))
+
+    def source_side(cut: Set[int]) -> FrozenSet[int]:
+        gone = set(r) | cut
+        seen = {v for v in a if v not in gone}
+        stack = list(seen)
+        while stack:
+            t = stack.pop()
+            for u, v in arcs:
+                if u == t and v not in gone and v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+        return frozenset(seen)
+
+    for size in range(len(rest) + 1):
+        sides = {}
+        for combo in itertools.combinations(rest, size):
+            side = source_side(set(combo))
+            if not side & set(b):
+                sides[frozenset(combo)] = side
+        if sides:
+            closest = [c for c, s in sides.items() if not any(o < s for o in sides.values())]
+            if len(closest) != 1:
+                raise ValueError(f"{len(closest)} minimum cuts with a minimal source side")
+            return closest[0]
+    raise ValueError("removing every vertex outside R always cuts")

@@ -127,6 +127,20 @@ class TestAuxiliaryDigraph:
                     )
 
 
+@st.composite
+def cut_triples(draw):
+    """A random digraph on at most 7 vertices with non-empty source and
+    sink sets A and B, which may overlap, and a removed set R disjoint
+    from both."""
+    n = draw(st.integers(min_value=2, max_value=7))
+    pairs = [(x, y) for x in range(n) for y in range(n) if x != y]
+    d = Digraph.from_arcs(range(n), [p for p in pairs if draw(st.booleans())])
+    vertex_sets = st.sets(st.sampled_from(range(n)), min_size=1)
+    a, b = draw(vertex_sets), draw(vertex_sets)
+    r = draw(st.sets(st.sampled_from(range(n)))) - a - b
+    return d, frozenset(a), frozenset(b), frozenset(r)
+
+
 class TestPoMinCut:
     def test_directed_path(self):
         d = Digraph.from_arcs(range(3), [(0, 1), (1, 2)])
@@ -164,6 +178,13 @@ class TestPoMinCut:
             r = frozenset(rng.sample(range(n), rng.randint(0, n - 1)))
             got = po_min_cut(d, a, b, r)
             assert len(got) == brute_po_cut_size(d, a, b, r)
+
+    @settings(max_examples=150, deadline=None)
+    @given(cut_triples())
+    def test_closest_cut_matches_the_definition(self, triple):
+        d, a, b, r = triple
+        want = naive.closest_min_cut(set(d.vertices), d.arc_pairs(), a, b, r)
+        assert po_min_cut(d, a, b, r) == want
 
     def test_removed_set_respected(self):
         d = Digraph.from_arcs(range(4), [(0, 1), (1, 3), (0, 2), (2, 3)])
@@ -400,12 +421,17 @@ class TestRulesAgainstDefinitions:
 @st.composite
 def aux_digraphs(draw):
     """A random small digraph with 3-5 of its vertices as terminals.  Each
-    ordered pair is an arc with even odds, so most examples hold triples
-    with a flow of value 2 or more and removed terminals on a flow path,
-    the cases where the cover's walk must search again."""
+    ordered pair is an arc with odds of a quarter, a half or three
+    quarters, drawn once per digraph.  Dense examples hold triples with a
+    flow of value 2 or more and removed terminals on a flow path, the cases
+    where the cover's walk must search again; sparse ones hold removed
+    terminals that no search reaches, which later resumed searches must
+    still not walk through."""
     n = draw(st.integers(min_value=5, max_value=7))
+    density = draw(st.integers(min_value=1, max_value=3))
     pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
-    d = Digraph.from_arcs(range(n), [p for p in pairs if draw(st.booleans())])
+    arcs = [p for p in pairs if draw(st.integers(min_value=0, max_value=3)) < density]
+    d = Digraph.from_arcs(range(n), arcs)
     terminals = draw(st.sets(st.sampled_from(sorted(d.vertices)), min_size=3, max_size=5))
     return AuxiliaryDigraph(d, {}, {}, {}, frozenset(terminals))
 
@@ -414,7 +440,7 @@ class TestCoverWalk:
     """The exhaustive provider's incremental flow walk against one
     from-scratch flow per triple."""
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(aux_digraphs())
     def test_walk_matches_a_flow_per_triple(self, aux):
         want = flow_per_triple(aux)
@@ -430,11 +456,32 @@ class TestCoverWalk:
         want = flow_per_triple(aux)
         assert cut_covering_set(aux, "exhaustive") == want == {0, 2, 3, 4}
 
+    def test_kept_removed_terminal_stays_blocked(self):
+        # Removing terminal 0 keeps its parent's marks: no search reached 0
+        # and it carries no flow.  The later source 3's resumed search must
+        # still not walk 3 -> 0 -> 1, or the cover misses 2, the closest
+        # cut of ({3, 4}, {1}, {0}).
+        d = Digraph.from_arcs(range(5), [(0, 1), (2, 1), (3, 0), (3, 2), (4, 2)])
+        aux = AuxiliaryDigraph(d, {}, {}, {}, frozenset({0, 1, 3, 4}))
+        want = flow_per_triple(aux)
+        assert cut_covering_set(aux, "exhaustive") == want == {0, 1, 2, 3, 4}
+
     def test_negative_max_terminals_is_invalid_input(self):
         with pytest.raises(InvalidInputError, match="max_terminals"):
             kernelize(complete(4), 1, provider="exhaustive", max_terminals=-3)
         with pytest.raises(InvalidInputError, match="max_terminals"):
             kernelize(complete(4), 1, max_terminals=-1)
+        aux = build_auxiliary_digraph(complete(4), [0])
+        for provider in ("trivial", "exhaustive"):
+            with pytest.raises(InvalidInputError, match="max_terminals"):
+                cut_covering_set(aux, provider, -1)
+
+    def test_search_counts_reach_the_stats(self, c8_chord_exhaustive):
+        # 7 terminals, 12,138 disjoint triples: every new source whose
+        # in-node is unreached resumes its parent's search.
+        res = c8_chord_exhaustive[3]
+        assert res.stats["cover_full_searches"] == 4143
+        assert res.stats["cover_resumed_searches"] == 3589
 
 
 class TestTrivialPhaseTwo:
@@ -467,6 +514,8 @@ class TestTrivialPhaseTwo:
                 "irrelevant_frozen": 0,
                 "rule_one_fired": 0,
                 "phase1_rounds": 0,
+                "cover_full_searches": 0,
+                "cover_resumed_searches": 0,
                 "f_after": f,
                 "v_after": g.n,
             }
