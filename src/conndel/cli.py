@@ -116,6 +116,7 @@ def cmd_solve(args) -> int:
         "branch-nodes": stats.nodes,
         "max-depth": stats.max_depth,
         "enumerations": stats.enumerations,
+        "prefix-passes": stats.prefix_passes,
         "fallbacks": stats.fallbacks,
         "irrelevant-edges": len(stats.irrelevant_edges),
         "flow-calls": stats.flow_calls,

@@ -145,6 +145,7 @@ class SolveStats:
     max_depth: int = 0
     max_branch_factor: int = 0
     enumerations: int = 0
+    prefix_passes: int = 0
     flow_calls: int = 0
     fallbacks: int = 0
     irrelevant_edges: List[int] = field(default_factory=list)
@@ -192,8 +193,9 @@ def heavy_order(inst: WbdInstance) -> List[int]:
 
 def verify_solution(inst: WbdInstance, edges) -> bool:
     """Is this edge set a valid solution for the instance?"""
+    edges = tuple(edges)
     es = set(edges)
-    if len(es) != len(tuple(edges)) or len(es) > inst.k:
+    if len(es) != len(edges) or len(es) > inst.k:
         return False
     if not all(inst.graph.has_edge(e) for e in es):
         return False
@@ -204,7 +206,7 @@ def verify_solution(inst: WbdInstance, edges) -> bool:
     return is_biconnected_without(inst.graph, frozenset(es))
 
 
-def _enumerate_best(inst: WbdInstance) -> Optional[Solution]:
+def _enumerate_best(inst: WbdInstance, stats: SolveStats) -> Optional[Solution]:
     """The first feasible deletion set whose weight reaches w*, or None.
 
     This is a decision, so the first witness is returned, not the heaviest
@@ -216,8 +218,19 @@ def _enumerate_best(inst: WbdInstance) -> Optional[Solution]:
       (r the budget left) miss w*, since every later candidate is lighter;
     * a prefix whose deletion breaks biconnectivity is dropped, since
       deleting more edges never restores it.
+
+    Precondition: the instance is normalized.  Every prefix S kept so far
+    leaves G - S biconnected, so two rules decide whether S + e does too,
+    and a biconnectivity pass (counted in ``stats.prefix_passes``) runs
+    only on the prefixes neither decides:
+
+    * depth one: e is a potential edge, hence not critical in G;
+    * degree: an endpoint of e with degree 2 in G - S makes e critical in
+      G - S (n >= 3), so the prefix is dropped.
     """
     order = heavy_order(inst)
+    g = inst.graph
+    degree = {v: g.degree(v) for v in g.vertices}
     chosen: List[int] = []
 
     def extend(start: int, removed: FrozenSet[int]) -> bool:
@@ -229,13 +242,23 @@ def _enumerate_best(inst: WbdInstance) -> Optional[Solution]:
         for i in range(start, len(order)):
             if not inst.reaches(chosen + order[i : i + r]):
                 return False
-            s = removed | {order[i]}
-            if not is_biconnected_without(inst.graph, s):
+            e = order[i]
+            u, v = g.endpoints(e)
+            if degree[u] <= 2 or degree[v] <= 2:
                 continue
-            chosen.append(order[i])
+            s = removed | {e}
+            if chosen:
+                stats.prefix_passes += 1
+                if not is_biconnected_without(g, s):
+                    continue
+            chosen.append(e)
+            degree[u] -= 1
+            degree[v] -= 1
             if extend(i + 1, s):
                 return True
             chosen.pop()
+            degree[u] += 1
+            degree[v] += 1
         return False
 
     if not extend(0, frozenset()):
@@ -245,12 +268,14 @@ def _enumerate_best(inst: WbdInstance) -> Optional[Solution]:
 
 def enumerate_small(inst: WbdInstance, config: SolverConfig = DEFAULT_CONFIG) -> Optional[Solution]:
     """Exhaustive base case, only valid when at most mu(k) potential edges
-    remain: the first witness that reaches w* (see ``_enumerate_best``)."""
+    remain: the first witness that reaches w* (see ``_enumerate_best``).
+    The instance is normalized first."""
+    inst = normalize(inst)
     if len(inst.potential_edges()) > config.mu(inst.k):
         raise InternalInconsistencyError(
             "enumeration base case invoked with too many potential edges"
         )
-    return _enumerate_best(inst)
+    return _enumerate_best(inst, SolveStats())
 
 
 @dataclass(frozen=True)
@@ -482,7 +507,7 @@ def _solve(
         # The graph is unchanged, so its critical edges are already frozen.
         inst = inst.with_frozen(frozenset((step.edge,)))
 
-    sol = _enumerate_best(inst)
+    sol = _enumerate_best(inst, stats)
     return sol.edges if sol else None
 
 

@@ -44,7 +44,15 @@ class TestSolve:
     def test_reports_search_counters(self, files, tmp_path, capsys):
         assert main(["solve", files["k4"], "--k", "2", "--wstar", "2"]) == 0
         out = capsys.readouterr().out.splitlines()
-        for line in ("branch-nodes: 1", "max-depth: 0", "enumerations: 1", "fallbacks: 0"):
+        # Only the matching {01, 23} needs a pass: every other second edge
+        # meets a vertex that deleting 01 left with degree 2.
+        for line in (
+            "branch-nodes: 1",
+            "max-depth: 0",
+            "enumerations: 1",
+            "prefix-passes: 1",
+            "fallbacks: 0",
+        ):
             assert line in out
         # K28 plus vertex 29 joined to 1, 2, 3 by edges of weight 60, 59 and
         # 58, only one of which can go; one K28 edge weighs 30, the rest 1.
@@ -60,7 +68,13 @@ class TestSolve:
         p.write_text(text)
         assert main(["solve", str(p), "--k", "2", "--wstar", "90.5"]) == 1
         out = capsys.readouterr().out.splitlines()
-        for line in ("branch-nodes: 347", "max-depth: 1", "enumerations: 0", "fallbacks: 0"):
+        for line in (
+            "branch-nodes: 347",
+            "max-depth: 1",
+            "enumerations: 0",
+            "prefix-passes: 0",
+            "fallbacks: 0",
+        ):
             assert line in out
 
     def test_deterministic_reports(self, files, capsys):

@@ -32,6 +32,8 @@ from conndel.solver import (
     verify_solution,
 )
 
+from . import naive
+
 BIG = OracleBudget(max_vertices=16, max_edges=50, max_k=3)
 
 
@@ -127,6 +129,14 @@ class TestHeavy:
         assert heavy_order(inst)[:2] == [0, 1]
 
 
+class TestVerifySolution:
+    def test_accepts_an_iterator(self):
+        inst = unit(complete(4), 1, 1)
+        assert verify_solution(inst, (0,))
+        assert verify_solution(inst, (e for e in (0,)))
+        assert not verify_solution(inst, (e for e in (0, 0)))
+
+
 class TestEnumerateSmall:
     def test_k4_matching(self):
         inst = normalize(unit(complete(4), 2, 2))
@@ -149,6 +159,62 @@ class TestEnumerateSmall:
         inst = normalize(unit(complete(4), 0, 0))
         with pytest.raises(InternalInconsistencyError):
             enumerate_small(inst, SolverConfig(mu_override=lambda k: -1))
+
+    def test_unnormalized_input_never_yields_a_critical_edge(self):
+        # Two K4s joined by two disjoint edges: each joining edge is
+        # critical, though both of its endpoints have degree 4.  The first
+        # weighs 10, every other edge 1, so only that edge reaches w* = 5.
+        pairs = list(itertools.combinations(range(4), 2))
+        pairs += list(itertools.combinations(range(4, 8), 2))
+        pairs += [(0, 4), (1, 5)]
+        g = UndirectedGraph.from_edges(range(8), pairs)
+        weights = {e: 1.0 for e in g.edges}
+        weights[g.edge_between(0, 4)] = 10.0
+        inst = WbdInstance(g, 1, 5.0, weights, frozenset())
+        assert enumerate_small(inst) is None
+        assert oracle_wbd(inst, BIG) is None
+
+
+def planted_instance(rng, n, plants, k):
+    """A random biconnected graph plus ``plants`` new vertices of degree 3
+    whose edges carry the heaviest weights (10 to 19, base edges 0 to 5).
+    At most one edge of a planted vertex can go, so the degree rule
+    decides many prefixes."""
+    g = random_biconnected_graph(rng, n, rng.randint(0, n))
+    pairs = [g.endpoints(e) for e in g.edge_ids()]
+    weights = [float(rng.randint(0, 5)) for _ in pairs]
+    for p in range(n, n + plants):
+        for u in rng.sample(range(n), 3):
+            pairs.append((u, p))
+            weights.append(float(rng.randint(10, 19)))
+    g = UndirectedGraph.from_edges(range(n + plants), pairs)
+    return WbdInstance(g, k, 0.0, dict(enumerate(weights)), frozenset())
+
+
+class TestEnumeratorAgainstOracle:
+    """The enumerator's prefix rules (depth one, degree 2 in G - S) only
+    skip passes whose result they know, so it agrees with the oracle."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.randoms(use_true_random=False),
+        st.integers(min_value=4, max_value=8),
+        st.integers(min_value=1, max_value=2),
+        st.integers(min_value=1, max_value=3),
+    )
+    def test_planted_degree_three_vertices(self, rng, n, plants, k):
+        base = planted_instance(rng, n, plants, k)
+        best = oracle_wbd(base, BIG).weight
+        for w_star in (best, best + 0.5):
+            inst = WbdInstance(base.graph, k, w_star, base.weights, frozenset())
+            got = enumerate_small(inst)
+            assert (got is None) == (w_star > best)
+            if got is not None:
+                assert len(got.edges) <= k and inst.reaches(got.edges)
+                kept = [
+                    inst.graph.endpoints(e) for e in inst.graph.edges if e not in got.edges
+                ]
+                assert naive.biconnected_by_definition(set(inst.graph.vertices), kept)
 
 
 class TestGreedy:
@@ -375,6 +441,30 @@ class TestSolve:
         assert stats.nodes == 1
         assert sol is not None and verify_solution(inst, sol.edges)
         assert oracle_wbd(inst, BIG) is not None
+
+    def test_enumerator_passes_only_on_undecided_prefixes(self):
+        # K5 (edges 0-9) plus vertex 5 joined to 0, 1 and 2 by edges 10, 11
+        # and 12 of weights 10, 9 and 8; every other edge weighs 1, k = 2.
+        # The DFS order is 10, 11, 12, then 0-9.  Testing every prefix, the
+        # tight no (w* = 11.5) passes {10}, {10, 11}, {10, 12}, {11} and
+        # {11, 12} before the level cut ends the search: 5 passes.  The
+        # yes (w* = 11) passes {10}, {10, 11}, {10, 12} and {10, 0}: 4.
+        # With the rules, one-edge prefixes are feasible and a second edge
+        # at vertex 5 (degree 2 once 10 or 11 is gone) is dropped, so only
+        # {10, 0} needs a pass.
+        g = UndirectedGraph.from_edges(
+            range(6), list(itertools.combinations(range(5), 2)) + [(0, 5), (1, 5), (2, 5)]
+        )
+        weights = {e: 1.0 for e in g.edges}
+        weights.update({10: 10.0, 11: 9.0, 12: 8.0})
+        for w_star, passes, edges in ((11.5, 0, None), (11.0, 1, (0, 10))):
+            inst = WbdInstance(g, 2, w_star, weights, frozenset())
+            stats = SolveStats()
+            sol = solve(inst, stats=stats)
+            assert stats.enumerations == 1
+            assert stats.prefix_passes == passes
+            assert (sol and sol.edges) == edges
+            assert (oracle_wbd(inst, BIG) is None) == (edges is None)
 
     def test_accepts_prefrozen_edges(self):
         g = complete(4)
