@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Kernelize random unit-weight instances and tabulate how much the
 potential-edge and vertex counts shrink under each provider, with the
-full and resumed flow searches the cut-covering walk made.
+phase-one rounds run.  ``--mu M`` lowers phase one's threshold to M at
+every k, so small instances reach the reduction step.
 
 Every kernel output must answer like its input under the brute-force
 oracle (a decided answer must match too); any mismatch exits 1."""
@@ -16,7 +17,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from conndel.families import random_biconnected_graph
 from conndel.kernel import build_auxiliary_digraph, kernelize, unit_instance
 from conndel.oracles import OracleBudget, oracle_wbd
-from conndel.solver import normalize
+from conndel.solver import SolverConfig, normalize
 
 
 def main() -> int:
@@ -26,7 +27,9 @@ def main() -> int:
     ap.add_argument("--k", type=int, default=1)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--max-terminals", type=int, default=7)
+    ap.add_argument("--mu", type=int, default=None, help="constant phase-one threshold")
     args = ap.parse_args()
+    config = SolverConfig(mu_override=None if args.mu is None else (lambda k: args.mu))
 
     rng = random.Random(args.seed)
     budget = OracleBudget(
@@ -43,7 +46,9 @@ def main() -> int:
         if len(aux.terminals) <= args.max_terminals:
             providers.append("exhaustive")
         for provider in providers:
-            res = kernelize(g, args.k, provider=provider, max_terminals=args.max_terminals)
+            res = kernelize(
+                g, args.k, provider=provider, max_terminals=args.max_terminals, config=config
+            )
             got = oracle_wbd(res.instance, budget) is not None
             if got != want or res.answer not in (None, "yes" if want else "no"):
                 mismatches += 1
@@ -56,8 +61,7 @@ def main() -> int:
                     res.stats["f_before"],
                     res.stats["f_after"],
                     res.answer or "-",
-                    res.stats["cover_full_searches"],
-                    res.stats["cover_resumed_searches"],
+                    res.stats["phase1_rounds"],
                 )
             )
 
@@ -69,11 +73,10 @@ def main() -> int:
         shrunk = sum(1 for r in subset if r[2] < r[1])
         for r in subset[:5]:
             print(f"{r[0]:<11} {r[1]:>4} {r[2]:>5} {r[3]:>4} {r[4]:>5} {r[5]}")
-        full = sum(r[6] for r in subset)
-        resumed = sum(r[7] for r in subset)
+        rounds = sum(r[6] for r in subset)
         print(
             f"-- {provider}: {len(subset)} runs, {shrunk} shrank the vertex set, "
-            f"{full} full and {resumed} resumed cover searches --"
+            f"{rounds} phase-one rounds --"
         )
     print(f"{len(rows)} kernel outputs, {mismatches} oracle mismatches")
     return 1 if mismatches else 0

@@ -311,7 +311,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--provider", choices=("trivial", "exhaustive"), default="trivial")
-    p.add_argument("--max-terminals", type=int, default=DEFAULT_MAX_TERMINALS)
+    p.add_argument(
+        "--max-terminals",
+        type=int,
+        default=DEFAULT_MAX_TERMINALS,
+        help="refuse the exhaustive cover (exit 3) beyond this many terminals; every "
+        "instance that reaches the cover has at least 11, since k <= 1 and fewer "
+        "than k deletable edges are decided by rule",
+    )
     p.add_argument("--out")
     p.set_defaults(func=cmd_kernelize)
 

@@ -5,13 +5,11 @@ mutating operation returns a new value.  Vertex and edge/arc ids are stable
 under deletion (ids of deleted elements are never reused), so id-keyed data
 such as weights or frozen-edge sets survives graph surgery.
 
-The package has one reachability routine (``reachable``, with
-``has_path_without`` its path query) and one augmenting-path flow
-(``FlowNetwork``, unit vertex capacities on a split network), used for
-undirected x-y flows and for the kernel's digraph cuts and linkages alike.
-Its ``augment`` loop runs two primitives that a caller such as the
-kernel's cut-covering walk may drive itself: ``search``, a BFS that
-continues from given marks and a queue, and ``push`` along a marked path.
+The package has one reachability routine (``reachable``; the path query
+``has_path_without`` is one call of it) and one augmenting-path flow
+(``FlowNetwork.augment``, unit vertex capacities on a split network), used
+for undirected x-y flows and for the kernel's digraph cuts and linkages
+alike.
 """
 
 from __future__ import annotations
@@ -349,12 +347,6 @@ class FlowDecomposition:
     def value(self) -> int:
         return len(self.paths)
 
-    def participating_edges(self) -> FrozenSet[int]:
-        out = set()
-        for p in self.paths:
-            out.update(p.edges)
-        return frozenset(out)
-
 
 # ---------------------------------------------------------------------------
 # connectivity predicates
@@ -366,16 +358,12 @@ def reachable(
     sources: Iterable[int],
     removed_edges: AbstractSet[int] = frozenset(),
     removed_vertices: AbstractSet[int] = frozenset(),
-    target: Optional[int] = None,
 ) -> Set[int]:
     """Vertices reachable from the sources once the given edges and
-    vertices are removed.  With a target the search stops as soon as it
-    gets there, so ``target in reachable(...)`` asks for a path."""
+    vertices are removed."""
     seen = set(sources)
-    if target in removed_vertices or not seen.isdisjoint(removed_vertices):
+    if not seen.isdisjoint(removed_vertices):
         raise InvalidInputError("terminal removed from graph")
-    if target in seen:
-        return seen
     adj = g._adj
     stack = list(seen)
     while stack:
@@ -384,8 +372,6 @@ def reachable(
             if u in seen or eid in removed_edges or u in removed_vertices:
                 continue
             seen.add(u)
-            if u == target:
-                return seen
             stack.append(u)
     return seen
 
@@ -398,29 +384,21 @@ def has_path_without(
     removed_vertices: AbstractSet[int] = frozenset(),
 ) -> bool:
     """Is y reachable from x once the given edges and vertices are removed?"""
-    return y in reachable(g, (x,), removed_edges, removed_vertices, target=y)
+    return y in reachable(g, (x,), removed_edges, removed_vertices)
 
 
 def is_biconnected_without(
-    g: UndirectedGraph,
-    removed_edges: FrozenSet[int] = frozenset(),
-    removed_vertex: Optional[int] = None,
+    g: UndirectedGraph, removed_edges: FrozenSet[int] = frozenset()
 ) -> bool:
-    """Biconnectivity of g minus the given edges (and optionally one vertex).
+    """Biconnectivity of g minus the given edges.
 
     Connected, at least two vertices, no cut-vertex; a single edge counts as
     biconnected.  One iterative articulation-point pass, no graph copy.
     """
     adj = g._adj
-    root = None
-    nv = 0
-    for v in g._vertices:
-        if v != removed_vertex:
-            nv += 1
-            if root is None or v < root:
-                root = v
-    if nv < 2:
+    if g.n < 2:
         return False
+    root = min(g._vertices)
     disc: Dict[int, int] = {root: 0}
     low: Dict[int, int] = {root: 0}
     clock = 1
@@ -430,7 +408,7 @@ def is_biconnected_without(
         v, parent_eid, it = stack[-1]
         advanced = False
         for u, eid in it:
-            if eid == parent_eid or eid in removed_edges or u == removed_vertex:
+            if eid == parent_eid or eid in removed_edges:
                 continue
             du = disc.get(u)
             if du is not None:
@@ -453,7 +431,7 @@ def is_biconnected_without(
                     root_children += 1
                 elif lv >= disc[p]:
                     return False
-    return len(disc) == nv and root_children <= 1
+    return len(disc) == g.n and root_children <= 1
 
 
 def is_biconnected(g: UndirectedGraph) -> bool:
@@ -529,19 +507,6 @@ class FlowNetwork:
             add(2 * self.index[u] + 1, 2 * self.index[v], arc_cap)
         self.head, self.cap, self.adj = head, cap, adj
 
-    def nodes(
-        self, sources: Iterable[int], sinks: Iterable[int], removed: Iterable[int] = ()
-    ) -> Tuple[List[int], Set[int], List[int]]:
-        """The sources' in-nodes, the sinks' out-nodes and both nodes of every
-        removed vertex, the node-level arguments of ``augment``; vertices
-        not in the network are ignored."""
-        index = self.index
-        return (
-            [2 * index[v] for v in sources if v in index],
-            {2 * index[v] + 1 for v in sinks if v in index},
-            [2 * index[v] + s for v in removed if v in index for s in (0, 1)],
-        )
-
     def max_flow(
         self,
         sources: Iterable[int],
@@ -553,7 +518,7 @@ class FlowNetwork:
         removed vertices, stopping at ``limit``; returns the value and the
         residual capacities.  Vertices not in the network are ignored."""
         cap = self.cap[:]
-        value = self.augment(cap, *self.nodes(sources, sinks, removed), limit)[0]
+        value = self.augment(cap, sources, sinks, removed, limit)[0]
         return value, cap
 
     def carries(self, residual: List[int], j: int) -> bool:
@@ -572,89 +537,69 @@ class FlowNetwork:
         """The flow value, as ``max_flow``, and the minimum source-sink
         vertex cut closest to the sources (it may contain sources and sinks)
         in the network minus the removed vertices; the cut is empty when
-        the flow stopped at ``limit``."""
-        starts, sink_nodes, blocked = self.nodes(sources, sinks, removed)
-        value, via, reached = self.augment(self.cap[:], starts, sink_nodes, blocked, limit)
-        return value, frozenset() if value == limit else self.closest_cut(via, reached)
-
-    def closest_cut(self, via: List[int], reached: Iterable[int]) -> FrozenSet[int]:
-        """The vertices whose in-node is among the reached nodes and whose
-        out-node is unmarked: after a failed search, with ``reached`` all
-        the nodes it reached, the minimum cut closest to the sources."""
+        the flow stopped at ``limit``.  The cut is every vertex whose
+        in-node the last, failed search reached and whose out-node it did
+        not."""
+        value, via, reached = self.augment(self.cap[:], sources, sinks, removed, limit)
+        if value == limit:
+            return value, frozenset()
         vertices = self.vertices
-        return frozenset(
+        return value, frozenset(
             vertices[node >> 1] for node in reached if not node & 1 and via[node + 1] == -1
         )
-
-    def marks(self, starts: Iterable[int], blocked: Iterable[int]) -> Tuple[List[int], List[int]]:
-        """Fresh search marks and queue: the blocked nodes and the starts
-        are marked -2, every other node -1 (unreached); the queue holds the
-        starts not blocked."""
-        via = [-1] * len(self.adj)
-        for node in blocked:
-            via[node] = -2
-        queue = []
-        for node in starts:
-            if via[node] == -1:
-                via[node] = -2
-                queue.append(node)
-        return via, queue
-
-    def search(
-        self, cap: List[int], via: List[int], queue: List[int], sinks: AbstractSet[int]
-    ) -> int:
-        """Continue a BFS over the arcs with residual capacity in ``cap``
-        from the nodes of ``queue``, marking in ``via`` the arc by which
-        each unmarked node is first reached and appending it to the queue,
-        until a node of ``sinks`` is reached; returns that node, or -1
-        once the queue is exhausted.  Starting from ``marks`` makes a full
-        search; starting from a failed search's marks with one newly
-        marked start in the queue extends its reach set by that start's."""
-        head, adj = self.head, self.adj
-        for node in queue:
-            for a in adj[node]:
-                if cap[a]:
-                    b = head[a]
-                    if via[b] == -1:
-                        via[b] = a
-                        if b in sinks:
-                            return b
-                        queue.append(b)
-        return -1
-
-    def push(self, cap: List[int], via: List[int], node: int) -> None:
-        """Push one unit into residual ``cap`` along the marked path that
-        ends at ``node``, back to the start it came from."""
-        head = self.head
-        while via[node] >= 0:
-            a = via[node]
-            cap[a] -= 1
-            cap[a ^ 1] += 1
-            node = head[a ^ 1]
 
     def augment(
         self,
         cap: List[int],
-        starts: Sequence[int],
-        sinks: AbstractSet[int],
-        blocked: Sequence[int] = (),
+        sources: Iterable[int],
+        sinks: Iterable[int],
+        removed: Iterable[int] = (),
         limit: Optional[int] = None,
     ) -> Tuple[int, List[int], List[int]]:
-        """Push units into residual ``cap`` (a copy of ``self.cap`` or of an
-        earlier call's residual) along shortest paths, each found by a full
-        ``search`` from the start nodes to a sink node, until none is left
-        or ``limit`` is reached.  Returns the units pushed and the last
-        search's marks and queue: after a failed search, the marks of the
-        closest minimum cut's side and every node on it."""
+        """Push units into residual ``cap`` (a copy of ``self.cap``) along
+        shortest paths, each found by a BFS from the sources' in-nodes to a
+        sink's out-node that skips both nodes of every removed vertex, until
+        none is left or ``limit`` is reached.  Vertices not in the network
+        are ignored.  Returns the units pushed, per node the arc by which
+        the last search first reached it (-1 unreached, -2 start or
+        removed), and the nodes that search reached: after a failed search,
+        the closest minimum cut's source side."""
+        index, head, adj = self.index, self.head, self.adj
+        starts = [2 * index[v] for v in sources if v in index]
+        sink_nodes = {2 * index[v] + 1 for v in sinks if v in index}
+        blocked = [2 * index[v] + s for v in removed if v in index for s in (0, 1)]
         value = 0
         via: List[int] = []
         queue: List[int] = []
         while limit is None or value < limit:
-            via, queue = self.marks(starts, blocked)
-            hit = self.search(cap, via, queue, sinks)
+            via = [-1] * len(adj)
+            for node in blocked:
+                via[node] = -2
+            queue = []
+            for node in starts:
+                if via[node] == -1:
+                    via[node] = -2
+                    queue.append(node)
+            hit = -1
+            for node in queue:
+                for a in adj[node]:
+                    if cap[a]:
+                        b = head[a]
+                        if via[b] == -1:
+                            via[b] = a
+                            if b in sink_nodes:
+                                hit = b
+                                break
+                            queue.append(b)
+                if hit >= 0:
+                    break
             if hit < 0:
                 break
-            self.push(cap, via, hit)
+            while via[hit] >= 0:
+                a = via[hit]
+                cap[a] -= 1
+                cap[a ^ 1] += 1
+                hit = head[a ^ 1]
             value += 1
         return value, via, queue
 

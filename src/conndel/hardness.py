@@ -32,7 +32,6 @@ class PcGadgetMap:
     v_plus: Dict[int, int] = field(repr=False)
     hub: Dict[int, int] = field(repr=False)
     hub_pendants: Dict[int, Tuple[int, ...]] = field(repr=False)
-    selection_arcs: Dict[int, Tuple[Tuple[int, int], ...]] = field(repr=False)
 
     def vertex_arc(self, v: int) -> Tuple[int, int]:
         return (self.v_minus[v], self.v_plus[v])
@@ -99,21 +98,13 @@ def gen_pc_psc(g: UndirectedGraph, k: int) -> Tuple[Digraph, PcGadgetMap]:
         arcs.append((y, p))
         arcs.append((p, y))
     arcs.append((y, x))
-    selection: Dict[int, Tuple[Tuple[int, int], ...]] = {}
     for e in sorted(g.edges):
         u, v = g.endpoints(e)
         h = hub[e]
         for p in hub_pendants[e]:
             arcs.append((h, p))
             arcs.append((p, h))
-        sel = (
-            (v_minus[v], h),
-            (h, v_plus[v]),
-            (v_minus[u], h),
-            (h, v_plus[u]),
-        )
-        selection[e] = sel
-        arcs.extend(sel)
+        arcs.extend(((v_minus[v], h), (h, v_plus[v]), (v_minus[u], h), (h, v_plus[u])))
 
     d = Digraph.from_arcs(range(nxt), arcs)
     if not is_strongly_connected(d):
@@ -132,7 +123,6 @@ def gen_pc_psc(g: UndirectedGraph, k: int) -> Tuple[Digraph, PcGadgetMap]:
         v_plus=v_plus,
         hub=hub,
         hub_pendants=hub_pendants,
-        selection_arcs=selection,
     )
     return d, gm
 

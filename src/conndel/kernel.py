@@ -3,22 +3,23 @@
 Phase 1 bounds the number of potential solution edges with the solver's
 ``reduction_step`` (unit weights): a full greedy run or many distinct
 partner sets certifies a yes-instance, a clean stretch yields an
-irrelevant edge to freeze.  Phase 2 shrinks the vertex set: an auxiliary
-digraph reduces deletion-set feasibility to linkage questions (flows in
-its ``graphs.FlowNetwork``), a cut-covering set of that digraph plus the
+irrelevant edge to freeze.  Phase 2 first decides what needs no work: k = 0
+is a yes, fewer than k deletable edges a no, and k = 1 with a deletable
+edge a yes, since the instance is normalized and every deletable edge is
+therefore non-critical.  Otherwise an auxiliary digraph reduces
+deletion-set feasibility to linkage questions (flows in its
+``graphs.FlowNetwork``), a cut-covering set of that digraph plus the
 deletable edges' endpoints gives Y, the vertices worth keeping, and rule
 one and the torso contract the graph onto Y from one pass over the
-components C of G - Y and their attachment sets N(C) in Y.  k = 0 is a
-decided yes, k >= 1 with no deletable edge left a decided no.
+components C of G - Y and their attachment sets N(C) in Y.
 
 The cut-covering set construction is pluggable.  Under ``trivial`` Y is
-every vertex, so phase two is the identity and builds nothing.
-``exhaustive`` unions the closest minimum cut of every disjoint terminal
-triple from one incremental flow walk, built from the flow network's
-``search`` and ``push`` primitives: a new source resumes its parent's last
-search, a new sink pushes along its parent's marked path.  The kernel's
-stats count the walk's full and resumed searches.  Its cost is still
-exponential in the number of terminals, so it refuses beyond a small cap.
+every vertex, so past those rules phase two is the identity and builds
+nothing.  ``exhaustive`` is the cover by its definition: X plus one
+closest minimum cut per disjoint terminal triple.  Its cost is
+exponential in the number of terminals, so it refuses beyond a cap; every
+instance that phase two brings to it has k >= 2 and at least two
+deletable edges, hence at least 11 terminals.
 """
 
 from __future__ import annotations
@@ -27,11 +28,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from .errors import (
-    BudgetExceededError,
-    InternalInconsistencyError,
-    InvalidInputError,
-)
+from .errors import BudgetExceededError, InternalInconsistencyError, InvalidInputError
 from .graphs import Digraph, UndirectedGraph, is_biconnected, reachable
 from .solver import (
     DEFAULT_CONFIG,
@@ -209,41 +206,17 @@ def cut_covering_set(
     aux: AuxiliaryDigraph,
     provider: str = "trivial",
     max_terminals: int = DEFAULT_MAX_TERMINALS,
-    stats: Optional[Dict[str, object]] = None,
 ) -> FrozenSet[int]:
     """A vertex set containing, for every terminal triple (A, B, R), some
     minimum potentially-overlapping A-B cut of D - R.
 
     ``trivial`` gives every vertex, ``exhaustive`` X plus the closest
-    minimum cut of every disjoint triple.  Disjoint triples suffice: R
-    meeting A or B cuts like its R-disjoint projection; if A and B meet in
-    C, every cut holds C (a vertex of C is a path), the closest minimum cut
-    is C plus that of (A - C, B - C, R | C), or just C, and X covers C.
-
-    One depth-first walk gives each terminal in turn the role source, sink,
-    removed or none.  Each child starts from its parent's residual and the
-    marks of its parent's last, failed search, whose reached nodes are the
-    closest cut's source side in the residual of any maximum flow.  A flow
-    for (A, B, R) stays feasible when a terminal joins A or B, or joins R
-    carrying no flow, and every vertex has capacity 1, so a new source or
-    sink raises the flow by at most one unit.  Hence:
-
-    - a new source whose in-node is reached keeps its parent's marks;
-      otherwise a search resumed from the in-node, over unreached nodes
-      only, extends the reach set, and on reaching a sink it pushes that
-      unit and makes one full search;
-    - a new sink whose out-node is unreached keeps its parent's marks;
-      otherwise it pushes along the parent's marked path to the out-node
-      and makes one full search;
-    - a newly removed terminal that is unreached and carries no flow keeps
-      its parent's marks with its nodes blocked, so that no later resumed
-      search walks through it; otherwise it augments with full searches
-      from its parent's residual, or from the base capacities when the
-      terminal carries flow.
-
-    On the benchmark's 7-terminal inputs that is 4,139 full and 3,589
-    resumed searches for 12,138 triples.  ``stats``, when given, gains the counts as
-    ``cover_full_searches`` and ``cover_resumed_searches``.
+    minimum cut of every disjoint triple with A and B non-empty, one
+    ``po_min_cut`` each: 4^|X| - 2*3^|X| + 2^|X| flows, 12,138 at 7
+    terminals.  Disjoint triples suffice: R meeting A or B cuts like its
+    R-disjoint projection; if A and B meet in C, every cut holds C (a
+    vertex of C is a path), the closest minimum cut is C plus that of
+    (A - C, B - C, R | C), or just C, and X covers C.
     """
     if max_terminals < 0:
         raise InvalidInputError(f"max_terminals must be non-negative, got {max_terminals}")
@@ -257,67 +230,11 @@ def cut_covering_set(
             f"exhaustive cut covering supports at most {max_terminals} "
             f"terminals, got {len(terms)}; use the trivial provider"
         )
-    net = aux.digraph.flow_network()
-    ins = [2 * net.index[t] for t in terms]
     out: Set[int] = set(terms)
-    searches = [0, 0]  # full, resumed
-
-    def settle(starts, sinks, blocked, residual):
-        """One full search after a push, which must fail."""
-        marks, queue = net.marks(starts, blocked)
-        searches[0] += 1
-        if net.search(residual, marks, queue, sinks) >= 0:
-            raise InternalInconsistencyError("a new terminal raised the flow by two units")
-        out.update(net.closest_cut(marks, queue))
-        return marks
-
-    def walk(first, starts, sinks, blocked, cap, via):
-        for j in range(first, len(ins)):
-            node = ins[j]
-            sources = starts + [node]
-            if via[node] != -1:
-                walk(j + 1, sources, sinks, blocked, cap, via)
-            else:
-                marks = via[:]
-                marks[node] = -2
-                queue = [node]
-                searches[1] += 1
-                hit = net.search(cap, marks, queue, sinks)
-                if hit < 0:
-                    out.update(net.closest_cut(marks, queue))
-                    walk(j + 1, sources, sinks, blocked, cap, marks)
-                else:
-                    residual = cap[:]
-                    net.push(residual, marks, hit)
-                    marks = settle(sources, sinks, blocked, residual)
-                    walk(j + 1, sources, sinks, blocked, residual, marks)
-
-            targets = sinks | {node + 1}
-            if via[node + 1] == -1:
-                walk(j + 1, starts, targets, blocked, cap, via)
-            else:
-                residual = cap[:]
-                net.push(residual, via, node + 1)
-                marks = settle(starts, targets, blocked, residual)
-                walk(j + 1, starts, targets, blocked, residual, marks)
-
-            loaded = cap[node] < net.cap[node]
-            removed = blocked + [node, node + 1]
-            if via[node] == -1 and not loaded:
-                marks = via[:]
-                marks[node] = marks[node + 1] = -2
-                walk(j + 1, starts, sinks, removed, cap, marks)
-            else:
-                residual = (net.cap if loaded else cap)[:]
-                value, marks, queue = net.augment(residual, starts, sinks, removed)
-                searches[0] += value + 1
-                out.update(net.closest_cut(marks, queue))
-                walk(j + 1, starts, sinks, removed, residual, marks)
-
-    walk(0, [], frozenset(), [], net.cap, [-1] * len(net.adj))
-    if stats is not None:
-        for name, count in zip(("cover_full_searches", "cover_resumed_searches"), searches):
-            stats[name] = int(stats.get(name, 0)) + count
+    for roles in itertools.product(range(4), repeat=len(terms)):
+        a, b, r = ([t for t, role in zip(terms, roles) if role == side] for side in (1, 2, 3))
+        if a and b:
+            out |= po_min_cut(aux.digraph, a, b, r)
     return frozenset(out)
 
 
@@ -413,8 +330,6 @@ def kernelize(
         "irrelevant_frozen": 0,
         "rule_one_fired": 0,
         "phase1_rounds": 0,
-        "cover_full_searches": 0,
-        "cover_resumed_searches": 0,
     }
 
     outcome = _phase_one(inst, config, stats)
@@ -465,16 +380,20 @@ def _phase_two(
             # Budget exhausted: the empty set meets w* = 0.
             return constant_yes_instance(), "yes"
         pool = inst.potential_edges()
-        if not pool:
-            # No deletable edge left: k >= 1 cannot be met, so any constant
-            # no-instance is equivalent.
+        if len(pool) < inst.k:
+            # Unit weights: fewer than k deletable edges cannot meet w* = k,
+            # so any constant no-instance is equivalent.
             return constant_no_instance(inst.k), "no"
+        if inst.k == 1:
+            # The instance is normalized, so any one deletable edge is
+            # non-critical and deleting it alone is a solution.
+            return constant_yes_instance(), "yes"
         if provider == "trivial":
             # Y = V(G): rule one has no component of G - Y to use, and the
             # torso onto Y is G itself.
             return inst, None
         aux = build_auxiliary_digraph(inst.graph, pool)
-        z = cut_covering_set(aux, provider, max_terminals, stats)
+        z = cut_covering_set(aux, provider, max_terminals)
         y_set = frozenset(z & inst.graph.vertices) | frozenset(
             v for e in pool for v in inst.graph.endpoints(e)
         )

@@ -45,15 +45,18 @@ def complete(n):
 
 @pytest.fixture(scope="module")
 def c8_chord_exhaustive():
-    """C8 plus a chord with its exhaustive cut-covering set (one slow call)."""
+    """C8 plus a chord, its exhaustive cut-covering set (one slow call) and
+    the Y it gives.  ``kernelize`` decides this k = 1 instance by rule, so
+    the tests apply rule one and the torso to Y themselves."""
     g = UndirectedGraph.from_edges(
         range(8), [(i, (i + 1) % 8) for i in range(8)] + [(0, 4)]
     )
     inst = normalize(unit_instance(g, 1, frozenset()))
-    aux = build_auxiliary_digraph(g, inst.potential_edges())
+    pool = inst.potential_edges()
+    aux = build_auxiliary_digraph(g, pool)
     z = cut_covering_set(aux, "exhaustive", max_terminals=7)
-    res = kernelize(g, 1, provider="exhaustive", max_terminals=7)
-    return g, inst, z, res
+    y = frozenset(z & g.vertices) | frozenset(v for e in pool for v in g.endpoints(e))
+    return g, inst, z, y
 
 
 def same_answer(g, before_inst, result):
@@ -280,8 +283,21 @@ class TestRules:
         res = kernelize(complete(4), 0)
         assert res.answer == "yes" and res.instance.k == 0
         assert oracle_wbd(res.instance, BIG) is not None
+        # k = 1 is decided too, by the rule for one deletable edge.
         res = kernelize(complete(4), 1)
-        assert res.answer is None and res.instance.k == 1
+        assert res.answer == "yes" and res.instance == constant_yes_instance()
+        res = kernelize(complete(4), 2)
+        assert res.answer is None and res.instance.k == 2
+
+    def test_budget_rules_decide_before_the_cover(self):
+        # One deletable edge: k = 1 is a yes and k = 2 a no, with no cover
+        # built (a cap of 0 terminals would refuse any).
+        g = UndirectedGraph.from_edges(range(4), [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
+        yes = kernelize(g, 1, provider="exhaustive", max_terminals=0)
+        assert yes.answer == "yes" and yes.instance == constant_yes_instance()
+        no = kernelize(g, 2, provider="exhaustive", max_terminals=0)
+        assert no.answer == "no" and no.instance == constant_no_instance(2)
+        assert oracle_wbd(no.instance, BIG) is None
 
     def test_rule_zero_constant_instance_is_yes(self):
         const = constant_yes_instance()
@@ -334,11 +350,7 @@ class TestRules:
         assert before == after
 
     def test_torso_firing_preserves_oracle_answer(self, c8_chord_exhaustive):
-        g, inst, z, _ = c8_chord_exhaustive
-        pool = inst.potential_edges()
-        y = frozenset(z & g.vertices) | frozenset(
-            v for e in pool for v in g.endpoints(e)
-        )
+        g, inst, _, y = c8_chord_exhaustive
         torso = normalize(rule_two_torso(inst, y))
         assert (oracle_wbd(inst, BIG) is None) == (oracle_wbd(torso, BIG) is None)
 
@@ -423,10 +435,8 @@ def aux_digraphs(draw):
     """A random small digraph with 3-5 of its vertices as terminals.  Each
     ordered pair is an arc with odds of a quarter, a half or three
     quarters, drawn once per digraph.  Dense examples hold triples with a
-    flow of value 2 or more and removed terminals on a flow path, the cases
-    where the cover's walk must search again; sparse ones hold removed
-    terminals that no search reaches, which later resumed searches must
-    still not walk through."""
+    flow of value 2 or more and removed terminals on a flow path; sparse
+    ones hold removed terminals that no search from the sources reaches."""
     n = draw(st.integers(min_value=5, max_value=7))
     density = draw(st.integers(min_value=1, max_value=3))
     pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
@@ -437,8 +447,8 @@ def aux_digraphs(draw):
 
 
 class TestCoverWalk:
-    """The exhaustive provider's incremental flow walk against one
-    from-scratch flow per triple."""
+    """The exhaustive provider, one flow per disjoint triple, against one
+    flow per triple of every kind."""
 
     @settings(max_examples=200, deadline=None)
     @given(aux_digraphs())
@@ -447,8 +457,9 @@ class TestCoverWalk:
         assert cut_covering_set(aux, "exhaustive") == want
 
     def test_removed_flow_carrier_outside_the_reach_set(self):
-        # A terminal can carry flow while its in-node is unreached; removing
-        # it must still restart from the base capacities.
+        # A terminal can carry flow while a search from the sources never
+        # reaches it; a cover that reused flows across triples has to
+        # restart when it is removed.
         arcs = [(0, 1), (1, 0), (1, 3), (1, 4), (2, 0), (2, 1), (2, 3), (2, 4), (3, 0)]
         arcs += [(3, 2), (4, 0), (4, 1), (4, 2), (4, 3)]
         d = Digraph.from_arcs(range(5), arcs)
@@ -457,10 +468,9 @@ class TestCoverWalk:
         assert cut_covering_set(aux, "exhaustive") == want == {0, 2, 3, 4}
 
     def test_kept_removed_terminal_stays_blocked(self):
-        # Removing terminal 0 keeps its parent's marks: no search reached 0
-        # and it carries no flow.  The later source 3's resumed search must
-        # still not walk 3 -> 0 -> 1, or the cover misses 2, the closest
-        # cut of ({3, 4}, {1}, {0}).
+        # Terminal 0 is removed and carries no flow.  A search from the
+        # source 3 must not walk 3 -> 0 -> 1, or the cover misses 2, the
+        # closest cut of ({3, 4}, {1}, {0}).
         d = Digraph.from_arcs(range(5), [(0, 1), (2, 1), (3, 0), (3, 2), (4, 2)])
         aux = AuxiliaryDigraph(d, {}, {}, {}, frozenset({0, 1, 3, 4}))
         want = flow_per_triple(aux)
@@ -475,13 +485,6 @@ class TestCoverWalk:
         for provider in ("trivial", "exhaustive"):
             with pytest.raises(InvalidInputError, match="max_terminals"):
                 cut_covering_set(aux, provider, -1)
-
-    def test_search_counts_reach_the_stats(self, c8_chord_exhaustive):
-        # 7 terminals, 12,138 disjoint triples: every new source whose
-        # in-node is unreached resumes its parent's search.
-        res = c8_chord_exhaustive[3]
-        assert res.stats["cover_full_searches"] == 4143
-        assert res.stats["cover_resumed_searches"] == 3589
 
 
 class TestTrivialPhaseTwo:
@@ -498,15 +501,15 @@ class TestTrivialPhaseTwo:
             for name in ("build_auxiliary_digraph", "rule_one", "rule_two_torso"):
                 mp.setattr(f"conndel.kernel.{name}", refuse)
             res = kernelize(g, k, provider="trivial")
-        if k == 0:
-            assert res.answer == "yes" and res.instance == constant_yes_instance()
-        elif not inst.potential_edges():
+        f = len(inst.potential_edges())
+        if f < k:
             assert res.answer == "no" and res.instance == constant_no_instance(k)
+        elif k <= 1:
+            assert res.answer == "yes" and res.instance == constant_yes_instance()
         else:
             assert res.answer is None
             assert res.instance.graph == inst.graph
             assert (res.instance.frozen, res.instance.k) == (inst.frozen, inst.k)
-            f = len(inst.potential_edges())
             assert res.stats == {
                 "provider": "trivial",
                 "f_before": f,
@@ -514,8 +517,6 @@ class TestTrivialPhaseTwo:
                 "irrelevant_frozen": 0,
                 "rule_one_fired": 0,
                 "phase1_rounds": 0,
-                "cover_full_searches": 0,
-                "cover_resumed_searches": 0,
                 "f_after": f,
                 "v_after": g.n,
             }
@@ -597,10 +598,12 @@ class TestKernelize:
             assert len(res.instance.potential_edges()) <= mu(k)
 
     def test_exhaustive_provider_shrinks_cycle_with_chord(self, c8_chord_exhaustive):
-        g, inst, _, res = c8_chord_exhaustive
-        assert res.instance.graph.n < g.n
-        assert same_answer(g, inst, res)
-        assert is_biconnected(res.instance.graph)
+        g, inst, _, y = c8_chord_exhaustive
+        assert rule_one(inst, y) is None
+        reduced = normalize(rule_two_torso(inst, y))
+        assert reduced.graph.n < g.n
+        assert (oracle_wbd(inst, BIG) is None) == (oracle_wbd(reduced, BIG) is None)
+        assert is_biconnected(reduced.graph)
 
     def test_exhaustive_provider_empty_f_gives_constant_no(self):
         g = cycle(5)
@@ -619,7 +622,25 @@ class TestKernelize:
             assert key1 == key2
 
     def test_vertex_bound_under_exhaustive_provider(self, c8_chord_exhaustive):
-        g, inst, z, res = c8_chord_exhaustive
-        pool = inst.potential_edges()
-        bound = len(z & g.vertices) + 2 * len(pool)
-        assert res.instance.graph.n <= bound
+        g, inst, z, y = c8_chord_exhaustive
+        assert rule_one(inst, y) is None
+        reduced = normalize(rule_two_torso(inst, y))
+        bound = len(z & g.vertices) + 2 * len(inst.potential_edges())
+        assert reduced.graph.n <= bound
+
+    @settings(max_examples=100, deadline=None)
+    @given(ear_graphs(min_n=3, max_n=9), st.integers(min_value=0, max_value=3))
+    def test_few_terminals_are_decided(self, g, k):
+        # Two deletable edges have at least three endpoints, so an input
+        # that reaches the cover at k >= 2 has at least 2 + 3 * 3 = 11
+        # terminals: every input with at most 10 is decided by rule.
+        inst = normalize(unit_instance(g, k, frozenset()))
+        terminals = len(build_auxiliary_digraph(g, inst.potential_edges()).terminals)
+        want = "yes" if oracle_wbd(inst, BIG) is not None else "no"
+        runs = [kernelize(g, k)]
+        if terminals <= 7:
+            runs.append(kernelize(g, k, provider="exhaustive", max_terminals=7))
+        for res in runs:
+            assert res.answer in (None, want)
+            if terminals <= 10:
+                assert res.answer is not None
