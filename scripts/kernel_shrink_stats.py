@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Kernelize random unit-weight instances and tabulate how much the
 potential-edge and vertex counts shrink under each provider, with the
-phase-one rounds run.  ``--mu M`` lowers phase one's threshold to M at
+phase-one rounds run and the irrelevant edges they froze.  ``--mu M`` lowers phase one's threshold to M at
 every k, so small instances reach the reduction step.
 
 Every kernel output must answer like its input under the brute-force
@@ -62,6 +62,7 @@ def main() -> int:
                     res.stats["f_after"],
                     res.answer or "-",
                     res.stats["phase1_rounds"],
+                    res.stats["irrelevant_frozen"],
                 )
             )
 
@@ -74,9 +75,10 @@ def main() -> int:
         for r in subset[:5]:
             print(f"{r[0]:<11} {r[1]:>4} {r[2]:>5} {r[3]:>4} {r[4]:>5} {r[5]}")
         rounds = sum(r[6] for r in subset)
+        freezes = sum(r[7] for r in subset)
         print(
             f"-- {provider}: {len(subset)} runs, {shrunk} shrank the vertex set, "
-            f"{rounds} phase-one rounds --"
+            f"{rounds} phase-one rounds, {freezes} freezes --"
         )
     print(f"{len(rows)} kernel outputs, {mismatches} oracle mismatches")
     return 1 if mismatches else 0

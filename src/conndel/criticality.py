@@ -24,13 +24,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import InternalInconsistencyError, InvalidInputError
-from .graphs import (
-    Path,
-    UndirectedGraph,
-    has_path_without,
-    is_biconnected_without,
-    reachable,
-)
+from .graphs import Path, UndirectedGraph, is_biconnected_without, reachable
 
 
 def is_critical(g: UndirectedGraph, eid: int) -> bool:
@@ -258,41 +252,6 @@ def newly_critical(g: UndirectedGraph, eid: int) -> FrozenSet[int]:
     return critical_set(g.without_edge(eid)) - before
 
 
-def verify_mixed_cut(g: UndirectedGraph, x: int, y: int, eid: int, vertex: int) -> bool:
-    """Does removing one edge plus one vertex leave no x-y path?"""
-    if vertex in (x, y):
-        raise InvalidInputError("cut vertex may not be a terminal")
-    if not g.has_edge(eid):
-        raise InvalidInputError(f"no edge with id {eid}")
-    return not has_path_without(g, x, y, frozenset((eid,)), frozenset((vertex,)))
-
-
-@dataclass(frozen=True)
-class MixedCut:
-    """One edge plus one vertex separating the two terminals."""
-
-    edge: int
-    vertex: int
-    x: int
-    y: int
-
-    def holds_in(self, g: UndirectedGraph) -> bool:
-        return verify_mixed_cut(g, self.x, self.y, self.edge, self.vertex)
-
-
-def find_size2_mixed_cut(g: UndirectedGraph, eid: int) -> Optional[MixedCut]:
-    """Search for terminals x, y and a vertex v with {edge, v} a mixed cut."""
-    g.endpoints(eid)  # rejects an unknown edge
-    for v in sorted(g.vertices):
-        rest = sorted(g.vertices - {v})
-        if not rest:
-            continue
-        comp = reachable(g, rest[:1], frozenset((eid,)), frozenset((v,)))
-        if len(comp) < len(rest):
-            return MixedCut(eid, v, rest[0], min(u for u in rest if u not in comp))
-    return None
-
-
 def partner_set(
     gprime: UndirectedGraph,
     pivot: int,
@@ -302,7 +261,10 @@ def partner_set(
 ) -> Tuple[Tuple[int, ...], ...]:
     """Partner vertices of newly critical edges on P1, one tuple per edge
     in ``crits`` order: the internal vertices v of P2 for which
-    {edge, v} is a mixed x-y cut of G' - pivot, in P2 order.  Never empty.
+    {edge, v} is a mixed x-y cut of G' - pivot, in P2 order.  Each edge is
+    decided on its own, so any subset of P1's edges may be asked for.  For
+    an edge that deleting the pivot made critical the tuple is never empty;
+    ``build_partner_analysis`` refuses an empty one.
 
     Both paths run between the pivot's endpoints x and y, and P1 avoids
     P2's interior (the vertex-disjoint paths of ``max_flow_bounded``
@@ -349,13 +311,22 @@ def partner_set(
         for e in cuts:
             if separated[pos[e]]:
                 cuts[e].append(v)
-    for e in crits:
-        if not cuts[e]:
-            raise InternalInconsistencyError(
-                f"edge {e} has an empty partner set; every newly critical "
-                "edge on one flow path must have a partner on the other"
-            )
     return tuple(tuple(cuts[e]) for e in crits)
+
+
+@dataclass
+class PartnerMemo:
+    """Partner tuples per analysed edge, and the component and Gamma per
+    consecutive shared-partner pair of edges, for one G', pivot and
+    value-2 flow.  An edge lies on one of the flow's two paths, which is
+    then P1, so each entry is decided by the edge (or pair) alone, not by
+    which other edges are analysed: analyses that pick different edges on
+    the same flow can share one memo."""
+
+    partners: Dict[int, Tuple[int, ...]] = field(default_factory=dict)
+    components: Dict[Tuple[int, ...], Tuple[FrozenSet[int], FrozenSet[int]]] = field(
+        default_factory=dict
+    )
 
 
 @dataclass(frozen=True)
@@ -414,6 +385,7 @@ def build_partner_analysis(
     newly: FrozenSet[int],
     deleted_endpoints: Iterable[Tuple[int, int]],
     k: int,
+    memo: Optional[PartnerMemo] = None,
 ) -> PartnerAnalysis:
     """Assemble the full partner structure for one pivot edge.
 
@@ -422,6 +394,9 @@ def build_partner_analysis(
     ``newly_critical(gprime, pivot) & marked``.
     ``deleted_endpoints`` are the endpoint pairs of the edges removed from
     the original graph to form G'; a component touching one is affected.
+    ``memo`` holds partner tuples and components found earlier on the
+    same G', pivot and flow (the solver's round cache keeps one per
+    pivot and prefix); only what it lacks is computed, and added to it.
     """
     x, y = gprime.endpoints(pivot)
     p1 = _oriented_from(p1, x)
@@ -437,7 +412,18 @@ def build_partner_analysis(
     oriented = tuple(
         (p1.vertices[pos[e]], p1.vertices[pos[e] + 1]) for e in edge_ids
     )
-    partners = partner_set(gprime, pivot, p1, p2, edge_ids)
+    if memo is None:
+        memo = PartnerMemo()
+    missing = [e for e in edge_ids if e not in memo.partners]
+    if missing:
+        memo.partners.update(zip(missing, partner_set(gprime, pivot, p1, p2, missing)))
+    partners = tuple(memo.partners[e] for e in edge_ids)
+    for e, pset in zip(edge_ids, partners):
+        if not pset:
+            raise InternalInconsistencyError(
+                f"edge {e} has an empty partner set; every newly critical "
+                "edge on one flow path must have a partner on the other"
+            )
 
     t = len(edge_ids)
     switches = frozenset(
@@ -461,13 +447,15 @@ def build_partner_analysis(
             )
         w = pset[0]
         shared[i] = w
-        comp = frozenset(
-            reachable(gprime, segments[i], frozenset(edge_ids[i - 1 : i + 1]), frozenset((w,)))
-        )
-        components[i] = comp
-        gammas[i] = frozenset(
-            eid for a in comp for b, eid in gprime._adj[a] if b in comp or b == w
-        )
+        pair = edge_ids[i - 1 : i + 1]
+        found = memo.components.get(pair)
+        if found is None:
+            comp = frozenset(reachable(gprime, segments[i], frozenset(pair), frozenset((w,))))
+            gamma = frozenset(
+                eid for a in comp for b, eid in gprime._adj[a] if b in comp or b == w
+            )
+            found = memo.components[pair] = (comp, gamma)
+        components[i], gammas[i] = found
 
     endpoints = set()
     for a, b in deleted_endpoints:

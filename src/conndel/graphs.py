@@ -532,17 +532,12 @@ class FlowNetwork:
         sources: Iterable[int],
         sinks: Iterable[int],
         removed: Iterable[int] = (),
-        limit: Optional[int] = None,
     ) -> Tuple[int, FrozenSet[int]]:
-        """The flow value, as ``max_flow``, and the minimum source-sink
-        vertex cut closest to the sources (it may contain sources and sinks)
-        in the network minus the removed vertices; the cut is empty when
-        the flow stopped at ``limit``.  The cut is every vertex whose
-        in-node the last, failed search reached and whose out-node it did
-        not."""
-        value, via, reached = self.augment(self.cap[:], sources, sinks, removed, limit)
-        if value == limit:
-            return value, frozenset()
+        """The maximum flow value and the minimum source-sink vertex cut
+        closest to the sources (it may contain sources and sinks) in the
+        network minus the removed vertices: every vertex whose in-node the
+        last, failed search reached and whose out-node it did not."""
+        value, via, reached = self.augment(self.cap[:], sources, sinks, removed)
         vertices = self.vertices
         return value, frozenset(
             vertices[node >> 1] for node in reached if not node & 1 and via[node + 1] == -1

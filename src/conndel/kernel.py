@@ -3,10 +3,11 @@
 Phase 1 bounds the number of potential solution edges with the solver's
 ``reduction_step`` (unit weights): a full greedy run or many distinct
 partner sets certifies a yes-instance, a clean stretch yields an
-irrelevant edge to freeze.  Phase 2 first decides what needs no work: k = 0
-is a yes, fewer than k deletable edges a no, and k = 1 with a deletable
-edge a yes, since the instance is normalized and every deletable edge is
-therefore non-critical.  Otherwise an auxiliary digraph reduces
+irrelevant edge to freeze.  Before phase one, and on every pass of phase
+two, three rules decide what needs no work: k = 0 is a yes, fewer than k
+deletable edges a no, and k = 1 with a deletable edge a yes, since the
+instance is normalized and every deletable edge is therefore
+non-critical.  Otherwise phase two's auxiliary digraph reduces
 deletion-set feasibility to linkage questions (flows in its
 ``graphs.FlowNetwork``), a cut-covering set of that digraph plus the
 deletable edges' endpoints gives Y, the vertices worth keeping, and rule
@@ -32,6 +33,7 @@ from .errors import BudgetExceededError, InternalInconsistencyError, InvalidInpu
 from .graphs import Digraph, UndirectedGraph, is_biconnected, reachable
 from .solver import (
     DEFAULT_CONFIG,
+    RoundCache,
     SolverConfig,
     WbdInstance,
     normalize,
@@ -151,13 +153,11 @@ def _vertex_flow(
     sources: Iterable[int],
     sinks: Iterable[int],
     removed: Iterable[int] = (),
-    limit: Optional[int] = None,
 ) -> Tuple[int, FrozenSet[int]]:
     """Vertex-disjoint source-to-sink paths in D - removed (terminals count
-    as capacity-1 too), stopping at limit, on D's split network, which is
-    built once per digraph: the value and the minimum cut closest to the
-    sources (empty if the limit stopped the flow)."""
-    return d.flow_network().min_cut(sources, sinks, removed, limit)
+    as capacity-1 too), on D's split network, which is built once per
+    digraph: the value and the minimum cut closest to the sources."""
+    return d.flow_network().min_cut(sources, sinks, removed)
 
 
 def po_min_cut(
@@ -172,29 +172,6 @@ def po_min_cut(
     from the surviving A-vertices to the surviving B-vertices.
     """
     return _vertex_flow(d, a, b, r)[1]
-
-
-def linkage_exists(aux: AuxiliaryDigraph, removed_x: Iterable[int], u: int, v: int) -> bool:
-    """Is there a 2-linkage from {u+, u} to {v-, v} avoiding the given
-    subdivision vertices?"""
-    sources = (aux.v_plus[u], u)
-    sinks = (aux.v_minus[v], v)
-    return _vertex_flow(aux.digraph, sources, sinks, removed_x, limit=2)[0] >= 2
-
-
-def is_deletion_set_via_linkages(
-    g: UndirectedGraph, aux: AuxiliaryDigraph, s: Iterable[int]
-) -> bool:
-    """Deletion-set test through the auxiliary digraph: every deleted edge
-    (u, v) needs a linkage from {u+, u} to {v-, v} once all deleted edges'
-    subdivision vertices are removed."""
-    s_ids = sorted(set(s))
-    removed = [aux.x_edge[e] for e in s_ids]
-    for e in s_ids:
-        u, v = g.endpoints(e)
-        if not linkage_exists(aux, removed, u, v):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -332,23 +309,46 @@ def kernelize(
         "phase1_rounds": 0,
     }
 
-    outcome = _phase_one(inst, config, stats)
-    if isinstance(outcome, str):
-        out = constant_yes_instance()
-        stats["f_after"] = len(out.potential_edges())
-        stats["v_after"] = out.graph.n
-        return KernelResult(out, "yes", stats)
-    inst = outcome
-
-    inst, answer = _phase_two(inst, provider, max_terminals, stats)
+    decided = _budget_rules(inst)
+    if decided is None:
+        outcome = _phase_one(inst, config, stats)
+        if isinstance(outcome, str):
+            decided = constant_yes_instance(), "yes"
+        else:
+            decided = _phase_two(outcome, provider, max_terminals, stats)
+    inst, answer = decided
     stats["f_after"] = len(inst.potential_edges())
     stats["v_after"] = inst.graph.n
     return KernelResult(inst, answer, stats)
 
 
+def _budget_rules(inst: WbdInstance) -> Optional[Tuple[WbdInstance, str]]:
+    """Decide what needs no work: k = 0 is a yes, fewer than k deletable
+    edges a no, and k = 1 with a deletable edge a yes.  Applied before
+    phase one and on every pass of phase two, whose rule one lowers k."""
+    if inst.k == 0:
+        # Budget exhausted: the empty set meets w* = 0.
+        return constant_yes_instance(), "yes"
+    if len(inst.potential_edges()) < inst.k:
+        # Unit weights: fewer than k deletable edges cannot meet w* = k,
+        # so any constant no-instance is equivalent.
+        return constant_no_instance(inst.k), "no"
+    if inst.k == 1:
+        # The instance is normalized, so any one deletable edge is
+        # non-critical and deleting it alone is a solution.
+        return constant_yes_instance(), "yes"
+    return None
+
+
 def _phase_one(inst: WbdInstance, config: SolverConfig, stats: Dict[str, object]):
     """Bound the potential solution edges with the solver's reduction step;
-    returns 'yes' or the instance."""
+    returns 'yes' or the instance.
+
+    Each round freezes one edge and leaves the graph as it is, so the
+    rounds share one ``RoundCache`` of it (see ``reduction_step``), made
+    here and dropped on return.
+    """
+    cache = RoundCache(inst.graph)
     while True:
         pool = inst.potential_edges()
         if len(pool) <= config.mu(inst.k):
@@ -356,7 +356,7 @@ def _phase_one(inst: WbdInstance, config: SolverConfig, stats: Dict[str, object]
         stats["phase1_rounds"] = int(stats["phase1_rounds"]) + 1
 
         # The whole pool, in id order, is both greedy's order and the marked set.
-        step = reduction_step(inst, config, pool)
+        step = reduction_step(inst, config, pool, cache)
         if step.kind == "full":
             return "yes"
         if step.kind == "distinct":
@@ -376,22 +376,14 @@ def _phase_two(
     stats: Dict[str, object],
 ) -> Tuple[WbdInstance, Optional[str]]:
     while True:
-        if inst.k == 0:
-            # Budget exhausted: the empty set meets w* = 0.
-            return constant_yes_instance(), "yes"
-        pool = inst.potential_edges()
-        if len(pool) < inst.k:
-            # Unit weights: fewer than k deletable edges cannot meet w* = k,
-            # so any constant no-instance is equivalent.
-            return constant_no_instance(inst.k), "no"
-        if inst.k == 1:
-            # The instance is normalized, so any one deletable edge is
-            # non-critical and deleting it alone is a solution.
-            return constant_yes_instance(), "yes"
+        decided = _budget_rules(inst)
+        if decided is not None:
+            return decided
         if provider == "trivial":
             # Y = V(G): rule one has no component of G - Y to use, and the
             # torso onto Y is G itself.
             return inst, None
+        pool = inst.potential_edges()
         aux = build_auxiliary_digraph(inst.graph, pool)
         z = cut_covering_set(aux, provider, max_terminals)
         y_set = frozenset(z & inst.graph.vertices) | frozenset(

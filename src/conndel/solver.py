@@ -26,12 +26,14 @@ from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence
 
 from .criticality import (
     PartnerAnalysis,
+    PartnerMemo,
     build_partner_analysis,
     critical_set,
     find_clean_stretch,
 )
 from .errors import InternalInconsistencyError, InvalidInputError
 from .graphs import (
+    FlowDecomposition,
     Path,
     UndirectedGraph,
     is_biconnected,
@@ -278,6 +280,69 @@ def enumerate_small(inst: WbdInstance, config: SolverConfig = DEFAULT_CONFIG) ->
     return _enumerate_best(inst, SolveStats())
 
 
+class RoundCache:
+    """What the reduction rounds at one graph share.
+
+    The freeze loops of ``_solve`` and ``_phase_one`` only freeze edges, so
+    every round sees the same graph G and only the pool (the marked set)
+    changes.  The cache holds results that are pure functions of G and of
+    greedy's picks, never of the pool, each keyed by a prefix of the picks:
+
+    * ``residual(prefix)``: the graph G - prefix (G itself for the empty
+      prefix), and ``critical(prefix)`` its ``critical_set``;
+    * ``flow(prefix)``: the value-2 flow between the endpoints of the
+      prefix's last edge, the pivot, in G - prefix;
+    * ``partners(prefix)``: the ``PartnerMemo`` of that pivot and flow.
+      Which path is P1 depends on the pool, but needs no key of its own:
+      the memo is keyed by edge, and an edge lies on one path only.
+
+    A lookup returns exactly what recomputing it would, so a round that
+    uses the cache finds the same reduction as one that does not.  A cache
+    belongs to one graph object: the loops make one per graph and drop it
+    when they return, and using it with another graph is refused.
+    """
+
+    def __init__(self, graph: UndirectedGraph):
+        self.graph = graph
+        self._graphs: Dict[Tuple[int, ...], UndirectedGraph] = {(): graph}
+        self._crit: Dict[Tuple[int, ...], FrozenSet[int]] = {}
+        self._flows: Dict[Tuple[int, ...], FlowDecomposition] = {}
+        self._memos: Dict[Tuple[int, ...], PartnerMemo] = {}
+
+    @classmethod
+    def bound_to(cls, graph: UndirectedGraph, cache: Optional["RoundCache"]) -> "RoundCache":
+        """The given cache, checked against the graph, or a fresh one."""
+        if cache is None:
+            return cls(graph)
+        if cache.graph is not graph:
+            raise InternalInconsistencyError("round cache used with another graph")
+        return cache
+
+    def residual(self, prefix: Tuple[int, ...]) -> UndirectedGraph:
+        g = self._graphs.get(prefix)
+        if g is None:
+            g = self.residual(prefix[:-1]).without_edge(prefix[-1])
+            self._graphs[prefix] = g
+        return g
+
+    def critical(self, prefix: Tuple[int, ...]) -> FrozenSet[int]:
+        crit = self._crit.get(prefix)
+        if crit is None:
+            crit = self._crit[prefix] = critical_set(self.residual(prefix))
+        return crit
+
+    def flow(self, prefix: Tuple[int, ...]) -> FlowDecomposition:
+        found = self._flows.get(prefix)
+        if found is None:
+            x, y = self.graph.endpoints(prefix[-1])
+            found = max_flow_bounded(self.residual(prefix), x, y, cap=3)
+            self._flows[prefix] = found
+        return found
+
+    def partners(self, prefix: Tuple[int, ...]) -> PartnerMemo:
+        return self._memos.setdefault(prefix, PartnerMemo())
+
+
 @dataclass(frozen=True)
 class GreedyRun:
     """Greedy deletion picks; ``newly[i]`` holds the marked edges that pick
@@ -295,7 +360,9 @@ class GreedyRun:
         return tuple(len(s) for s in self.newly)
 
 
-def greedy_deletion_set(inst: WbdInstance, pool: Sequence[int]) -> GreedyRun:
+def greedy_deletion_set(
+    inst: WbdInstance, pool: Sequence[int], cache: Optional[RoundCache] = None
+) -> GreedyRun:
     """Repeatedly delete the first still-non-critical edge of the pool.
 
     The pool is also the marked set (``reduction_step`` says which pool
@@ -305,13 +372,17 @@ def greedy_deletion_set(inst: WbdInstance, pool: Sequence[int]) -> GreedyRun:
 
     Precondition: the instance is normalized, so no pool edge is critical
     in ``inst.graph``.  The residual critical set is then carried from step
-    to step, one ``critical_set`` per pick before the k-th.
+    to step, one per pick before the k-th.  The residual graphs and their
+    critical sets are read from ``cache`` (a ``RoundCache`` of
+    ``inst.graph``; a fresh one when None), which computes each prefix's
+    once: they depend on the picks alone.  ``newly`` depends on the pool
+    too, so it is recomputed on every call.
     """
+    cache = RoundCache.bound_to(inst.graph, cache)
     marked = frozenset(pool)
     picks: List[int] = []
     newly: List[FrozenSet[int]] = []
     crit: FrozenSet[int] = frozenset()
-    cur = inst.graph
     for _ in range(inst.k):
         pick = next((e for e in pool if e not in crit and e not in picks), None)
         if pick is None:
@@ -319,23 +390,29 @@ def greedy_deletion_set(inst: WbdInstance, pool: Sequence[int]) -> GreedyRun:
         picks.append(pick)
         if len(picks) == inst.k:
             break
-        cur = cur.without_edge(pick)
-        after = critical_set(cur)
+        after = cache.critical(tuple(picks))
         newly.append((after - crit) & marked)
         crit = after
     return GreedyRun(tuple(picks), tuple(newly))
 
 
 def find_rich_flow(
-    gprime: UndirectedGraph, pivot: int, newly: FrozenSet[int]
+    gprime: UndirectedGraph,
+    pivot: int,
+    newly: FrozenSet[int],
+    flow: Optional[FlowDecomposition] = None,
 ) -> Tuple[Path, Path]:
     """A value-2 flow between the pivot's endpoints in G' - pivot, with the
     path carrying at least half the marked newly-critical edges first.
 
     ``newly`` is ``newly_critical(gprime, pivot) & marked``, as computed
-    by the caller; greedy records it per pick (``GreedyRun.newly``)."""
+    by the caller; greedy records it per pick (``GreedyRun.newly``).
+    ``flow`` is ``max_flow_bounded(G' - pivot, x, y, cap=3)`` when the
+    caller holds it (``RoundCache.flow``); otherwise it is computed here.
+    The checks run on every call, cached flow or not."""
     x, y = gprime.endpoints(pivot)
-    flow = max_flow_bounded(gprime.without_edge(pivot), x, y, cap=3)
+    if flow is None:
+        flow = RoundCache(gprime).flow((pivot,))
     if flow.value != 2:
         raise InternalInconsistencyError(
             f"expected a value-2 flow between {x} and {y}, got {flow.value}"
@@ -408,7 +485,10 @@ class Reduction:
 
 
 def reduction_step(
-    inst: WbdInstance, config: SolverConfig, pool: Sequence[int]
+    inst: WbdInstance,
+    config: SolverConfig,
+    pool: Sequence[int],
+    cache: Optional[RoundCache] = None,
 ) -> Reduction:
     """One round of the reduction shared by the solver and the kernel.
 
@@ -421,8 +501,19 @@ def reduction_step(
     first: that is the solver's pool, and its branching rests on it.  The
     kernel works on unit weights, where every potential edge is equally
     heavy, and marks its whole pool in id order; it never branches.
+
+    ``cache`` is the ``RoundCache`` of ``inst.graph`` that the caller's
+    freeze loop keeps across its rounds (a fresh one when None).  From it
+    come greedy's residual graphs and critical sets, G' and G' - pivot
+    (both residual graphs, so no copy is made here), the value-2 flow per
+    (prefix, pivot), and the partner tuples and components per (prefix,
+    pivot, edge).  What depends on the pool is recomputed every round:
+    greedy's ``newly``, the rich index, which flow path is P1, and the
+    analysed edges; so are the flow's checks and the refusal of an empty
+    partner set.  The result is the same as without a cache.
     """
-    run = greedy_deletion_set(inst, pool)
+    cache = RoundCache.bound_to(inst.graph, cache)
+    run = greedy_deletion_set(inst, pool, cache)
     if len(run.picks) == inst.k:
         return Reduction("full", picks=run.picks)
     threshold = config.good_step_threshold(inst.k)
@@ -433,12 +524,15 @@ def reduction_step(
                 "greedy stalled without any step making enough marked edges critical"
             )
         return Reduction("stuck")
-    gprime = inst.graph.without_edges(run.picks[:rich])
+    gprime = cache.residual(run.picks[:rich])
+    key = run.picks[: rich + 1]
     pivot = run.picks[rich]
     newly = run.newly[rich]
-    p1, p2 = find_rich_flow(gprime, pivot, newly)
+    p1, p2 = find_rich_flow(gprime, pivot, newly, cache.flow(key))
     deleted_pairs = [inst.graph.endpoints(e) for e in run.picks[:rich]]
-    pa = build_partner_analysis(gprime, pivot, p1, p2, newly, deleted_pairs, inst.k)
+    pa = build_partner_analysis(
+        gprime, pivot, p1, p2, newly, deleted_pairs, inst.k, cache.partners(key)
+    )
     if pa.distinct_partner_sets > 3 * inst.k:
         return Reduction("distinct", analysis=pa)
     stretch = find_clean_stretch(pa, inst.k)
@@ -469,6 +563,14 @@ def solve(
 def _solve(
     inst: WbdInstance, config: SolverConfig, stats: SolveStats, depth: int
 ) -> Optional[Tuple[int, ...]]:
+    """Decide one normalized node: enumerate a small pool, otherwise take
+    reduction steps, freezing each irrelevant edge found, until the pool
+    is small, greedy's picks answer yes, or the node branches.
+
+    Freezing leaves the graph as it is, so the rounds share one
+    ``RoundCache`` of it (see ``reduction_step``), made here and dropped
+    when the node returns; a branch child has its own graph and cache.
+    """
     stats.nodes += 1
     stats.max_depth = max(stats.max_depth, depth)
     if inst.reaches(()):
@@ -477,6 +579,7 @@ def _solve(
         return None
 
     frozen_here = 0
+    cache = RoundCache(inst.graph)
     while True:
         if len(inst.potential_edges()) <= config.mu(inst.k):
             stats.enumerations += 1
@@ -488,7 +591,7 @@ def _solve(
         if not inst.reaches(order[: inst.k]):
             return None
 
-        step = reduction_step(inst, config, order[: config.mu(inst.k)])
+        step = reduction_step(inst, config, order[: config.mu(inst.k)], cache)
         if step.analysis is not None:
             stats.flow_calls += 1
             stats.analyses.append(step.analysis)

@@ -8,7 +8,8 @@ cross-check the real implementations against them at desk scale.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 
 def components(vertices: Set[int], edges: Iterable[Tuple[int, int]]) -> List[Set[int]]:
@@ -142,7 +143,11 @@ def separates_with_edge(
     cut_edge: Tuple[int, int],
     cut_vertex: int,
 ) -> bool:
-    """Does removing one edge plus one vertex leave no x-y path?"""
+    """Does removing one edge plus one vertex leave no x-y path, that is,
+    is {cut_edge, cut_vertex} a mixed x-y cut?  The cut vertex may not be
+    a terminal."""
+    if cut_vertex in (x, y):
+        raise ValueError("cut vertex may not be a terminal")
     kept = [
         (u, v)
         for u, v in edges
@@ -150,6 +155,84 @@ def separates_with_edge(
     ]
     comps = components(vertices - {cut_vertex}, kept)
     return not any(x in c and y in c for c in comps)
+
+
+@dataclass(frozen=True)
+class MixedCut:
+    """One edge plus one vertex separating the two terminals."""
+
+    edge: Tuple[int, int]
+    vertex: int
+    x: int
+    y: int
+
+    def holds_in(self, vertices: Set[int], edges: List[Tuple[int, int]]) -> bool:
+        return separates_with_edge(vertices, edges, self.x, self.y, self.edge, self.vertex)
+
+
+def find_size2_mixed_cut(
+    vertices: Set[int], edges: List[Tuple[int, int]], cut_edge: Tuple[int, int]
+) -> Optional[MixedCut]:
+    """Terminals x, y and a vertex v with {cut_edge, v} a mixed x-y cut,
+    trying every v: x is the least other vertex, y the least one outside
+    x's component of G - cut_edge - v."""
+    for v in sorted(vertices):
+        kept = [(a, b) for a, b in edges if {a, b} != set(cut_edge) and v not in (a, b)]
+        comps = components(vertices - {v}, kept)
+        if len(comps) > 1:
+            return MixedCut(cut_edge, v, min(comps[0]), min(comps[1]))
+    return None
+
+
+def directed_reach(
+    vertices: Set[int], arcs: Iterable[Tuple[int, int]], sources: Iterable[int], gone: Set[int]
+) -> Set[int]:
+    """Vertices reachable along arcs from the sources outside ``gone``."""
+    out: Dict[int, List[int]] = {v: [] for v in vertices}
+    for t, h in arcs:
+        out[t].append(h)
+    seen = {s for s in sources if s not in gone}
+    stack = list(seen)
+    while stack:
+        t = stack.pop()
+        for h in out[t]:
+            if h not in gone and h not in seen:
+                seen.add(h)
+                stack.append(h)
+    return seen
+
+
+def linkage_exists(
+    vertices: Set[int],
+    arcs: List[Tuple[int, int]],
+    sources: Sequence[int],
+    sinks: Sequence[int],
+    removed: Iterable[int] = (),
+) -> bool:
+    """Are there two vertex-disjoint directed paths from the sources to the
+    sinks in D - removed?  By Menger's theorem, exactly when no set of at
+    most one vertex (sources and sinks included) meets every such path;
+    every set of that size is tried."""
+    removed = set(removed)
+    for cut in [set()] + [{v} for v in sorted(vertices - removed)]:
+        gone = removed | cut
+        if not directed_reach(vertices, arcs, sources, gone) & (set(sinks) - gone):
+            return False
+    return True
+
+
+def is_deletion_set_via_linkages(
+    vertices: Set[int],
+    arcs: List[Tuple[int, int]],
+    removed: Iterable[int],
+    queries: Iterable[Tuple[Sequence[int], Sequence[int]]],
+) -> bool:
+    """Does every (sources, sinks) query have a 2-linkage in D - removed?
+    For a deletion set S of the graph behind the auxiliary digraph,
+    ``removed`` holds the subdivision vertices x_e of S and the queries
+    are ({u+, u}, {v-, v}) per edge (u, v) of S."""
+    removed = set(removed)
+    return all(linkage_exists(vertices, arcs, a, b, removed) for a, b in queries)
 
 
 def joined_avoiding(

@@ -10,11 +10,7 @@ import time
 
 import pytest
 
-from conndel.criticality import (
-    critical_set,
-    find_size2_mixed_cut,
-    newly_critical,
-)
+from conndel.criticality import critical_set, newly_critical
 from conndel.families import (
     distinct_partner_instance,
     random_biconnected_graph,
@@ -41,6 +37,7 @@ from conndel.solver import (
     verify_solution,
 )
 
+from . import naive
 from .catalog import digraph_isomorphic
 from .checks import check_partner_invariants
 
@@ -132,7 +129,14 @@ class TestAcceptance:
                     if e2 == e:
                         continue
                     a = e2 in newly
-                    b = find_size2_mixed_cut(without, e2) is not None
+                    b = (
+                        naive.find_size2_mixed_cut(
+                            set(without.vertices),
+                            list(without.edges.values()),
+                            without.endpoints(e2),
+                        )
+                        is not None
+                    )
                     c = (
                         max_flow_bounded(without.without_edge(e2), x, y, 2).value
                         <= 1

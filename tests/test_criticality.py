@@ -9,12 +9,10 @@ from conndel.criticality import (
     build_partner_analysis,
     critical_set,
     find_clean_stretch,
-    find_size2_mixed_cut,
     is_critical,
     leftmost_long_run,
     newly_critical,
     partner_set,
-    verify_mixed_cut,
 )
 from conndel.errors import InvalidInputError
 from conndel.families import (
@@ -22,7 +20,7 @@ from conndel.families import (
     random_biconnected_graph,
     shared_partner_instance,
 )
-from conndel.graphs import Path, UndirectedGraph, max_flow_bounded
+from conndel.graphs import Path, UndirectedGraph, has_path_without, max_flow_bounded
 from conndel.solver import find_rich_flow, normalize
 
 from . import naive
@@ -36,6 +34,15 @@ def cycle(n):
 
 def complete(n):
     return UndirectedGraph.from_edges(range(n), itertools.combinations(range(n), 2))
+
+
+def plain(g):
+    """The vertex set and edge pairs that ``naive`` works on."""
+    return set(g.vertices), list(g.edges.values())
+
+
+def size2_mixed_cut(g, eid):
+    return naive.find_size2_mixed_cut(*plain(g), g.endpoints(eid))
 
 
 def theta122():
@@ -185,42 +192,43 @@ class TestNewlyCritical:
 
 
 class TestMixedCuts:
+    """The mixed-cut referees in ``naive``, and the package's path query
+    against them."""
+
     def test_c4_mixed_cut(self):
         g = cycle(4)
-        assert verify_mixed_cut(g, 0, 2, g.edge_between(0, 1), 3)
+        assert naive.separates_with_edge(*plain(g), 0, 2, (0, 1), 3)
 
     def test_k4_has_no_small_mixed_cut(self):
         g = complete(4)
         for e in g.edges:
             for v in g.vertices:
                 for x, y in itertools.combinations(g.vertices - {v}, 2):
-                    assert not verify_mixed_cut(g, x, y, e, v)
-        assert find_size2_mixed_cut(g, g.edge_between(0, 1)) is None
+                    assert not naive.separates_with_edge(*plain(g), x, y, g.endpoints(e), v)
+        assert size2_mixed_cut(g, g.edge_between(0, 1)) is None
 
     def test_terminal_as_cut_vertex_rejected(self):
         g = cycle(4)
-        with pytest.raises(InvalidInputError):
-            verify_mixed_cut(g, 0, 2, 0, 0)
+        with pytest.raises(ValueError):
+            naive.separates_with_edge(*plain(g), 0, 2, g.endpoints(0), 0)
 
     def test_matches_exhaustive_path_enumeration_on_theta(self):
         g = theta122()
-        edges = list(g.edges.values())
         for eid in g.edges:
             for v in g.vertices:
                 for x, y in itertools.combinations(sorted(g.vertices - {v}), 2):
-                    expect = naive.separates_with_edge(
-                        set(g.vertices), edges, x, y, g.endpoints(eid), v
-                    )
-                    assert verify_mixed_cut(g, x, y, eid, v) == expect
+                    expect = naive.separates_with_edge(*plain(g), x, y, g.endpoints(eid), v)
+                    joined = has_path_without(g, x, y, frozenset((eid,)), frozenset((v,)))
+                    assert joined != expect
 
     def test_found_cuts_verify(self):
         rng = random.Random(2)
         for _ in range(30):
             g = random_biconnected_graph(rng, rng.randint(3, 7), rng.randint(0, 3))
             for e in g.edges:
-                cut = find_size2_mixed_cut(g, e)
+                cut = size2_mixed_cut(g, e)
                 if cut is not None:
-                    assert cut.holds_in(g)
+                    assert cut.holds_in(*plain(g))
                     assert cut.vertex not in (cut.x, cut.y)
 
 
@@ -355,7 +363,7 @@ class TestFullExistenceEquivalence:
                     if e2 == e:
                         continue
                     in_newly = e2 in newly
-                    has_cut = find_size2_mixed_cut(without, e2) is not None
+                    has_cut = size2_mixed_cut(without, e2) is not None
                     flow_forced = (
                         max_flow_bounded(without.without_edge(e2), x, y, 2).value <= 1
                     )

@@ -18,7 +18,6 @@ from conndel.kernel import (
     constant_no_instance,
     constant_yes_instance,
     cut_covering_set,
-    is_deletion_set_via_linkages,
     kernelize,
     po_min_cut,
     rule_one,
@@ -123,11 +122,17 @@ class TestAuxiliaryDigraph:
             inst = normalize(unit_instance(g, 2, frozenset()))
             pool = inst.potential_edges()
             aux = build_auxiliary_digraph(g, pool)
+            vertices, arcs = set(aux.digraph.vertices), aux.digraph.arc_pairs()
             for size in range(0, min(3, len(pool)) + 1):
                 for s in itertools.combinations(pool, size):
-                    assert is_deletion_set_via_linkages(g, aux, s) == (
-                        is_biconnected_without(g, frozenset(s))
-                    )
+                    queries = [
+                        ((aux.v_plus[u], u), (aux.v_minus[v], v))
+                        for u, v in map(g.endpoints, s)
+                    ]
+                    removed = [aux.x_edge[e] for e in s]
+                    assert naive.is_deletion_set_via_linkages(
+                        vertices, arcs, removed, queries
+                    ) == is_biconnected_without(g, frozenset(s))
 
 
 @st.composite
@@ -556,6 +561,18 @@ class TestKernelize:
         assert outcomes == ["full"]
         assert res.answer == "yes"
         assert oracle_wbd(res.instance, BIG) is not None
+
+    def test_budget_rules_decide_before_phase_one(self, outcomes):
+        # mu(1) + 1 rim vertices: a pool of 69 deletable edges, above mu(1).
+        g = shared_partner_instance(q=mu(1) + 1, k=1, subdivide=True).instance.graph
+        assert len(normalize(unit_instance(g, 1, frozenset())).potential_edges()) > mu(1)
+        res = kernelize(g, 1)
+        assert res.answer == "yes" and res.instance == constant_yes_instance()
+        assert res.stats["phase1_rounds"] == 0 and outcomes == []
+        # Under a threshold below k, fewer than k deletable edges are a no
+        # before phase one, too.
+        res = kernelize(cycle(5), 2, config=SolverConfig(mu_override=lambda k: -1))
+        assert res.answer == "no" and res.stats["phase1_rounds"] == 0 and outcomes == []
 
     def test_phase1_wheel_freezes_irrelevant_edge(self, outcomes):
         # q=9: the rim-edge pivot's partner sets have two elements at the

@@ -15,9 +15,11 @@ from conndel.families import (
     shared_partner_instance,
 )
 from conndel.graphs import UndirectedGraph, is_biconnected_without
+from conndel import kernel as kernel_module
 from conndel import solver as solver_module
 from conndel.oracles import OracleBudget, oracle_irrelevance, oracle_wbd
 from conndel.solver import (
+    RoundCache,
     SolveStats,
     SolverConfig,
     WbdInstance,
@@ -27,6 +29,7 @@ from conndel.solver import (
     irrelevant_edge,
     mu,
     normalize,
+    reduction_step,
     solution_from_distinct_partners,
     solve,
     verify_solution,
@@ -504,3 +507,101 @@ class TestDecimalWeights:
         assert (got is None) == (expect is None)
         if got is not None:
             assert verify_solution(inst, got.edges)
+
+
+def reduction_summary(step):
+    """What a reduction step found, down to the partner analysis."""
+    pa = step.analysis
+    found = None
+    if pa is not None:
+        found = (pa.edge_ids, pa.partners, pa.switches, pa.components, pa.gammas, pa.affected)
+    return step.kind, step.picks, step.edge, found
+
+
+@pytest.fixture
+def cache_rounds(monkeypatch):
+    """Every reduction step the solver and the kernel take, each checked
+    at once against a second run of it on a fresh cache (a wrong freeze
+    could keep the loop from ending): (the cache the loop passed, what
+    it found)."""
+    rounds = []
+    original = solver_module.reduction_step
+
+    def checked(inst, config, pool, cache=None):
+        step = original(inst, config, pool, cache)
+        found = reduction_summary(step)
+        assert found == reduction_summary(original(inst, config, pool, RoundCache(inst.graph)))
+        rounds.append((cache, found))
+        return step
+
+    monkeypatch.setattr(solver_module, "reduction_step", checked)
+    monkeypatch.setattr(kernel_module, "reduction_step", checked)
+    return rounds
+
+
+class TestRoundCache:
+    """One cache shared by the rounds at one graph finds what a fresh cache
+    per round finds."""
+
+    @pytest.mark.parametrize("subdivide", [False, True])
+    @pytest.mark.parametrize("entry", ["solve", "kernelize"])
+    def test_freeze_loops_match_fresh_caches(self, cache_rounds, entry, subdivide):
+        hub = shared_partner_instance(mu(2) + 8, k=2, subdivide=subdivide)
+        if entry == "solve":
+            stats = SolveStats()
+            sol = solve(hub.instance, stats=stats)
+            assert sol is not None and verify_solution(hub.instance, sol.edges)
+            freezes = len(stats.irrelevant_edges)
+        else:
+            res = kernel_module.kernelize(hub.instance.graph, 2)
+            freezes = res.stats["irrelevant_frozen"]
+        assert cache_rounds
+        assert freezes == sum(1 for _, step in cache_rounds if step[0] == "freeze")
+        assert freezes >= (0 if entry == "kernelize" and not subdivide else 10)
+        assert len({id(cache) for cache, _ in cache_rounds}) == 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(min_value=4, max_value=12),
+        st.integers(min_value=0, max_value=3),
+        st.integers(min_value=2, max_value=6),
+        st.randoms(use_true_random=False),
+        st.data(),
+    )
+    def test_rounds_on_any_pools_match_fresh_caches(self, n, chords, k, rng, data):
+        """A freeze loop on a sparse ear graph whose pool is drawn anew each
+        round, in any order, so one pivot meets several prefixes and either
+        flow path may be P1: the cache keeps only what the graph and
+        greedy's picks decide."""
+        g = random_biconnected_graph(rng, n, chords)
+        inst = normalize(WbdInstance(g, k, float(k), {e: 1.0 for e in g.edges}))
+        cfg = SolverConfig(mu_override=lambda k: k + 1)  # every marked edge makes a step rich
+        cache = RoundCache(inst.graph)
+        for _ in range(16):
+            potential = inst.potential_edges()
+            if not potential:
+                break
+            pool = data.draw(st.permutations(potential))[: data.draw(st.integers(1, len(potential)))]
+            shared = reduction_step(inst, cfg, pool, cache)
+            assert reduction_summary(shared) == reduction_summary(
+                reduction_step(inst, cfg, pool, RoundCache(inst.graph))
+            )
+            if shared.kind == "freeze":
+                inst = inst.with_frozen(frozenset((shared.edge,)))
+
+    def test_refuses_another_graph(self):
+        inst = normalize(shared_partner_instance(7, k=2).instance)
+        cache = RoundCache(inst.graph)
+        twin = WbdInstance(
+            inst.graph.without_edges(()), inst.k, inst.w_star, inst.weights, inst.frozen
+        )
+        assert twin.graph == inst.graph
+        cfg = SolverConfig(mu_override=lambda k: 9)
+        pool = heavy_order(inst)[: cfg.mu(inst.k)]
+        for call in (
+            lambda: reduction_step(twin, cfg, pool, cache),
+            lambda: greedy_deletion_set(twin, pool, cache),
+        ):
+            with pytest.raises(InternalInconsistencyError):
+                call()
+        assert reduction_step(inst, cfg, pool, cache).kind == "freeze"
