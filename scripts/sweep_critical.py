@@ -1,0 +1,88 @@
+#!/usr/bin/env python3
+"""Check ``critical_set`` against its definition on random and hub graphs.
+
+The referee makes one ``is_biconnected_without`` pass per edge, a routine
+that shares no code with ``critical_set``.  The inputs are relabelled
+random ear graphs (new vertex names, edge ids and adjacency order, so new
+DFS roots and trees), both hub families at q = 1 ... --max-q, plain and
+subdivided, and up to --residuals one-edge residuals G - e of each hub
+graph, e non-critical: the graphs that greedy hands to ``critical_set``.
+Any mismatch is printed and exits 1."""
+
+import argparse
+import random
+import sys
+import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from conndel.criticality import critical_set
+from conndel.families import (
+    distinct_partner_instance,
+    random_biconnected_graph,
+    shared_partner_instance,
+)
+from conndel.graphs import UndirectedGraph, is_biconnected_without
+
+
+def referee(g):
+    """The critical edges by definition: one biconnectivity pass per edge."""
+    return frozenset(e for e in g.edges if not is_biconnected_without(g, frozenset((e,))))
+
+
+def relabelled(g, rng):
+    """g with its vertices renamed, its edge ids shuffled and its edges
+    listed in a new order."""
+    names = rng.sample(range(3 * g.n), g.n)
+    rename = dict(zip(sorted(g.vertices), names))
+    pairs = [(rename[u], rename[v]) for u, v in g.edges.values()]
+    rng.shuffle(pairs)
+    ids = rng.sample(range(3 * g.m), g.m)
+    return UndirectedGraph(names, [(i, u, v) for i, (u, v) in zip(ids, pairs)])
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__)
+    ap.add_argument("--count", type=int, default=6000, help="random ear graphs")
+    ap.add_argument("--min-n", type=int, default=3)
+    ap.add_argument("--max-n", type=int, default=22)
+    ap.add_argument("--max-q", type=int, default=39, help="largest hub rim")
+    ap.add_argument("--residuals", type=int, default=10, help="one-edge residuals per hub graph")
+    ap.add_argument("--seed", type=int, default=0)
+    args = ap.parse_args()
+    rng = random.Random(args.seed)
+
+    graphs = []
+    for _ in range(args.count):
+        n = rng.randint(args.min_n, args.max_n)
+        g = random_biconnected_graph(rng, n, rng.randint(0, n))
+        graphs.append(("random", relabelled(g, rng)))
+    for family in (shared_partner_instance, distinct_partner_instance):
+        for q in range(1, args.max_q + 1):
+            for subdivide in (False, True):
+                g = family(q, subdivide=subdivide).instance.graph
+                graphs.append((family.__name__, g))
+                spare = sorted(set(g.edges) - referee(g))
+                for e in rng.sample(spare, min(args.residuals, len(spare))):
+                    graphs.append((family.__name__ + " residual", g.without_edge(e)))
+
+    mismatches = 0
+    t0 = time.perf_counter()
+    for name, g in graphs:
+        got, expect = critical_set(g), referee(g)
+        if got != expect:
+            mismatches += 1
+            print(
+                f"MISMATCH {name} n={g.n} m={g.m}: missed {sorted(expect - got)}, "
+                f"extra {sorted(got - expect)}; edges {sorted(g.edges.items())}"
+            )
+    print(
+        f"{len(graphs)} graphs, {mismatches} mismatches "
+        f"({time.perf_counter() - t0:.1f} s)"
+    )
+    return 1 if mismatches else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

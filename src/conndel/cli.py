@@ -26,6 +26,7 @@ from .errors import (
     ParseError,
 )
 from .formats import (
+    _content_lines,
     parse_digraph,
     parse_undirected,
     serialize_digraph,
@@ -224,24 +225,16 @@ def cmd_oracle(args) -> int:
 
 
 def _parse_witness(text: str, kind: str) -> List:
+    shape = {"wbd": "e <u> <v>", "pcpsc": "a <u> <v>"}.get(kind, "v <id>")
     out: List = []
-    for i, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tok = line.split()
-        if kind == "wbd":
-            if tok[0] != "e" or len(tok) != 3:
-                raise ParseError(i, "witness line must be 'e <u> <v>'")
-            out.append((int(tok[1]), int(tok[2])))
-        elif kind == "pcpsc":
-            if tok[0] != "a" or len(tok) != 3:
-                raise ParseError(i, "witness line must be 'a <u> <v>'")
-            out.append((int(tok[1]), int(tok[2])))
-        else:
-            if tok[0] != "v" or len(tok) != 2:
-                raise ParseError(i, "witness line must be 'v <id>'")
-            out.append(int(tok[1]))
+    for no, tok in _content_lines(text):
+        if tok[0] != shape[0] or len(tok) != len(shape.split()):
+            raise ParseError(no, f"witness line must be '{shape}'")
+        try:
+            ids = tuple(int(t) for t in tok[1:])
+        except ValueError:
+            raise ParseError(no, "witness ids must be integers") from None
+        out.append(ids if len(ids) == 2 else ids[0])
     return out
 
 

@@ -3,8 +3,8 @@
 An edge of a biconnected graph is critical when deleting it destroys
 biconnectivity, that is, when G - e has a cut vertex.  ``critical_set``
 finds them all from one DFS tree: subtree sums decide every back edge,
-lowpoint-style rules and a short walk down the tree decide almost every
-tree edge, and a tree edge they leave open gets one biconnectivity test.
+and lowpoint-style rules with a walk down the tree and one up from the
+parent decide every tree edge, with no per-edge biconnectivity test.
 By convention every edge is critical when G is not biconnected or has
 fewer than three vertices (deleting any edge leaves a graph that is not
 biconnected).
@@ -81,6 +81,8 @@ def critical_set(g: UndirectedGraph) -> FrozenSet[int]:
     The rules, in order:
 
     1. p or q has degree 2: critical (its other neighbour cuts it off).
+       Rules 2-4 decide these edges too; this O(1) test keeps rule 3's
+       walk off long chains of degree-2 vertices.
     2. Every upward edge of T(q) lands on one vertex a != p: critical, as
        a cuts off T(q).  Tested as low(q) = high(q) < depth(p).  The guard
        matters: when all of them land on p, no w above p cuts off T(q).
@@ -93,16 +95,22 @@ def critical_set(g: UndirectedGraph) -> FrozenSet[int]:
        other children miss A, and c is a cut vertex iff high2(x) <
        depth(q); else the walk steps to x.  At the last c no deeper w
        meets (i); test (ii) over c's children.  A cut vertex found:
-       critical.  The walk is no longer than a path of T, below the
-       O(n + m) of rule 5.
-    4. Non-critical when some upward edge of T(q) lands on p, or a back
-       edge from p or from a sibling subtree of q lands strictly above
-       high(q).  Rule 2 failed, so no w above p cuts off T(q), and none
-       cuts off T(c) - T(q): a w above high(q) has T(q)'s edge to high(q)
-       landing between c and p (p itself included), and a w at or below
-       high(q) has p and q's siblings' subtrees inside T(c) - T(q), one of
-       them with a back edge landing above w.  Rule 3 found no w inside.
-    5. Anything else: one ``is_biconnected_without`` test.
+       critical.  The walk is no longer than a path of T.
+    4. Above p, exactly.  Rule 2 failed, so no w above p cuts off T(q).
+       The w at depth d cuts off T(c) - T(q) iff high(q) <= d (else T(q)'s
+       edge to high(q) lands between c and p) and m(d) >= d, where m(d) is
+       the lowest landing depth of the back edges from T(c) - T(q).  That
+       set is the tree path from c down to p with the subtrees hanging off
+       it, q's siblings' included, so m(d) is a running minimum up the
+       path: each vertex v adds own(v) and the lowest low among its
+       children off the path, read from the two lowest lows per vertex.
+       Walk up from p, starting at d = depth(p) - 1: critical at the first
+       d with m(d) >= d.  m never rises as d falls, so once d or m is below
+       high(q) no shallower w qualifies and the walk stops.  It is no
+       longer than the tree path from p up to depth high(q), and it stops
+       at once when an upward edge of T(q) lands on p or a back edge from
+       p or a sibling subtree of q lands above high(q).  Rule 3 found no w
+       inside, so an edge the walk does not decide is not critical.
 
     high and high2 come from union-find sweeps over the back edges,
     deepest landing first: each edge assigns its landing depth to the
@@ -234,11 +242,14 @@ def critical_set(g: UndirectedGraph) -> FrozenSet[int]:
         if own[q] == n and low2[q] > dp and cut_inside(q):
             crit.add(eid)
             continue
-        sibling = low2[p] if low1_child[p] == q else low1[p]
-        if h == dp or own[p] < h or sibling < h:
-            continue
-        if not is_biconnected_without(g, frozenset((eid,))):
-            crit.add(eid)
+        c, d = p, dp - 1
+        m = min(own[p], low2[p] if low1_child[p] == q else low1[p])
+        while h <= d and h <= m:
+            if m >= d:
+                crit.add(eid)
+                break
+            x, c, d = c, parent[c], d - 1
+            m = min(m, own[c], low2[c] if low1_child[c] == x else low1[c])
     return frozenset(crit)
 
 

@@ -8,10 +8,11 @@ that exceed its budget instead of running unbounded.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import FrozenSet, Optional, Tuple
 
-from .errors import BudgetExceededError, ContractionError
+from .errors import BudgetExceededError, ContractionError, InvalidInputError
 from .graphs import (
     Digraph,
     UndirectedGraph,
@@ -24,7 +25,8 @@ from .solver import Solution, WbdInstance, validate_instance
 
 @dataclass(frozen=True)
 class OracleBudget:
-    """Hard limits the oracles refuse to exceed."""
+    """Hard limits the oracles refuse to exceed.  ``admit_graph`` also
+    refuses a negative k, as invalid input rather than over budget."""
 
     max_vertices: int = 10
     max_edges: int = 20
@@ -32,6 +34,8 @@ class OracleBudget:
     max_candidates: int = 10_000_000
 
     def admit_graph(self, n: int, m: int, k: int) -> None:
+        if k < 0:
+            raise InvalidInputError(f"k must be non-negative, got {k}")
         if n > self.max_vertices:
             raise BudgetExceededError(f"{n} vertices exceeds budget {self.max_vertices}")
         if m > self.max_edges:
@@ -59,7 +63,7 @@ def oracle_wbd(
     pool = inst.potential_edges()
     total = 0
     for size in range(0, min(inst.k, len(pool)) + 1):
-        total += _ncr(len(pool), size)
+        total += math.comb(len(pool), size)
     budget.admit_candidates(total)
     best: Optional[Solution] = None
     for size in range(0, min(inst.k, len(pool)) + 1):
@@ -74,15 +78,6 @@ def oracle_wbd(
     return best
 
 
-def _ncr(n: int, r: int) -> int:
-    if r < 0 or r > n:
-        return 0
-    out = 1
-    for i in range(r):
-        out = out * (n - i) // (i + 1)
-    return out
-
-
 def oracle_pcpsc(
     d: Digraph, k: int, budget: OracleBudget = DEFAULT_BUDGET
 ) -> Optional[Tuple[Tuple[int, int], ...]]:
@@ -93,7 +88,7 @@ def oracle_pcpsc(
     """
     budget.admit_graph(d.n, d.m, k)
     arcs = d.arc_pairs()
-    budget.admit_candidates(_ncr(len(arcs), k) * max(1, _factorial(k)))
+    budget.admit_candidates(math.perm(len(arcs), k))
     for combo in itertools.combinations(arcs, k):
         for order in itertools.permutations(combo):
             try:
@@ -105,13 +100,6 @@ def oracle_pcpsc(
     return None
 
 
-def _factorial(k: int) -> int:
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
-
-
 def oracle_vdpsc(
     d: Digraph, k: int, budget: OracleBudget = DEFAULT_BUDGET
 ) -> Optional[FrozenSet[int]]:
@@ -120,7 +108,7 @@ def oracle_vdpsc(
     verts = sorted(d.vertices)
     if k >= len(verts):
         return None
-    budget.admit_candidates(_ncr(len(verts), k))
+    budget.admit_candidates(math.comb(len(verts), k))
     for combo in itertools.combinations(verts, k):
         if is_strongly_connected(d.without_vertices(combo)):
             return frozenset(combo)
@@ -135,7 +123,7 @@ def oracle_is(
     verts = sorted(g.vertices)
     if k > len(verts):
         return None
-    budget.admit_candidates(_ncr(len(verts), k))
+    budget.admit_candidates(math.comb(len(verts), k))
     for combo in itertools.combinations(verts, k):
         if all(g.edge_between(u, v) is None for u, v in itertools.combinations(combo, 2)):
             return frozenset(combo)

@@ -199,6 +199,18 @@ class TestGenerateAndVerify:
         w.write_text("v 1\n")
         assert main(["verify", "vdpsc", str(d), "--witness", str(w), "--k", "1"]) == 0
 
+    @pytest.mark.parametrize(
+        "kind, line", [("wbd", "e 1 x"), ("pcpsc", "a 1 2.5"), ("vdpsc", "v q")]
+    )
+    def test_verify_non_integer_witness_id_is_a_parse_error(self, tmp_path, capsys, kind, line):
+        g = tmp_path / "input.txt"
+        g.write_text(K4 if kind == "wbd" else "p digraph 2 2\na 1 2\na 2 1\n")
+        w = tmp_path / "w.txt"
+        w.write_text(f"# witness\n{line}\n")
+        args = ["verify", kind, str(g), "--witness", str(w), "--k", "1", "--wstar", "1"]
+        assert main(args) == 2
+        assert "line 2: witness ids must be integers" in capsys.readouterr().err
+
 
 class TestKernelizeCommand:
     def test_writes_reduced_instance_and_stats(self, files, tmp_path, capsys):
@@ -241,6 +253,12 @@ class TestInputValidation:
         assert main(["solve", files["k4"], "--k", "-1", "--wstar", "1"]) == 2
         assert main(["kernelize", files["k4"], "--k", "-1"]) == 2
         assert main(["oracle", "wbd", files["k4"], "--k", "-1"]) == 2
+        d = files["dir"] / "cyc.digraph"
+        d.write_text("p digraph 3 3\na 1 2\na 2 3\na 3 1\n")
+        for kind, path in (("pcpsc", d), ("vdpsc", d), ("is", files["k4"])):
+            capsys.readouterr()
+            assert main(["oracle", kind, str(path), "--k", "-1"]) == 2
+            assert "k must be non-negative" in capsys.readouterr().err
 
     def test_negative_max_terminals_is_a_usage_error(self, files, capsys):
         assert main(["kernelize", files["k4"], "--k", "1", "--max-terminals", "-3"]) == 2

@@ -122,10 +122,11 @@ class TestCriticalSetRules:
         assert critical_set(g) == critical_by_definition(g)
         assert critical_set(g) == frozenset(g.edges) - {middle}
 
-    def test_cut_vertex_above_the_parent_left_to_the_per_edge_test(self):
+    def test_cut_vertex_above_the_parent_found_by_the_walk(self):
         # Deleting 3-4 leaves 3 and 5 hanging from 2 alone.  From root 0
-        # the tree path runs 0-1-2-3-4, with 2 above 3 = parent(4): the
-        # rules on the tree cannot see it, the per-edge test must.
+        # the tree path runs 0-1-2-3-4, with 2 above 3 = parent(4): rules
+        # 1-3 cannot see it, and the walk up from 3 must stop at 2, where
+        # no back edge from {3, 5} lands above 2.
         g = UndirectedGraph.from_edges(
             range(7),
             [(0, 1), (0, 4), (0, 6), (1, 2), (1, 6), (2, 3), (2, 5), (3, 4), (3, 5), (4, 6)],
@@ -133,14 +134,50 @@ class TestCriticalSetRules:
         assert g.edge_between(3, 4) in critical_set(g)
         assert critical_set(g) == critical_by_definition(g)
 
+    def test_walk_reaches_the_deepest_landing_of_the_subtree(self):
+        # Deleting 2-4 leaves {0, 2, 5, 6} hanging from 1 alone.  From root
+        # 0 the tree path runs 0-1-3-4-2, and T(2)'s deepest upward edge,
+        # 6-1, lands on 1: the walk up from 4 must test depth high(q)
+        # itself, and one that stops above it misses 2-4.
+        g = UndirectedGraph.from_edges(
+            range(7),
+            [(0, 1), (0, 2), (0, 5), (0, 6), (1, 3), (1, 4), (1, 6),
+             (2, 4), (2, 5), (2, 6), (3, 4), (5, 6)],
+        )
+        expected = {g.edge_between(*pair) for pair in ((1, 3), (2, 4), (3, 4))}
+        assert critical_set(g) == expected == critical_by_definition(g)
+
     @pytest.mark.parametrize("subdivide", [False, True])
     @pytest.mark.parametrize("family", [shared_partner_instance, distinct_partner_instance])
     def test_hub_families(self, family, subdivide):
+        # Each hub graph, relabelled, and its one-edge residuals G - e for
+        # non-critical e: the graphs greedy hands to ``critical_set``.
         rng = random.Random(5)
         for q in range(3, 13):
             g = family(q, subdivide=subdivide).instance.graph
-            for h in (g, relabelled(g, rng)):
+            spare = sorted(set(g.edges) - critical_set(g))
+            residuals = [g.without_edge(e) for e in rng.sample(spare, min(3, len(spare)))]
+            for h in [g, relabelled(g, rng)] + residuals:
                 assert critical_set(h) == critical_by_definition(h)
+
+    @pytest.mark.parametrize("subdivide", [False, True])
+    @pytest.mark.parametrize("family", [shared_partner_instance, distinct_partner_instance])
+    def test_no_biconnectivity_pass(self, family, subdivide, monkeypatch):
+        # Every edge is decided by a rule on the DFS tree.
+        def refuse(*args):
+            raise AssertionError("critical_set made a biconnectivity pass")
+
+        monkeypatch.setattr("conndel.criticality.is_biconnected_without", refuse)
+        rng = random.Random(11)
+        for q in range(1, 41, 3):
+            g = family(q, subdivide=subdivide).instance.graph
+            spare = sorted(set(g.edges) - critical_set(g))
+            for e in rng.sample(spare, min(3, len(spare))):
+                critical_set(g.without_edge(e))
+            critical_set(relabelled(g, rng))
+        for _ in range(200):
+            n = rng.randint(3, 25)
+            critical_set(relabelled(random_biconnected_graph(rng, n, rng.randint(0, n)), rng))
 
     @settings(max_examples=300, deadline=None)
     @given(st.randoms(use_true_random=False))
