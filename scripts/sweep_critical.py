@@ -4,15 +4,19 @@
 The referee makes one ``is_biconnected_without`` pass per edge, a routine
 that shares no code with ``critical_set``.  The inputs are relabelled
 random ear graphs (new vertex names, edge ids and adjacency order, so new
-DFS roots and trees), both hub families at q = 1 ... --max-q, plain and
-subdivided, and up to --residuals one-edge residuals G - e of each hub
-graph, e non-critical: the graphs that greedy hands to ``critical_set``.
-Any mismatch is printed and exits 1."""
+DFS roots and trees), 300 relabelled dense graphs the size of those the
+benchmark workloads hand to ``critical_set`` (n 30-60, m 2n-10n), both hub
+families at q = 1 ... --max-q, plain and subdivided, and up to --residuals
+one-edge residuals G - e of each hub graph, e non-critical: the graphs that
+greedy hands to ``critical_set``.  Prints the graph count per family; any
+mismatch is printed and exits 1."""
 
 import argparse
+import itertools
 import random
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -42,6 +46,14 @@ def relabelled(g, rng):
     return UndirectedGraph(names, [(i, u, v) for i, (u, v) in zip(ids, pairs)])
 
 
+def dense(rng, n, m):
+    """A random biconnected graph on n vertices with m edges: an ear
+    graph plus random chords."""
+    g = random_biconnected_graph(rng, n)
+    spare = [p for p in itertools.combinations(range(n), 2) if g.edge_between(*p) is None]
+    return UndirectedGraph.from_edges(range(n), [*g.edges.values(), *rng.sample(spare, m - g.m)])
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--count", type=int, default=6000, help="random ear graphs")
@@ -58,6 +70,9 @@ def main() -> int:
         n = rng.randint(args.min_n, args.max_n)
         g = random_biconnected_graph(rng, n, rng.randint(0, n))
         graphs.append(("random", relabelled(g, rng)))
+    for _ in range(300):
+        n = rng.randint(30, 60)
+        graphs.append(("dense", relabelled(dense(rng, n, rng.randint(2 * n, 10 * n)), rng)))
     for family in (shared_partner_instance, distinct_partner_instance):
         for q in range(1, args.max_q + 1):
             for subdivide in (False, True):
@@ -77,6 +92,8 @@ def main() -> int:
                 f"MISMATCH {name} n={g.n} m={g.m}: missed {sorted(expect - got)}, "
                 f"extra {sorted(got - expect)}; edges {sorted(g.edges.items())}"
             )
+    for name, count in Counter(name for name, _ in graphs).items():
+        print(f"{name}: {count} graphs")
     print(
         f"{len(graphs)} graphs, {mismatches} mismatches "
         f"({time.perf_counter() - t0:.1f} s)"

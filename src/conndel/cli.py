@@ -101,6 +101,7 @@ def cmd_solve(args) -> int:
     text = _read(args.path)
     parsed = parse_undirected(text)
     inst = WbdInstance(parsed.graph, args.k, args.wstar, dict(parsed.weights), parsed.frozen)
+    budget = _budget_from_args(args) if args.oracle_check else None
     stats = SolveStats()
     t0 = time.perf_counter()
     sol = solve(inst, stats=stats)
@@ -124,7 +125,7 @@ def cmd_solve(args) -> int:
     }
     if args.oracle_check:
         try:
-            oracle = oracle_wbd(inst, _budget_from_args(args))
+            oracle = oracle_wbd(inst, budget)
             report["oracle-agrees"] = (oracle is None) == (sol is None)
         except BudgetExceededError:
             report["oracle-agrees"] = "skipped"

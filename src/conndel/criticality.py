@@ -40,8 +40,8 @@ def critical_set(g: UndirectedGraph) -> FrozenSet[int]:
     One iterative DFS from a maximum-degree vertex (ties: smallest id)
     gives a tree T in which every other edge is a back edge joining a
     vertex to a proper ancestor.  T(q) is q's subtree; an *upward edge* of
-    T(q) is a back edge from T(q) to a proper ancestor of q.  The same pass
-    checks biconnectivity: one root child, and for every u at depth >= 2 a
+    T(q) is a back edge from T(q) to a proper ancestor of q.  The tree also
+    decides biconnectivity: one root child, and for every u at depth >= 2 a
     back edge from T(u) above parent(u).  In a biconnected G, deleting e
     leaves G - e connected, so e is critical iff G - e has a cut vertex.
 
@@ -112,86 +112,91 @@ def critical_set(g: UndirectedGraph) -> FrozenSet[int]:
        p or a sibling subtree of q lands above high(q).  Rule 3 found no w
        inside, so an edge the walk does not decide is not critical.
 
-    high and high2 come from union-find sweeps over the back edges,
-    deepest landing first: each edge assigns its landing depth to the
-    still unassigned vertices on the tree path from its lower end up to
-    the child (for high2, the grandchild) of its upper end.
+    A back edge landing on parent(q) is an upward edge of T(q), so
+    high(q) = depth(p) when one exists (q is *hit*), and high(q) = high2(q)
+    otherwise.  For a hit q rule 2 fails (high(q) is not above p) and rule
+    4 finds no w above p (high(q) > depth(p) - 1), so both are skipped.
+
+    The passes: one DFS numbers the vertices in preorder, applies each
+    back edge's subtree-sum updates and marks the hit child of its upper
+    end; one reverse sweep, children before parents, completes low, the
+    sums, the two lowest lows per vertex and the biconnectivity test; one
+    union-find sweep over the back edges, sorted deepest landing first by
+    one integer key, gives high2: each edge assigns its landing depth to
+    the still unassigned vertices on the tree path from its lower end up
+    to the grandchild of its upper end.  Then one loop applies the rules.
     """
     edges = g._edges
     n = g.n
     if n < 3:
         return frozenset(edges)
     adj = g._adj
-    root = min(g._vertices, key=lambda v: (-len(adj[v]), v))
+    top = max(map(len, adj.values()))
+    root = min(v for v, a in adj.items() if len(a) == top)
 
-    # Vertices are numbered in preorder: ``order[i]`` is vertex i, and
-    # ``path`` holds the numbers on the tree path to the current vertex.
-    num = {root: 0}
-    order = [root]
+    # Vertices are numbered in preorder, the order in which ``at`` (vertex
+    # to depth) meets them; ``path`` holds the numbers on the tree path to
+    # the current vertex.  A back edge is kept as the integer
+    # (upper end's depth << bits) | lower end.
+    bits = n.bit_length()
+    at = {root: 0}
     parent = [-1]
     tree_edge = [-1]
     depth = [0]
-    own = [n]  # lowest landing depth of a vertex's own back edges
-    back = []  # (upper end's depth, id, lower end, upper end's path child)
+    own = [n] * n  # lowest landing depth of a vertex's own back edges
+    above = [0] * n  # count and id sum of T(v)'s back edges above parent(v)
+    above_ids = [0] * n
+    hit = [False] * n
+    back = []
     path = [0]
     iters = [iter(adj[root])]
     while iters:
         i = path[-1]
         parent_depth = len(path) - 2
         for u, eid in iters[-1]:
-            j = num.get(u)
-            if j is None:
-                j = len(order)
-                num[u] = j
-                order.append(u)
+            dj = at.get(u)
+            if dj is None:
+                j = len(depth)
+                at[u] = len(path)
                 parent.append(i)
                 tree_edge.append(eid)
                 depth.append(len(path))
-                own.append(n)
                 path.append(j)
                 iters.append(iter(adj[u]))
                 break
-            dj = depth[j]
             if dj < parent_depth:  # a proper ancestor above the parent
-                back.append((dj, eid, i, path[dj + 1]))
+                c = path[dj + 1]
+                back.append((dj << bits) | i)
+                above[i] += 1
+                above_ids[i] += eid
+                above[c] -= 1
+                above_ids[c] -= eid
+                hit[c] = True
                 if dj < own[i]:
                     own[i] = dj
         else:
             path.pop()
             iters.pop()
-    size = len(order)
+    size = len(depth)
     if size < n:
         return frozenset(edges)
 
-    # Subtree sums, children before parents: the lowest landing depth, and
-    # the count and id sum of back edges landing above the parent.
-    low = own[:]
-    above = [0] * size
-    above_ids = [0] * size
-    for _, eid, d, c in back:
-        above[d] += 1
-        above_ids[d] += eid
-        above[c] -= 1
-        above_ids[c] -= eid
-    for j in range(size - 1, 0, -1):
-        p = parent[j]
-        if low[j] < low[p]:
-            low[p] = low[j]
-        above[p] += above[j]
-        above_ids[p] += above_ids[j]
-    if any(parent[j] == 0 for j in range(2, size)) or any(
-        low[j] >= depth[j] - 1 for j in range(2, size)
-    ):
-        return frozenset(edges)
-
-    # Per vertex, its children, the two lowest lows among them and the
-    # child with the lowest; two children reach above v iff low2[v] < depth[v].
+    # Children before parents: low, the subtree sums, each vertex's
+    # children with the two lowest lows among them and the child with the
+    # lowest (two children reach above v iff low2[v] < depth[v]), and the
+    # test: one root child, and every u at depth >= 2 reaching above parent(u).
+    low = [n] * size
     children = [[] for _ in range(size)]
     low1 = [n] * size
     low1_child = [-1] * size
     low2 = [n] * size
-    for j in range(1, size):
-        p, lj = parent[j], low[j]
+    for j in range(size - 1, 0, -1):
+        lj = low[j] = own[j] if own[j] < low1[j] else low1[j]
+        p = parent[j]
+        if lj >= depth[p] if p else j > 1:  # parent(j) is a cut vertex
+            return frozenset(edges)
+        above[p] += above[j]
+        above_ids[p] += above_ids[j]
         children[p].append(j)
         if lj < low1[p]:
             low2[p] = low1[p]
@@ -199,24 +204,22 @@ def critical_set(g: UndirectedGraph) -> FrozenSet[int]:
             low1_child[p] = j
         elif lj < low2[p]:
             low2[p] = lj
+
     back.sort(reverse=True)
-
-    def deepest(offset: int) -> List[int]:
-        out = [-1] * size
-        link = list(range(size))  # nearest unassigned ancestor-or-self
-        for da, _, d, _ in back:
-            v = d
-            while True:
-                while link[v] != v:
-                    link[v] = link[link[v]]
-                    v = link[v]
-                if depth[v] <= da + offset:
-                    break
-                out[v] = da
-                link[v] = v = parent[v]
-        return out
-
-    high, high2 = deepest(0), deepest(1)
+    mask = (1 << bits) - 1
+    high2 = [-1] * size
+    link = list(range(size))  # nearest unassigned ancestor-or-self
+    for key in back:
+        da = key >> bits
+        v = key & mask
+        while True:
+            while link[v] != v:
+                link[v] = link[link[v]]
+                v = link[v]
+            if depth[v] <= da + 1:
+                break
+            high2[v] = da
+            link[v] = v = parent[v]
 
     def cut_inside(q: int) -> bool:
         t = depth[q]
@@ -228,28 +231,35 @@ def critical_set(g: UndirectedGraph) -> FrozenSet[int]:
             c = x
         return not any(low[d] < t <= high2[d] for d in children[c])
 
+    two = [len(adj[v]) == 2 for v in at]
     crit = {above_ids[j] for j in range(2, size) if above[j] == 1}
     for q in range(1, size):
         p = parent[q]
-        eid = tree_edge[q]
-        if len(adj[order[p]]) == 2 or len(adj[order[q]]) == 2:
-            crit.add(eid)
+        if two[p] or two[q]:
+            crit.add(tree_edge[q])
             continue
-        dp, h = depth[p], high[q]
+        dp = depth[p]
+        h = dp if hit[q] else high2[q]
         if low[q] == h < dp:
-            crit.add(eid)
+            crit.add(tree_edge[q])
             continue
         if own[q] == n and low2[q] > dp and cut_inside(q):
-            crit.add(eid)
+            crit.add(tree_edge[q])
+            continue
+        if h == dp:  # q is hit: no w above p
             continue
         c, d = p, dp - 1
         m = min(own[p], low2[p] if low1_child[p] == q else low1[p])
         while h <= d and h <= m:
             if m >= d:
-                crit.add(eid)
+                crit.add(tree_edge[q])
                 break
             x, c, d = c, parent[c], d - 1
-            m = min(m, own[c], low2[c] if low1_child[c] == x else low1[c])
+            if own[c] < m:
+                m = own[c]
+            lc = low2[c] if low1_child[c] == x else low1[c]
+            if lc < m:
+                m = lc
     return frozenset(crit)
 
 

@@ -399,39 +399,37 @@ def is_biconnected_without(
     if g.n < 2:
         return False
     root = min(g._vertices)
-    disc: Dict[int, int] = {root: 0}
-    low: Dict[int, int] = {root: 0}
-    clock = 1
+    # Lows are indexed by discovery number; a stack entry carries that
+    # number, the edge it was entered by and its adjacency iterator.
+    disc = {root: 0}
+    low = [0]
     root_children = 0
-    stack: List[Tuple[int, int, Iterable]] = [(root, -1, iter(adj[root]))]
+    stack = [(0, -1, iter(adj[root]))]
     while stack:
-        v, parent_eid, it = stack[-1]
-        advanced = False
+        dv, parent_eid, it = stack[-1]
         for u, eid in it:
             if eid == parent_eid or eid in removed_edges:
                 continue
             du = disc.get(u)
-            if du is not None:
-                if du < low[v]:
-                    low[v] = du
-            else:
-                disc[u] = low[u] = clock
-                clock += 1
-                stack.append((u, eid, iter(adj[u])))
-                advanced = True
+            if du is None:
+                du = disc[u] = len(low)
+                low.append(du)
+                stack.append((du, eid, iter(adj[u])))
                 break
-        if not advanced:
+            if du < low[dv]:
+                low[dv] = du
+        else:
             stack.pop()
             if stack:
-                p = stack[-1][0]
-                lv = low[v]
-                if lv < low[p]:
-                    low[p] = lv
-                if p == root:
+                dp = stack[-1][0]
+                lv = low[dv]
+                if lv < low[dp]:
+                    low[dp] = lv
+                if dp == 0:
                     root_children += 1
-                elif lv >= disc[p]:
+                elif lv >= dp:
                     return False
-    return len(disc) == g.n and root_children <= 1
+    return len(low) == g.n and root_children <= 1
 
 
 def is_biconnected(g: UndirectedGraph) -> bool:

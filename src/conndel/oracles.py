@@ -25,13 +25,18 @@ from .solver import Solution, WbdInstance, validate_instance
 
 @dataclass(frozen=True)
 class OracleBudget:
-    """Hard limits the oracles refuse to exceed.  ``admit_graph`` also
-    refuses a negative k, as invalid input rather than over budget."""
+    """Hard limits the oracles refuse to exceed.  A negative limit, and in
+    ``admit_graph`` a negative k, is invalid input rather than over budget."""
 
     max_vertices: int = 10
     max_edges: int = 20
     max_k: int = 3
     max_candidates: int = 10_000_000
+
+    def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if value < 0:
+                raise InvalidInputError(f"{name} must be non-negative, got {value}")
 
     def admit_graph(self, n: int, m: int, k: int) -> None:
         if k < 0:

@@ -187,10 +187,10 @@ def normalize(inst: WbdInstance) -> WbdInstance:
 
 
 def heavy_order(inst: WbdInstance) -> List[int]:
-    """Potential solution edges, heaviest first, ties by ascending id."""
-    return sorted(
-        inst.potential_edges(), key=lambda e: (-inst.weights.get(e, 0.0), e)
-    )
+    """Potential solution edges, heaviest first, ties by ascending id: the
+    pool comes in id order and the sort is stable, ``reverse=True`` too."""
+    w = inst.weights
+    return sorted(inst.potential_edges(), key=lambda e: w.get(e, 0.0), reverse=True)
 
 
 def verify_solution(inst: WbdInstance, edges) -> bool:

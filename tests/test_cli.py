@@ -260,6 +260,18 @@ class TestInputValidation:
             assert main(["oracle", kind, str(path), "--k", "-1"]) == 2
             assert "k must be non-negative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--max-vertices", "--max-edges", "--max-k", "--max-candidates"])
+    def test_negative_oracle_budget_is_a_usage_error(self, files, capsys, flag):
+        name = flag[2:].replace("-", "_")
+        for argv in (
+            ["oracle", "wbd", files["k4"], "--k", "1", "--wstar", "1"],
+            ["oracle", "is", files["tri"], "--k", "1"],
+            ["solve", files["k4"], "--k", "1", "--wstar", "1", "--oracle-check"],
+        ):
+            capsys.readouterr()
+            assert main(argv + [flag, "-1"]) == 2
+            assert f"{name} must be non-negative" in capsys.readouterr().err
+
     def test_negative_max_terminals_is_a_usage_error(self, files, capsys):
         assert main(["kernelize", files["k4"], "--k", "1", "--max-terminals", "-3"]) == 2
         assert "max_terminals must be non-negative" in capsys.readouterr().err

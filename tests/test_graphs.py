@@ -22,7 +22,7 @@ from conndel.graphs import (
 )
 
 from . import naive
-from .strategies import digraphs, undirected_graphs
+from .strategies import digraphs, ear_graphs, undirected_graphs
 
 
 def cycle(n):
@@ -66,6 +66,26 @@ class TestBiconnectivity:
             assert is_biconnected_without(g, frozenset({eid})) == is_biconnected(
                 g.without_edge(eid)
             )
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(undirected_graphs(min_n=2, max_n=8), ear_graphs(min_n=3, max_n=9)), st.data())
+    def test_removal_views_match_definition_on_relabelled_graphs(self, g, data):
+        # Names from n up, so the root min(vertices) is no fixed original
+        # vertex; shuffled edge ids; up to four removed edges, which may
+        # disconnect the graph or leave it empty.
+        n, m = g.n, g.m
+        names = data.draw(st.permutations(range(n, 3 * n + 1)))[:n]
+        ids = data.draw(st.permutations(range(3 * m + 1)))[:m]
+        h = UndirectedGraph(
+            names, [(i, names[u], names[v]) for i, (u, v) in zip(ids, g.edges.values())]
+        )
+        removed = frozenset(
+            data.draw(st.lists(st.sampled_from(ids), unique=True, max_size=4)) if m else ()
+        )
+        kept = [pair for eid, pair in h.edges.items() if eid not in removed]
+        assert is_biconnected_without(h, removed) == naive.biconnected_by_definition(
+            set(h.vertices), kept
+        )
 
     @settings(max_examples=150, deadline=None)
     @given(undirected_graphs(min_n=2, max_n=8))

@@ -36,6 +36,7 @@ from conndel.solver import (
 )
 
 from . import naive
+from .strategies import ear_graphs
 
 BIG = OracleBudget(max_vertices=16, max_edges=50, max_k=3)
 
@@ -130,6 +131,19 @@ class TestHeavy:
         inst = WbdInstance(g, 2, 2.0, weights, frozenset())
         assert heavy_order(inst) == [0, 1, 2, 3, 4, 5]
         assert heavy_order(inst)[:2] == [0, 1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(ear_graphs(min_n=3, max_n=9), st.data())
+    def test_matches_its_definition(self, g, data):
+        # Few distinct weights, so many ties; some edges frozen, some
+        # missing from the weights.
+        ids = sorted(g.edges)
+        weighted = data.draw(st.sets(st.sampled_from(ids)))
+        weights = {e: data.draw(st.sampled_from([0, 0.0, 0.5, 1, 1.0, 2.5])) for e in weighted}
+        frozen = frozenset(data.draw(st.sets(st.sampled_from(ids))))
+        inst = WbdInstance(g, 1, 0.0, weights, frozen)
+        expect = sorted(inst.potential_edges(), key=lambda e: (-weights.get(e, 0.0), e))
+        assert heavy_order(inst) == expect
 
 
 class TestVerifySolution:
