@@ -13,7 +13,6 @@ from .graphs import (
     contract_sequence,
     is_biconnected,
     is_strongly_connected,
-    max_flow,
     max_flow_bounded,
     path_contract,
 )
@@ -38,7 +37,6 @@ __all__ = [
     "is_biconnected",
     "is_strongly_connected",
     "kernelize",
-    "max_flow",
     "max_flow_bounded",
     "normalize",
     "oracle_is",

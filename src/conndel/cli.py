@@ -63,6 +63,18 @@ def _read(path: str) -> str:
         raise InvalidInputError(f"cannot read {path}: {exc}") from None
 
 
+def _emit(path: Optional[str], text: str) -> None:
+    """Write the text to the file at path, or to stdout when there is none."""
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InvalidInputError(f"cannot write {path}: {exc}") from None
+
+
 def _edge_names(g: UndirectedGraph, edges: Sequence[int]) -> str:
     parts = []
     for eid in sorted(edges):
@@ -153,11 +165,7 @@ def cmd_kernelize(args) -> int:
     out_text = serialize_undirected(
         result.instance.graph, result.instance.weights, result.instance.frozen
     )
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(out_text)
-    else:
-        sys.stdout.write(out_text)
+    _emit(args.out, out_text)
     stats = dict(result.stats)
     stats["answer"] = result.answer
     stats["input-digest"] = _digest(text)
@@ -175,11 +183,7 @@ def cmd_gen(args) -> int:
     else:
         d, comments = gen_vd_psc(parsed.graph, args.k)
     out_text = serialize_digraph(d, comments)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(out_text)
-    else:
-        sys.stdout.write(out_text)
+    _emit(args.out, out_text)
     return EXIT_YES
 
 

@@ -337,7 +337,7 @@ def partner_set(
 
 @dataclass
 class PartnerMemo:
-    """Partner tuples per analysed edge, and the component and Gamma per
+    """Partner tuples per analysed edge, and the component per
     consecutive shared-partner pair of edges, for one G', pivot and
     value-2 flow.  An edge lies on one of the flow's two paths, which is
     then P1, so each entry is decided by the edge (or pair) alone, not by
@@ -345,9 +345,7 @@ class PartnerMemo:
     the same flow can share one memo."""
 
     partners: Dict[int, Tuple[int, ...]] = field(default_factory=dict)
-    components: Dict[Tuple[int, ...], Tuple[FrozenSet[int], FrozenSet[int]]] = field(
-        default_factory=dict
-    )
+    components: Dict[Tuple[int, ...], FrozenSet[int]] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -362,18 +360,13 @@ class PartnerAnalysis:
 
     graph: UndirectedGraph
     pivot: int
-    x: int
-    y: int
     p1: Path
     p2: Path
     edge_ids: Tuple[int, ...]
-    oriented: Tuple[Tuple[int, int], ...]
     partners: Tuple[Tuple[int, ...], ...]
     switches: FrozenSet[int]
     shared_partner: Dict[int, int] = field(repr=False)
-    segments: Dict[int, Tuple[int, ...]] = field(repr=False)
     components: Dict[int, FrozenSet[int]] = field(repr=False)
-    gammas: Dict[int, FrozenSet[int]] = field(repr=False)
     affected: FrozenSet[int] = frozenset()
     k: int = 0
 
@@ -392,12 +385,6 @@ class PartnerAnalysis:
         return self.partners[i - 1]
 
 
-def _oriented_from(path: Path, start: int) -> Path:
-    if path.vertices[0] == start:
-        return path
-    return Path(tuple(reversed(path.vertices)), tuple(reversed(path.edges)))
-
-
 def build_partner_analysis(
     gprime: UndirectedGraph,
     pivot: int,
@@ -410,6 +397,7 @@ def build_partner_analysis(
 ) -> PartnerAnalysis:
     """Assemble the full partner structure for one pivot edge.
 
+    ``p1`` and ``p2`` must run from x to y, (x, y) = ``gprime.endpoints(pivot)``.
     ``newly`` is the set of edges to analyze: the caller's marked edges
     that deleting the pivot makes newly critical, that is
     ``newly_critical(gprime, pivot) & marked``.
@@ -420,19 +408,14 @@ def build_partner_analysis(
     pivot and prefix); only what it lacks is computed, and added to it.
     """
     x, y = gprime.endpoints(pivot)
-    p1 = _oriented_from(p1, x)
-    p2 = _oriented_from(p2, x)
-    if p1.vertices[-1] != y or p2.vertices[-1] != y:
-        raise InvalidInputError("flow paths must run from x to y")
+    for p in (p1, p2):
+        if p.vertices[0] != x or p.vertices[-1] != y:
+            raise InvalidInputError("flow paths must run from x to y")
 
     edge_ids = tuple(e for e in p1.edges if e in newly)
     if not edge_ids:
         raise InvalidInputError("no marked newly critical edges on P1")
 
-    pos = {e: j for j, e in enumerate(p1.edges)}
-    oriented = tuple(
-        (p1.vertices[pos[e]], p1.vertices[pos[e] + 1]) for e in edge_ids
-    )
     if memo is None:
         memo = PartnerMemo()
     missing = [e for e in edge_ids if e not in memo.partners]
@@ -451,13 +434,10 @@ def build_partner_analysis(
         i for i in range(1, t) if partners[i - 1] != partners[i]
     )
 
+    pos = {e: j for j, e in enumerate(p1.edges)}
     shared: Dict[int, int] = {}
-    segments: Dict[int, Tuple[int, ...]] = {}
     components: Dict[int, FrozenSet[int]] = {}
-    gammas: Dict[int, FrozenSet[int]] = {}
     for i in range(1, t):
-        j_lo, j_hi = pos[edge_ids[i - 1]], pos[edge_ids[i]]
-        segments[i] = tuple(p1.vertices[j_lo + 1 : j_hi + 1])
         if i in switches:
             continue
         pset = partners[i - 1]
@@ -469,19 +449,16 @@ def build_partner_analysis(
         w = pset[0]
         shared[i] = w
         pair = edge_ids[i - 1 : i + 1]
-        found = memo.components.get(pair)
-        if found is None:
-            comp = frozenset(reachable(gprime, segments[i], frozenset(pair), frozenset((w,))))
-            gamma = frozenset(
-                eid for a in comp for b, eid in gprime._adj[a] if b in comp or b == w
+        comp = memo.components.get(pair)
+        if comp is None:
+            # The segment: P1's vertices after e_i up to the start of e_{i+1}.
+            segment = p1.vertices[pos[pair[0]] + 1 : pos[pair[1]] + 1]
+            comp = memo.components[pair] = frozenset(
+                reachable(gprime, segment, frozenset(pair), frozenset((w,)))
             )
-            found = memo.components[pair] = (comp, gamma)
-        components[i], gammas[i] = found
+        components[i] = comp
 
-    endpoints = set()
-    for a, b in deleted_endpoints:
-        endpoints.add(a)
-        endpoints.add(b)
+    endpoints = {v for pair in deleted_endpoints for v in pair}
     affected = frozenset(
         i for i, comp in components.items() if endpoints & comp
     )
@@ -489,18 +466,13 @@ def build_partner_analysis(
     return PartnerAnalysis(
         graph=gprime,
         pivot=pivot,
-        x=x,
-        y=y,
         p1=p1,
         p2=p2,
         edge_ids=edge_ids,
-        oriented=oriented,
         partners=partners,
         switches=switches,
         shared_partner=shared,
-        segments=segments,
         components=components,
-        gammas=gammas,
         affected=affected,
         k=k,
     )
@@ -550,10 +522,11 @@ def find_clean_stretch(pa: PartnerAnalysis, k: int) -> Optional[Tuple[int, int]]
 def explain_partner_analysis(pa: PartnerAnalysis) -> str:
     """Structured text dump for the CLI's --explain output."""
     g = pa.graph
+    x, y = g.endpoints(pa.pivot)
     lines = []
     lines.append(
         f"partner analysis: pivot {_edge_str(g, pa.pivot)}, "
-        f"terminals ({pa.x}, {pa.y}), k={pa.k}"
+        f"terminals ({x}, {y}), k={pa.k}"
     )
     lines.append("  P1: " + " ".join(str(v) for v in pa.p1.vertices))
     lines.append("  P2: " + " ".join(str(v) for v in pa.p2.vertices))

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Tuple
 
-from .errors import ParseError
+from .errors import InvalidInputError, ParseError
 from .graphs import Digraph, UndirectedGraph
 
 
@@ -55,6 +55,17 @@ def _parse_header(lines, kind: str) -> Tuple[int, int, int]:
     if n < 0 or m < 0:
         raise ParseError(no, "vertex/edge counts must be non-negative")
     return no, n, m
+
+
+def _refused_line(records, triples, undirected: bool) -> int:
+    """The line a graph constructor refused: the first loop or repeated pair."""
+    seen = set()
+    for (no, _), (_, u, v) in zip(records, triples):
+        key = (min(u, v), max(u, v)) if undirected else (u, v)
+        if u == v or key in seen:
+            break
+        seen.add(key)
+    return no
 
 
 def parse_undirected(text: str) -> UndirectedInstanceText:
@@ -93,8 +104,8 @@ def parse_undirected(text: str) -> UndirectedInstanceText:
         raise ParseError(head_no, f"header declares {m} edges, file has {len(triples)}")
     try:
         g = UndirectedGraph(range(1, n + 1), triples)
-    except Exception as exc:
-        raise ParseError(head_no, str(exc)) from None
+    except InvalidInputError as exc:
+        raise ParseError(_refused_line(lines[1:], triples, True), str(exc)) from None
     return UndirectedInstanceText(g, weights, frozenset(frozen))
 
 
@@ -141,8 +152,8 @@ def parse_digraph(text: str) -> Digraph:
         raise ParseError(head_no, f"header declares {m} arcs, file has {len(triples)}")
     try:
         return Digraph(range(1, n + 1), triples)
-    except Exception as exc:
-        raise ParseError(head_no, str(exc)) from None
+    except InvalidInputError as exc:
+        raise ParseError(_refused_line(lines[1:], triples, False), str(exc)) from None
 
 
 def serialize_digraph(d: Digraph, comments: Dict[int, str] | None = None) -> str:

@@ -8,8 +8,8 @@ such as weights or frozen-edge sets survives graph surgery.
 The package has one reachability routine (``reachable``; the path query
 ``has_path_without`` is one call of it) and one augmenting-path flow
 (``FlowNetwork.augment``, unit vertex capacities on a split network), used
-for undirected x-y flows and for the kernel's digraph cuts and linkages
-alike.
+for the kernel's digraph cuts and for undirected x-y flows, whose only
+entry is ``max_flow_bounded`` (``cap=None`` for a maximum flow).
 """
 
 from __future__ import annotations
@@ -505,26 +505,6 @@ class FlowNetwork:
             add(2 * self.index[u] + 1, 2 * self.index[v], arc_cap)
         self.head, self.cap, self.adj = head, cap, adj
 
-    def max_flow(
-        self,
-        sources: Iterable[int],
-        sinks: Iterable[int],
-        removed: Iterable[int] = (),
-        limit: Optional[int] = None,
-    ) -> Tuple[int, List[int]]:
-        """Vertex-disjoint source-to-sink paths in the network minus the
-        removed vertices, stopping at ``limit``; returns the value and the
-        residual capacities.  Vertices not in the network are ignored."""
-        cap = self.cap[:]
-        value = self.augment(cap, sources, sinks, removed, limit)[0]
-        return value, cap
-
-    def carries(self, residual: List[int], j: int) -> bool:
-        """Does graph arc j (in construction order) carry flow in a residual
-        that ``max_flow`` returned?"""
-        a = 2 * len(self.index) + 2 * j
-        return residual[a] < self.cap[a]
-
     def min_cut(
         self,
         sources: Iterable[int],
@@ -602,50 +582,42 @@ def max_flow_bounded(
 ) -> FlowDecomposition:
     """Maximum set of internally vertex-disjoint x-y paths, stopping at cap.
 
-    A ``FlowNetwork`` with x and y open and each edge a capacity-1 arc per
-    direction (so a direct x-y edge carries one path).
+    A ``FlowNetwork`` with x and y open and each edge t (in id order) two
+    capacity-1 arcs, u to v with id ``2n + 4t`` and v to u with id
+    ``2n + 4t + 2`` (so a direct x-y edge carries one path).  The paths are
+    read off the residual network: each leaves x's out-node by a forward
+    arc that carries flow, and unit vertex capacities leave every internal
+    vertex's out-node exactly one such arc to follow.
     """
     if x == y:
         raise InvalidInputError("flow endpoints must differ")
     if x not in g.vertices or y not in g.vertices:
         raise InvalidInputError("flow endpoint not in graph")
     eids = sorted(g._edges)
-    arcs: List[Edge] = []
-    for eid in eids:
-        u, v = g._edges[eid]
-        arcs += ((u, v), (v, u))
+    arcs = [uv for eid in eids for uv in (g._edges[eid], g._edges[eid][::-1])]
     net = FlowNetwork(sorted(g._vertices), arcs, 1, frozenset((x, y)))
-    value, residual = net.max_flow((x,), (y,), limit=cap)
+    residual = net.cap[:]
+    net.augment(residual, (x,), (y,), limit=cap)
 
-    # Decompose.  Unit vertex capacities force at most one used out-arc per
-    # internal vertex, so each walk from x is deterministic after the first
-    # hop.
-    used_out: Dict[int, List[int]] = {}
-    for t, eid in enumerate(eids):
-        u, v = g._edges[eid]
-        if net.carries(residual, 2 * t):
-            used_out.setdefault(u, []).append(v)
-        if net.carries(residual, 2 * t + 1):
-            used_out.setdefault(v, []).append(u)
+    base = 2 * len(net.vertices)
+    end = 2 * net.index[y]
+
+    def carried(node: int) -> List[int]:
+        return [a for a in net.adj[node] if not a & 1 and not residual[a]]
 
     paths = []
-    for _ in range(value):
-        seq = [x]
-        cur = x
-        while cur != y:
-            nxt = min(used_out[cur])
-            used_out[cur].remove(nxt)
-            seq.append(nxt)
-            cur = nxt
-        eids_on = tuple(g.edge_between(a, b) for a, b in zip(seq, seq[1:]))
-        paths.append(Path(tuple(seq), eids_on))
+    for a in carried(2 * net.index[x] + 1):
+        seq, on = [x], []
+        while True:
+            node = net.head[a]
+            seq.append(net.vertices[node >> 1])
+            on.append(eids[(a - base) >> 2])
+            if node == end:
+                break
+            (a,) = carried(node + 1)
+        paths.append(Path(tuple(seq), tuple(on)))
     paths.sort(key=lambda p: p.vertices)
     return FlowDecomposition(x, y, tuple(paths))
-
-
-def max_flow(g: UndirectedGraph, x: int, y: int) -> FlowDecomposition:
-    """Maximum x-y flow as internally vertex-disjoint paths."""
-    return max_flow_bounded(g, x, y, cap=None)
 
 
 # ---------------------------------------------------------------------------

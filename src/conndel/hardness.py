@@ -33,9 +33,6 @@ class PcGadgetMap:
     hub: Dict[int, int] = field(repr=False)
     hub_pendants: Dict[int, Tuple[int, ...]] = field(repr=False)
 
-    def vertex_arc(self, v: int) -> Tuple[int, int]:
-        return (self.v_minus[v], self.v_plus[v])
-
     def origin_labels(self) -> Dict[int, str]:
         out = {self.x: "x", self.y: "y"}
         for i, p in enumerate(self.x_pendants, start=1):

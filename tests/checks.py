@@ -2,7 +2,39 @@
 
 from __future__ import annotations
 
+from typing import Dict, FrozenSet, Tuple
+
 from conndel.criticality import PartnerAnalysis
+
+
+def oriented(pa: PartnerAnalysis) -> Tuple[Tuple[int, int], ...]:
+    """(u_i, v_i) per analysed edge e_i, its endpoints in P1's x-to-y order."""
+    steps = list(zip(pa.p1.vertices, pa.p1.vertices[1:]))
+    return tuple(steps[pa.p1.edges.index(e)] for e in pa.edge_ids)
+
+
+def segments(pa: PartnerAnalysis) -> Dict[int, Tuple[int, ...]]:
+    """Segment i, for 1 <= i < t: the P1 vertices from v_i to u_{i+1}."""
+    ends = oriented(pa)
+    vs = pa.p1.vertices
+    return {
+        i: vs[vs.index(ends[i - 1][1]) : vs.index(ends[i][0]) + 1]
+        for i in range(1, pa.t)
+    }
+
+
+def gammas(pa: PartnerAnalysis) -> Dict[int, FrozenSet[int]]:
+    """Gamma[i, i+1] per component: the edges of G' with an end in the
+    component and the other end in it or at its shared partner."""
+    out = {}
+    for i, comp in pa.components.items():
+        side = comp | {pa.shared_partner[i]}
+        out[i] = frozenset(
+            e
+            for e, (a, b) in pa.graph.edges.items()
+            if (a in comp or b in comp) and a in side and b in side
+        )
+    return out
 
 
 def check_partner_invariants(pa: PartnerAnalysis) -> None:
@@ -37,27 +69,29 @@ def check_partner_invariants(pa: PartnerAnalysis) -> None:
         assert len(pa.switches) <= 3 * pa.k
 
     p2v = set(pa.p2.vertices)
+    segs = segments(pa)
     items = sorted(pa.components.items())
     for idx, (i, ci) in enumerate(items):
         assert not (ci & p2v), "component intersects P2"
-        assert set(pa.segments[i]) <= ci, "segment escapes its component"
+        assert set(segs[i]) <= ci, "segment escapes its component"
         for j, cj in items[idx + 1 :]:
             assert not (ci & cj), f"components {i} and {j} intersect"
 
+    ends = oriented(pa)
     for i, ci in pa.components.items():
         neighborhood = set()
         for v in ci:
             for u in pa.graph.neighbors(v):
                 if u not in ci:
                     neighborhood.add(u)
-        u_i = pa.oriented[i - 1][0]
-        v_next = pa.oriented[i][1]
+        u_i = ends[i - 1][0]
+        v_next = ends[i][1]
         expected = {u_i, v_next, pa.shared_partner[i]}
         assert neighborhood == expected, (
             f"component {i} neighborhood {neighborhood} != {expected}"
         )
 
-    gammas = sorted(pa.gammas.items())
-    for idx, (i, gi) in enumerate(gammas):
-        for j, gj in gammas[idx + 1 :]:
+    gamma_items = sorted(gammas(pa).items())
+    for idx, (i, gi) in enumerate(gamma_items):
+        for j, gj in gamma_items[idx + 1 :]:
             assert not (gi & gj), f"gamma sets {i} and {j} share an edge"

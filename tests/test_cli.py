@@ -231,6 +231,13 @@ class TestKernelizeCommand:
     def test_usage_error_exit_two(self):
         assert main(["kernelize"]) == 2
 
+    @pytest.mark.parametrize("command", [["kernelize"], ["gen", "pcpsc"]])
+    def test_unwritable_out_is_a_usage_error(self, files, capsys, command):
+        out = files["dir"] / "missing" / "out.txt"
+        args = command + [files["k4"], "--k", "1", "--out", str(out)]
+        assert main(args) == 2
+        assert f"error: cannot write {out}" in capsys.readouterr().err
+
 
 class TestInputValidation:
     def test_weight_left_out_before_inf_is_a_parse_error(self, tmp_path, capsys):

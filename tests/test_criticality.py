@@ -24,7 +24,7 @@ from conndel.graphs import Path, UndirectedGraph, has_path_without, max_flow_bou
 from conndel.solver import find_rich_flow, normalize
 
 from . import naive
-from .checks import check_partner_invariants
+from .checks import check_partner_invariants, oriented, segments
 from .strategies import biconnected_graphs, undirected_graphs
 
 
@@ -445,7 +445,7 @@ class TestPartnerAnalysis:
         # endpoints make the surrounding components affected.
         pa0, hub = analyzed_wheel(q=7, k=2)
         g = pa0.graph
-        rim_v = pa0.oriented[2][0]  # u_3, an interior rim vertex
+        rim_v = oriented(pa0)[2][0]  # u_3, an interior rim vertex
         spoke = next(
             e
             for e in g.incident(rim_v)
@@ -483,10 +483,10 @@ class TestSegmentStructure:
             edges = list(g.edges.values())
             p1v, p2v = set(pa.p1.vertices), set(pa.p2.vertices)
             order = {v: i for i, v in enumerate(pa.p1.vertices)}
-            u1 = pa.oriented[0][0]
-            vt = pa.oriented[-1][1]
+            u1 = oriented(pa)[0][0]
+            vt = oriented(pa)[-1][1]
             seg_of = {}
-            for i, seg in pa.segments.items():
+            for i, seg in segments(pa).items():
                 for v in seg:
                     seg_of.setdefault(v, set()).add(i)
             structure_edges = set(pa.p1.edges) | set(pa.p2.edges) | {pa.pivot}
@@ -513,7 +513,7 @@ class TestSegmentStructure:
             edges = list(g.edges.values())
             p1v, p2v = set(pa.p1.vertices), set(pa.p2.vertices)
             p2_interior = set(pa.p2.interior)
-            for i, seg in pa.segments.items():
+            for i, seg in segments(pa).items():
                 found = False
                 for s in seg:
                     for w in sorted(p2_interior):
@@ -537,7 +537,7 @@ class TestSegmentStructure:
         edges = list(g.edges.values())
         pivot_pair = set(g.endpoints(pa.pivot))
         for i in range(1, pa.t + 1):
-            u_i, v_i = pa.oriented[i - 1]
+            u_i, v_i = oriented(pa)[i - 1]
             kept = [
                 g.endpoints(e) for e in g.edges if e != pa.edge(i)
             ]
@@ -573,7 +573,7 @@ class TestSegmentStructure:
             e_i = pa.edge(i)
             kept_ids = [e for e in g.edges if e != e_i]
             kept = [g.endpoints(e) for e in kept_ids if w not in g.endpoints(e)]
-            u_i, v_i = pa.oriented[i - 1]
+            u_i, v_i = oriented(pa)[i - 1]
             paths = naive.all_simple_paths(kept, u_i, v_i)
             assert paths
             for p in paths:
@@ -595,8 +595,8 @@ class TestSegmentStructure:
             comp = pa.components[i]
             sub = g.induced(comp | {w})
             sub_edges = list(sub.edges.values())
-            v_i = pa.oriented[i - 1][1]
-            u_next = pa.oriented[i][0]
+            v_i = oriented(pa)[i - 1][1]
+            u_next = oriented(pa)[i][0]
             found = False
             for pw in naive.all_simple_paths(sub_edges, v_i, w):
                 for pu in naive.all_simple_paths(sub_edges, v_i, u_next):

@@ -59,6 +59,28 @@ def test_parse_errors_carry_line_numbers(bad, msg):
         parse_undirected(bad)
 
 
+@pytest.mark.parametrize(
+    "parse, text, msg",
+    [
+        (
+            parse_undirected,
+            "# x\np graph 3 3\ne 1 2 1\n\ne 3 3 1\ne 2 3 1\n",
+            r"line 5: self-loop at vertex 3",
+        ),
+        (
+            parse_undirected,
+            "p graph 3 3\ne 1 2 1\ne 2 3 1\n# x\n\ne 2 1 1\n",
+            r"line 6: parallel edge \(2,1\)",
+        ),
+        (parse_digraph, "p digraph 2 2\na 1 2\n# x\na 2 2\n", r"line 4: self-loop at vertex 2"),
+        (parse_digraph, "p digraph 2 3\na 1 2\na 2 1\n\na 1 2\n", r"line 5: duplicate arc \(1,2\)"),
+    ],
+)
+def test_graph_errors_name_the_offending_record(parse, text, msg):
+    with pytest.raises(ParseError, match=msg):
+        parse(text)
+
+
 def test_digraph_roundtrip():
     text = "p digraph 3 3\na 1 2\na 2 3\na 3 1\n"
     d = parse_digraph(text)

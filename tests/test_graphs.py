@@ -15,7 +15,6 @@ from conndel.graphs import (
     is_biconnected,
     is_biconnected_without,
     is_strongly_connected,
-    max_flow,
     max_flow_bounded,
     path_contract,
     reachable,
@@ -128,17 +127,17 @@ class TestStrongConnectivity:
 
 class TestMaxFlow:
     def test_c4_opposite_corners(self):
-        assert max_flow(cycle(4), 0, 2).value == 2
+        assert max_flow_bounded(cycle(4), 0, 2).value == 2
 
     def test_k4_value_matches_exhaustive_family_search(self):
         g = complete(4)
         for x, y in itertools.combinations(range(4), 2):
             family = naive.max_disjoint_path_family(list(g.edges.values()), x, y)
             assert len(family) == 3
-            assert max_flow(g, x, y).value == 3
+            assert max_flow_bounded(g, x, y).value == 3
 
     def test_path_endpoints(self):
-        assert max_flow(path_graph(5), 0, 4).value == 1
+        assert max_flow_bounded(path_graph(5), 0, 4).value == 1
 
     def test_bounded_variants(self):
         assert max_flow_bounded(complete(4), 0, 3, 2).value == 2
@@ -148,30 +147,35 @@ class TestMaxFlow:
 
     def test_rejects_equal_endpoints(self):
         with pytest.raises(InvalidInputError):
-            max_flow(cycle(4), 1, 1)
+            max_flow_bounded(cycle(4), 1, 1)
 
     def test_direct_edge_contributes_one_short_path(self):
-        f = max_flow(complete(4), 0, 1)
+        f = max_flow_bounded(complete(4), 0, 1)
         assert Path((0, 1), (0,)) in f.paths or any(
             p.vertices == (0, 1) for p in f.paths
         )
 
     @settings(max_examples=120, deadline=None)
-    @given(undirected_graphs(min_n=2, max_n=7), st.data())
-    def test_paths_are_internally_disjoint_and_value_is_max(self, g, data):
+    @given(undirected_graphs(min_n=2, max_n=7), st.sampled_from([None, 1, 2, 3]), st.data())
+    def test_paths_are_internally_disjoint_and_value_is_max(self, g, cap, data):
+        # Shuffled edge ids, so that id order says nothing about path order.
+        ids = data.draw(st.permutations(range(g.m)))
+        g = UndirectedGraph(g.vertices, [(i, u, v) for i, (u, v) in zip(ids, g.edges.values())])
         vs = sorted(g.vertices)
         x = data.draw(st.sampled_from(vs))
         y = data.draw(st.sampled_from([v for v in vs if v != x]))
-        flow = max_flow(g, x, y)
+        flow = max_flow_bounded(g, x, y, cap)
         interiors = [set(p.interior) for p in flow.paths]
         for a, b in itertools.combinations(range(len(interiors)), 2):
             assert not interiors[a] & interiors[b]
         for p in flow.paths:
             assert p.vertices[0] == x and p.vertices[-1] == y
+            assert len(p.edges) == len(p.vertices) - 1
             for (a, b), eid in zip(zip(p.vertices, p.vertices[1:]), p.edges):
                 assert g.edge_between(a, b) == eid
+        assert [p.vertices for p in flow.paths] == sorted(p.vertices for p in flow.paths)
         expect = naive.disjoint_paths_value(set(g.vertices), list(g.edges.values()), x, y)
-        assert flow.value == expect
+        assert flow.value == (expect if cap is None else min(cap, expect))
 
     def test_menger_consistency_on_random_graphs(self):
         rng = random.Random(11)
@@ -188,7 +192,7 @@ class TestMaxFlow:
             sep = naive.min_vertex_separator(set(g.vertices), list(g.edges.values()), x, y)
             if not naive.connected(set(g.vertices), list(g.edges.values())):
                 continue
-            assert max_flow(g, x, y).value == len(sep)
+            assert max_flow_bounded(g, x, y).value == len(sep)
 
 
 class TestReachable:

@@ -68,7 +68,7 @@ class TestPcGenerator:
                 seq = oracle_pcpsc(d, k, BIG)
                 if seq is None:
                     continue
-                vertex_arcs = {gm.vertex_arc(v): v for v in g.vertices}
+                vertex_arcs = {(gm.v_minus[v], gm.v_plus[v]): v for v in g.vertices}
                 chosen = []
                 for arc in seq:
                     assert arc in vertex_arcs, f"solution used gadget arc {arc}"

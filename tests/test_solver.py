@@ -36,6 +36,7 @@ from conndel.solver import (
 )
 
 from . import naive
+from .checks import gammas
 from .strategies import ear_graphs
 
 BIG = OracleBudget(max_vertices=16, max_edges=50, max_k=3)
@@ -330,6 +331,7 @@ class TestIrrelevantEdge:
         # Every solution misses some gamma[j'-1,j'] + e_j' + gamma[j',j'+1].
         pa, inst = wheel_analysis()
         a, b = find_clean_stretch(pa, 2)
+        gamma = gammas(pa)
         pool = inst.potential_edges()
         solutions = [
             set(s)
@@ -344,9 +346,9 @@ class TestIrrelevantEdge:
                 not (
                     s
                     & (
-                        pa.gammas[j - 1]
+                        gamma[j - 1]
                         | {pa.edge(j)}
-                        | pa.gammas[j]
+                        | gamma[j]
                     )
                 )
                 for j in range(a + 1, b)
@@ -528,7 +530,7 @@ def reduction_summary(step):
     pa = step.analysis
     found = None
     if pa is not None:
-        found = (pa.edge_ids, pa.partners, pa.switches, pa.components, pa.gammas, pa.affected)
+        found = (pa.edge_ids, pa.partners, pa.switches, pa.components, gammas(pa), pa.affected)
     return step.kind, step.picks, step.edge, found
 
 
