@@ -2,7 +2,7 @@
 """Cross-validate the solver against the brute-force oracle on random
 biconnected instances and report agreement, timing percentiles, the
 number of partner analyses run, the irrelevant edges frozen and the
-enumerator's biconnectivity passes.  ``--mu M`` lowers the enumeration threshold to M at every k, so
+enumerator's biconnectivity and critical-set passes.  ``--mu M`` lowers the enumeration threshold to M at every k, so
 small instances reach the reduction step."""
 
 import argparse
@@ -32,7 +32,7 @@ def main() -> int:
     rng = random.Random(args.seed)
     budget = OracleBudget(max_vertices=args.max_n + 2, max_edges=4 * args.max_n, max_k=args.max_k)
     times = []
-    yes = no = mismatches = analyses = passes = freezes = 0
+    yes = no = mismatches = analyses = passes = crit_sets = freezes = 0
     for trial in range(args.count):
         g = random_biconnected_graph(rng, rng.randint(args.min_n, args.max_n), rng.randint(0, 4))
         k = rng.randint(0, args.max_k)
@@ -46,6 +46,7 @@ def main() -> int:
         analyses += stats.flow_calls
         freezes += len(stats.irrelevant_edges)
         passes += stats.prefix_passes
+        crit_sets += stats.prefix_critical_sets
         expect = oracle_wbd(inst, budget)
         if (got is None) != (expect is None):
             mismatches += 1
@@ -58,7 +59,7 @@ def main() -> int:
     pct = lambda p: times[min(len(times) - 1, int(p * len(times)))] * 1000
     print(
         f"{args.count} instances: {yes} yes / {no} no, {mismatches} mismatches, "
-        f"{analyses} partner analyses, {freezes} freezes, {passes} enumerator prefix passes; "
+        f"{analyses} partner analyses, {freezes} freezes, {passes} enumerator prefix passes, {crit_sets} prefix critical sets; "
         f"solve ms p50={pct(0.5):.2f} p90={pct(0.9):.2f} max={times[-1] * 1000:.2f}"
     )
     return 1 if mismatches else 0

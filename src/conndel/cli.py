@@ -131,6 +131,7 @@ def cmd_solve(args) -> int:
         "max-depth": stats.max_depth,
         "enumerations": stats.enumerations,
         "prefix-passes": stats.prefix_passes,
+        "prefix-critical-sets": stats.prefix_critical_sets,
         "fallbacks": stats.fallbacks,
         "irrelevant-edges": len(stats.irrelevant_edges),
         "flow-calls": stats.flow_calls,

@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .graphs import Digraph, UndirectedGraph, is_biconnected
+from .graphs import UndirectedGraph, is_biconnected
 from .solver import WbdInstance
 
 
@@ -167,16 +167,6 @@ def random_biconnected_graph(
     g = UndirectedGraph.from_edges(range(n), pairs)
     assert is_biconnected(g)
     return g
-
-
-def random_digraph(rng: random.Random, n: int, arc_prob: float = 0.4) -> Digraph:
-    pairs = [
-        (a, b)
-        for a in range(n)
-        for b in range(n)
-        if a != b and rng.random() < arc_prob
-    ]
-    return Digraph.from_arcs(range(n), pairs)
 
 
 def random_weights(

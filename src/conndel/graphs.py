@@ -14,7 +14,7 @@ entry is ``max_flow_bounded`` (``cap=None`` for a maximum flow).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import (
     AbstractSet,
@@ -265,12 +265,6 @@ class Digraph:
         except KeyError:
             raise InvalidInputError(f"no arc with id {aid}") from None
 
-    def out_neighbors(self, v: int) -> List[int]:
-        return [h for h, _ in self._out[v]]
-
-    def in_neighbors(self, v: int) -> List[int]:
-        return [t for t, _ in self._in[v]]
-
     def flow_network(self) -> "FlowNetwork":
         """Split network for vertex-disjoint paths (every vertex capacity
         1, arcs unbounded), built on first use; the digraph is immutable."""
@@ -316,17 +310,6 @@ class Path:
         if self.edges and len(self.edges) != len(self.vertices) - 1:
             raise InvalidInputError("edge count does not match vertex count")
 
-    @classmethod
-    def in_graph(cls, g: UndirectedGraph, vertices: Iterable[int]) -> "Path":
-        vs = tuple(vertices)
-        eids = []
-        for a, b in zip(vs, vs[1:]):
-            eid = g.edge_between(a, b)
-            if eid is None:
-                raise InvalidInputError(f"({a},{b}) is not an edge of the host graph")
-            eids.append(eid)
-        return cls(vs, tuple(eids))
-
     @property
     def interior(self) -> Tuple[int, ...]:
         return self.vertices[1:-1]
@@ -339,9 +322,7 @@ class Path:
 class FlowDecomposition:
     """A set of internally vertex-disjoint x-y paths; value = path count."""
 
-    x: int
-    y: int
-    paths: Tuple[Path, ...] = field(default_factory=tuple)
+    paths: Tuple[Path, ...] = ()
 
     @property
     def value(self) -> int:
@@ -617,7 +598,7 @@ def max_flow_bounded(
             (a,) = carried(node + 1)
         paths.append(Path(tuple(seq), tuple(on)))
     paths.sort(key=lambda p: p.vertices)
-    return FlowDecomposition(x, y, tuple(paths))
+    return FlowDecomposition(tuple(paths))
 
 
 # ---------------------------------------------------------------------------

@@ -148,6 +148,7 @@ class SolveStats:
     max_branch_factor: int = 0
     enumerations: int = 0
     prefix_passes: int = 0
+    prefix_critical_sets: int = 0
     flow_calls: int = 0
     fallbacks: int = 0
     irrelevant_edges: List[int] = field(default_factory=list)
@@ -208,6 +209,12 @@ def verify_solution(inst: WbdInstance, edges) -> bool:
     return is_biconnected_without(inst.graph, frozenset(es))
 
 
+# Failed extension tests under one prefix before its critical set decides
+# the rest (see ``_enumerate_best``).  1 measured fastest on the hub tight
+# no's of scripts/freeze_sweep.py: 17-19 s, 21-24 s at 3 (2-core x86-64).
+PREFIX_FAILS_BEFORE_CRITICAL_SET = 1
+
+
 def _enumerate_best(inst: WbdInstance, stats: SolveStats) -> Optional[Solution]:
     """The first feasible deletion set whose weight reaches w*, or None.
 
@@ -222,62 +229,82 @@ def _enumerate_best(inst: WbdInstance, stats: SolveStats) -> Optional[Solution]:
       deleting more edges never restores it.
 
     Precondition: the instance is normalized.  Every prefix S kept so far
-    leaves G - S biconnected, so two rules decide whether S + e does too,
-    and a biconnectivity pass (counted in ``stats.prefix_passes``) runs
-    only on the prefixes neither decides:
+    leaves G - S biconnected, so S + e is feasible iff e is not critical
+    in G - S.  Two rules decide that without a pass:
 
     * depth one: e is a potential edge, hence not critical in G;
     * degree: an endpoint of e with degree 2 in G - S makes e critical in
       G - S (n >= 3), so the prefix is dropped.
+
+    A prefix S + e that neither rule decides is tested only when it is
+    used: when it reaches w*, or when one of its own extensions survives
+    the level cut and the degree rule.  Otherwise nothing below it could
+    be tried, and it is dropped untested.  A test is one biconnectivity
+    pass (``stats.prefix_passes``) until ``PREFIX_FAILS_BEFORE_CRITICAL_SET``
+    of S's extensions have failed; then one ``critical_set(G - S)``
+    (``stats.prefix_critical_sets``) decides the rest of S's extensions
+    by membership.  The pruning and the witness are those of testing
+    every prefix.
+
+    This keeps the paper's mu(k)^k base case: at k = 3 and a pool of
+    mu(3) = 957 there are about 457k depth-2 prefixes, still far too many.
     """
+    if inst.reaches(()):
+        return Solution((), 0.0)
     order = heavy_order(inst)
     g = inst.graph
     degree = {v: g.degree(v) for v in g.vertices}
     chosen: List[int] = []
 
-    def extend(start: int, removed: FrozenSet[int]) -> bool:
-        if inst.reaches(chosen):
-            return True
-        r = inst.k - len(chosen)
-        if r == 0:
-            return False
-        for i in range(start, len(order)):
+    def next_open(i: int, r: int) -> Optional[int]:
+        """The first index from i on that passes the level cut with r
+        picks left and the degree rule, or None."""
+        while i < len(order):
             if not inst.reaches(chosen + order[i : i + r]):
-                return False
+                return None
+            u, v = g.endpoints(order[i])
+            if degree[u] > 2 and degree[v] > 2:
+                return i
+            i += 1
+        return None
+
+    def extend(i: Optional[int], removed: FrozenSet[int]) -> bool:
+        """Try the open extensions of the feasible prefix ``chosen``, from
+        the open index i on."""
+        r = inst.k - len(chosen)
+        fails = 0
+        crit: Optional[FrozenSet[int]] = None
+        while i is not None:
             e = order[i]
             u, v = g.endpoints(e)
-            if degree[u] <= 2 or degree[v] <= 2:
-                continue
-            s = removed | {e}
-            if chosen:
-                stats.prefix_passes += 1
-                if not is_biconnected_without(g, s):
-                    continue
             chosen.append(e)
             degree[u] -= 1
             degree[v] -= 1
-            if extend(i + 1, s):
-                return True
+            done = inst.reaches(chosen)
+            j = None if done or r == 1 else next_open(i + 1, r - 1)
+            if done or j is not None:
+                if not removed:
+                    ok = True
+                elif crit is not None:
+                    ok = e not in crit
+                else:
+                    stats.prefix_passes += 1
+                    ok = is_biconnected_without(g, removed | {e})
+                    fails += not ok
+                    if fails == PREFIX_FAILS_BEFORE_CRITICAL_SET:
+                        stats.prefix_critical_sets += 1
+                        crit = critical_set(g.without_edges(removed))
+                if ok and (done or extend(j, removed | {e})):
+                    return True
             chosen.pop()
             degree[u] += 1
             degree[v] += 1
+            i = next_open(i + 1, r)
         return False
 
-    if not extend(0, frozenset()):
+    if not extend(next_open(0, inst.k), frozenset()):
         return None
     return Solution(tuple(chosen), inst.weight_of(chosen))
-
-
-def enumerate_small(inst: WbdInstance, config: SolverConfig = DEFAULT_CONFIG) -> Optional[Solution]:
-    """Exhaustive base case, only valid when at most mu(k) potential edges
-    remain: the first witness that reaches w* (see ``_enumerate_best``).
-    The instance is normalized first."""
-    inst = normalize(inst)
-    if len(inst.potential_edges()) > config.mu(inst.k):
-        raise InternalInconsistencyError(
-            "enumeration base case invoked with too many potential edges"
-        )
-    return _enumerate_best(inst, SolveStats())
 
 
 class RoundCache:

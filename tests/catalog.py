@@ -13,6 +13,8 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from conndel.graphs import Digraph, UndirectedGraph
 
+from .checks import in_neighbors, out_neighbors
+
 
 def _refine(n: int, neigh: Sequence[FrozenSet[int]], classes: List[int]) -> List[int]:
     """Iterate (class, multiset of neighbor classes) until stable."""
@@ -93,7 +95,7 @@ def graphs_isomorphic(a: UndirectedGraph, b: UndirectedGraph) -> bool:
 
 
 def _digraph_invariant(d: Digraph, v: int) -> Tuple[int, int]:
-    return len(d.in_neighbors(v)), len(d.out_neighbors(v))
+    return len(in_neighbors(d, v)), len(out_neighbors(d, v))
 
 
 def digraph_isomorphic(a: Digraph, b: Digraph) -> bool:
@@ -112,10 +114,10 @@ def digraph_isomorphic(a: Digraph, b: Digraph) -> bool:
     def ok(v: int, w: int) -> bool:
         if inva[v] != invb[w]:
             return False
-        for u in a.out_neighbors(v):
+        for u in out_neighbors(a, v):
             if u in assign and (w, assign[u]) not in arcs_b:
                 return False
-        for u in a.in_neighbors(v):
+        for u in in_neighbors(a, v):
             if u in assign and (assign[u], w) not in arcs_b:
                 return False
         return True

@@ -1,10 +1,35 @@
-"""Shared structural validators used by unit tests and the acceptance suite."""
+"""Shared structural validators used by unit tests and the acceptance suite,
+plus accessors that only tests need."""
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Tuple
 
 from conndel.criticality import PartnerAnalysis
+from conndel.errors import InvalidInputError
+from conndel.graphs import Digraph, Path, UndirectedGraph
+
+
+def path_in_graph(g: UndirectedGraph, vertices: Iterable[int]) -> Path:
+    """The path through these vertices, with the ids of g's edges on it."""
+    vs = tuple(vertices)
+    eids = []
+    for a, b in zip(vs, vs[1:]):
+        eid = g.edge_between(a, b)
+        if eid is None:
+            raise InvalidInputError(f"({a},{b}) is not an edge of the host graph")
+        eids.append(eid)
+    return Path(vs, tuple(eids))
+
+
+def out_neighbors(d: Digraph, v: int) -> List[int]:
+    """Heads of v's out-arcs, ascending."""
+    return sorted(h for t, h in d.arcs.values() if t == v)
+
+
+def in_neighbors(d: Digraph, v: int) -> List[int]:
+    """Tails of v's in-arcs, ascending."""
+    return sorted(t for t, h in d.arcs.values() if h == v)
 
 
 def oriented(pa: PartnerAnalysis) -> Tuple[Tuple[int, int], ...]:

@@ -2,14 +2,19 @@
 
 Everything here is written from definitions (brute force, exhaustive
 enumeration) with no shared code paths with the package, so tests can
-cross-check the real implementations against them at desk scale.
+cross-check the real implementations against them at desk scale.  The
+one exception is ``first_witness``, which referees the enumerator's
+search and takes its biconnectivity test from the package.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+
+from conndel.graphs import is_biconnected_without
 
 
 def components(vertices: Set[int], edges: Iterable[Tuple[int, int]]) -> List[Set[int]]:
@@ -352,3 +357,37 @@ def closest_min_cut(
                 raise ValueError(f"{len(closest)} minimum cuts with a minimal source side")
             return closest[0]
     raise ValueError("removing every vertex outside R always cuts")
+
+
+def first_witness(inst) -> Optional[Tuple[int, ...]]:
+    """The solver's enumeration base case without its rules: the first
+    deletion set, depth-first over the deletable edges heaviest first
+    (ties by ascending id), that keeps the graph biconnected and whose
+    weight (with ``inst.deleted``, one ``fsum``) reaches w*, or None.
+
+    Every extension gets its own ``is_biconnected_without`` pass, and no
+    level is cut short.  That pass is the package's, checked against the
+    definition in ``test_graphs``: what this referees is the search."""
+    g = inst.graph
+    w = inst.weights
+    order = sorted(
+        (e for e in g.edges if e not in inst.frozen), key=lambda e: (-w.get(e, 0.0), e)
+    )
+
+    def reaches(chosen: List[int]) -> bool:
+        return math.fsum(list(inst.deleted) + [w.get(e, 0.0) for e in chosen]) >= inst.w_star
+
+    def search(start: int, chosen: List[int]) -> Optional[Tuple[int, ...]]:
+        if reaches(chosen):
+            return tuple(chosen)
+        if len(chosen) == inst.k:
+            return None
+        for i in range(start, len(order)):
+            s = chosen + [order[i]]
+            if is_biconnected_without(g, frozenset(s)):
+                found = search(i + 1, s)
+                if found is not None:
+                    return found
+        return None
+
+    return search(0, [])

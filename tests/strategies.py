@@ -1,8 +1,9 @@
-"""Hypothesis strategies for small graphs and digraphs."""
+"""Hypothesis strategies and random generators for small graphs and digraphs."""
 
 from __future__ import annotations
 
 import itertools
+import random
 
 from hypothesis import strategies as st
 
@@ -38,6 +39,11 @@ def digraphs(draw, min_n=1, max_n=8):
         else st.just([])
     )
     return Digraph.from_arcs(range(n), sorted(set(picked)))
+
+
+def random_digraph(rng: random.Random, n: int, arc_prob: float = 0.4) -> Digraph:
+    pairs = [(a, b) for a in range(n) for b in range(n) if a != b and rng.random() < arc_prob]
+    return Digraph.from_arcs(range(n), pairs)
 
 
 def _graph(n, pairs):

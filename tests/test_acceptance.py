@@ -14,7 +14,6 @@ from conndel.criticality import critical_set, newly_critical
 from conndel.families import (
     distinct_partner_instance,
     random_biconnected_graph,
-    random_digraph,
     shared_partner_instance,
 )
 from conndel.graphs import contract_sequence, max_flow_bounded
@@ -40,6 +39,7 @@ from conndel.solver import (
 from . import naive
 from .catalog import digraph_isomorphic
 from .checks import check_partner_invariants
+from .strategies import random_digraph
 
 BUDGET = OracleBudget(max_vertices=12, max_edges=30, max_k=3)
 WIDE = OracleBudget(max_vertices=40, max_edges=80, max_k=3)

@@ -3,11 +3,11 @@ import random
 from conndel.families import (
     distinct_partner_instance,
     random_biconnected_graph,
-    random_digraph,
     shared_partner_instance,
 )
 from conndel.graphs import Digraph, UndirectedGraph, is_biconnected
 
+from .strategies import random_digraph
 from .catalog import (
     all_graphs,
     canonical_form,

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from conndel.cli import main
+from conndel.families import shared_partner_instance
 from conndel.formats import parse_undirected, serialize_undirected
 from conndel.oracles import oracle_wbd
 from conndel.solver import WbdInstance
@@ -51,6 +52,7 @@ class TestSolve:
             "max-depth: 0",
             "enumerations: 1",
             "prefix-passes: 1",
+            "prefix-critical-sets: 0",
             "fallbacks: 0",
         ):
             assert line in out
@@ -75,6 +77,20 @@ class TestSolve:
             "prefix-passes: 0",
             "fallbacks: 0",
         ):
+            assert line in out
+
+    def test_reports_prefix_critical_sets(self, tmp_path, capsys):
+        # The unit-weight subdivided shared-partner hub with 3 rim vertices
+        # is a tight no at k = 2: no two of its rim edges and chord can go
+        # together.  Under each rim edge whose extensions are not all cut
+        # by the degree rule, the first extension tested fails, and one
+        # critical set decides the rest: 3 passes, 3 critical sets.
+        g = shared_partner_instance(3, k=2, subdivide=True).instance.graph
+        p = tmp_path / "hub.graph"
+        p.write_text(serialize_undirected(g, {e: 1.0 for e in g.edges}, frozenset()))
+        assert main(["solve", str(p), "--k", "2", "--wstar", "2"]) == 1
+        out = capsys.readouterr().out.splitlines()
+        for line in ("enumerations: 1", "prefix-passes: 3", "prefix-critical-sets: 3"):
             assert line in out
 
     def test_deterministic_reports(self, files, capsys):

@@ -24,7 +24,7 @@ from conndel.graphs import Path, UndirectedGraph, has_path_without, max_flow_bou
 from conndel.solver import find_rich_flow, normalize
 
 from . import naive
-from .checks import check_partner_invariants, oriented, segments
+from .checks import check_partner_invariants, oriented, path_in_graph, segments
 from .strategies import biconnected_graphs, undirected_graphs
 
 
@@ -274,8 +274,8 @@ def pivot_chord_hexagon():
     g = UndirectedGraph.from_edges(
         range(6), [(0, 2), (2, 3), (3, 1), (1, 4), (4, 5), (5, 0), (0, 1)]
     )
-    p1 = Path.in_graph(g, [0, 2, 3, 1])
-    p2 = Path.in_graph(g, [0, 5, 4, 1])
+    p1 = path_in_graph(g, [0, 2, 3, 1])
+    p2 = path_in_graph(g, [0, 5, 4, 1])
     return g, g.edge_between(0, 1), p1, p2
 
 
@@ -328,8 +328,8 @@ class TestPartnerSets:
         g = UndirectedGraph.from_edges(
             range(5), [(0, 1), (0, 2), (2, 1), (0, 3), (3, 2), (2, 4), (4, 1)]
         )
-        p1 = Path.in_graph(g, [0, 3, 2, 4, 1])
-        p2 = Path.in_graph(g, [0, 2, 1])
+        p1 = path_in_graph(g, [0, 3, 2, 4, 1])
+        p2 = path_in_graph(g, [0, 2, 1])
         with pytest.raises(InvalidInputError):
             partner_set(g, g.edge_between(0, 1), p1, p2, [g.edge_between(0, 3)])
 

@@ -21,6 +21,7 @@ from conndel.graphs import (
 )
 
 from . import naive
+from .checks import path_in_graph
 from .strategies import digraphs, ear_graphs, undirected_graphs
 
 
@@ -322,7 +323,7 @@ class TestGraphValue:
 
     def test_path_in_graph_checks_edges(self):
         g = cycle(4)
-        p = Path.in_graph(g, [0, 1, 2])
+        p = path_in_graph(g, [0, 1, 2])
         assert p.edges == (g.edge_between(0, 1), g.edge_between(1, 2))
         with pytest.raises(InvalidInputError):
-            Path.in_graph(g, [0, 2])
+            path_in_graph(g, [0, 2])

@@ -13,6 +13,7 @@ from conndel.oracles import (
 )
 
 from .catalog import all_graphs
+from .checks import in_neighbors, out_neighbors
 
 BIG = OracleBudget(max_vertices=200, max_edges=400, max_k=3, max_candidates=10**7)
 
@@ -51,8 +52,8 @@ class TestPcGenerator:
         for e in g.edges:
             h = gm.hub[e]
             pendants = set(gm.hub_pendants[e])
-            out = set(d.out_neighbors(h))
-            into = set(d.in_neighbors(h))
+            out = set(out_neighbors(d, h))
+            into = set(in_neighbors(d, h))
             # 2(k+1) pendant arcs plus four selection-gadget arcs
             assert len(out & pendants) == k + 1
             assert len(into & pendants) == k + 1

@@ -29,6 +29,7 @@ from conndel.solver import SolverConfig, mu, normalize
 
 from . import naive
 from .catalog import edge_colored_canonical_form
+from .checks import in_neighbors, out_neighbors
 from .strategies import ear_graphs
 
 BIG = OracleBudget(max_vertices=30, max_edges=60, max_k=3)
@@ -97,8 +98,8 @@ class TestAuxiliaryDigraph:
         assert len(aux.terminals) == 7
         # source/sink copies have no in/out arcs respectively
         for v in (0, 1):
-            assert aux.digraph.in_neighbors(aux.v_plus[v]) == []
-            assert aux.digraph.out_neighbors(aux.v_minus[v]) == []
+            assert in_neighbors(aux.digraph, aux.v_plus[v]) == []
+            assert out_neighbors(aux.digraph, aux.v_minus[v]) == []
 
     def test_empty_f_gives_bidirected_graph(self):
         g = cycle(4)
@@ -112,8 +113,8 @@ class TestAuxiliaryDigraph:
         f = [g.edge_between(0, 1)]
         aux = build_auxiliary_digraph(g, f)
         xe = aux.x_edge[f[0]]
-        assert set(aux.digraph.out_neighbors(aux.v_plus[0])) == {xe, 2}
-        assert set(aux.digraph.in_neighbors(aux.v_minus[0])) == {xe, 2}
+        assert set(out_neighbors(aux.digraph, aux.v_plus[0])) == {xe, 2}
+        assert set(in_neighbors(aux.digraph, aux.v_minus[0])) == {xe, 2}
 
     def test_linkage_test_matches_direct_deletion_check(self):
         rng = random.Random(13)
@@ -218,7 +219,7 @@ class TestPoMinCut:
             stack = list(reach)
             while stack:
                 v = stack.pop()
-                for u in rest.out_neighbors(v):
+                for u in out_neighbors(rest, v):
                     if u not in reach:
                         reach.add(u)
                         stack.append(u)
@@ -261,7 +262,7 @@ class TestCutCovering:
             stack = list(reach)
             while stack:
                 v = stack.pop()
-                for u in d.out_neighbors(v):
+                for u in out_neighbors(d, v):
                     if u in live and u not in reach:
                         reach.add(u)
                         stack.append(u)

@@ -23,7 +23,6 @@ from conndel.solver import (
     SolveStats,
     SolverConfig,
     WbdInstance,
-    enumerate_small,
     greedy_deletion_set,
     heavy_order,
     irrelevant_edge,
@@ -52,6 +51,11 @@ def complete(n):
 
 def unit(g, k, wstar):
     return WbdInstance(g, k, float(wstar), {e: 1.0 for e in g.edges}, frozenset())
+
+
+def enumerate_small(inst, stats=None):
+    """The enumeration base case on the normalized instance."""
+    return solver_module._enumerate_best(normalize(inst), stats or SolveStats())
 
 
 def ladder(m):
@@ -173,11 +177,6 @@ class TestEnumerateSmall:
         inst = normalize(unit(cycle(6), 1, 1))
         assert enumerate_small(inst) is None
 
-    def test_violated_precondition_is_internal_error(self):
-        inst = normalize(unit(complete(4), 0, 0))
-        with pytest.raises(InternalInconsistencyError):
-            enumerate_small(inst, SolverConfig(mu_override=lambda k: -1))
-
     def test_unnormalized_input_never_yields_a_critical_edge(self):
         # Two K4s joined by two disjoint edges: each joining edge is
         # critical, though both of its endpoints have degree 4.  The first
@@ -233,6 +232,62 @@ class TestEnumeratorAgainstOracle:
                     inst.graph.endpoints(e) for e in inst.graph.edges if e not in got.edges
                 ]
                 assert naive.biconnected_by_definition(set(inst.graph.vertices), kept)
+
+
+def subdivided_hub(family, q, k, w_star):
+    """A unit-weight subdivided hub: only the chord and the rim can go,
+    and after one rim edge most others are critical, so tight no's fail
+    many prefix tests."""
+    g = family(q, k=k, subdivide=True).instance.graph
+    return WbdInstance(g, k, w_star, {e: 1.0 for e in g.edges}, frozenset())
+
+
+class TestEnumeratorAgainstNaive:
+    """The enumerator's rules, its used-prefix test and its critical-set
+    switch only decide what a pass per extension would, so it returns the
+    naive search's witness."""
+
+    @staticmethod
+    def agrees(inst):
+        stats = SolveStats()
+        got = enumerate_small(inst, stats)
+        assert (got and got.edges) == naive.first_witness(inst)
+        return stats
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.randoms(use_true_random=False),
+        st.integers(min_value=4, max_value=7),
+        st.integers(min_value=1, max_value=2),
+        st.integers(min_value=1, max_value=3),
+        st.sampled_from([0.5, 0.7, 0.9, 1.0]),
+    )
+    def test_planted_instances(self, rng, n, plants, k, share):
+        base = planted_instance(rng, n, plants, k)
+        top = sorted(base.weights.values())[-k:]
+        self.agrees(WbdInstance(base.graph, k, share * sum(top), base.weights, frozenset()))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.sampled_from([shared_partner_instance, distinct_partner_instance]),
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=0, max_value=4),
+    )
+    def test_subdivided_hubs(self, family, q, k, target):
+        self.agrees(subdivided_hub(family, q, k, float(min(target, k))))
+
+    def test_critical_set_switch_fires(self):
+        # On the shared-partner hubs' tight no's every rim edge can go
+        # alone but no two together, so the first test under a rim edge
+        # fails and its critical set decides the rest.  This keeps the
+        # properties above from passing with the switch dead.
+        crit_sets = sum(
+            self.agrees(subdivided_hub(shared_partner_instance, q, k, float(k))).prefix_critical_sets
+            for q in range(3, 9)
+            for k in (2, 3, 4)
+        )
+        assert crit_sets > 0
 
 
 class TestGreedy:
@@ -476,12 +531,27 @@ class TestSolve:
         )
         weights = {e: 1.0 for e in g.edges}
         weights.update({10: 10.0, 11: 9.0, 12: 8.0})
-        for w_star, passes, edges in ((11.5, 0, None), (11.0, 1, (0, 10))):
-            inst = WbdInstance(g, 2, w_star, weights, frozenset())
+        # At k = 3, with edge 9 = (3, 4) of weight 10, edges 10 and 11 of
+        # weights 9 and 8 and every other edge weighing 1, the DFS order is
+        # 9, 10, 11, then 0-8 and 12.  The tight no (w* = 20.5) reaches
+        # {9, 10} by the rules; its only extension left by the level cut,
+        # 11, meets vertex 5 at degree 2, so {9, 10} is never used and
+        # costs no pass, where testing every undecided prefix would cost
+        # one.  The yes (w* = 20) uses it: {9, 10} and {9, 10, 0}.
+        heavy3 = {e: 1.0 for e in g.edges}
+        heavy3.update({9: 10.0, 10: 9.0, 11: 8.0})
+        for k, w, w_star, passes, edges in (
+            (2, weights, 11.5, 0, None),
+            (2, weights, 11.0, 1, (0, 10)),
+            (3, heavy3, 20.5, 0, None),
+            (3, heavy3, 20.0, 2, (0, 9, 10)),
+        ):
+            inst = WbdInstance(g, k, w_star, w, frozenset())
             stats = SolveStats()
             sol = solve(inst, stats=stats)
             assert stats.enumerations == 1
             assert stats.prefix_passes == passes
+            assert stats.prefix_critical_sets == 0
             assert (sol and sol.edges) == edges
             assert (oracle_wbd(inst, BIG) is None) == (edges is None)
 
