@@ -1,31 +1,94 @@
 #!/usr/bin/env python3
-"""Drive the solver's and the kernel's freeze loops on the shared-partner
-hub, where each round freezes one irrelevant edge of an unchanged graph.
+"""Drive the solver's and the kernel's freeze loop on hubs, where each
+round freezes one irrelevant edge of an unchanged graph.
 
-For q = mu(2) + 1 ... mu(2) + 8 rim vertices, plain and subdivided, at
-k = 2: ``solve`` on the weighted hub and on its unit-weight version, and
-``kernelize`` on the unit-weight version.  Every witness must pass
-``verify_solution``, ``solve`` on the kernel output must answer like
-``solve`` on its input, and a decided kernel answer must agree too; any
-mismatch exits 1.  Prints the freezes each run made."""
+First pass, at scale: the shared-partner hub with q = mu(2) + 1 ...
+mu(2) + 8 rim vertices, plain and subdivided, at k = 2: ``solve`` on the
+weighted hub and on its unit-weight version, and ``kernelize`` on the
+unit-weight version.  Every witness must pass ``verify_solution``,
+``solve`` on the kernel output must answer like ``solve`` on its input,
+and a decided kernel answer must agree too.  Prints the freezes each run
+made.
+
+Second pass, refereed by ``oracle_wbd``: 200 seeded small hubs, shared
+and distinct, q = 7 ... 13, plain and subdivided, k = 1 ... 3, weights
+1 ... 6, w* from 1 to the top-k weight sum + 1, with mu lowered to
+2k + 5, 3k + 3 or 9 so that the loop runs on them.  ``solve`` on the
+weighted hub and on its unit-weight version, and ``kernelize`` on the
+unit-weight version, must each answer as the oracle does.
+
+Any mismatch exits 1, and so does a second pass in which the solver or
+the kernel froze nothing."""
 
 import argparse
+import random
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from conndel.families import shared_partner_instance
+from conndel.families import distinct_partner_instance, random_weights, shared_partner_instance
 from conndel.kernel import kernelize, unit_instance
-from conndel.solver import SolveStats, mu, solve, verify_solution
+from conndel.oracles import OracleBudget, oracle_wbd
+from conndel.solver import (
+    DEFAULT_CONFIG,
+    SolverConfig,
+    SolveStats,
+    WbdInstance,
+    mu,
+    normalize,
+    solve,
+    verify_solution,
+)
+
+SMALL_HUBS = 200
+ORACLE_BUDGET = OracleBudget(max_vertices=64, max_edges=128, max_k=3)
 
 
-def solved(inst):
+def solved(inst, config=DEFAULT_CONFIG):
     """(answer, freezes, witness valid) of one solve."""
     stats = SolveStats()
-    sol = solve(inst, stats=stats)
+    sol = solve(inst, config, stats)
     valid = sol is None or verify_solution(inst, sol.edges)
     return sol is not None, len(stats.irrelevant_edges), valid
+
+
+def oracle_pass() -> int:
+    """The second pass; returns its exit code."""
+    rng = random.Random(0)
+    mismatches = solver_frozen = kernel_frozen = 0
+    for i in range(SMALL_HUBS):
+        family = rng.choice((shared_partner_instance, distinct_partner_instance))
+        q, k, subdivide = rng.randint(7, 13), rng.randint(1, 3), rng.random() < 0.5
+        m = rng.choice((2 * k + 5, 3 * k + 3, 9))
+        config = SolverConfig(mu_override=lambda _, m=m: m)
+        g = family(q, k=k, subdivide=subdivide).instance.graph
+        weights = random_weights(rng, g, 1, 6)
+        pool = normalize(WbdInstance(g, k, 0.0, weights)).potential_edges()
+        top = sum(sorted((weights[e] for e in pool), reverse=True)[:k])
+        weighted = WbdInstance(g, k, float(rng.randint(1, int(top) + 1)), weights)
+        unit = unit_instance(g, k, frozenset())
+        want = [oracle_wbd(inst, ORACLE_BUDGET) is not None for inst in (weighted, unit)]
+        got = []
+        for inst in (weighted, unit):
+            answer, frozen, valid = solved(inst, config)
+            got.append(answer if valid else None)
+            solver_frozen += frozen
+        res = kernelize(g, k, config=config)
+        kernel_frozen += int(res.stats["irrelevant_frozen"])
+        kept = oracle_wbd(res.instance, ORACLE_BUDGET) is not None
+        decided = res.answer in (None, "yes" if want[1] else "no")
+        if got != want or kept != want[1] or not decided:
+            mismatches += 1
+            print(
+                f"MISMATCH hub {i}: {family.__name__} q={q} k={k} subdivide={subdivide} "
+                f"mu={m} w*={weighted.w_star}"
+            )
+    print(
+        f"oracle pass: {SMALL_HUBS} small hubs, freezes: solve {solver_frozen}, "
+        f"kernel {kernel_frozen}; {mismatches} mismatches"
+    )
+    return 1 if mismatches or not solver_frozen or not kernel_frozen else 0
 
 
 def main() -> int:
@@ -57,7 +120,7 @@ def main() -> int:
         f"freezes: solve {totals[0]}, unit solve {totals[1]}, kernel {totals[2]}; "
         f"{mismatches} mismatches"
     )
-    return 1 if mismatches else 0
+    return 1 if oracle_pass() or mismatches else 0
 
 
 if __name__ == "__main__":

@@ -42,7 +42,7 @@ from .oracles import (
     oracle_vdpsc,
     oracle_wbd,
 )
-from .solver import SolveStats, WbdInstance, solve, verify_solution
+from .solver import SolveStats, WbdInstance, solve, validate_instance, verify_solution
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -190,10 +190,13 @@ def cmd_gen(args) -> int:
 
 def _raw_instance(parsed, args) -> WbdInstance:
     """The instance as read, for the referees: nothing frozen beyond the
-    file's own marks, so they share no criticality code with the solver."""
+    file's own marks, so they share no criticality code with the solver.
+    A negative k or a non-finite w* is refused as ``solve`` refuses it."""
     if not is_biconnected(parsed.graph):
         raise InvalidInputError("instance graph is not biconnected")
-    return WbdInstance(parsed.graph, args.k, args.wstar, dict(parsed.weights), parsed.frozen)
+    inst = WbdInstance(parsed.graph, args.k, args.wstar, dict(parsed.weights), parsed.frozen)
+    validate_instance(inst)
+    return inst
 
 
 def cmd_oracle(args) -> int:
@@ -259,6 +262,8 @@ def cmd_verify(args) -> int:
             ids.append(eid)
         inst = _raw_instance(parsed, args)
         valid = ids is not None and verify_solution(inst, ids)
+    elif args.k < 0:
+        raise InvalidInputError(f"k must be non-negative, got {args.k}")
     elif args.kind == "pcpsc":
         d = parse_digraph(text)
         valid = len(witness) == args.k

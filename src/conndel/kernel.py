@@ -1,13 +1,13 @@
 """Kernelization for unweighted biconnectivity deletion.
 
 Phase 1 bounds the number of potential solution edges with the solver's
-``reduction_step`` (unit weights): a full greedy run or many distinct
-partner sets certifies a yes-instance, a clean stretch yields an
-irrelevant edge to freeze.  Before phase one, and on every pass of phase
-two, three rules decide what needs no work: k = 0 is a yes, fewer than k
-deletable edges a no, and k = 1 with a deletable edge a yes, since the
-instance is normalized and every deletable edge is therefore
-non-critical.  Otherwise phase two's auxiliary digraph reduces
+freeze loop (unit weights, the whole pool marked): a full greedy run or
+many distinct partner sets certifies a yes-instance, a clean stretch
+yields an irrelevant edge to freeze.  Before phase one, and on every
+pass of phase two, three rules decide what needs no work: k = 0 is a
+yes, fewer than k deletable edges a no, and k = 1 with a deletable edge
+a yes, since the instance is normalized and every deletable edge is
+therefore non-critical.  Otherwise phase two's auxiliary digraph reduces
 deletion-set feasibility to linkage questions (flows in its
 ``graphs.FlowNetwork``), a cut-covering set of that digraph plus the
 deletable edges' endpoints gives Y, the vertices worth keeping, and rule
@@ -33,11 +33,10 @@ from .errors import BudgetExceededError, InternalInconsistencyError, InvalidInpu
 from .graphs import Digraph, UndirectedGraph, is_biconnected, reachable
 from .solver import (
     DEFAULT_CONFIG,
-    RoundCache,
     SolverConfig,
     WbdInstance,
+    freeze_rounds,
     normalize,
-    reduction_step,
     solution_from_distinct_partners,
     validate_instance,
 )
@@ -309,14 +308,9 @@ def kernelize(
         "phase1_rounds": 0,
     }
 
-    decided = _budget_rules(inst)
-    if decided is None:
-        outcome = _phase_one(inst, config, stats)
-        if isinstance(outcome, str):
-            decided = constant_yes_instance(), "yes"
-        else:
-            decided = _phase_two(outcome, provider, max_terminals, stats)
-    inst, answer = decided
+    inst, answer = _budget_rules(inst) or _phase_one(inst, config, stats)
+    if answer is None:
+        inst, answer = _phase_two(inst, provider, max_terminals, stats)
     stats["f_after"] = len(inst.potential_edges())
     stats["v_after"] = inst.graph.n
     return KernelResult(inst, answer, stats)
@@ -340,33 +334,23 @@ def _budget_rules(inst: WbdInstance) -> Optional[Tuple[WbdInstance, str]]:
     return None
 
 
-def _phase_one(inst: WbdInstance, config: SolverConfig, stats: Dict[str, object]):
-    """Bound the potential solution edges with the solver's reduction step;
-    returns 'yes' or the instance.
-
-    Each round freezes one edge and leaves the graph as it is, so the
-    rounds share one ``RoundCache`` of it (see ``reduction_step``), made
-    here and dropped on return.
-    """
-    cache = RoundCache(inst.graph)
-    while True:
-        pool = inst.potential_edges()
-        if len(pool) <= config.mu(inst.k):
-            return inst
-        stats["phase1_rounds"] = int(stats["phase1_rounds"]) + 1
-
-        # The whole pool, in id order, is both greedy's order and the marked set.
-        step = reduction_step(inst, config, pool, cache)
-        if step.kind == "full":
-            return "yes"
-        if step.kind == "distinct":
-            solution_from_distinct_partners(step.analysis, inst.k)
-            return "yes"
-        if step.kind == "stuck":
-            return inst
-        stats["irrelevant_frozen"] = int(stats["irrelevant_frozen"]) + 1
-        # The graph is unchanged, so its critical edges are already frozen.
-        inst = inst.with_frozen(frozenset((step.edge,)))
+def _phase_one(
+    inst: WbdInstance, config: SolverConfig, stats: Dict[str, object]
+) -> Tuple[WbdInstance, Optional[str]]:
+    """Bound the potential solution edges with the solver's freeze loop,
+    marking the whole pool: the instance it leaves and no answer, or a
+    constant instance and the loop's answer."""
+    inst, steps = freeze_rounds(inst, config, mark_all=True)
+    stats["phase1_rounds"] = len(steps)
+    stats["irrelevant_frozen"] = sum(s.kind == "freeze" for s in steps)
+    kind = steps[-1].kind if steps else None
+    if kind == "distinct":
+        solution_from_distinct_partners(steps[-1].analysis, inst.k)
+    if kind in ("full", "distinct"):
+        return constant_yes_instance(), "yes"
+    if kind == "no":
+        return constant_no_instance(inst.k), "no"
+    return inst, None
 
 
 def _phase_two(

@@ -5,15 +5,16 @@ frozen (undeletable) edges, decide whether at most k deletable edges can
 be removed with total weight meeting the target while the graph stays
 biconnected.
 
-Strategy per node: when few potential solution edges remain, enumerate;
-otherwise answer no if the k heaviest weights miss the target, and take
-one ``reduction_step``: greedily delete heavy non-critical edges and, if
-greedy stalls, analyze the partner structure of its first rich step.  A
-full greedy run that reaches the target is a solution; one that misses
-it, or many distinct partner sets, certifies that the heavy edges
-intersect some solution, so we branch on them; a long clean stretch
-instead yields an irrelevant edge that is frozen, shrinking the instance
-without branching.  The kernel's first phase takes the same step on unit
+Strategy per node: while many potential solution edges remain, the
+freeze loop answers no if the k heaviest weights miss the target, and
+otherwise takes one ``reduction_step``: greedily delete heavy
+non-critical edges and, if greedy stalls, analyze the partner structure
+of its first rich step.  A full greedy run that reaches the target is a
+solution; one that misses it, or many distinct partner sets, certifies
+that the heavy edges intersect some solution, so we branch on them; a
+long clean stretch instead yields an irrelevant edge that is frozen,
+shrinking the instance without branching.  Once few remain, or the loop
+is stuck, enumerate.  The kernel's first phase runs the same loop on unit
 weights.
 """
 
@@ -310,10 +311,10 @@ def _enumerate_best(inst: WbdInstance, stats: SolveStats) -> Optional[Solution]:
 class RoundCache:
     """What the reduction rounds at one graph share.
 
-    The freeze loops of ``_solve`` and ``_phase_one`` only freeze edges, so
-    every round sees the same graph G and only the pool (the marked set)
-    changes.  The cache holds results that are pure functions of G and of
-    greedy's picks, never of the pool, each keyed by a prefix of the picks:
+    The rounds of ``freeze_rounds`` only freeze edges, so every round sees
+    the same graph G and only the pool (the marked set) changes.  The
+    cache holds results that are pure functions of G and of greedy's
+    picks, never of the pool, each keyed by a prefix of the picks:
 
     * ``residual(prefix)``: the graph G - prefix (G itself for the empty
       prefix), and ``critical(prefix)`` its ``critical_set``;
@@ -325,8 +326,8 @@ class RoundCache:
 
     A lookup returns exactly what recomputing it would, so a round that
     uses the cache finds the same reduction as one that does not.  A cache
-    belongs to one graph object: the loops make one per graph and drop it
-    when they return, and using it with another graph is refused.
+    belongs to one graph object: ``freeze_rounds`` makes one per graph and
+    drops it when it returns, and using it with another graph is refused.
     """
 
     def __init__(self, graph: UndirectedGraph):
@@ -335,15 +336,6 @@ class RoundCache:
         self._crit: Dict[Tuple[int, ...], FrozenSet[int]] = {}
         self._flows: Dict[Tuple[int, ...], FlowDecomposition] = {}
         self._memos: Dict[Tuple[int, ...], PartnerMemo] = {}
-
-    @classmethod
-    def bound_to(cls, graph: UndirectedGraph, cache: Optional["RoundCache"]) -> "RoundCache":
-        """The given cache, checked against the graph, or a fresh one."""
-        if cache is None:
-            return cls(graph)
-        if cache.graph is not graph:
-            raise InternalInconsistencyError("round cache used with another graph")
-        return cache
 
     def residual(self, prefix: Tuple[int, ...]) -> UndirectedGraph:
         g = self._graphs.get(prefix)
@@ -387,25 +379,24 @@ class GreedyRun:
         return tuple(len(s) for s in self.newly)
 
 
-def greedy_deletion_set(
-    inst: WbdInstance, pool: Sequence[int], cache: Optional[RoundCache] = None
-) -> GreedyRun:
+def greedy_deletion_set(inst: WbdInstance, pool: Sequence[int], cache: RoundCache) -> GreedyRun:
     """Repeatedly delete the first still-non-critical edge of the pool.
 
-    The pool is also the marked set (``reduction_step`` says which pool
-    each caller passes).  Stops after k picks or when every
-    remaining pool edge is critical in the residual graph.  Every prefix
-    leaves the graph biconnected.
+    The pool is also the marked set (``freeze_rounds`` says which pool
+    each caller marks).  Stops after k picks or when every remaining pool
+    edge is critical in the residual graph.  Every prefix leaves the graph
+    biconnected.
 
     Precondition: the instance is normalized, so no pool edge is critical
     in ``inst.graph``.  The residual critical set is then carried from step
     to step, one per pick before the k-th.  The residual graphs and their
-    critical sets are read from ``cache`` (a ``RoundCache`` of
-    ``inst.graph``; a fresh one when None), which computes each prefix's
-    once: they depend on the picks alone.  ``newly`` depends on the pool
-    too, so it is recomputed on every call.
+    critical sets are read from ``cache``, the ``RoundCache`` of
+    ``inst.graph``, which computes each prefix's once: they depend on the
+    picks alone.  ``newly`` depends on the pool too, so it is recomputed
+    on every call.
     """
-    cache = RoundCache.bound_to(inst.graph, cache)
+    if cache.graph is not inst.graph:
+        raise InternalInconsistencyError("round cache used with another graph")
     marked = frozenset(pool)
     picks: List[int] = []
     newly: List[FrozenSet[int]] = []
@@ -439,7 +430,7 @@ def find_rich_flow(
     The checks run on every call, cached flow or not."""
     x, y = gprime.endpoints(pivot)
     if flow is None:
-        flow = RoundCache(gprime).flow((pivot,))
+        flow = max_flow_bounded(gprime.without_edge(pivot), x, y, cap=3)
     if flow.value != 2:
         raise InternalInconsistencyError(
             f"expected a value-2 flow between {x} and {y}, got {flow.value}"
@@ -500,7 +491,9 @@ class Reduction:
     * ``"distinct"``: the analysis has more than 3k distinct partner sets;
     * ``"freeze"``: ``edge`` lies inside a clean stretch and is irrelevant;
     * ``"stuck"``: no greedy step made enough marked edges critical (only
-      under a lowered threshold), or the analysis has no clean stretch.
+      under a lowered threshold), or the analysis has no clean stretch;
+    * ``"no"``: even the k heaviest potential edges miss w* (made by
+      ``freeze_rounds`` without a step).
 
     ``analysis`` is the partner analysis, when one was built.
     """
@@ -512,34 +505,24 @@ class Reduction:
 
 
 def reduction_step(
-    inst: WbdInstance,
-    config: SolverConfig,
-    pool: Sequence[int],
-    cache: Optional[RoundCache] = None,
+    inst: WbdInstance, config: SolverConfig, pool: Sequence[int], cache: RoundCache
 ) -> Reduction:
-    """One round of the reduction shared by the solver and the kernel.
+    """One round of the reduction lemma.
 
     Greedy runs over ``pool``, which is also the marked set; on a stalled
     run the first rich step (one making at least ``good_step_threshold``
     marked edges critical) gets its rich flow, its partner analysis and a
     clean stretch.  The instance must be normalized.
 
-    The paper's lemma marks the mu(k) heaviest potential edges, heaviest
-    first: that is the solver's pool, and its branching rests on it.  The
-    kernel works on unit weights, where every potential edge is equally
-    heavy, and marks its whole pool in id order; it never branches.
-
-    ``cache`` is the ``RoundCache`` of ``inst.graph`` that the caller's
-    freeze loop keeps across its rounds (a fresh one when None).  From it
-    come greedy's residual graphs and critical sets, G' and G' - pivot
-    (both residual graphs, so no copy is made here), the value-2 flow per
-    (prefix, pivot), and the partner tuples and components per (prefix,
-    pivot, edge).  What depends on the pool is recomputed every round:
-    greedy's ``newly``, the rich index, which flow path is P1, and the
-    analysed edges; so are the flow's checks and the refusal of an empty
-    partner set.  The result is the same as without a cache.
+    From ``cache``, the ``RoundCache`` of ``inst.graph``, come greedy's
+    residual graphs and critical sets, G' and G' - pivot (both residual
+    graphs, so no copy is made here), the value-2 flow per (prefix,
+    pivot), and the partner tuples and components per (prefix, pivot,
+    edge).  What depends on the pool is recomputed every round: greedy's
+    ``newly``, the rich index, which flow path is P1, and the analysed
+    edges; so are the flow's checks and the refusal of an empty partner
+    set.
     """
-    cache = RoundCache.bound_to(inst.graph, cache)
     run = greedy_deletion_set(inst, pool, cache)
     if len(run.picks) == inst.k:
         return Reduction("full", picks=run.picks)
@@ -568,6 +551,45 @@ def reduction_step(
     return Reduction("freeze", analysis=pa, edge=irrelevant_edge(pa, stretch, inst.weights))
 
 
+def freeze_rounds(
+    inst: WbdInstance, config: SolverConfig, mark_all: bool
+) -> Tuple[WbdInstance, List[Reduction]]:
+    """The freeze loop shared by the solver and the kernel's phase one.
+
+    While the pool exceeds mu(k): a ``"no"`` step if the k heaviest
+    potential edges miss w*, else one ``reduction_step``, freezing the
+    edge of a ``"freeze"`` step; any other kind ends the loop.  Returns
+    the instance with its frozen edges and the steps taken, in order.
+
+    The paper's lemma marks the mu(k) heaviest potential edges, heaviest
+    first: that is the solver's pool, and its branching rests on it.  The
+    kernel (``mark_all``) works on unit weights, where the heavy order is
+    id order, and marks the whole pool; it never branches, and marking
+    only mu(k) edges would leave some of its yes-instances undecided.
+
+    Freezing leaves the graph as it is, so the rounds share one
+    ``RoundCache`` of it, made here and dropped on return; a branch child
+    has its own graph and cache.  The instance must be normalized.
+    """
+    cache = RoundCache(inst.graph)
+    steps: List[Reduction] = []
+    while len(inst.potential_edges()) > config.mu(inst.k):
+        # Even the k heaviest potential edges miss w*: no.  (The
+        # enumerator's level cut makes the same test first.)
+        order = heavy_order(inst)
+        if not inst.reaches(order[: inst.k]):
+            steps.append(Reduction("no"))
+            break
+        pool = order if mark_all else order[: config.mu(inst.k)]
+        step = reduction_step(inst, config, pool, cache)
+        steps.append(step)
+        if step.kind != "freeze":
+            break
+        # The graph is unchanged, so its critical edges are already frozen.
+        inst = inst.with_frozen(frozenset((step.edge,)))
+    return inst, steps
+
+
 def solve(
     inst: WbdInstance,
     config: SolverConfig = DEFAULT_CONFIG,
@@ -590,14 +612,10 @@ def solve(
 def _solve(
     inst: WbdInstance, config: SolverConfig, stats: SolveStats, depth: int
 ) -> Optional[Tuple[int, ...]]:
-    """Decide one normalized node: enumerate a small pool, otherwise take
-    reduction steps, freezing each irrelevant edge found, until the pool
-    is small, greedy's picks answer yes, or the node branches.
-
-    Freezing leaves the graph as it is, so the rounds share one
-    ``RoundCache`` of it (see ``reduction_step``), made here and dropped
-    when the node returns; a branch child has its own graph and cache.
-    """
+    """Decide one normalized node: run ``freeze_rounds`` on the mu(k)
+    heaviest edges, then enumerate the pool it leaves, unless its last
+    step answers no, gives greedy's picks as a yes, or makes the node
+    branch."""
     stats.nodes += 1
     stats.max_depth = max(stats.max_depth, depth)
     if inst.reaches(()):
@@ -605,38 +623,25 @@ def _solve(
     if inst.k == 0:
         return None
 
-    frozen_here = 0
-    cache = RoundCache(inst.graph)
-    while True:
-        if len(inst.potential_edges()) <= config.mu(inst.k):
-            stats.enumerations += 1
-            break
-
-        # Even the k heaviest potential edges miss w*: no.  (The
-        # enumerator's level cut makes the same test first.)
-        order = heavy_order(inst)
-        if not inst.reaches(order[: inst.k]):
-            return None
-
-        step = reduction_step(inst, config, order[: config.mu(inst.k)], cache)
-        if step.analysis is not None:
-            stats.flow_calls += 1
-            stats.analyses.append(step.analysis)
-        if step.kind == "full" and inst.reaches(step.picks):
-            # Every prefix of greedy's picks keeps the graph biconnected.
-            return step.picks
-        if step.kind in ("full", "distinct"):
-            return _branch(inst, config, stats, depth)
-        if step.kind == "stuck":
-            stats.fallbacks += 1
-            break
-
-        stats.irrelevant_edges.append(step.edge)
-        frozen_here += 1
-        stats.max_irrelevant_per_node = max(stats.max_irrelevant_per_node, frozen_here)
-        # The graph is unchanged, so its critical edges are already frozen.
-        inst = inst.with_frozen(frozenset((step.edge,)))
-
+    inst, steps = freeze_rounds(inst, config, mark_all=False)
+    frozen = [s.edge for s in steps if s.kind == "freeze"]
+    stats.irrelevant_edges += frozen
+    stats.max_irrelevant_per_node = max(stats.max_irrelevant_per_node, len(frozen))
+    analyses = [s.analysis for s in steps if s.analysis is not None]
+    stats.flow_calls += len(analyses)
+    stats.analyses += analyses
+    kind = steps[-1].kind if steps else None
+    if kind == "no":
+        return None
+    if kind == "full" and inst.reaches(steps[-1].picks):
+        # Every prefix of greedy's picks keeps the graph biconnected.
+        return steps[-1].picks
+    if kind in ("full", "distinct"):
+        return _branch(inst, config, stats, depth)
+    if kind == "stuck":
+        stats.fallbacks += 1
+    else:
+        stats.enumerations += 1
     sol = _enumerate_best(inst, stats)
     return sol.edges if sol else None
 

@@ -127,18 +127,20 @@ class TestSolve:
         assert main(["solve", *args]) == main(["oracle", "wbd", *args])
 
     def test_explain_prints_analysis_when_reached(self, tmp_path, capsys):
-        from conndel.families import shared_partner_instance
-        from conndel.solver import normalize
+        from conndel.solver import mu, normalize
 
-        hub = shared_partner_instance(q=7, k=2)
+        # The weighted subdivided hub just above mu(2): three freeze rounds,
+        # each with its partner analysis, then the chord alone reaches w*.
+        hub = shared_partner_instance(q=mu(2) + 1, k=2, subdivide=True)
         inst = normalize(hub.instance)
         text = serialize_undirected(inst.graph, inst.weights, inst.frozen)
-        p = tmp_path / "wheel.graph"
+        p = tmp_path / "hub.graph"
         p.write_text(text)
-        # natural thresholds keep tiny instances in the enumeration path,
-        # so --explain output may be empty; the flag must still be accepted
         code = main(["solve", str(p), "--k", "2", "--wstar", "2", "--explain"])
-        assert code in (0, 1)
+        assert code == 0
+        out = capsys.readouterr().out
+        assert out.count("partner analysis:") == 3
+        assert "flow-calls: 3" in out.splitlines()
 
 
 class TestOracleCommand:
@@ -282,6 +284,30 @@ class TestInputValidation:
             capsys.readouterr()
             assert main(["oracle", kind, str(path), "--k", "-1"]) == 2
             assert "k must be non-negative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "kind, k, wstar",
+        [
+            ("wbd", "-1", "1"),
+            ("wbd", "1", "nan"),
+            ("wbd", "1", "inf"),
+            ("pcpsc", "-1", None),
+            ("vdpsc", "-1", None),
+        ],
+    )
+    def test_verify_refuses_what_solve_refuses(self, files, capsys, kind, k, wstar):
+        w = files["dir"] / "witness.txt"
+        if kind == "wbd":
+            path = files["k4"]
+            w.write_text("e 1 2\n")
+        else:
+            path = files["dir"] / "cyc.digraph"
+            path.write_text("p digraph 3 3\na 1 2\na 2 3\na 3 1\n")
+            w.write_text("a 1 2\n" if kind == "pcpsc" else "v 1\n")
+        argv = ["verify", kind, str(path), "--witness", str(w), "--k", k]
+        assert main(argv + (["--wstar", wstar] if wstar else [])) == 2
+        err = capsys.readouterr().err
+        assert ("k must be non-negative" if k == "-1" else "w* must be finite") in err
 
     @pytest.mark.parametrize("flag", ["--max-vertices", "--max-edges", "--max-k", "--max-candidates"])
     def test_negative_oracle_budget_is_a_usage_error(self, files, capsys, flag):

@@ -531,7 +531,6 @@ class TestTrivialPhaseTwo:
 @pytest.fixture
 def outcomes(monkeypatch):
     """The kinds of the reduction steps phase one takes, in order."""
-    import conndel.kernel
     from conndel.solver import reduction_step
 
     kinds = []
@@ -541,7 +540,7 @@ def outcomes(monkeypatch):
         kinds.append(step.kind)
         return step
 
-    monkeypatch.setattr(conndel.kernel, "reduction_step", recording)
+    monkeypatch.setattr("conndel.solver.reduction_step", recording)
     return kinds
 
 
@@ -562,6 +561,16 @@ class TestKernelize:
         assert outcomes == ["full"]
         assert res.answer == "yes"
         assert oracle_wbd(res.instance, BIG) is not None
+
+    def test_phase1_marks_the_whole_pool(self, outcomes):
+        # The plain hub above mu(2): with every deletable edge marked,
+        # greedy's first run is full.  Marking only the mu(k) heaviest, as
+        # the solver does, takes 6 rounds and 5 freezes to the same yes.
+        g = shared_partner_instance(q=347, k=2).instance.graph
+        res = kernelize(g, 2)
+        assert res.answer == "yes" and res.instance == constant_yes_instance()
+        assert res.stats["phase1_rounds"] == 1 and res.stats["irrelevant_frozen"] == 0
+        assert outcomes == ["full"]
 
     def test_budget_rules_decide_before_phase_one(self, outcomes):
         # mu(1) + 1 rim vertices: a pool of 69 deletable edges, above mu(1).

@@ -19,10 +19,12 @@ from conndel import kernel as kernel_module
 from conndel import solver as solver_module
 from conndel.oracles import OracleBudget, oracle_irrelevance, oracle_wbd
 from conndel.solver import (
+    DEFAULT_CONFIG,
     RoundCache,
     SolveStats,
     SolverConfig,
     WbdInstance,
+    freeze_rounds,
     greedy_deletion_set,
     heavy_order,
     irrelevant_edge,
@@ -294,7 +296,8 @@ class TestGreedy:
     def test_ladder_reaches_full_budget(self):
         inst = normalize(unit(ladder(6), 2, 2))
         cfg = SolverConfig(mu_override=lambda k: 2)
-        run = greedy_deletion_set(inst, heavy_order(inst)[: cfg.mu(inst.k)])
+        pool = heavy_order(inst)[: cfg.mu(inst.k)]
+        run = greedy_deletion_set(inst, pool, RoundCache(inst.graph))
         assert len(run.picks) == 2
         assert is_biconnected_without(inst.graph, frozenset(run.picks))
 
@@ -302,13 +305,15 @@ class TestGreedy:
         hub = shared_partner_instance(q=7, k=2)
         inst = normalize(hub.instance)
         cfg = SolverConfig(mu_override=lambda k: 9)
-        run = greedy_deletion_set(inst, heavy_order(inst)[: cfg.mu(inst.k)])
+        pool = heavy_order(inst)[: cfg.mu(inst.k)]
+        run = greedy_deletion_set(inst, pool, RoundCache(inst.graph))
         assert run.picks == (hub.chord,)
         assert run.counts[0] == len(hub.rim_edges)
 
     def test_frozen_graph_runs_zero_steps(self):
         inst = normalize(unit(cycle(5), 2, 1))
-        run = greedy_deletion_set(inst, heavy_order(inst)[: mu(inst.k)])
+        pool = heavy_order(inst)[: mu(inst.k)]
+        run = greedy_deletion_set(inst, pool, RoundCache(inst.graph))
         assert run.picks == ()
 
 
@@ -606,14 +611,14 @@ def reduction_summary(step):
 
 @pytest.fixture
 def cache_rounds(monkeypatch):
-    """Every reduction step the solver and the kernel take, each checked
-    at once against a second run of it on a fresh cache (a wrong freeze
-    could keep the loop from ending): (the cache the loop passed, what
-    it found)."""
+    """Every reduction step the freeze loop takes, for the solver or the
+    kernel, each checked at once against a second run of it on a fresh
+    cache (a wrong freeze could keep the loop from ending): (the cache the
+    loop passed, what it found)."""
     rounds = []
     original = solver_module.reduction_step
 
-    def checked(inst, config, pool, cache=None):
+    def checked(inst, config, pool, cache):
         step = original(inst, config, pool, cache)
         found = reduction_summary(step)
         assert found == reduction_summary(original(inst, config, pool, RoundCache(inst.graph)))
@@ -621,7 +626,6 @@ def cache_rounds(monkeypatch):
         return step
 
     monkeypatch.setattr(solver_module, "reduction_step", checked)
-    monkeypatch.setattr(kernel_module, "reduction_step", checked)
     return rounds
 
 
@@ -691,3 +695,22 @@ class TestRoundCache:
             with pytest.raises(InternalInconsistencyError):
                 call()
         assert reduction_step(inst, cfg, pool, cache).kind == "freeze"
+
+
+class TestFreezeRounds:
+    def test_tight_no_stops_before_any_step(self, monkeypatch):
+        # Chord 10 and rim 5 on a pool above mu(2): the two heaviest sum
+        # to 15, so w* = 15.5 is a no that needs no reduction step.
+        hub = shared_partner_instance(mu(2) + 1, k=2, w_star=15.5)
+        inst = normalize(hub.instance)
+        assert len(inst.potential_edges()) > mu(2)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("reduction_step called on a tight no")
+
+        monkeypatch.setattr(solver_module, "reduction_step", refuse)
+        after, steps = freeze_rounds(inst, DEFAULT_CONFIG, mark_all=False)
+        assert after is inst and [s.kind for s in steps] == ["no"]
+        stats = SolveStats()
+        assert solve(hub.instance, stats=stats) is None
+        assert stats.nodes == 1 and stats.enumerations == 0 and stats.flow_calls == 0
