@@ -31,8 +31,6 @@ from conndel.families import distinct_partner_instance, random_weights, shared_p
 from conndel.kernel import kernelize, unit_instance
 from conndel.oracles import OracleBudget, oracle_wbd
 from conndel.solver import (
-    DEFAULT_CONFIG,
-    SolverConfig,
     SolveStats,
     WbdInstance,
     mu,
@@ -45,10 +43,10 @@ SMALL_HUBS = 200
 ORACLE_BUDGET = OracleBudget(max_vertices=64, max_edges=128, max_k=3)
 
 
-def solved(inst, config=DEFAULT_CONFIG):
+def solved(inst, mu_of=mu):
     """(answer, freezes, witness valid) of one solve."""
     stats = SolveStats()
-    sol = solve(inst, config, stats)
+    sol = solve(inst, mu_of, stats)
     valid = sol is None or verify_solution(inst, sol.edges)
     return sol is not None, len(stats.irrelevant_edges), valid
 
@@ -61,7 +59,7 @@ def oracle_pass() -> int:
         family = rng.choice((shared_partner_instance, distinct_partner_instance))
         q, k, subdivide = rng.randint(7, 13), rng.randint(1, 3), rng.random() < 0.5
         m = rng.choice((2 * k + 5, 3 * k + 3, 9))
-        config = SolverConfig(mu_override=lambda _, m=m: m)
+        mu_of = lambda _, m=m: m
         g = family(q, k=k, subdivide=subdivide).instance.graph
         weights = random_weights(rng, g, 1, 6)
         pool = normalize(WbdInstance(g, k, 0.0, weights)).potential_edges()
@@ -71,10 +69,10 @@ def oracle_pass() -> int:
         want = [oracle_wbd(inst, ORACLE_BUDGET) is not None for inst in (weighted, unit)]
         got = []
         for inst in (weighted, unit):
-            answer, frozen, valid = solved(inst, config)
+            answer, frozen, valid = solved(inst, mu_of)
             got.append(answer if valid else None)
             solver_frozen += frozen
-        res = kernelize(g, k, config=config)
+        res = kernelize(g, k, mu_of=mu_of)
         kernel_frozen += int(res.stats["irrelevant_frozen"])
         kept = oracle_wbd(res.instance, ORACLE_BUDGET) is not None
         decided = res.answer in (None, "yes" if want[1] else "no")

@@ -17,7 +17,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from conndel.families import random_biconnected_graph
 from conndel.kernel import build_auxiliary_digraph, kernelize, unit_instance
 from conndel.oracles import OracleBudget, oracle_wbd
-from conndel.solver import SolverConfig, normalize
+from conndel.solver import mu, normalize
 
 
 def main() -> int:
@@ -29,7 +29,7 @@ def main() -> int:
     ap.add_argument("--max-terminals", type=int, default=7)
     ap.add_argument("--mu", type=int, default=None, help="constant phase-one threshold")
     args = ap.parse_args()
-    config = SolverConfig(mu_override=None if args.mu is None else (lambda k: args.mu))
+    mu_of = mu if args.mu is None else (lambda k: args.mu)
 
     rng = random.Random(args.seed)
     budget = OracleBudget(
@@ -47,7 +47,7 @@ def main() -> int:
             providers.append("exhaustive")
         for provider in providers:
             res = kernelize(
-                g, args.k, provider=provider, max_terminals=args.max_terminals, config=config
+                g, args.k, provider=provider, max_terminals=args.max_terminals, mu_of=mu_of
             )
             got = oracle_wbd(res.instance, budget) is not None
             if got != want or res.answer not in (None, "yes" if want else "no"):

@@ -15,7 +15,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from conndel.families import random_biconnected_graph, random_weights
 from conndel.oracles import OracleBudget, oracle_wbd
-from conndel.solver import SolverConfig, SolveStats, WbdInstance, solve
+from conndel.solver import SolveStats, WbdInstance, mu, solve
 
 
 def main() -> int:
@@ -27,7 +27,7 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--mu", type=int, default=None, help="constant enumeration threshold")
     args = ap.parse_args()
-    config = SolverConfig(mu_override=None if args.mu is None else (lambda k: args.mu))
+    mu_of = mu if args.mu is None else (lambda k: args.mu)
 
     rng = random.Random(args.seed)
     budget = OracleBudget(max_vertices=args.max_n + 2, max_edges=4 * args.max_n, max_k=args.max_k)
@@ -41,7 +41,7 @@ def main() -> int:
         )
         t0 = time.perf_counter()
         stats = SolveStats()
-        got = solve(inst, config, stats)
+        got = solve(inst, mu_of, stats)
         times.append(time.perf_counter() - t0)
         analyses += stats.flow_calls
         freezes += len(stats.irrelevant_edges)

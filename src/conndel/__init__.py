@@ -18,7 +18,7 @@ from .graphs import (
 )
 from .kernel import KernelResult, kernelize
 from .oracles import OracleBudget, oracle_is, oracle_pcpsc, oracle_vdpsc, oracle_wbd
-from .solver import Solution, SolveStats, SolverConfig, WbdInstance, normalize, solve
+from .solver import Solution, SolveStats, WbdInstance, normalize, solve
 
 __version__ = "0.1.0"
 
@@ -30,7 +30,6 @@ __all__ = [
     "Path",
     "Solution",
     "SolveStats",
-    "SolverConfig",
     "UndirectedGraph",
     "WbdInstance",
     "contract_sequence",

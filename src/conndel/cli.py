@@ -275,9 +275,10 @@ def cmd_verify(args) -> int:
     else:
         d = parse_digraph(text)
         vs = set(witness)
+        # A proper subset: like the oracle, refuse deleting every vertex.
         valid = (
             len(vs) == len(witness) == args.k
-            and vs <= d.vertices
+            and vs < d.vertices
             and is_strongly_connected(d.without_vertices(vs))
         )
     _emit_report(

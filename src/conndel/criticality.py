@@ -393,7 +393,7 @@ def build_partner_analysis(
     newly: FrozenSet[int],
     deleted_endpoints: Iterable[Tuple[int, int]],
     k: int,
-    memo: Optional[PartnerMemo] = None,
+    memo: PartnerMemo,
 ) -> PartnerAnalysis:
     """Assemble the full partner structure for one pivot edge.
 
@@ -404,8 +404,9 @@ def build_partner_analysis(
     ``deleted_endpoints`` are the endpoint pairs of the edges removed from
     the original graph to form G'; a component touching one is affected.
     ``memo`` holds partner tuples and components found earlier on the
-    same G', pivot and flow (the solver's round cache keeps one per
-    pivot and prefix); only what it lacks is computed, and added to it.
+    same G', pivot and flow, read from the round cache
+    (``RoundCache.partners``, one per prefix of greedy's picks); only what
+    it lacks is computed, and added to it.
     """
     x, y = gprime.endpoints(pivot)
     for p in (p1, p2):
@@ -416,8 +417,6 @@ def build_partner_analysis(
     if not edge_ids:
         raise InvalidInputError("no marked newly critical edges on P1")
 
-    if memo is None:
-        memo = PartnerMemo()
     missing = [e for e in edge_ids if e not in memo.partners]
     if missing:
         memo.partners.update(zip(missing, partner_set(gprime, pivot, p1, p2, missing)))
@@ -499,15 +498,16 @@ def leftmost_long_run(
     return None
 
 
-def find_clean_stretch(pa: PartnerAnalysis, k: int) -> Optional[Tuple[int, int]]:
-    """Leftmost maximal run a..b with b >= a + 2k+3, identical partner sets
-    throughout, and unaffected components between consecutive edges.
+def find_clean_stretch(pa: PartnerAnalysis) -> Optional[Tuple[int, int]]:
+    """Leftmost maximal run a..b with b >= a + 2k+3 (k = ``pa.k``),
+    identical partner sets throughout, and unaffected components between
+    consecutive edges.
 
     Returns None when no run is long enough; if the existence guarantee
     (enough analyzed edges, few distinct partner sets) held, that is an
     internal inconsistency and raises instead.
     """
-    t = pa.t
+    t, k = pa.t, pa.k
     best = leftmost_long_run(t, pa.switches | pa.affected, 2 * k + 3)
     if best is not None:
         return best
@@ -545,7 +545,7 @@ def explain_partner_analysis(pa: PartnerAnalysis) -> str:
     for i in sorted(pa.components):
         comp = " ".join(str(v) for v in sorted(pa.components[i]))
         lines.append(f"    component[{i},{i + 1}] = {{{comp}}} partner {pa.shared_partner[i]}")
-    stretch = find_clean_stretch(pa, pa.k)
+    stretch = find_clean_stretch(pa)
     lines.append(f"  clean stretch: {stretch if stretch else '(none)'}")
     return "\n".join(lines)
 

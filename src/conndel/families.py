@@ -80,7 +80,6 @@ def _build_hub(
             connect(a, b)
         for m, w in zip(rim, rail):
             connect(m, w)
-        verts = [x, y] + rim + rail + list(range(2 + 2 * q, nxt))
     else:
         w = nxt
         nxt += 1
@@ -88,7 +87,6 @@ def _build_hub(
         connect(w, y)
         for m in rim:
             connect(m, w)
-        verts = [x, y] + rim + [w] + list(range(3 + q, nxt))
 
     all_verts = sorted(set(v for e in edges for v in e))
     g = UndirectedGraph.from_edges(all_verts, edges)

@@ -139,18 +139,6 @@ class UndirectedGraph:
     def without_edge(self, eid: int) -> "UndirectedGraph":
         return self.without_edges((eid,))
 
-    def without_vertices(self, vs: Iterable[int]) -> "UndirectedGraph":
-        gone = set(vs)
-        return UndirectedGraph(
-            self._vertices - gone,
-            [
-                (eid, u, v)
-                for eid, (u, v) in self._edges.items()
-                if u not in gone and v not in gone
-            ],
-            next_edge_id=self._next_edge_id,
-        )
-
     def induced(self, keep: Iterable[int]) -> "UndirectedGraph":
         kept = set(keep)
         if not kept <= self._vertices:

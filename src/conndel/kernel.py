@@ -14,28 +14,28 @@ deletable edges' endpoints gives Y, the vertices worth keeping, and rule
 one and the torso contract the graph onto Y from one pass over the
 components C of G - Y and their attachment sets N(C) in Y.
 
-The cut-covering set construction is pluggable.  Under ``trivial`` Y is
-every vertex, so past those rules phase two is the identity and builds
-nothing.  ``exhaustive`` is the cover by its definition: X plus one
-closest minimum cut per disjoint terminal triple.  Its cost is
-exponential in the number of terminals, so it refuses beyond a cap; every
-instance that phase two brings to it has k >= 2 and at least two
-deletable edges, hence at least 11 terminals.
+The cut-covering set construction is pluggable, and ``_phase_two`` is
+the one place that reads the provider.  Under ``trivial`` Y is every
+vertex, so past those rules phase two is the identity and returns before
+building anything.  ``exhaustive`` (``cut_covering_set``) is the cover by
+its definition: X plus one closest minimum cut per disjoint terminal
+triple.  Its cost is exponential in the number of terminals, so it
+refuses beyond a cap; every instance that phase two brings to it has
+k >= 2 and at least two deletable edges, hence at least 11 terminals.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from .errors import BudgetExceededError, InternalInconsistencyError, InvalidInputError
 from .graphs import Digraph, UndirectedGraph, is_biconnected, reachable
 from .solver import (
-    DEFAULT_CONFIG,
-    SolverConfig,
     WbdInstance,
     freeze_rounds,
+    mu,
     normalize,
     solution_from_distinct_partners,
     validate_instance,
@@ -179,27 +179,21 @@ def po_min_cut(
 
 
 def cut_covering_set(
-    aux: AuxiliaryDigraph,
-    provider: str = "trivial",
-    max_terminals: int = DEFAULT_MAX_TERMINALS,
+    aux: AuxiliaryDigraph, max_terminals: int = DEFAULT_MAX_TERMINALS
 ) -> FrozenSet[int]:
-    """A vertex set containing, for every terminal triple (A, B, R), some
-    minimum potentially-overlapping A-B cut of D - R.
+    """The ``exhaustive`` provider: a vertex set containing, for every
+    terminal triple (A, B, R), some minimum potentially-overlapping A-B cut
+    of D - R.
 
-    ``trivial`` gives every vertex, ``exhaustive`` X plus the closest
-    minimum cut of every disjoint triple with A and B non-empty, one
-    ``po_min_cut`` each: 4^|X| - 2*3^|X| + 2^|X| flows, 12,138 at 7
-    terminals.  Disjoint triples suffice: R meeting A or B cuts like its
-    R-disjoint projection; if A and B meet in C, every cut holds C (a
-    vertex of C is a path), the closest minimum cut is C plus that of
-    (A - C, B - C, R | C), or just C, and X covers C.
+    X plus the closest minimum cut of every disjoint triple with A and B
+    non-empty, one ``po_min_cut`` each: 4^|X| - 2*3^|X| + 2^|X| flows,
+    12,138 at 7 terminals.  Disjoint triples suffice: R meeting A or B
+    cuts like its R-disjoint projection; if A and B meet in C, every cut
+    holds C (a vertex of C is a path), the closest minimum cut is C plus
+    that of (A - C, B - C, R | C), or just C, and X covers C.
     """
     if max_terminals < 0:
         raise InvalidInputError(f"max_terminals must be non-negative, got {max_terminals}")
-    if provider == "trivial":
-        return frozenset(aux.digraph.vertices)
-    if provider != "exhaustive":
-        raise InvalidInputError(f"unknown cut-covering provider '{provider}'")
     terms = sorted(aux.terminals)
     if len(terms) > max_terminals:
         raise BudgetExceededError(
@@ -283,14 +277,15 @@ def kernelize(
     frozen: FrozenSet[int] = frozenset(),
     provider: str = "trivial",
     max_terminals: int = DEFAULT_MAX_TERMINALS,
-    config: SolverConfig = DEFAULT_CONFIG,
+    mu_of: Callable[[int], int] = mu,
 ) -> KernelResult:
     """Shrink an unweighted instance to an equivalent one with few
     potential solution edges and a vertex count polynomial in that number.
 
     Detected yes-instances are replaced by a constant yes-instance and
     decided no-instances by a constant no-instance, with the result's
-    answer field set to "yes" or "no"; otherwise it is None.
+    answer field set to "yes" or "no"; otherwise it is None.  The result
+    is built by ``unit_instance``, so its frozen edges weigh 0.
     """
     if provider not in PROVIDERS:
         raise InvalidInputError(f"unknown cut-covering provider '{provider}'")
@@ -308,12 +303,12 @@ def kernelize(
         "phase1_rounds": 0,
     }
 
-    inst, answer = _budget_rules(inst) or _phase_one(inst, config, stats)
+    inst, answer = _budget_rules(inst) or _phase_one(inst, mu_of, stats)
     if answer is None:
         inst, answer = _phase_two(inst, provider, max_terminals, stats)
     stats["f_after"] = len(inst.potential_edges())
     stats["v_after"] = inst.graph.n
-    return KernelResult(inst, answer, stats)
+    return KernelResult(unit_instance(inst.graph, inst.k, inst.frozen), answer, stats)
 
 
 def _budget_rules(inst: WbdInstance) -> Optional[Tuple[WbdInstance, str]]:
@@ -335,12 +330,12 @@ def _budget_rules(inst: WbdInstance) -> Optional[Tuple[WbdInstance, str]]:
 
 
 def _phase_one(
-    inst: WbdInstance, config: SolverConfig, stats: Dict[str, object]
+    inst: WbdInstance, mu_of: Callable[[int], int], stats: Dict[str, object]
 ) -> Tuple[WbdInstance, Optional[str]]:
     """Bound the potential solution edges with the solver's freeze loop,
     marking the whole pool: the instance it leaves and no answer, or a
     constant instance and the loop's answer."""
-    inst, steps = freeze_rounds(inst, config, mark_all=True)
+    inst, steps = freeze_rounds(inst, mu_of, mark_all=True)
     stats["phase1_rounds"] = len(steps)
     stats["irrelevant_frozen"] = sum(s.kind == "freeze" for s in steps)
     kind = steps[-1].kind if steps else None
@@ -369,7 +364,7 @@ def _phase_two(
             return inst, None
         pool = inst.potential_edges()
         aux = build_auxiliary_digraph(inst.graph, pool)
-        z = cut_covering_set(aux, provider, max_terminals)
+        z = cut_covering_set(aux, max_terminals)
         y_set = frozenset(z & inst.graph.vertices) | frozenset(
             v for e in pool for v in inst.graph.endpoints(e)
         )

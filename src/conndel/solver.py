@@ -16,13 +16,18 @@ long clean stretch instead yields an irrelevant edge that is frozen,
 shrinking the instance without branching.  Once few remain, or the loop
 is stuck, enumerate.  The kernel's first phase runs the same loop on unit
 weights.
+
+One threshold drives the loop, mu(k) = 20k^3 + 46k^2 + k, passed to
+``solve`` and ``kernelize`` as the function ``mu_of``.  A lowered one
+steers small instances into the loop; ``reduction_step`` says which
+guarantee then lapses.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .criticality import (
@@ -49,41 +54,13 @@ def mu(k: int) -> int:
 
 
 @dataclass(frozen=True)
-class SolverConfig:
-    """Solver thresholds.
-
-    The override exists only so tests can steer tiny instances into the
-    greedy/branching/irrelevant-edge code paths; it violates the proven
-    threshold constant, and the solver compensates by falling back to
-    exhaustive enumeration whenever a guarantee that holds under the real
-    constant fails under a lowered one.  Production use keeps it None.
-    """
-
-    mu_override: Optional[Callable[[int], int]] = None
-
-    @property
-    def is_default(self) -> bool:
-        return self.mu_override is None
-
-    def mu(self, k: int) -> int:
-        return self.mu_override(k) if self.mu_override else mu(k)
-
-    def good_step_threshold(self, k: int) -> int:
-        if k <= 0:
-            return 1
-        return max(1, math.ceil((self.mu(k) - k) / k))
-
-
-DEFAULT_CONFIG = SolverConfig()
-
-
-@dataclass(frozen=True)
 class WbdInstance:
     """A weighted biconnectivity-deletion question.
 
     Edges in ``frozen`` can never be deleted; the remaining edges are the
-    potential solution edges.  A normalized instance additionally has every
-    currently-critical edge frozen with weight zero.  A branch child keeps
+    potential solution edges, the only ones whose weights are read.  A
+    normalized instance additionally has every currently-critical edge
+    frozen.  Derived instances share ``weights``.  A branch child keeps
     the root's ``w_star`` and records the weights already deleted on the
     way to it in ``deleted``.
 
@@ -111,24 +88,15 @@ class WbdInstance:
         return math.fsum(itertools.chain(self.deleted, added)) >= self.w_star
 
     def with_frozen(self, extra: FrozenSet[int]) -> "WbdInstance":
-        new_frozen = self.frozen | extra
-        new_weights = {
-            e: (0.0 if e in new_frozen else w) for e, w in self.weights.items()
-        }
-        return WbdInstance(
-            self.graph, self.k, self.w_star, new_weights, new_frozen, self.deleted
-        )
+        return replace(self, frozen=self.frozen | extra)
 
     def child_after_deleting(self, eid: int) -> "WbdInstance":
-        g = self.graph.without_edge(eid)
-        w = {e: v for e, v in self.weights.items() if e != eid}
-        return WbdInstance(
-            g,
-            self.k - 1,
-            self.w_star,
-            w,
-            frozenset(e for e in self.frozen if e != eid),
-            self.deleted + (self.weights.get(eid, 0.0),),
+        """The instance after deleting the potential edge ``eid``."""
+        return replace(
+            self,
+            graph=self.graph.without_edge(eid),
+            k=self.k - 1,
+            deleted=self.deleted + (self.weights.get(eid, 0.0),),
         )
 
 
@@ -175,7 +143,7 @@ def validate_instance(inst: WbdInstance) -> None:
 
 
 def normalize(inst: WbdInstance) -> WbdInstance:
-    """Freeze all currently-critical edges and zero frozen weights.
+    """Freeze all currently-critical edges.
 
     Critical edges can never be deleted, so this loses no solutions;
     idempotent.  Rejects non-biconnected graphs.
@@ -415,22 +383,16 @@ def greedy_deletion_set(inst: WbdInstance, pool: Sequence[int], cache: RoundCach
 
 
 def find_rich_flow(
-    gprime: UndirectedGraph,
-    pivot: int,
-    newly: FrozenSet[int],
-    flow: Optional[FlowDecomposition] = None,
+    gprime: UndirectedGraph, pivot: int, newly: FrozenSet[int], flow: FlowDecomposition
 ) -> Tuple[Path, Path]:
     """A value-2 flow between the pivot's endpoints in G' - pivot, with the
     path carrying at least half the marked newly-critical edges first.
 
     ``newly`` is ``newly_critical(gprime, pivot) & marked``, as computed
     by the caller; greedy records it per pick (``GreedyRun.newly``).
-    ``flow`` is ``max_flow_bounded(G' - pivot, x, y, cap=3)`` when the
-    caller holds it (``RoundCache.flow``); otherwise it is computed here.
-    The checks run on every call, cached flow or not."""
+    ``flow`` is ``max_flow_bounded(G' - pivot, x, y, cap=3)``, read from
+    the round cache (``RoundCache.flow``); it is checked on every call."""
     x, y = gprime.endpoints(pivot)
-    if flow is None:
-        flow = max_flow_bounded(gprime.without_edge(pivot), x, y, cap=3)
     if flow.value != 2:
         raise InternalInconsistencyError(
             f"expected a value-2 flow between {x} and {y}, got {flow.value}"
@@ -491,7 +453,8 @@ class Reduction:
     * ``"distinct"``: the analysis has more than 3k distinct partner sets;
     * ``"freeze"``: ``edge`` lies inside a clean stretch and is irrelevant;
     * ``"stuck"``: no greedy step made enough marked edges critical (only
-      under a lowered threshold), or the analysis has no clean stretch;
+      when the pool is below mu(k) or mu(k) < k, so only under a lowered
+      threshold), or the analysis has no clean stretch;
     * ``"no"``: even the k heaviest potential edges miss w* (made by
       ``freeze_rounds`` without a step).
 
@@ -505,14 +468,24 @@ class Reduction:
 
 
 def reduction_step(
-    inst: WbdInstance, config: SolverConfig, pool: Sequence[int], cache: RoundCache
+    inst: WbdInstance, mu_of: Callable[[int], int], pool: Sequence[int], cache: RoundCache
 ) -> Reduction:
     """One round of the reduction lemma.
 
     Greedy runs over ``pool``, which is also the marked set; on a stalled
-    run the first rich step (one making at least ``good_step_threshold``
-    marked edges critical) gets its rich flow, its partner analysis and a
-    clean stretch.  The instance must be normalized.
+    run the first rich step, one making at least ceil((mu(k) - k) / k)
+    (and at least one) marked edges critical, gets its rich flow, its
+    partner analysis and a clean stretch.  The instance must be
+    normalized.
+
+    The lemma's premise ``len(pool) >= mu(k) >= k`` guarantees a rich step:
+    greedy stalls after 1 <= j < k picks (no pool edge is critical in G)
+    with every unpicked marked edge critical; criticality only grows as
+    edges go, so the counts ``GreedyRun.counts`` sum to |pool| - j, and one
+    is at least (|pool| - j) / j > (mu(k) - k) / k.  So a stalled run with
+    no rich step raises under the premise and is ``"stuck"`` otherwise.
+    Under the real threshold the premise always holds: the solver marks
+    mu(k) edges, the kernel more.
 
     From ``cache``, the ``RoundCache`` of ``inst.graph``, come greedy's
     residual graphs and critical sets, G' and G' - pivot (both residual
@@ -526,10 +499,11 @@ def reduction_step(
     run = greedy_deletion_set(inst, pool, cache)
     if len(run.picks) == inst.k:
         return Reduction("full", picks=run.picks)
-    threshold = config.good_step_threshold(inst.k)
+    m = mu_of(inst.k)
+    threshold = max(1, math.ceil((m - inst.k) / inst.k))
     rich = next((i for i, c in enumerate(run.counts) if c >= threshold), None)
     if rich is None:
-        if config.is_default:
+        if len(pool) >= m >= inst.k:
             raise InternalInconsistencyError(
                 "greedy stalled without any step making enough marked edges critical"
             )
@@ -545,14 +519,14 @@ def reduction_step(
     )
     if pa.distinct_partner_sets > 3 * inst.k:
         return Reduction("distinct", analysis=pa)
-    stretch = find_clean_stretch(pa, inst.k)
+    stretch = find_clean_stretch(pa)
     if stretch is None:
         return Reduction("stuck", analysis=pa)
     return Reduction("freeze", analysis=pa, edge=irrelevant_edge(pa, stretch, inst.weights))
 
 
 def freeze_rounds(
-    inst: WbdInstance, config: SolverConfig, mark_all: bool
+    inst: WbdInstance, mu_of: Callable[[int], int], mark_all: bool
 ) -> Tuple[WbdInstance, List[Reduction]]:
     """The freeze loop shared by the solver and the kernel's phase one.
 
@@ -573,15 +547,15 @@ def freeze_rounds(
     """
     cache = RoundCache(inst.graph)
     steps: List[Reduction] = []
-    while len(inst.potential_edges()) > config.mu(inst.k):
+    while len(inst.potential_edges()) > mu_of(inst.k):
         # Even the k heaviest potential edges miss w*: no.  (The
         # enumerator's level cut makes the same test first.)
         order = heavy_order(inst)
         if not inst.reaches(order[: inst.k]):
             steps.append(Reduction("no"))
             break
-        pool = order if mark_all else order[: config.mu(inst.k)]
-        step = reduction_step(inst, config, pool, cache)
+        pool = order if mark_all else order[: mu_of(inst.k)]
+        step = reduction_step(inst, mu_of, pool, cache)
         steps.append(step)
         if step.kind != "freeze":
             break
@@ -592,7 +566,7 @@ def freeze_rounds(
 
 def solve(
     inst: WbdInstance,
-    config: SolverConfig = DEFAULT_CONFIG,
+    mu_of: Callable[[int], int] = mu,
     stats: Optional[SolveStats] = None,
 ) -> Optional[Solution]:
     """Decide the instance and return a witness solution when one exists."""
@@ -600,7 +574,7 @@ def solve(
     if stats is None:
         stats = SolveStats()
     inst = normalize(inst)
-    edges = _solve(inst, config, stats, depth=0)
+    edges = _solve(inst, mu_of, stats, depth=0)
     if edges is None:
         return None
     sol = Solution(tuple(sorted(edges)), inst.weight_of(edges))
@@ -610,7 +584,7 @@ def solve(
 
 
 def _solve(
-    inst: WbdInstance, config: SolverConfig, stats: SolveStats, depth: int
+    inst: WbdInstance, mu_of: Callable[[int], int], stats: SolveStats, depth: int
 ) -> Optional[Tuple[int, ...]]:
     """Decide one normalized node: run ``freeze_rounds`` on the mu(k)
     heaviest edges, then enumerate the pool it leaves, unless its last
@@ -623,7 +597,7 @@ def _solve(
     if inst.k == 0:
         return None
 
-    inst, steps = freeze_rounds(inst, config, mark_all=False)
+    inst, steps = freeze_rounds(inst, mu_of, mark_all=False)
     frozen = [s.edge for s in steps if s.kind == "freeze"]
     stats.irrelevant_edges += frozen
     stats.max_irrelevant_per_node = max(stats.max_irrelevant_per_node, len(frozen))
@@ -637,7 +611,7 @@ def _solve(
         # Every prefix of greedy's picks keeps the graph biconnected.
         return steps[-1].picks
     if kind in ("full", "distinct"):
-        return _branch(inst, config, stats, depth)
+        return _branch(inst, mu_of, stats, depth)
     if kind == "stuck":
         stats.fallbacks += 1
     else:
@@ -647,16 +621,16 @@ def _solve(
 
 
 def _branch(
-    inst: WbdInstance, config: SolverConfig, stats: SolveStats, depth: int
+    inst: WbdInstance, mu_of: Callable[[int], int], stats: SolveStats, depth: int
 ) -> Optional[Tuple[int, ...]]:
     """Branch over the heavy edges; a solution, if any exists, intersects
     them.  The instance is normalized, so deleting any one of them keeps
     the graph biconnected."""
     order = heavy_order(inst)
-    candidates = order[: config.mu(inst.k)]
+    candidates = order[: mu_of(inst.k)]
     stats.max_branch_factor = max(stats.max_branch_factor, len(candidates))
     for e in candidates:
-        sub = _solve_child(inst, e, order, config, stats, depth + 1)
+        sub = _solve_child(inst, e, order, mu_of, stats, depth + 1)
         if sub is not None:
             return sub + (e,)
     return None
@@ -666,7 +640,7 @@ def _solve_child(
     inst: WbdInstance,
     eid: int,
     order: List[int],
-    config: SolverConfig,
+    mu_of: Callable[[int], int],
     stats: SolveStats,
     depth: int,
 ) -> Optional[Tuple[int, ...]]:
@@ -686,4 +660,4 @@ def _solve_child(
         stats.max_depth = max(stats.max_depth, depth)
         return () if reached else None
     child = normalize(inst.child_after_deleting(eid))
-    return _solve(child, config, stats, depth)
+    return _solve(child, mu_of, stats, depth)

@@ -3,11 +3,12 @@ plus accessors that only tests need."""
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from conndel.criticality import PartnerAnalysis
+from conndel.criticality import PartnerAnalysis, build_partner_analysis
 from conndel.errors import InvalidInputError
 from conndel.graphs import Digraph, Path, UndirectedGraph
+from conndel.solver import RoundCache, find_rich_flow
 
 
 def path_in_graph(g: UndirectedGraph, vertices: Iterable[int]) -> Path:
@@ -20,6 +21,30 @@ def path_in_graph(g: UndirectedGraph, vertices: Iterable[int]) -> Path:
             raise InvalidInputError(f"({a},{b}) is not an edge of the host graph")
         eids.append(eid)
     return Path(vs, tuple(eids))
+
+
+def analysis_after(
+    g: UndirectedGraph,
+    picks: Sequence[int],
+    k: int,
+    marked: Optional[FrozenSet[int]] = None,
+) -> PartnerAnalysis:
+    """The partner analysis of the last pick as ``reduction_step`` builds
+    it: G' = g - picks[:-1], the value-2 flow and the partner memo are read
+    from a ``RoundCache`` of g, and the analysed edges are the ``marked``
+    ones (default: all) that deleting the pivot makes newly critical."""
+    picks = tuple(picks)
+    cache = RoundCache(g)
+    gprime = cache.residual(picks[:-1])
+    pivot = picks[-1]
+    newly = cache.critical(picks) - cache.critical(picks[:-1])
+    if marked is not None:
+        newly &= marked
+    p1, p2 = find_rich_flow(gprime, pivot, newly, cache.flow(picks))
+    deleted = [g.endpoints(e) for e in picks[:-1]]
+    return build_partner_analysis(
+        gprime, pivot, p1, p2, newly, deleted, k, cache.partners(picks)
+    )
 
 
 def out_neighbors(d: Digraph, v: int) -> List[int]:

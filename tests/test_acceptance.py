@@ -28,7 +28,6 @@ from conndel.oracles import (
 )
 from conndel.solver import (
     SolveStats,
-    SolverConfig,
     WbdInstance,
     mu,
     normalize,
@@ -63,7 +62,6 @@ def knob_wheels():
     lowered thresholds, reaches partner analysis and freezes an edge."""
     rng = random.Random(2024)
     runs = []
-    cfg = SolverConfig(mu_override=lambda k: 9)
     for _ in range(200):
         rim = [float(rng.randint(4, 6)) for _ in range(8)]
         hub = shared_partner_instance(
@@ -74,7 +72,7 @@ def knob_wheels():
             other_weight=float(rng.randint(1, 3)),
         )
         stats = SolveStats()
-        sol = solve(hub.instance, cfg, stats)
+        sol = solve(hub.instance, lambda k: 9, stats)
         runs.append((hub.instance, sol, stats))
     return runs
 
@@ -160,14 +158,14 @@ class TestAcceptance:
         weights[eid] = 20.0
         decoy = WbdInstance(g, 3, 3.0, weights, frozenset())
         stats = SolveStats()
-        solve(decoy, SolverConfig(mu_override=lambda k: 15), stats)
+        solve(decoy, lambda k: 15, stats)
         if not any(pa.affected for pa in stats.analyses):
             violations.append(("expected an affected component", "decoy wheel"))
         analyses.extend(stats.analyses)
 
         stair = distinct_partner_instance(q=7, k=2)
         sstats = SolveStats()
-        solve(stair.instance, SolverConfig(mu_override=lambda k: 9), sstats)
+        solve(stair.instance, lambda k: 9, sstats)
         analyses.extend(sstats.analyses)
 
         if not analyses:

@@ -218,6 +218,19 @@ class TestGenerateAndVerify:
         assert main(["verify", "vdpsc", str(d), "--witness", str(w), "--k", "1"]) == 0
 
     @pytest.mark.parametrize(
+        "digraph, k, witness",
+        [("p digraph 2 2\na 1 2\na 2 1\n", "2", "v 1\nv 2\n"), ("p digraph 0 0\n", "0", "")],
+    )
+    def test_verify_vdpsc_refuses_deleting_every_vertex(self, tmp_path, digraph, k, witness):
+        # The oracle answers no here: a deletion must leave some vertex.
+        d = tmp_path / "d.digraph"
+        d.write_text(digraph)
+        w = tmp_path / "w.txt"
+        w.write_text(witness)
+        assert main(["oracle", "vdpsc", str(d), "--k", k]) == 1
+        assert main(["verify", "vdpsc", str(d), "--witness", str(w), "--k", k]) == 1
+
+    @pytest.mark.parametrize(
         "kind, line", [("wbd", "e 1 x"), ("pcpsc", "a 1 2.5"), ("vdpsc", "v q")]
     )
     def test_verify_non_integer_witness_id_is_a_parse_error(self, tmp_path, capsys, kind, line):

@@ -1,11 +1,13 @@
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conndel.criticality import (
+    PartnerMemo,
     build_partner_analysis,
     critical_set,
     find_clean_stretch,
@@ -21,10 +23,16 @@ from conndel.families import (
     shared_partner_instance,
 )
 from conndel.graphs import Path, UndirectedGraph, has_path_without, max_flow_bounded
-from conndel.solver import find_rich_flow, normalize
+from conndel.solver import normalize
 
 from . import naive
-from .checks import check_partner_invariants, oriented, path_in_graph, segments
+from .checks import (
+    analysis_after,
+    check_partner_invariants,
+    oriented,
+    path_in_graph,
+    segments,
+)
 from .strategies import biconnected_graphs, undirected_graphs
 
 
@@ -308,12 +316,10 @@ class TestPartnerSets:
         # edges that were critical all along (hexagon) can share both
         # partners, so the check runs on a genuine analysis instance.
         hub = shared_partner_instance(q=5, k=1)
-        inst = normalize(hub.instance)
-        g = inst.graph
-        p1, p2 = find_rich_flow(g, hub.chord, newly_critical(g, hub.chord))
-        crits = [e for e in p1.edges if e in newly_critical(g, hub.chord)]
-        assert len(crits) >= 2
-        sets = [set(p) for p in partner_set(g, hub.chord, p1, p2, crits)]
+        g = normalize(hub.instance).graph
+        pa = analysis_after(g, [hub.chord], 1)
+        assert pa.t >= 2
+        sets = [set(p) for p in pa.partners]
         assert all(sets)
         for a, b in zip(sets, sets[1:]):
             assert len(a & b) <= 1
@@ -341,13 +347,13 @@ def reversed_path(p):
 def assert_partners_match_definition(g, pivot, marked, rng):
     """``partner_set`` on the rich flow's paths, each in a random
     orientation, against the mixed-cut definition in G' - pivot."""
-    newly = newly_critical(g, pivot) & marked
-    p1, p2 = find_rich_flow(g, pivot, newly)
+    pa = analysis_after(g, [pivot], 1, marked)
+    p1, p2 = pa.p1, pa.p2
     if rng.random() < 0.5:
         p1 = reversed_path(p1)
     if rng.random() < 0.5:
         p2 = reversed_path(p2)
-    crits = [e for e in p1.edges if e in newly]
+    crits = [e for e in p1.edges if e in pa.edge_ids]
     x, y = g.endpoints(pivot)
     kept = [g.endpoints(e) for e in g.edges if e != pivot]
     expect = tuple(
@@ -409,20 +415,12 @@ class TestFullExistenceEquivalence:
 
 def analyzed_wheel(q=7, k=2):
     hub = shared_partner_instance(q=q, k=k)
-    inst = normalize(hub.instance)
-    g = inst.graph
-    newly = newly_critical(g, hub.chord)
-    p1, p2 = find_rich_flow(g, hub.chord, newly)
-    return build_partner_analysis(g, hub.chord, p1, p2, newly, [], k), hub
+    return analysis_after(normalize(hub.instance).graph, [hub.chord], k), hub
 
 
 def analyzed_staircase(q=6, k=2):
     hub = distinct_partner_instance(q=q, k=k)
-    inst = normalize(hub.instance)
-    g = inst.graph
-    newly = newly_critical(g, hub.chord)
-    p1, p2 = find_rich_flow(g, hub.chord, newly)
-    return build_partner_analysis(g, hub.chord, p1, p2, newly, [], k), hub
+    return analysis_after(normalize(hub.instance).graph, [hub.chord], k), hub
 
 
 class TestPartnerAnalysis:
@@ -451,19 +449,14 @@ class TestPartnerAnalysis:
             for e in g.incident(rim_v)
             if e not in hub.rim_edges and e != hub.chord
         )
-        gprime = g.without_edge(spoke)
-        newly = newly_critical(gprime, hub.chord)
-        p1, p2 = find_rich_flow(gprime, hub.chord, newly)
-        pa = build_partner_analysis(
-            gprime, hub.chord, p1, p2, newly, [g.endpoints(spoke)], 2
-        )
+        pa = analysis_after(g, [spoke, hub.chord], 2)
         assert any(rim_v in pa.components.get(i, ()) for i in pa.affected)
         check_partner_invariants(pa)
 
     def test_no_marked_critical_edges_rejected(self):
         g, pivot, p1, p2 = pivot_chord_hexagon()
         with pytest.raises(InvalidInputError):
-            build_partner_analysis(g, pivot, p1, p2, frozenset(), [], 1)
+            build_partner_analysis(g, pivot, p1, p2, frozenset(), [], 1, PartnerMemo())
 
     def test_hexagon_rejected_because_nothing_is_newly_critical(self):
         # Every hexagon edge is critical before the chord is deleted, so
@@ -471,7 +464,9 @@ class TestPartnerAnalysis:
         g, pivot, p1, p2 = pivot_chord_hexagon()
         assert newly_critical(g, pivot) == frozenset()
         with pytest.raises(InvalidInputError):
-            build_partner_analysis(g, pivot, p1, p2, newly_critical(g, pivot), [], 1)
+            build_partner_analysis(
+                g, pivot, p1, p2, newly_critical(g, pivot), [], 1, PartnerMemo()
+            )
 
 
 class TestSegmentStructure:
@@ -564,7 +559,7 @@ class TestSegmentStructure:
         # Inside a clean stretch, any u_i-v_i path avoiding the shared
         # partner and e_i must run through every other stretch edge.
         pa, _ = analyzed_wheel(q=7, k=2)
-        a, b = find_clean_stretch(pa, 2)
+        a, b = find_clean_stretch(pa)
         g = pa.graph
         w = pa.shared_partner[a]
         stretch_edges = {pa.edge(j): j for j in range(a, b + 1)}
@@ -586,7 +581,7 @@ class TestSegmentStructure:
 
     def test_local_two_flow_inside_clean_stretch(self):
         pa, _ = analyzed_wheel(q=7, k=2)
-        stretch = find_clean_stretch(pa, 2)
+        stretch = find_clean_stretch(pa)
         assert stretch is not None
         a, b = stretch
         g = pa.graph
@@ -612,9 +607,9 @@ class TestSegmentStructure:
 class TestCleanStretch:
     def test_uniform_wheel_yields_full_run(self):
         pa, _ = analyzed_wheel(q=7, k=2)
-        assert find_clean_stretch(pa, 2) == (1, 8)
+        assert find_clean_stretch(pa) == (1, 8)
         # shorter budgets need shorter stretches
-        assert find_clean_stretch(pa, 1) == (1, 8)
+        assert find_clean_stretch(replace(pa, k=1)) == (1, 8)
         # any sub-run long enough also qualifies, e.g. (1, t-1)
         a, b = 1, pa.t - 1
         assert b - a >= 2 * 1 + 3
@@ -622,13 +617,13 @@ class TestCleanStretch:
 
     def test_k1_needs_gap_of_five(self):
         pa, _ = analyzed_wheel(q=4, k=1)  # t = 5, gap 4 < 5
-        assert find_clean_stretch(pa, 1) is None
+        assert find_clean_stretch(pa) is None
         pa2, _ = analyzed_wheel(q=5, k=1)  # t = 6, gap 5
-        assert find_clean_stretch(pa2, 1) == (1, 6)
+        assert find_clean_stretch(pa2) == (1, 6)
 
     def test_staircase_has_no_stretch(self):
         pa, _ = analyzed_staircase()
-        assert find_clean_stretch(pa, 2) is None
+        assert find_clean_stretch(pa) is None
 
     def test_pigeonhole_on_synthetic_separator_sets(self):
         # 3k separators spread as evenly as possible over t = 10k^2+23k

@@ -25,7 +25,7 @@ from conndel.kernel import (
     unit_instance,
 )
 from conndel.oracles import OracleBudget, oracle_wbd
-from conndel.solver import SolverConfig, mu, normalize
+from conndel.solver import mu, normalize
 
 from . import naive
 from .catalog import edge_colored_canonical_form
@@ -54,7 +54,7 @@ def c8_chord_exhaustive():
     inst = normalize(unit_instance(g, 1, frozenset()))
     pool = inst.potential_edges()
     aux = build_auxiliary_digraph(g, pool)
-    z = cut_covering_set(aux, "exhaustive", max_terminals=7)
+    z = cut_covering_set(aux, max_terminals=7)
     y = frozenset(z & g.vertices) | frozenset(v for e in pool for v in g.endpoints(e))
     return g, inst, z, y
 
@@ -227,22 +227,15 @@ class TestPoMinCut:
 
 
 class TestCutCovering:
-    def test_trivial_provider_keeps_everything(self):
-        g = cycle(4)
-        aux = build_auxiliary_digraph(g, [])
-        assert cut_covering_set(aux, "trivial") == frozenset(aux.digraph.vertices)
-
     def test_exhaustive_refuses_beyond_cap(self):
         g = UndirectedGraph.from_edges([0, 1], [(0, 1)])
         aux = build_auxiliary_digraph(g, [0])  # seven terminals
         with pytest.raises(BudgetExceededError, match="trivial provider"):
-            cut_covering_set(aux, "exhaustive", max_terminals=5)
+            cut_covering_set(aux, max_terminals=5)
 
     def test_unknown_provider_rejected(self):
-        g = cycle(4)
-        aux = build_auxiliary_digraph(g, [])
-        with pytest.raises(InvalidInputError):
-            cut_covering_set(aux, "best-effort")
+        with pytest.raises(InvalidInputError, match="provider"):
+            kernelize(cycle(4), 1, provider="best-effort")
 
     def test_exhaustive_is_cut_covering_by_definition(self):
         # C4 plus a chord: one deletable edge, seven terminals.  Re-check
@@ -251,7 +244,7 @@ class TestCutCovering:
         g = UndirectedGraph.from_edges(range(4), [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
         inst = normalize(unit_instance(g, 1, frozenset()))
         aux = build_auxiliary_digraph(g, inst.potential_edges())
-        z = cut_covering_set(aux, "exhaustive", max_terminals=7)
+        z = cut_covering_set(aux, max_terminals=7)
         terms = sorted(aux.terminals)
         d = aux.digraph
         rng = random.Random(0)
@@ -433,7 +426,7 @@ class TestRulesAgainstDefinitions:
         aux = build_auxiliary_digraph(g, [g.edge_between(*pool_edge)])
         assert len(aux.terminals) == 7
         want = flow_per_triple(aux)
-        assert cut_covering_set(aux, "exhaustive", max_terminals=7) == want
+        assert cut_covering_set(aux, max_terminals=7) == want
 
 
 @st.composite
@@ -460,7 +453,7 @@ class TestCoverWalk:
     @given(aux_digraphs())
     def test_walk_matches_a_flow_per_triple(self, aux):
         want = flow_per_triple(aux)
-        assert cut_covering_set(aux, "exhaustive") == want
+        assert cut_covering_set(aux) == want
 
     def test_removed_flow_carrier_outside_the_reach_set(self):
         # A terminal can carry flow while a search from the sources never
@@ -471,7 +464,7 @@ class TestCoverWalk:
         d = Digraph.from_arcs(range(5), arcs)
         aux = AuxiliaryDigraph(d, {}, {}, {}, frozenset({0, 2, 3, 4}))
         want = flow_per_triple(aux)
-        assert cut_covering_set(aux, "exhaustive") == want == {0, 2, 3, 4}
+        assert cut_covering_set(aux) == want == {0, 2, 3, 4}
 
     def test_kept_removed_terminal_stays_blocked(self):
         # Terminal 0 is removed and carries no flow.  A search from the
@@ -480,7 +473,7 @@ class TestCoverWalk:
         d = Digraph.from_arcs(range(5), [(0, 1), (2, 1), (3, 0), (3, 2), (4, 2)])
         aux = AuxiliaryDigraph(d, {}, {}, {}, frozenset({0, 1, 3, 4}))
         want = flow_per_triple(aux)
-        assert cut_covering_set(aux, "exhaustive") == want == {0, 1, 2, 3, 4}
+        assert cut_covering_set(aux) == want == {0, 1, 2, 3, 4}
 
     def test_negative_max_terminals_is_invalid_input(self):
         with pytest.raises(InvalidInputError, match="max_terminals"):
@@ -488,9 +481,8 @@ class TestCoverWalk:
         with pytest.raises(InvalidInputError, match="max_terminals"):
             kernelize(complete(4), 1, max_terminals=-1)
         aux = build_auxiliary_digraph(complete(4), [0])
-        for provider in ("trivial", "exhaustive"):
-            with pytest.raises(InvalidInputError, match="max_terminals"):
-                cut_covering_set(aux, provider, -1)
+        with pytest.raises(InvalidInputError, match="max_terminals"):
+            cut_covering_set(aux, -1)
 
 
 class TestTrivialPhaseTwo:
@@ -556,8 +548,7 @@ def chord_first(hub):
 class TestKernelize:
     def test_phase1_detects_greedy_yes(self, outcomes):
         g = complete(4)
-        cfg = SolverConfig(mu_override=lambda k: 2)
-        res = kernelize(g, 2, config=cfg)
+        res = kernelize(g, 2, mu_of=lambda k: 2)
         assert outcomes == ["full"]
         assert res.answer == "yes"
         assert oracle_wbd(res.instance, BIG) is not None
@@ -581,7 +572,7 @@ class TestKernelize:
         assert res.stats["phase1_rounds"] == 0 and outcomes == []
         # Under a threshold below k, fewer than k deletable edges are a no
         # before phase one, too.
-        res = kernelize(cycle(5), 2, config=SolverConfig(mu_override=lambda k: -1))
+        res = kernelize(cycle(5), 2, mu_of=lambda k: -1)
         assert res.answer == "no" and res.stats["phase1_rounds"] == 0 and outcomes == []
 
     def test_phase1_wheel_freezes_irrelevant_edge(self, outcomes):
@@ -590,10 +581,11 @@ class TestKernelize:
         # After the freeze no clean stretch is left: phase one is stuck.
         hub = shared_partner_instance(q=9, k=2, subdivide=True)
         g = hub.instance.graph
-        cfg = SolverConfig(mu_override=lambda k: 6)
-        res = kernelize(g, 2, config=cfg)
+        res = kernelize(g, 2, mu_of=lambda k: 6)
         assert outcomes == ["freeze", "stuck"]
         assert res.stats["irrelevant_frozen"] >= 1
+        # The output is a unit-weight instance: its frozen edges weigh 0.
+        assert all(res.instance.weights[e] == 0.0 for e in res.instance.frozen)
         big = OracleBudget(max_vertices=40, max_edges=80, max_k=3)
         before = oracle_wbd(normalize(unit_instance(g, 2, frozenset())), big) is not None
         after = (res.answer == "yes") or (oracle_wbd(res.instance, big) is not None)
@@ -604,8 +596,7 @@ class TestKernelize:
         # from a full run; with the chord first, its deletion is the rich
         # step and the staircase gives more than 3k distinct partner sets.
         g = chord_first(distinct_partner_instance(q=7, k=2, subdivide=True))
-        cfg = SolverConfig(mu_override=lambda k: 6)
-        res = kernelize(g, 2, config=cfg)
+        res = kernelize(g, 2, mu_of=lambda k: 6)
         assert outcomes == ["distinct"]
         assert res.answer == "yes"
         before = oracle_wbd(

@@ -19,10 +19,9 @@ from conndel import kernel as kernel_module
 from conndel import solver as solver_module
 from conndel.oracles import OracleBudget, oracle_irrelevance, oracle_wbd
 from conndel.solver import (
-    DEFAULT_CONFIG,
+    GreedyRun,
     RoundCache,
     SolveStats,
-    SolverConfig,
     WbdInstance,
     freeze_rounds,
     greedy_deletion_set,
@@ -37,7 +36,7 @@ from conndel.solver import (
 )
 
 from . import naive
-from .checks import gammas
+from .checks import analysis_after, gammas
 from .strategies import ear_graphs
 
 BIG = OracleBudget(max_vertices=16, max_edges=50, max_k=3)
@@ -79,7 +78,7 @@ def greedy_miss_instance():
     g = complete(4)
     by_pair = {(0, 1): 3.0, (0, 2): 2.0, (1, 3): 2.0, (2, 3): 0.5, (0, 3): 0.25, (1, 2): 0.25}
     weights = {e: by_pair[g.endpoints(e)] for e in g.edges}
-    return WbdInstance(g, 2, 4.0, weights, frozenset()), SolverConfig(mu_override=lambda k: 4)
+    return WbdInstance(g, 2, 4.0, weights, frozenset()), lambda k: 4
 
 
 class TestBoundaryValidation:
@@ -107,9 +106,12 @@ class TestBoundaryValidation:
 
 class TestNormalize:
     def test_cycle_freezes_everything(self):
-        inst = normalize(unit(cycle(5), 1, 1))
+        raw = unit(cycle(5), 1, 1)
+        inst = normalize(raw)
         assert inst.potential_edges() == []
-        assert all(inst.weights[e] == 0.0 for e in inst.frozen)
+        assert inst.frozen == frozenset(raw.graph.edges)
+        # The frozen set alone marks them: the weights are kept as given.
+        assert inst.weights is raw.weights
 
     def test_k4_unchanged(self):
         inst = normalize(unit(complete(4), 1, 1))
@@ -295,8 +297,7 @@ class TestEnumeratorAgainstNaive:
 class TestGreedy:
     def test_ladder_reaches_full_budget(self):
         inst = normalize(unit(ladder(6), 2, 2))
-        cfg = SolverConfig(mu_override=lambda k: 2)
-        pool = heavy_order(inst)[: cfg.mu(inst.k)]
+        pool = heavy_order(inst)[:2]
         run = greedy_deletion_set(inst, pool, RoundCache(inst.graph))
         assert len(run.picks) == 2
         assert is_biconnected_without(inst.graph, frozenset(run.picks))
@@ -304,8 +305,7 @@ class TestGreedy:
     def test_wheel_stalls_after_the_chord(self):
         hub = shared_partner_instance(q=7, k=2)
         inst = normalize(hub.instance)
-        cfg = SolverConfig(mu_override=lambda k: 9)
-        pool = heavy_order(inst)[: cfg.mu(inst.k)]
+        pool = heavy_order(inst)[:9]
         run = greedy_deletion_set(inst, pool, RoundCache(inst.graph))
         assert run.picks == (hub.chord,)
         assert run.counts[0] == len(hub.rim_edges)
@@ -317,17 +317,37 @@ class TestGreedy:
         assert run.picks == ()
 
 
+class TestReductionPremise:
+    """A stalled greedy run without a rich step is an internal inconsistency
+    exactly when the lemma's premise len(pool) >= mu(k) >= k holds."""
+
+    @pytest.mark.parametrize(
+        "threshold, pool_size, raises",
+        [(3, 3, True), (3, 4, True), (2, 2, True), (4, 3, False), (1, 3, False)],
+    )
+    def test_stalled_run_without_a_rich_step(self, monkeypatch, threshold, pool_size, raises):
+        # K5 at k = 2: greedy is forced to stall after one pick that made
+        # no marked edge critical, which the premise rules out.
+        inst = normalize(unit(complete(5), 2, 2))
+        pool = heavy_order(inst)[:pool_size]
+        monkeypatch.setattr(
+            solver_module,
+            "greedy_deletion_set",
+            lambda inst, pool, cache: GreedyRun((pool[0],), (frozenset(),)),
+        )
+        step = lambda: reduction_step(inst, lambda k: threshold, pool, RoundCache(inst.graph))
+        if raises:
+            with pytest.raises(InternalInconsistencyError, match="greedy stalled"):
+                step()
+        else:
+            assert step().kind == "stuck"
+
+
 class TestDistinctPartners:
     def test_staircase_seven_partners_k2(self):
-        from conndel.criticality import build_partner_analysis, newly_critical
-        from conndel.solver import find_rich_flow
-
         hub = distinct_partner_instance(q=6, k=2)
-        inst = normalize(hub.instance)
-        g = inst.graph
-        newly = newly_critical(g, hub.chord)
-        p1, p2 = find_rich_flow(g, hub.chord, newly)
-        pa = build_partner_analysis(g, hub.chord, p1, p2, newly, [], 2)
+        g = normalize(hub.instance).graph
+        pa = analysis_after(g, [hub.chord], 2)
         assert pa.distinct_partner_sets == 7
         sel = solution_from_distinct_partners(pa, 2)
         assert len(sel) == 2
@@ -337,43 +357,29 @@ class TestDistinctPartners:
         assert sel1 == (pa.edge(1),)
 
     def test_too_few_partner_sets_rejected(self):
-        from conndel.criticality import build_partner_analysis, newly_critical
-        from conndel.solver import find_rich_flow
-
         hub = shared_partner_instance(q=7, k=2)
-        inst = normalize(hub.instance)
-        g = inst.graph
-        newly = newly_critical(g, hub.chord)
-        p1, p2 = find_rich_flow(g, hub.chord, newly)
-        pa = build_partner_analysis(g, hub.chord, p1, p2, newly, [], 2)
+        pa = analysis_after(normalize(hub.instance).graph, [hub.chord], 2)
         with pytest.raises(InvalidInputError):
             solution_from_distinct_partners(pa, 1)
 
 
 def wheel_analysis(q=7, k=2, rim_weights=None):
-    from conndel.criticality import build_partner_analysis, newly_critical
-    from conndel.solver import find_rich_flow
-
     hub = shared_partner_instance(q=q, k=k, rim_weights=rim_weights)
     inst = normalize(hub.instance)
-    g = inst.graph
-    newly = newly_critical(g, hub.chord)
-    p1, p2 = find_rich_flow(g, hub.chord, newly)
-    pa = build_partner_analysis(g, hub.chord, p1, p2, newly, [], k)
-    return pa, inst
+    return analysis_after(inst.graph, [hub.chord], k), inst
 
 
 class TestIrrelevantEdge:
     def test_unit_weights_pick_lowest_id_interior_edge(self):
         pa, inst = wheel_analysis()
-        stretch = find_clean_stretch(pa, 2)
+        stretch = find_clean_stretch(pa)
         assert stretch == (1, 8)
         ej = irrelevant_edge(pa, stretch, inst.weights)
         assert ej == pa.edge(2)
 
     def test_decreasing_weights_pick_the_last_interior_edge(self):
         pa, inst = wheel_analysis(rim_weights=[9.0, 8.0, 7.0, 6.0, 5.0, 4.0, 3.0, 2.0])
-        stretch = find_clean_stretch(pa, 2)
+        stretch = find_clean_stretch(pa)
         ej = irrelevant_edge(pa, stretch, inst.weights)
         assert ej == pa.edge(stretch[1] - 1)
 
@@ -384,13 +390,13 @@ class TestIrrelevantEdge:
 
     def test_declared_edge_is_irrelevant_under_oracle(self):
         pa, inst = wheel_analysis()
-        ej = irrelevant_edge(pa, find_clean_stretch(pa, 2), inst.weights)
+        ej = irrelevant_edge(pa, find_clean_stretch(pa), inst.weights)
         assert oracle_irrelevance(inst, ej, BIG)
 
     def test_exchange_sets_avoid_every_solution(self):
         # Every solution misses some gamma[j'-1,j'] + e_j' + gamma[j',j'+1].
         pa, inst = wheel_analysis()
-        a, b = find_clean_stretch(pa, 2)
+        a, b = find_clean_stretch(pa)
         gamma = gammas(pa)
         pool = inst.potential_edges()
         solutions = [
@@ -446,18 +452,17 @@ class TestSolve:
 
     def test_wheel_knob_fires_irrelevant_then_matches_oracle(self):
         hub = shared_partner_instance(q=7, k=2)
-        cfg = SolverConfig(mu_override=lambda k: 9)
         stats = SolveStats()
-        sol = solve(hub.instance, cfg, stats)
+        sol = solve(hub.instance, lambda k: 9, stats)
         assert stats.irrelevant_edges, "expected the irrelevant-edge path to fire"
         assert stats.analyses
         expect = oracle_wbd(hub.instance, BIG)
         assert (sol is None) == (expect is None)
 
     def test_knob_branches_when_greedy_misses_target(self):
-        inst, cfg = greedy_miss_instance()
+        inst, mu_of = greedy_miss_instance()
         stats = SolveStats()
-        sol = solve(inst, cfg, stats)
+        sol = solve(inst, mu_of, stats)
         assert sol is not None and len(sol.edges) == 2
         assert stats.max_depth >= 1
         assert stats.max_branch_factor >= 1
@@ -488,7 +493,7 @@ class TestSolve:
 
         monkeypatch.setattr(solver_module, "normalize", counting)
         stats = SolveStats()
-        assert solve(inst, SolverConfig(mu_override=lambda k: 6), stats) is None
+        assert solve(inst, lambda k: 6, stats) is None
         assert stats.max_branch_factor == 6
         assert stats.nodes == 7
         assert len(calls) == 4  # the root and the three hot-edge children
@@ -513,9 +518,8 @@ class TestSolve:
         g = complete(4)
         weights = {e: 5.0 for e in g.edges}
         inst = WbdInstance(g, 2, 1.0, weights, frozenset())
-        cfg = SolverConfig(mu_override=lambda k: 1)
         stats = SolveStats()
-        sol = solve(inst, cfg, stats)
+        sol = solve(inst, lambda k: 1, stats)
         assert stats.fallbacks == 1
         assert stats.nodes == 1
         assert sol is not None and verify_solution(inst, sol.edges)
@@ -592,8 +596,7 @@ class TestDecimalWeights:
         heaviest = oracle_wbd(WbdInstance(g, k, 0.0, weights), BIG)
         w_star = float(sum(Decimal(texts[e]) for e in heaviest.edges))
         inst = WbdInstance(g, k, w_star, weights, frozenset())
-        cfg = SolverConfig() if mu_knob is None else SolverConfig(mu_override=lambda _: mu_knob)
-        got = solve(inst, cfg)
+        got = solve(inst, mu if mu_knob is None else lambda _: mu_knob)
         expect = oracle_wbd(inst, BIG)
         assert (got is None) == (expect is None)
         if got is not None:
@@ -618,10 +621,10 @@ def cache_rounds(monkeypatch):
     rounds = []
     original = solver_module.reduction_step
 
-    def checked(inst, config, pool, cache):
-        step = original(inst, config, pool, cache)
+    def checked(inst, mu_of, pool, cache):
+        step = original(inst, mu_of, pool, cache)
         found = reduction_summary(step)
-        assert found == reduction_summary(original(inst, config, pool, RoundCache(inst.graph)))
+        assert found == reduction_summary(original(inst, mu_of, pool, RoundCache(inst.graph)))
         rounds.append((cache, found))
         return step
 
@@ -665,16 +668,16 @@ class TestRoundCache:
         greedy's picks decide."""
         g = random_biconnected_graph(rng, n, chords)
         inst = normalize(WbdInstance(g, k, float(k), {e: 1.0 for e in g.edges}))
-        cfg = SolverConfig(mu_override=lambda k: k + 1)  # every marked edge makes a step rich
+        mu_of = lambda k: k + 1  # every marked edge makes a step rich
         cache = RoundCache(inst.graph)
         for _ in range(16):
             potential = inst.potential_edges()
             if not potential:
                 break
             pool = data.draw(st.permutations(potential))[: data.draw(st.integers(1, len(potential)))]
-            shared = reduction_step(inst, cfg, pool, cache)
+            shared = reduction_step(inst, mu_of, pool, cache)
             assert reduction_summary(shared) == reduction_summary(
-                reduction_step(inst, cfg, pool, RoundCache(inst.graph))
+                reduction_step(inst, mu_of, pool, RoundCache(inst.graph))
             )
             if shared.kind == "freeze":
                 inst = inst.with_frozen(frozenset((shared.edge,)))
@@ -686,15 +689,15 @@ class TestRoundCache:
             inst.graph.without_edges(()), inst.k, inst.w_star, inst.weights, inst.frozen
         )
         assert twin.graph == inst.graph
-        cfg = SolverConfig(mu_override=lambda k: 9)
-        pool = heavy_order(inst)[: cfg.mu(inst.k)]
+        mu_of = lambda k: 9
+        pool = heavy_order(inst)[:9]
         for call in (
-            lambda: reduction_step(twin, cfg, pool, cache),
+            lambda: reduction_step(twin, mu_of, pool, cache),
             lambda: greedy_deletion_set(twin, pool, cache),
         ):
             with pytest.raises(InternalInconsistencyError):
                 call()
-        assert reduction_step(inst, cfg, pool, cache).kind == "freeze"
+        assert reduction_step(inst, mu_of, pool, cache).kind == "freeze"
 
 
 class TestFreezeRounds:
@@ -709,7 +712,7 @@ class TestFreezeRounds:
             raise AssertionError("reduction_step called on a tight no")
 
         monkeypatch.setattr(solver_module, "reduction_step", refuse)
-        after, steps = freeze_rounds(inst, DEFAULT_CONFIG, mark_all=False)
+        after, steps = freeze_rounds(inst, mu, mark_all=False)
         assert after is inst and [s.kind for s in steps] == ["no"]
         stats = SolveStats()
         assert solve(hub.instance, stats=stats) is None
