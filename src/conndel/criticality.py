@@ -20,8 +20,8 @@ the first path at once, not from one path query per (edge, vertex) pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import InternalInconsistencyError, InvalidInputError
 from .graphs import Path, UndirectedGraph, is_biconnected_without, reachable
@@ -32,6 +32,86 @@ def is_critical(g: UndirectedGraph, eid: int) -> bool:
     if not g.has_edge(eid):
         raise InvalidInputError(f"no edge with id {eid}")
     return not is_biconnected_without(g, frozenset((eid,)))
+
+
+class DfsTree(NamedTuple):
+    """The DFS tree that ``critical_set`` decides G = ``graph`` minus
+    ``removed`` on, with what its DFS gathers, before the sweeps.
+
+    Vertices are numbered in preorder, the order in which ``at`` (vertex
+    to depth) meets them.  Per number: ``parent``, the ``tree_edge`` to
+    it, ``depth``, ``two`` (degree 2 in G), ``own`` (the lowest landing
+    depth of its own back edges, n if none), ``above`` and ``above_ids``
+    (the count and id sum of the subtree-sum updates made at it) and
+    ``hit`` (a back edge from its subtree lands on its parent).  ``back``
+    holds one key per back edge, (upper end's depth << bits) | lower end,
+    with bits = n.bit_length(), sorted when the tree is decided.  No other
+    list is changed once the tree is made.
+    """
+
+    graph: UndirectedGraph
+    removed: FrozenSet[int]
+    at: Dict[int, int]
+    parent: List[int]
+    tree_edge: List[int]
+    depth: List[int]
+    two: List[bool]
+    own: List[int]
+    above: List[int]
+    above_ids: List[int]
+    hit: List[bool]
+    back: List[int]
+
+    def without(self, eid: int) -> Optional[Tuple[FrozenSet[int], Optional["DfsTree"]]]:
+        """The critical set of G - e, e = ``eid``, and this tree as a tree
+        of G - e (none, like ``critical_tree``'s, when G - e is not
+        biconnected), derived when e is a back edge; None when e is a tree
+        edge, which needs a fresh DFS.  ``critical_set`` says why the tree
+        carries over."""
+        g = self.graph
+        if eid in self.removed:
+            raise InvalidInputError(f"edge {eid} is already removed")
+        x, y = g.endpoints(eid)
+        at = self.at
+        if at[x] < at[y]:
+            x, y = y, x
+        dx, dy = at[x], at[y]
+        if dx == dy + 1:
+            return None
+        order = list(at)
+        a, b = order.index(x), order.index(y)
+        # c: the child of the upper end on the tree path to the lower end.
+        c = a
+        parent = self.parent
+        for _ in range(dx - dy - 1):
+            c = parent[c]
+        removed = self.removed | {eid}
+        own = self.own[:]
+        own[a] = min(
+            [at[w] for w, f in g._adj[x] if f not in removed and at[w] < dx - 1], default=g.n
+        )
+        above = self.above[:]
+        above_ids = self.above_ids[:]
+        above[a] -= 1
+        above_ids[a] -= eid
+        above[c] += 1
+        above_ids[c] += eid
+        # Before the sweep, above(c) is c's own back edges above its parent
+        # less the back edges from T(c) landing on its parent.
+        hit = self.hit[:]
+        hit[c] = sum(f not in removed and at[w] < dy for w, f in g._adj[order[c]]) > above[c]
+        two = self.two[:]
+        for j, v in ((a, x), (b, y)):
+            two[j] = sum(f not in removed for _, f in g._adj[v]) == 2
+        back = self.back[:]
+        back.remove((dy << g.n.bit_length()) | a)
+        tree = self._replace(
+            removed=removed, two=two, own=own, above=above, above_ids=above_ids, hit=hit, back=back
+        )
+        crit = _decide(tree)
+        if crit is None:
+            return frozenset(e for e in g._edges if e not in removed), None
+        return crit, tree
 
 
 def critical_set(g: UndirectedGraph) -> FrozenSet[int]:
@@ -125,25 +205,39 @@ def critical_set(g: UndirectedGraph) -> FrozenSet[int]:
     one integer key, gives high2: each edge assigns its landing depth to
     the still unassigned vertices on the tree path from its lower end up
     to the grandchild of its upper end.  Then one loop applies the rules.
+
+    Deleting a back edge e = (a, b), a the lower end, keeps T a DFS tree:
+    it still spans G - e (which holds every tree edge), and every other
+    edge still joins a vertex to an ancestor.  Every rule reads only T,
+    the back edges and the degrees, and the critical set is a property of
+    the graph, not of the tree.  So ``DfsTree.without`` derives the set of
+    G - e from the DFS's arrays alone: it undoes e's two subtree-sum
+    updates (at a and at c, b's child towards a), decides again whether c
+    is hit, takes own(a) again from a's other back edges, drops e's key
+    and redoes the degree-2 flags of a and b; the sweeps and the rules are
+    then redone.  A tree edge e leaves T no tree of G - e: a fresh DFS.
     """
+    return critical_tree(g)[0]
+
+
+def critical_tree(g: UndirectedGraph) -> Tuple[FrozenSet[int], Optional[DfsTree]]:
+    """``critical_set(g)`` and the DFS tree it decided g on; no tree when
+    every edge is critical by convention (n < 3 or not biconnected)."""
     edges = g._edges
     n = g.n
     if n < 3:
-        return frozenset(edges)
+        return frozenset(edges), None
     adj = g._adj
     top = max(map(len, adj.values()))
     root = min(v for v, a in adj.items() if len(a) == top)
 
-    # Vertices are numbered in preorder, the order in which ``at`` (vertex
-    # to depth) meets them; ``path`` holds the numbers on the tree path to
-    # the current vertex.  A back edge is kept as the integer
-    # (upper end's depth << bits) | lower end.
+    # ``path`` holds the numbers on the tree path to the current vertex.
     bits = n.bit_length()
     at = {root: 0}
     parent = [-1]
     tree_edge = [-1]
     depth = [0]
-    own = [n] * n  # lowest landing depth of a vertex's own back edges
+    own = [n] * n
     above = [0] * n  # count and id sum of T(v)'s back edges above parent(v)
     above_ids = [0] * n
     hit = [False] * n
@@ -177,9 +271,27 @@ def critical_set(g: UndirectedGraph) -> FrozenSet[int]:
         else:
             path.pop()
             iters.pop()
+    if len(depth) < n:
+        return frozenset(edges), None
+    two = [len(adj[v]) == 2 for v in at]
+    tree = DfsTree(
+        g, frozenset(), at, parent, tree_edge, depth, two, own, above, above_ids, hit, back
+    )
+    crit = _decide(tree)
+    if crit is None:
+        return frozenset(edges), None
+    return crit, tree
+
+
+def _decide(tree: DfsTree) -> Optional[FrozenSet[int]]:
+    """The sweeps and the rules of ``critical_set`` on one DFS tree: the
+    critical edges, or None when the graph is not biconnected.  Sorts the
+    tree's back-edge keys in place."""
+    g, _, _, parent, tree_edge, depth, two, own, above, above_ids, hit, back = tree
+    n = g.n
     size = len(depth)
-    if size < n:
-        return frozenset(edges)
+    above = above[:]
+    above_ids = above_ids[:]
 
     # Children before parents: low, the subtree sums, each vertex's
     # children with the two lowest lows among them and the child with the
@@ -194,7 +306,7 @@ def critical_set(g: UndirectedGraph) -> FrozenSet[int]:
         lj = low[j] = own[j] if own[j] < low1[j] else low1[j]
         p = parent[j]
         if lj >= depth[p] if p else j > 1:  # parent(j) is a cut vertex
-            return frozenset(edges)
+            return None
         above[p] += above[j]
         above_ids[p] += above_ids[j]
         children[p].append(j)
@@ -205,10 +317,11 @@ def critical_set(g: UndirectedGraph) -> FrozenSet[int]:
         elif lj < low2[p]:
             low2[p] = lj
 
-    back.sort(reverse=True)
+    bits = n.bit_length()
     mask = (1 << bits) - 1
     high2 = [-1] * size
     link = list(range(size))  # nearest unassigned ancestor-or-self
+    back.sort(reverse=True)
     for key in back:
         da = key >> bits
         v = key & mask
@@ -231,7 +344,6 @@ def critical_set(g: UndirectedGraph) -> FrozenSet[int]:
             c = x
         return not any(low[d] < t <= high2[d] for d in children[c])
 
-    two = [len(adj[v]) == 2 for v in at]
     crit = {above_ids[j] for j in range(2, size) if above[j] == 1}
     for q in range(1, size):
         p = parent[q]
@@ -356,6 +468,8 @@ class PartnerAnalysis:
     ``switches`` collects indices i < t whose partner set differs from the
     next edge's; for the others the shared single partner is w(i), and
     Component[i, i+1] hangs between e_i and e_{i+1} off that partner.
+    ``affected`` is the i whose component touches an endpoint of an edge
+    removed to form G'.
     """
 
     graph: UndirectedGraph
@@ -366,9 +480,27 @@ class PartnerAnalysis:
     partners: Tuple[Tuple[int, ...], ...]
     switches: FrozenSet[int]
     shared_partner: Dict[int, int] = field(repr=False)
-    components: Dict[int, FrozenSet[int]] = field(repr=False)
+    memo: PartnerMemo = field(repr=False, compare=False)
     affected: FrozenSet[int] = frozenset()
     k: int = 0
+
+    @property
+    def components(self) -> Dict[int, FrozenSet[int]]:
+        """Component[i, i+1] per index i of ``shared_partner``: what G' -
+        e_i - e_{i+1} - w(i) joins to P1's vertices after e_i up to the
+        start of e_{i+1}, read from ``memo`` or computed into it."""
+        pos = {e: j for j, e in enumerate(self.p1.edges)}
+        components: Dict[int, FrozenSet[int]] = {}
+        for i, w in self.shared_partner.items():
+            pair = self.edge_ids[i - 1 : i + 1]
+            comp = self.memo.components.get(pair)
+            if comp is None:
+                segment = self.p1.vertices[pos[pair[0]] + 1 : pos[pair[1]] + 1]
+                comp = self.memo.components[pair] = frozenset(
+                    reachable(self.graph, segment, frozenset(pair), frozenset((w,)))
+                )
+            components[i] = comp
+        return components
 
     @property
     def t(self) -> int:
@@ -406,7 +538,9 @@ def build_partner_analysis(
     ``memo`` holds partner tuples and components found earlier on the
     same G', pivot and flow, read from the round cache
     (``RoundCache.partners``, one per prefix of greedy's picks); only what
-    it lacks is computed, and added to it.
+    it lacks is computed, and added to it.  The components are computed
+    here only when ``deleted_endpoints`` is non-empty, as ``affected``
+    needs them; otherwise when ``PartnerAnalysis.components`` is first read.
     """
     x, y = gprime.endpoints(pivot)
     for p in (p1, p2):
@@ -433,9 +567,7 @@ def build_partner_analysis(
         i for i in range(1, t) if partners[i - 1] != partners[i]
     )
 
-    pos = {e: j for j, e in enumerate(p1.edges)}
     shared: Dict[int, int] = {}
-    components: Dict[int, FrozenSet[int]] = {}
     for i in range(1, t):
         if i in switches:
             continue
@@ -445,24 +577,9 @@ def build_partner_analysis(
                 "consecutive edges share a partner set that is not a single "
                 f"vertex: {pset}"
             )
-        w = pset[0]
-        shared[i] = w
-        pair = edge_ids[i - 1 : i + 1]
-        comp = memo.components.get(pair)
-        if comp is None:
-            # The segment: P1's vertices after e_i up to the start of e_{i+1}.
-            segment = p1.vertices[pos[pair[0]] + 1 : pos[pair[1]] + 1]
-            comp = memo.components[pair] = frozenset(
-                reachable(gprime, segment, frozenset(pair), frozenset((w,)))
-            )
-        components[i] = comp
+        shared[i] = pset[0]
 
-    endpoints = {v for pair in deleted_endpoints for v in pair}
-    affected = frozenset(
-        i for i, comp in components.items() if endpoints & comp
-    )
-
-    return PartnerAnalysis(
+    pa = PartnerAnalysis(
         graph=gprime,
         pivot=pivot,
         p1=p1,
@@ -471,10 +588,15 @@ def build_partner_analysis(
         partners=partners,
         switches=switches,
         shared_partner=shared,
-        components=components,
-        affected=affected,
+        memo=memo,
         k=k,
     )
+    # Only ``affected`` reads the components here; with nothing deleted
+    # none is affected, and they are computed when first read.
+    endpoints = {v for pair in deleted_endpoints for v in pair}
+    if not endpoints:
+        return pa
+    return replace(pa, affected=frozenset(i for i, c in pa.components.items() if endpoints & c))
 
 
 def stretch_guarantee_threshold(k: int) -> int:

@@ -547,11 +547,16 @@ class FlowNetwork:
 
 
 def max_flow_bounded(
-    g: UndirectedGraph, x: int, y: int, cap: Optional[int] = None
+    g: UndirectedGraph,
+    x: int,
+    y: int,
+    cap: Optional[int] = None,
+    removed_edges: AbstractSet[int] = frozenset(),
 ) -> FlowDecomposition:
-    """Maximum set of internally vertex-disjoint x-y paths, stopping at cap.
+    """Maximum set of internally vertex-disjoint x-y paths in g minus the
+    given edges, stopping at cap; no graph copy is made.
 
-    A ``FlowNetwork`` with x and y open and each edge t (in id order) two
+    A ``FlowNetwork`` with x and y open and each edge t left (in id order) two
     capacity-1 arcs, u to v with id ``2n + 4t`` and v to u with id
     ``2n + 4t + 2`` (so a direct x-y edge carries one path).  The paths are
     read off the residual network: each leaves x's out-node by a forward
@@ -562,7 +567,7 @@ def max_flow_bounded(
         raise InvalidInputError("flow endpoints must differ")
     if x not in g.vertices or y not in g.vertices:
         raise InvalidInputError("flow endpoint not in graph")
-    eids = sorted(g._edges)
+    eids = sorted(g._edges.keys() - removed_edges)
     arcs = [uv for eid in eids for uv in (g._edges[eid], g._edges[eid][::-1])]
     net = FlowNetwork(sorted(g._vertices), arcs, 1, frozenset((x, y)))
     residual = net.cap[:]

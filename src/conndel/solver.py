@@ -31,10 +31,12 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .criticality import (
+    DfsTree,
     PartnerAnalysis,
     PartnerMemo,
     build_partner_analysis,
     critical_set,
+    critical_tree,
     find_clean_stretch,
 )
 from .errors import InternalInconsistencyError, InvalidInputError
@@ -148,12 +150,19 @@ def normalize(inst: WbdInstance) -> WbdInstance:
     Critical edges can never be deleted, so this loses no solutions;
     idempotent.  Rejects non-biconnected graphs.
     """
-    crit = critical_set(inst.graph)
+    return normalized(inst)[0]
+
+
+def normalized(inst: WbdInstance) -> Tuple[WbdInstance, Optional[DfsTree]]:
+    """``normalize(inst)`` and the DFS tree its critical set came from
+    (``critical_tree``), which the freeze loop's ``RoundCache`` derives
+    greedy's residual critical sets from."""
+    crit, tree = critical_tree(inst.graph)
     # critical_set marks every edge of a graph that is not biconnected, so
     # only a fully critical graph needs the biconnectivity check.
     if len(crit) == inst.graph.m and not is_biconnected(inst.graph):
         raise InvalidInputError("instance graph is not biconnected")
-    return inst.with_frozen(crit)
+    return inst.with_frozen(crit), tree
 
 
 def heavy_order(inst: WbdInstance) -> List[int]:
@@ -284,10 +293,19 @@ class RoundCache:
     cache holds results that are pure functions of G and of greedy's
     picks, never of the pool, each keyed by a prefix of the picks:
 
-    * ``residual(prefix)``: the graph G - prefix (G itself for the empty
-      prefix), and ``critical(prefix)`` its ``critical_set``;
+    * ``critical(prefix)``: the ``critical_set`` of G - prefix, with the
+      DFS tree it was decided on.  A prefix's set is derived from the
+      tree of the prefix before it when its last pick is a back edge of
+      that tree (``DfsTree.without``), starting from ``tree``, the tree
+      that normalizing G built; a tree-edge pick (or no tree) costs a
+      fresh DFS of a copy of G - prefix, whose tree later picks derive
+      from;
+    * ``residual(prefix)``: the graph G - prefix, a copy, made only for
+      such a fresh DFS and for the partner analysis's G' when the rich
+      step is not greedy's first pick;
     * ``flow(prefix)``: the value-2 flow between the endpoints of the
-      prefix's last edge, the pivot, in G - prefix;
+      prefix's last edge, the pivot, in G minus the prefix, run on G
+      with the prefix's edges skipped;
     * ``partners(prefix)``: the ``PartnerMemo`` of that pivot and flow.
       Which path is P1 depends on the pool, but needs no key of its own:
       the memo is keyed by edge, and an edge lies on one path only.
@@ -298,31 +316,38 @@ class RoundCache:
     drops it when it returns, and using it with another graph is refused.
     """
 
-    def __init__(self, graph: UndirectedGraph):
+    def __init__(self, graph: UndirectedGraph, tree: Optional[DfsTree]):
+        if tree is not None and tree.graph is not graph:
+            raise InternalInconsistencyError("DFS tree of another graph")
         self.graph = graph
         self._graphs: Dict[Tuple[int, ...], UndirectedGraph] = {(): graph}
         self._crit: Dict[Tuple[int, ...], FrozenSet[int]] = {}
+        self._trees: Dict[Tuple[int, ...], Optional[DfsTree]] = {(): tree}
         self._flows: Dict[Tuple[int, ...], FlowDecomposition] = {}
         self._memos: Dict[Tuple[int, ...], PartnerMemo] = {}
 
     def residual(self, prefix: Tuple[int, ...]) -> UndirectedGraph:
         g = self._graphs.get(prefix)
         if g is None:
-            g = self.residual(prefix[:-1]).without_edge(prefix[-1])
-            self._graphs[prefix] = g
+            g = self._graphs[prefix] = self.graph.without_edges(prefix)
         return g
 
     def critical(self, prefix: Tuple[int, ...]) -> FrozenSet[int]:
         crit = self._crit.get(prefix)
         if crit is None:
-            crit = self._crit[prefix] = critical_set(self.residual(prefix))
+            tree = self._trees.get(prefix[:-1]) if prefix else None
+            found = tree.without(prefix[-1]) if tree is not None else None
+            if found is None:
+                found = critical_tree(self.residual(prefix))
+            crit, self._trees[prefix] = found
+            self._crit[prefix] = crit
         return crit
 
     def flow(self, prefix: Tuple[int, ...]) -> FlowDecomposition:
         found = self._flows.get(prefix)
         if found is None:
             x, y = self.graph.endpoints(prefix[-1])
-            found = max_flow_bounded(self.residual(prefix), x, y, cap=3)
+            found = max_flow_bounded(self.graph, x, y, cap=3, removed_edges=frozenset(prefix))
             self._flows[prefix] = found
         return found
 
@@ -357,11 +382,11 @@ def greedy_deletion_set(inst: WbdInstance, pool: Sequence[int], cache: RoundCach
 
     Precondition: the instance is normalized, so no pool edge is critical
     in ``inst.graph``.  The residual critical set is then carried from step
-    to step, one per pick before the k-th.  The residual graphs and their
-    critical sets are read from ``cache``, the ``RoundCache`` of
-    ``inst.graph``, which computes each prefix's once: they depend on the
-    picks alone.  ``newly`` depends on the pool too, so it is recomputed
-    on every call.
+    to step, one per pick before the k-th.  The residual critical sets are
+    read from ``cache``, the ``RoundCache`` of ``inst.graph``, which
+    computes each prefix's once, from a DFS tree where it can: they
+    depend on the picks alone.  ``newly`` depends on the pool too, so it
+    is recomputed on every call.
     """
     if cache.graph is not inst.graph:
         raise InternalInconsistencyError("round cache used with another graph")
@@ -488,8 +513,8 @@ def reduction_step(
     mu(k) edges, the kernel more.
 
     From ``cache``, the ``RoundCache`` of ``inst.graph``, come greedy's
-    residual graphs and critical sets, G' and G' - pivot (both residual
-    graphs, so no copy is made here), the value-2 flow per (prefix,
+    residual critical sets, G' (``inst.graph`` itself when the rich step
+    is greedy's first pick), the value-2 flow in G' - pivot per (prefix,
     pivot), and the partner tuples and components per (prefix, pivot,
     edge).  What depends on the pool is recomputed every round: greedy's
     ``newly``, the rich index, which flow path is P1, and the analysed
@@ -526,7 +551,7 @@ def reduction_step(
 
 
 def freeze_rounds(
-    inst: WbdInstance, mu_of: Callable[[int], int], mark_all: bool
+    inst: WbdInstance, tree: Optional[DfsTree], mu_of: Callable[[int], int], mark_all: bool
 ) -> Tuple[WbdInstance, List[Reduction]]:
     """The freeze loop shared by the solver and the kernel's phase one.
 
@@ -542,15 +567,19 @@ def freeze_rounds(
     only mu(k) edges would leave some of its yes-instances undecided.
 
     Freezing leaves the graph as it is, so the rounds share one
-    ``RoundCache`` of it, made here and dropped on return; a branch child
-    has its own graph and cache.  The instance must be normalized.
+    ``RoundCache`` of it, made here from ``tree``, the DFS tree that
+    normalizing the instance built (``normalized``), and dropped on
+    return; a branch child has its own graph and cache.  The instance
+    must be normalized.  Freezing only takes an edge out of the pool, so
+    the heavy order is sorted once, when the loop runs at all, and each
+    frozen edge is dropped from it.
     """
-    cache = RoundCache(inst.graph)
+    cache = RoundCache(inst.graph, tree)
     steps: List[Reduction] = []
-    while len(inst.potential_edges()) > mu_of(inst.k):
+    order = heavy_order(inst) if len(inst.potential_edges()) > mu_of(inst.k) else []
+    while len(order) > mu_of(inst.k):
         # Even the k heaviest potential edges miss w*: no.  (The
         # enumerator's level cut makes the same test first.)
-        order = heavy_order(inst)
         if not inst.reaches(order[: inst.k]):
             steps.append(Reduction("no"))
             break
@@ -561,6 +590,7 @@ def freeze_rounds(
             break
         # The graph is unchanged, so its critical edges are already frozen.
         inst = inst.with_frozen(frozenset((step.edge,)))
+        order.remove(step.edge)
     return inst, steps
 
 
@@ -573,8 +603,8 @@ def solve(
     validate_instance(inst)
     if stats is None:
         stats = SolveStats()
-    inst = normalize(inst)
-    edges = _solve(inst, mu_of, stats, depth=0)
+    inst, tree = normalized(inst)
+    edges = _solve(inst, tree, mu_of, stats, depth=0)
     if edges is None:
         return None
     sol = Solution(tuple(sorted(edges)), inst.weight_of(edges))
@@ -584,12 +614,16 @@ def solve(
 
 
 def _solve(
-    inst: WbdInstance, mu_of: Callable[[int], int], stats: SolveStats, depth: int
+    inst: WbdInstance,
+    tree: Optional[DfsTree],
+    mu_of: Callable[[int], int],
+    stats: SolveStats,
+    depth: int,
 ) -> Optional[Tuple[int, ...]]:
-    """Decide one normalized node: run ``freeze_rounds`` on the mu(k)
-    heaviest edges, then enumerate the pool it leaves, unless its last
-    step answers no, gives greedy's picks as a yes, or makes the node
-    branch."""
+    """Decide one normalized node, ``tree`` the DFS tree its
+    normalization built: run ``freeze_rounds`` on the mu(k) heaviest
+    edges, then enumerate the pool it leaves, unless its last step answers
+    no, gives greedy's picks as a yes, or makes the node branch."""
     stats.nodes += 1
     stats.max_depth = max(stats.max_depth, depth)
     if inst.reaches(()):
@@ -597,7 +631,7 @@ def _solve(
     if inst.k == 0:
         return None
 
-    inst, steps = freeze_rounds(inst, mu_of, mark_all=False)
+    inst, steps = freeze_rounds(inst, tree, mu_of, mark_all=False)
     frozen = [s.edge for s in steps if s.kind == "freeze"]
     stats.irrelevant_edges += frozen
     stats.max_irrelevant_per_node = max(stats.max_irrelevant_per_node, len(frozen))
@@ -625,39 +659,30 @@ def _branch(
 ) -> Optional[Tuple[int, ...]]:
     """Branch over the heavy edges; a solution, if any exists, intersects
     them.  The instance is normalized, so deleting any one of them keeps
-    the graph biconnected."""
+    the graph biconnected.
+
+    A child's potential edges are a subset of the parent's other ones
+    (normalizing it only freezes more), so when the deleted weights, e's
+    and the k - 1 heaviest of those miss w*, the child is a no.  That
+    bound is the same for the k heaviest candidates and never rises after
+    them along ``heavy_order`` (``fsum`` rounds monotonically), so the
+    first child that fails it is the last one tried.  That child, and a
+    leaf child (k = 0, or w* reached), is decided without copying the
+    graph; any other child is normalized, keeping its own DFS tree, and
+    solved.
+    """
     order = heavy_order(inst)
     candidates = order[: mu_of(inst.k)]
     stats.max_branch_factor = max(stats.max_branch_factor, len(candidates))
     for e in candidates:
-        sub = _solve_child(inst, e, order, mu_of, stats, depth + 1)
+        best = [f for f in order[: inst.k] if f != e][: inst.k - 1]
+        reached = inst.reaches((e,))
+        if reached or not inst.reaches([e] + best):
+            stats.nodes += 1
+            stats.max_depth = max(stats.max_depth, depth + 1)
+            return (e,) if reached else None
+        child, tree = normalized(inst.child_after_deleting(e))
+        sub = _solve(child, tree, mu_of, stats, depth + 1)
         if sub is not None:
             return sub + (e,)
     return None
-
-
-def _solve_child(
-    inst: WbdInstance,
-    eid: int,
-    order: List[int],
-    mu_of: Callable[[int], int],
-    stats: SolveStats,
-    depth: int,
-) -> Optional[Tuple[int, ...]]:
-    """Decide the branch child after deleting one edge.
-
-    ``order`` is the parent's ``heavy_order``.  The child's potential
-    edges are a subset of the parent's other ones (normalizing it only
-    freezes more), so when the deleted weights, e's and the k - 1
-    heaviest of those miss w*, the child is a no.  That child, and a leaf
-    child (k = 0, or w* reached), is decided without copying the graph;
-    any other child is normalized.
-    """
-    best = [e for e in order[: inst.k] if e != eid][: inst.k - 1]
-    reached = inst.reaches((eid,))
-    if reached or not inst.reaches([eid] + best):
-        stats.nodes += 1
-        stats.max_depth = max(stats.max_depth, depth)
-        return () if reached else None
-    child = normalize(inst.child_after_deleting(eid))
-    return _solve(child, mu_of, stats, depth)

@@ -31,10 +31,11 @@ def analysis_after(
 ) -> PartnerAnalysis:
     """The partner analysis of the last pick as ``reduction_step`` builds
     it: G' = g - picks[:-1], the value-2 flow and the partner memo are read
-    from a ``RoundCache`` of g, and the analysed edges are the ``marked``
-    ones (default: all) that deleting the pivot makes newly critical."""
+    from a ``RoundCache`` of g (with no DFS tree, so its critical sets are
+    fresh ones), and the analysed edges are the ``marked`` ones (default:
+    all) that deleting the pivot makes newly critical."""
     picks = tuple(picks)
-    cache = RoundCache(g)
+    cache = RoundCache(g, None)
     gprime = cache.residual(picks[:-1])
     pivot = picks[-1]
     newly = cache.critical(picks) - cache.critical(picks[:-1])

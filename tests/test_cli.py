@@ -59,8 +59,10 @@ class TestSolve:
         # K28 plus vertex 29 joined to 1, 2, 3 by edges of weight 60, 59 and
         # 58, only one of which can go; one K28 edge weighs 30, the rest 1.
         # 381 edges exceed mu(2) = 346, greedy's picks (60, 30) miss
-        # w* = 90.5, so the root branches over 346 edges, and each child
-        # is a no at depth 1 without enumerating.
+        # w* = 90.5, so the root branches over 346 edges.  The three hot
+        # edges' children are normalized and are no's at depth 1 without
+        # enumerating; the fourth child (the 30 edge) misses the top-k bound,
+        # which no later child's bound exceeds, so it is the last one tried.
         hot = {(1, 29): 60, (2, 29): 59, (3, 29): 58, (4, 5): 30}
         pairs = list(itertools.combinations(range(1, 29), 2)) + [(1, 29), (2, 29), (3, 29)]
         text = f"p graph 29 {len(pairs)}\n" + "".join(
@@ -71,7 +73,7 @@ class TestSolve:
         assert main(["solve", str(p), "--k", "2", "--wstar", "90.5"]) == 1
         out = capsys.readouterr().out.splitlines()
         for line in (
-            "branch-nodes: 347",
+            "branch-nodes: 5",
             "max-depth: 1",
             "enumerations: 0",
             "prefix-passes: 0",

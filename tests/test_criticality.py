@@ -10,6 +10,7 @@ from conndel.criticality import (
     PartnerMemo,
     build_partner_analysis,
     critical_set,
+    critical_tree,
     find_clean_stretch,
     is_critical,
     leftmost_long_run,
@@ -193,6 +194,66 @@ class TestCriticalSetRules:
         n = rng.randint(3, 25)
         g = relabelled(random_biconnected_graph(rng, n, rng.randint(0, n)), rng)
         assert critical_set(g) == critical_by_definition(g)
+
+
+class TestDerivedCriticalSets:
+    """``DfsTree.without`` derives critical_set(G - e) from G's DFS tree
+    when e is a back edge, as the round cache does for greedy's picks."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=3, max_value=14),
+        st.integers(min_value=0, max_value=12),
+        st.randoms(use_true_random=False),
+        st.data(),
+    )
+    def test_chained_removals_match_fresh_sets(self, n, chords, rng, data):
+        # Any edges, back or tree, critical or not, removed one after the
+        # other; a tree edge gets a fresh DFS of the residual graph, whose
+        # tree the next removal derives from.
+        g = relabelled(random_biconnected_graph(rng, n, chords), rng)
+        tree = critical_tree(g)[1]
+        removed = []
+        for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+            e = data.draw(st.sampled_from(sorted(set(g.edges) - set(removed))))
+            removed.append(e)
+            residual = g.without_edges(removed)
+            found = tree.without(e) if tree is not None else None
+            if found is None:
+                found = critical_tree(residual)
+            assert found[0] == critical_set(residual)
+            tree = found[1]
+
+    def test_back_edges_derive_and_tree_edges_refuse(self):
+        g = relabelled(complete(6), random.Random(3))
+        crit, tree = critical_tree(g)
+        assert crit == frozenset()
+        tree_edges = set(tree.tree_edge[1:])
+        assert len(tree_edges) == g.n - 1
+        for e in g.edges:
+            found = tree.without(e)
+            if e in tree_edges:
+                assert found is None
+                continue
+            assert found[0] == critical_by_definition(g.without_edge(e))
+            assert found[1].removed == {e}
+            with pytest.raises(InvalidInputError):
+                found[1].without(e)
+
+    def test_child_of_the_upper_end_no_longer_hit(self):
+        # The DFS from 0 runs 0-1-3-4 (and 1-2); the back edge 4-1 is the
+        # only one from T(3) landing on 1, so deleting it leaves 3 unhit,
+        # and the tree edge 1-3 becomes critical (vertex 0 cuts 3 and 4 off).
+        g = UndirectedGraph.from_edges(
+            range(5), [(0, 1), (1, 2), (0, 2), (0, 3), (1, 3), (0, 4), (3, 4), (1, 4)]
+        )
+        found = critical_tree(g)[1].without(7)
+        assert found[0] == critical_by_definition(g.without_edge(7)) == {1, 2, 4, 5, 6}
+
+    def test_no_tree_when_every_edge_is_critical_by_convention(self):
+        assert critical_tree(complete(2)) == (frozenset(complete(2).edges), None)
+        path = UndirectedGraph.from_edges(range(4), [(0, 1), (1, 2), (2, 3)])
+        assert critical_tree(path)[1] is None
 
 
 class TestNewlyCritical:

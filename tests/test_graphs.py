@@ -178,6 +178,18 @@ class TestMaxFlow:
         expect = naive.disjoint_paths_value(set(g.vertices), list(g.edges.values()), x, y)
         assert flow.value == (expect if cap is None else min(cap, expect))
 
+    @settings(max_examples=120, deadline=None)
+    @given(undirected_graphs(min_n=2, max_n=8), st.sampled_from([None, 1, 2, 3]), st.data())
+    def test_removed_edges_match_a_copy(self, g, cap, data):
+        ids = data.draw(st.permutations(range(g.m)))
+        g = UndirectedGraph(g.vertices, [(i, u, v) for i, (u, v) in zip(ids, g.edges.values())])
+        removed = frozenset(data.draw(st.sets(st.sampled_from(sorted(g.edges)))) if g.m else ())
+        vs = sorted(g.vertices)
+        x, y = data.draw(st.lists(st.sampled_from(vs), min_size=2, max_size=2, unique=True))
+        assert max_flow_bounded(g, x, y, cap, removed_edges=removed) == max_flow_bounded(
+            g.without_edges(removed), x, y, cap
+        )
+
     def test_menger_consistency_on_random_graphs(self):
         rng = random.Random(11)
         for _ in range(120):

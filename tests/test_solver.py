@@ -29,6 +29,7 @@ from conndel.solver import (
     irrelevant_edge,
     mu,
     normalize,
+    normalized,
     reduction_step,
     solution_from_distinct_partners,
     solve,
@@ -296,24 +297,24 @@ class TestEnumeratorAgainstNaive:
 
 class TestGreedy:
     def test_ladder_reaches_full_budget(self):
-        inst = normalize(unit(ladder(6), 2, 2))
+        inst, tree = normalized(unit(ladder(6), 2, 2))
         pool = heavy_order(inst)[:2]
-        run = greedy_deletion_set(inst, pool, RoundCache(inst.graph))
+        run = greedy_deletion_set(inst, pool, RoundCache(inst.graph, tree))
         assert len(run.picks) == 2
         assert is_biconnected_without(inst.graph, frozenset(run.picks))
 
     def test_wheel_stalls_after_the_chord(self):
         hub = shared_partner_instance(q=7, k=2)
-        inst = normalize(hub.instance)
+        inst, tree = normalized(hub.instance)
         pool = heavy_order(inst)[:9]
-        run = greedy_deletion_set(inst, pool, RoundCache(inst.graph))
+        run = greedy_deletion_set(inst, pool, RoundCache(inst.graph, tree))
         assert run.picks == (hub.chord,)
         assert run.counts[0] == len(hub.rim_edges)
 
     def test_frozen_graph_runs_zero_steps(self):
-        inst = normalize(unit(cycle(5), 2, 1))
+        inst, tree = normalized(unit(cycle(5), 2, 1))
         pool = heavy_order(inst)[: mu(inst.k)]
-        run = greedy_deletion_set(inst, pool, RoundCache(inst.graph))
+        run = greedy_deletion_set(inst, pool, RoundCache(inst.graph, tree))
         assert run.picks == ()
 
 
@@ -335,7 +336,7 @@ class TestReductionPremise:
             "greedy_deletion_set",
             lambda inst, pool, cache: GreedyRun((pool[0],), (frozenset(),)),
         )
-        step = lambda: reduction_step(inst, lambda k: threshold, pool, RoundCache(inst.graph))
+        step = lambda: reduction_step(inst, lambda k: threshold, pool, RoundCache(inst.graph, None))
         if raises:
             with pytest.raises(InternalInconsistencyError, match="greedy stalled"):
                 step()
@@ -476,7 +477,9 @@ class TestSolve:
         # weights reach w*, and greedy's picks (60, 30) miss it, so the root
         # branches over its six heaviest edges.  Only the three hot edges'
         # children reach w* with the k - 1 heaviest other parent edges; the
-        # other three are decided without being normalized.
+        # fourth child misses that bound and is decided without being
+        # normalized, and as no later child's bound is higher, the last
+        # two are not tried.
         g = UndirectedGraph.from_edges(
             range(7), list(itertools.combinations(range(6), 2)) + [(0, 6), (1, 6), (2, 6)]
         )
@@ -489,13 +492,13 @@ class TestSolve:
 
         def counting(i):
             calls.append(i)
-            return normalize(i)
+            return normalized(i)
 
-        monkeypatch.setattr(solver_module, "normalize", counting)
+        monkeypatch.setattr(solver_module, "normalized", counting)
         stats = SolveStats()
         assert solve(inst, lambda k: 6, stats) is None
         assert stats.max_branch_factor == 6
-        assert stats.nodes == 7
+        assert stats.nodes == 5  # the root, three hot-edge children, one failing child
         assert len(calls) == 4  # the root and the three hot-edge children
         assert oracle_wbd(inst, BIG) is None
 
@@ -577,6 +580,56 @@ class TestSolve:
 DECIMALS = ("0", "0", "0", "0", "0.1", "0.2", "0.3", "0.4", "0.6", "0.7", "1.1", "1.3")
 
 
+def planted_pair(k, w_star, seed=0):
+    """Two adjacent degree-3 vertices u, v on a sparse ear graph: uv weighs
+    100, one more edge at u 80 and one at v 79, every other edge 1-30.
+    Deleting uv leaves u and v with degree 2, so the best deletion set at
+    k = 2 weighs 80 + 79 = 159 and at k = 3 adds the best other edge."""
+    rng = random.Random(seed)
+    g = random_biconnected_graph(rng, 12, 14)
+    pairs = [g.endpoints(e) for e in sorted(g.edges)]
+    weights = [float(rng.randint(1, 30)) for _ in pairs]
+    (a1, a2), (b1, b2) = rng.sample(range(12), 2), rng.sample(range(12), 2)
+    pairs += [(12, 13), (a1, 12), (b1, 13), (a2, 12), (b2, 13)]
+    weights += [100.0, 80.0, 79.0, 1.0, 1.0]
+    g = UndirectedGraph.from_edges(range(14), pairs)
+    return WbdInstance(g, k, w_star, dict(enumerate(weights)), frozenset())
+
+
+class TestBranchStopsAtFirstFailingBound:
+    """Along the heavy order a branch child's top-k bound never rises, so
+    the first child that fails it is the last one the node tries."""
+
+    def test_hot_vertex_instance(self):
+        # K28 plus vertex 29 joined to 1, 2, 3 by edges of weight 60, 59 and
+        # 58, one K28 edge of weight 30, the rest 1: the root branches over
+        # mu(2) = 346 edges, and the fourth child (the 30 edge) is the first
+        # to miss the bound: the root, three hot-edge children, one leaf.
+        hot = {(1, 29): 60.0, (2, 29): 59.0, (3, 29): 58.0, (4, 5): 30.0}
+        pairs = list(itertools.combinations(range(1, 29), 2)) + [(1, 29), (2, 29), (3, 29)]
+        g = UndirectedGraph.from_edges(range(1, 30), pairs)
+        inst = WbdInstance(g, 2, 90.5, {e: hot.get(uv, 1.0) for e, uv in g.edges.items()})
+        stats = SolveStats()
+        assert solve(inst, stats=stats) is None
+        assert stats.max_branch_factor == mu(2)
+        assert (stats.nodes, stats.max_depth) == (5, 1)
+
+    @pytest.mark.parametrize(
+        "k, w_star, nodes",
+        [(2, 159.5, 5), (2, 159.0, 3), (3, 189.5, 29), (3, 189.0, 3)],
+    )
+    def test_planted_pair(self, k, w_star, nodes):
+        inst = planted_pair(k, w_star)
+        stats = SolveStats()
+        sol = solve(inst, lambda k: 8, stats)
+        assert stats.max_branch_factor == 8
+        assert stats.nodes == nodes
+        expect = oracle_wbd(inst, BIG)
+        assert (sol is None) == (expect is None) == (w_star % 1 == 0.5)
+        if sol is not None:
+            assert verify_solution(inst, sol.edges)
+
+
 class TestDecimalWeights:
     """Decimal weights such as 0.3 + 0.7 + 0.3 = 1.3, whose float sums
     depend on the order of summation: the solver must still agree with the
@@ -616,7 +669,8 @@ def reduction_summary(step):
 def cache_rounds(monkeypatch):
     """Every reduction step the freeze loop takes, for the solver or the
     kernel, each checked at once against a second run of it on a fresh
-    cache (a wrong freeze could keep the loop from ending): (the cache the
+    cache with no DFS tree, so that every residual critical set is a fresh
+    one (a wrong freeze could keep the loop from ending): (the cache the
     loop passed, what it found)."""
     rounds = []
     original = solver_module.reduction_step
@@ -624,7 +678,7 @@ def cache_rounds(monkeypatch):
     def checked(inst, mu_of, pool, cache):
         step = original(inst, mu_of, pool, cache)
         found = reduction_summary(step)
-        assert found == reduction_summary(original(inst, mu_of, pool, RoundCache(inst.graph)))
+        assert found == reduction_summary(original(inst, mu_of, pool, RoundCache(inst.graph, None)))
         rounds.append((cache, found))
         return step
 
@@ -667,9 +721,9 @@ class TestRoundCache:
         flow path may be P1: the cache keeps only what the graph and
         greedy's picks decide."""
         g = random_biconnected_graph(rng, n, chords)
-        inst = normalize(WbdInstance(g, k, float(k), {e: 1.0 for e in g.edges}))
+        inst, tree = normalized(WbdInstance(g, k, float(k), {e: 1.0 for e in g.edges}))
         mu_of = lambda k: k + 1  # every marked edge makes a step rich
-        cache = RoundCache(inst.graph)
+        cache = RoundCache(inst.graph, tree)
         for _ in range(16):
             potential = inst.potential_edges()
             if not potential:
@@ -677,14 +731,14 @@ class TestRoundCache:
             pool = data.draw(st.permutations(potential))[: data.draw(st.integers(1, len(potential)))]
             shared = reduction_step(inst, mu_of, pool, cache)
             assert reduction_summary(shared) == reduction_summary(
-                reduction_step(inst, mu_of, pool, RoundCache(inst.graph))
+                reduction_step(inst, mu_of, pool, RoundCache(inst.graph, None))
             )
             if shared.kind == "freeze":
                 inst = inst.with_frozen(frozenset((shared.edge,)))
 
     def test_refuses_another_graph(self):
-        inst = normalize(shared_partner_instance(7, k=2).instance)
-        cache = RoundCache(inst.graph)
+        inst, tree = normalized(shared_partner_instance(7, k=2).instance)
+        cache = RoundCache(inst.graph, tree)
         twin = WbdInstance(
             inst.graph.without_edges(()), inst.k, inst.w_star, inst.weights, inst.frozen
         )
@@ -700,19 +754,53 @@ class TestRoundCache:
         assert reduction_step(inst, mu_of, pool, cache).kind == "freeze"
 
 
+    def test_back_edge_pick_copies_nothing(self, monkeypatch):
+        # The kernel's first round on the unit-weight subdivided
+        # shared-partner hub, the whole pool marked: greedy's first pick,
+        # edge 0, is a back edge of the DFS tree that normalizing built,
+        # so its residual critical set is derived from that tree, the flow
+        # skips it, and the analysis runs on G itself: the round copies no
+        # graph and runs no fresh DFS.
+        g = shared_partner_instance(mu(2) + 8, k=2, subdivide=True).instance.graph
+        inst, tree = normalized(kernel_module.unit_instance(g, 2, frozenset()))
+        pool = heavy_order(inst)
+        assert pool[0] == 0 and 0 not in tree.tree_edge
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            UndirectedGraph, "without_edges", counted("copy", UndirectedGraph.without_edges)
+        )
+        for name in ("critical_set", "critical_tree"):
+            monkeypatch.setattr(solver_module, name, counted(name, getattr(solver_module, name)))
+        step = reduction_step(inst, mu, pool, RoundCache(inst.graph, tree))
+        assert step.kind == "freeze" and step.analysis.graph is inst.graph
+        assert calls == []
+        assert reduction_summary(step) == reduction_summary(
+            reduction_step(inst, mu, pool, RoundCache(inst.graph, None))
+        )
+        assert calls.count("copy") == 1 and calls.count("critical_tree") == 1
+
+
 class TestFreezeRounds:
     def test_tight_no_stops_before_any_step(self, monkeypatch):
         # Chord 10 and rim 5 on a pool above mu(2): the two heaviest sum
         # to 15, so w* = 15.5 is a no that needs no reduction step.
         hub = shared_partner_instance(mu(2) + 1, k=2, w_star=15.5)
-        inst = normalize(hub.instance)
+        inst, tree = normalized(hub.instance)
         assert len(inst.potential_edges()) > mu(2)
 
         def refuse(*args, **kwargs):
             raise AssertionError("reduction_step called on a tight no")
 
         monkeypatch.setattr(solver_module, "reduction_step", refuse)
-        after, steps = freeze_rounds(inst, mu, mark_all=False)
+        after, steps = freeze_rounds(inst, tree, mu, mark_all=False)
         assert after is inst and [s.kind for s in steps] == ["no"]
         stats = SolveStats()
         assert solve(hub.instance, stats=stats) is None
