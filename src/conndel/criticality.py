@@ -13,13 +13,16 @@ Deleting a non-critical pivot edge e = (x, y) can make other edges newly
 critical; each such edge on one path of a value-2 x-y flow pairs with
 "partner" vertices on the other path to form mixed cuts.  The machinery
 here computes that structure and locates clean stretches, which the
-solver mines for irrelevant edges.  Partner sets come from one component
-pass per interior vertex of the second path, which decides every edge of
-the first path at once, not from one path query per (edge, vertex) pair.
+solver mines for irrelevant edges.  Partner sets come from one DFS of
+G' - pivot less the first path's edges: its lowpoints give the components
+that each interior vertex of the second path cuts off, and the span of
+each component along the first path decides that path's edges, with no
+component pass per vertex and no path query per (edge, vertex) pair.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -409,10 +412,23 @@ def partner_set(
     vertices: some stretch starts in the left piece, ends in the right
     one and has no P1 vertex inside.  It uses no edge of P1, as the only
     P1 edge between the pieces is e, so it lies in one component of
-    H = G' - pivot - v - E(P1).  Conversely a component of H meeting both
-    pieces joins them.  So e separates exactly when no component of H
-    holds P1 vertices on both sides of j: one pass over H's components
-    that meet P1, then one sweep along P1, decide every edge for this v.
+    H - v, H = G' - pivot - E(P1).  Conversely a component of H - v
+    meeting both pieces joins them.  So e separates exactly when no
+    component of H - v has its P1 positions' span [first, last] cover j,
+    first <= j < last.
+
+    The spans for every v come from one DFS of H, rooted at P1's vertices
+    in order, with preorder numbers and lowpoints (Hopcroft-Tarjan).  A
+    tree's root holds its least P1 position, as every earlier one was
+    visited before it, and no root is on P2's interior.  So in H - v the
+    subtree T(d) of a child d of v is a component of its own when
+    low(d) >= pre(v); every other child subtree stays joined, through a
+    back edge above v, to the rest of v's tree, which keeps its root; and
+    the other trees are untouched.  Listing P1's positions in preorder
+    makes the P1 vertices of each subtree one slice of that list, so per v
+    the spans cost one step per separated child subtree, plus the slices'
+    minima and maxima.  A v with no separated child subtree holding a P1
+    vertex has the spans of H itself, computed once.
     """
     x, y = gprime.endpoints(pivot)
     ends = {x, y}
@@ -425,26 +441,93 @@ def partner_set(
         raise InvalidInputError("the first flow path must avoid the second's interior")
     at = {u: i for i, u in enumerate(p1.vertices)}
     removed = frozenset(p1.edges) | {pivot}
-    cuts: Dict[int, List[int]] = {e: [] for e in crits}
+    adj = gprime._adj
+
+    # pre: vertex to preorder number; low per number; order: P1's
+    # positions in preorder.  A stack entry holds a vertex's number, the
+    # edge it was entered by, its adjacency iterator and where its slice
+    # of ``order`` starts.  trees: per DFS tree, its first number, its
+    # root's position and its slice.  cut: the number of v to the slice of
+    # each child subtree T(d) with low(d) >= pre(v) that holds a P1 vertex.
+    pre: Dict[int, int] = {}
+    low: List[int] = []
+    order: List[int] = []
+    trees: List[Tuple[int, int, int, int]] = []
+    cut: Dict[int, List[Tuple[int, int]]] = {}
+    for r, root in enumerate(p1.vertices):
+        if root in pre:
+            continue
+        first = pre[root] = len(low)
+        low.append(first)
+        begin = len(order)
+        stack = [(first, -1, iter(adj[root]), begin)]
+        order.append(r)
+        while stack:
+            i, entry, it, start = stack[-1]
+            for u, eid in it:
+                if eid == entry or eid in removed:
+                    continue
+                j = pre.get(u)
+                if j is None:
+                    j = pre[u] = len(low)
+                    low.append(j)
+                    stack.append((j, eid, iter(adj[u]), len(order)))
+                    if u in at:
+                        order.append(at[u])
+                    break
+                if j < low[i]:
+                    low[i] = j
+            else:
+                stack.pop()
+                if stack:
+                    p = stack[-1][0]
+                    if low[i] < low[p]:
+                        low[p] = low[i]
+                    elif low[i] >= p and start < len(order):
+                        cut.setdefault(p, []).append((start, len(order)))
+        trees.append((first, r, begin, len(order)))
+
+    def uncovered(spans: List[Tuple[int, int]]) -> List[int]:
+        """The positions of P1's edges that no span covers, ascending."""
+        out: List[int] = []
+        free = 0
+        for a, b in sorted(spans):
+            if a > free:
+                out.extend(range(free, a))
+            if b > free:
+                free = b
+        out.extend(range(free, len(p1.edges)))
+        return out
+
+    # Per tree, the span of its P1 vertices, or None for a single one.
+    spans = [(r, max(order[a:b])) if b - a > 1 else None for _, r, a, b in trees]
+    unchanged = uncovered([s for s in spans if s])
+    firsts = [t[0] for t in trees]
+    partners: List[List[int]] = [[] for _ in p1.edges]
     for v in p2.interior:
-        gone = frozenset((v,))
-        # far[i]: the last P1 position in the component of H holding P1's i-th vertex
-        far = [-1] * len(p1.vertices)
-        for i, u in enumerate(p1.vertices):
-            if far[i] < 0:
-                comp = [at[w] for w in reachable(gprime, (u,), removed, gone) if w in at]
-                last = max(comp)
-                for c in comp:
-                    far[c] = last
-        reach = -1
-        separated = []
-        for j in range(len(p1.edges)):
-            reach = max(reach, far[j])
-            separated.append(reach <= j)
-        for e in cuts:
-            if separated[pos[e]]:
-                cuts[e].append(v)
-    return tuple(tuple(cuts[e]) for e in crits)
+        kids = cut.get(pre.get(v))
+        if not kids:
+            hits = unchanged
+        else:
+            t = bisect_right(firsts, pre[v]) - 1
+            _, r, a, b = trees[t]
+            parts = [s for u, s in enumerate(spans) if s and u != t]
+            # The rest of v's tree: its slice less the separated subtrees.
+            last = r
+            for lo, hi in kids:
+                if lo > a:
+                    last = max(last, max(order[a:lo]))
+                if hi - lo > 1:
+                    piece = order[lo:hi]
+                    parts.append((min(piece), max(piece)))
+                a = hi
+            if b > a:
+                last = max(last, max(order[a:b]))
+            parts.append((r, last))
+            hits = uncovered(parts)
+        for j in hits:
+            partners[j].append(v)
+    return tuple(tuple(partners[pos[e]]) for e in crits)
 
 
 @dataclass
@@ -547,37 +630,32 @@ def build_partner_analysis(
         if p.vertices[0] != x or p.vertices[-1] != y:
             raise InvalidInputError("flow paths must run from x to y")
 
-    edge_ids = tuple(e for e in p1.edges if e in newly)
+    edge_ids = tuple(filter(newly.__contains__, p1.edges))
     if not edge_ids:
         raise InvalidInputError("no marked newly critical edges on P1")
 
     missing = [e for e in edge_ids if e not in memo.partners]
     if missing:
         memo.partners.update(zip(missing, partner_set(gprime, pivot, p1, p2, missing)))
-    partners = tuple(memo.partners[e] for e in edge_ids)
-    for e, pset in zip(edge_ids, partners):
-        if not pset:
-            raise InternalInconsistencyError(
-                f"edge {e} has an empty partner set; every newly critical "
-                "edge on one flow path must have a partner on the other"
-            )
+    partners = tuple(map(memo.partners.__getitem__, edge_ids))
+    if not all(partners):
+        raise InternalInconsistencyError(
+            f"edge {edge_ids[partners.index(())]} has an empty partner set; every "
+            "newly critical edge on one flow path must have a partner on the other"
+        )
 
-    t = len(edge_ids)
-    switches = frozenset(
-        i for i in range(1, t) if partners[i - 1] != partners[i]
-    )
-
+    switches = set()
     shared: Dict[int, int] = {}
-    for i in range(1, t):
-        if i in switches:
-            continue
-        pset = partners[i - 1]
-        if len(pset) != 1:
+    for i, (pset, after) in enumerate(zip(partners, partners[1:]), 1):
+        if pset != after:
+            switches.add(i)
+        elif len(pset) != 1:
             raise InternalInconsistencyError(
                 "consecutive edges share a partner set that is not a single "
                 f"vertex: {pset}"
             )
-        shared[i] = pset[0]
+        else:
+            shared[i] = pset[0]
 
     pa = PartnerAnalysis(
         graph=gprime,
@@ -586,7 +664,7 @@ def build_partner_analysis(
         p2=p2,
         edge_ids=edge_ids,
         partners=partners,
-        switches=switches,
+        switches=frozenset(switches),
         shared_partner=shared,
         memo=memo,
         k=k,

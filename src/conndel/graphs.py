@@ -9,7 +9,10 @@ The package has one reachability routine (``reachable``; the path query
 ``has_path_without`` is one call of it) and one augmenting-path flow
 (``FlowNetwork.augment``, unit vertex capacities on a split network), used
 for the kernel's digraph cuts and for undirected x-y flows, whose only
-entry is ``max_flow_bounded`` (``cap=None`` for a maximum flow).
+entry is ``max_flow_bounded`` (``cap=None`` for a maximum flow).  A
+``FlowNetwork`` is built in bulk, by list operations over all its arcs at
+once: a bounded flow pushes only a few units through it, so building it
+one arc at a time cost as much as the searches.
 """
 
 from __future__ import annotations
@@ -439,10 +442,11 @@ class FlowNetwork:
     Vertex v with index i becomes an in-node 2i and an out-node 2i + 1
     joined by a capacity-1 arc (unbounded for an open vertex); a graph arc
     (u, v) runs from u's out-node to v's in-node.  Arcs are integer ids
-    into flat ``head``/``cap`` lists, arc a's residual twin being a ^ 1.
-    Each node lists its arcs in insertion order, split arc first, so the
-    searches are deterministic; vertex i's split arc has id 2i and graph
-    arc j has id ``2 * n + 2 * j``.
+    into flat ``head``/``cap`` lists, arc a's residual twin being a ^ 1:
+    vertex i's split arc has id 2i and graph arc j has id ``2 * n + 2 * j``.
+    Each node lists its arcs by id, split arc first, so the searches are
+    deterministic.  ``head`` and ``cap`` are filled by slice assignment,
+    and ``adj`` by one pass over the graph arcs after the split arcs.
     """
 
     __slots__ = ("vertices", "index", "head", "cap", "adj")
@@ -450,28 +454,32 @@ class FlowNetwork:
     def __init__(
         self,
         vertices: Sequence[int],
-        arcs: Iterable[Edge],
+        arcs: Sequence[Edge],
         arc_cap: int,
         open_vertices: AbstractSet[int] = frozenset(),
     ):
         self.vertices: List[int] = list(vertices)
         self.index: Dict[int, int] = {v: i for i, v in enumerate(self.vertices)}
-        head: List[int] = []
-        cap: List[int] = []
-        adj: List[List[int]] = [[] for _ in range(2 * len(self.index))]
-
-        def add(a: int, b: int, c: int) -> None:
-            adj[a].append(len(head))
-            head.append(b)
-            cap.append(c)
-            adj[b].append(len(head))
-            head.append(a)
-            cap.append(0)
-
-        for v, i in self.index.items():
-            add(2 * i, 2 * i + 1, _UNBOUNDED if v in open_vertices else 1)
-        for u, v in arcs:
-            add(2 * self.index[u] + 1, 2 * self.index[v], arc_cap)
+        index = self.index
+        base = 2 * len(self.vertices)
+        tails = [2 * index[u] + 1 for u, _ in arcs]
+        heads = [2 * index[v] for _, v in arcs]
+        size = base + 2 * len(tails)
+        head = [0] * size
+        head[0:base:2] = range(1, base, 2)
+        head[1:base:2] = range(0, base, 2)
+        head[base::2] = heads
+        head[base + 1 :: 2] = tails
+        cap = [0] * size
+        cap[0:base:2] = [1] * len(index)
+        cap[base::2] = [arc_cap] * len(tails)
+        for v in open_vertices:
+            if v in index:
+                cap[2 * index[v]] = _UNBOUNDED
+        adj = [[node] for node in range(base)]
+        for a, t, h in zip(range(base, size, 2), tails, heads):
+            adj[t].append(a)
+            adj[h].append(a + 1)
         self.head, self.cap, self.adj = head, cap, adj
 
     def min_cut(
@@ -568,7 +576,10 @@ def max_flow_bounded(
     if x not in g.vertices or y not in g.vertices:
         raise InvalidInputError("flow endpoint not in graph")
     eids = sorted(g._edges.keys() - removed_edges)
-    arcs = [uv for eid in eids for uv in (g._edges[eid], g._edges[eid][::-1])]
+    ends = list(map(g._edges.__getitem__, eids))
+    arcs = ends * 2  # u to v, then v to u, per edge
+    arcs[0::2] = ends
+    arcs[1::2] = [(v, u) for u, v in ends]
     net = FlowNetwork(sorted(g._vertices), arcs, 1, frozenset((x, y)))
     residual = net.cap[:]
     net.augment(residual, (x,), (y,), limit=cap)

@@ -466,8 +466,8 @@ def irrelevant_edge(
         raise InvalidInputError(
             f"stretch [{a},{b}] shorter than {2 * pa.k + 3} steps"
         )
-    interior = [pa.edge(i) for i in range(a + 1, b)]
-    return min(interior, key=lambda e: (weights.get(e, 0.0), e))
+    interior = sorted(pa.edge_ids[a : b - 1])  # e_{a+1} .. e_{b-1}, by id
+    return min(interior, key=lambda e: weights.get(e, 0.0))
 
 
 @dataclass(frozen=True)

@@ -162,6 +162,28 @@ def separates_with_edge(
     return not any(x in c and y in c for c in comps)
 
 
+def partner_sets(gprime, pivot: int, p1, p2, crits: Sequence[int]) -> Tuple[Tuple[int, ...], ...]:
+    """``criticality.partner_set`` one vertex at a time: for each interior
+    vertex v of P2, one ``components`` pass over H - v, H = G' - pivot -
+    E(P1).  The edge at position j of P1 has v as a partner exactly when
+    no component holds P1 vertices on both sides of j (the argument is in
+    ``partner_set``'s docstring).  Reads only the graph's vertices and
+    edge endpoints."""
+    gone = set(p1.edges) | {pivot}
+    h = [gprime.endpoints(e) for e in gprime.edges if e not in gone]
+    at = {u: i for i, u in enumerate(p1.vertices)}
+    pos = {e: j for j, e in enumerate(p1.edges)}
+    out: Dict[int, List[int]] = {e: [] for e in crits}
+    for v in p2.interior:
+        comps = components(set(gprime.vertices) - {v}, [(a, b) for a, b in h if v not in (a, b)])
+        spans = [[at[u] for u in c if u in at] for c in comps]
+        spans = [(min(s), max(s)) for s in spans if s]
+        for e in crits:
+            if not any(lo <= pos[e] < hi for lo, hi in spans):
+                out[e].append(v)
+    return tuple(tuple(out[e]) for e in crits)
+
+
 @dataclass(frozen=True)
 class MixedCut:
     """One edge plus one vertex separating the two terminals."""

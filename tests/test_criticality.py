@@ -405,27 +405,34 @@ def reversed_path(p):
     return Path(tuple(reversed(p.vertices)), tuple(reversed(p.edges)))
 
 
-def assert_partners_match_definition(g, pivot, marked, rng):
-    """``partner_set`` on the rich flow's paths, each in a random
-    orientation, against the mixed-cut definition in G' - pivot."""
-    pa = analysis_after(g, [pivot], 1, marked)
+def assert_partners_match_definition(g, picks, marked, rng):
+    """``partner_set`` on the rich flow's paths of the last pick in
+    G' = g - picks[:-1], each path in a random orientation, against the
+    mixed-cut definition in G' - pivot, for the analysed edges and for
+    every edge of P1 in a random order.  Returns the analysis."""
+    pa = analysis_after(g, picks, 1, marked)
+    gprime, pivot = pa.graph, pa.pivot
     p1, p2 = pa.p1, pa.p2
     if rng.random() < 0.5:
         p1 = reversed_path(p1)
     if rng.random() < 0.5:
         p2 = reversed_path(p2)
     crits = [e for e in p1.edges if e in pa.edge_ids]
-    x, y = g.endpoints(pivot)
-    kept = [g.endpoints(e) for e in g.edges if e != pivot]
+    crits += rng.sample(p1.edges, len(p1.edges))
+    x, y = gprime.endpoints(pivot)
+    kept = [gprime.endpoints(e) for e in gprime.edges if e != pivot]
     expect = tuple(
         tuple(
             v
             for v in p2.interior
-            if naive.separates_with_edge(set(g.vertices), kept, x, y, g.endpoints(e), v)
+            if naive.separates_with_edge(
+                set(gprime.vertices), kept, x, y, gprime.endpoints(e), v
+            )
         )
         for e in crits
     )
-    assert partner_set(g, pivot, p1, p2, crits) == expect
+    assert partner_set(gprime, pivot, p1, p2, crits) == expect
+    return pa
 
 
 class TestPartnerSetsAgainstDefinition:
@@ -440,7 +447,35 @@ class TestPartnerSetsAgainstDefinition:
         pivot = rng.choice(pivots)
         marked = frozenset(e for e in g.edges if rng.random() < 0.7)
         assume(newly_critical(g, pivot) & marked)
-        assert_partners_match_definition(g, pivot, marked, rng)
+        assert_partners_match_definition(g, [pivot], marked, rng)
+
+    def test_two_pick_prefixes(self):
+        """G' = G - e is biconnected but H = G' - pivot - E(P1) is often
+        not connected, and its cut vertices on P2 are the partners.  The
+        sweep must see H with two components that each hold two or more
+        P1 vertices, where the spans of the other DFS trees matter."""
+        rng = random.Random(11)
+        checked = split = 0
+        for _ in range(600):
+            g = random_biconnected_graph(rng, rng.randint(8, 16), rng.randint(0, 5))
+            first = rng.choice([e for e in sorted(g.edges) if e not in critical_set(g)] or [None])
+            if first is None:
+                continue
+            gprime = g.without_edge(first)
+            crit = critical_set(gprime)
+            pivots = [e for e in sorted(gprime.edges) if e not in crit]
+            if not pivots:
+                continue
+            pivot = rng.choice(pivots)
+            if not newly_critical(gprime, pivot):
+                continue
+            pa = assert_partners_match_definition(g, [first, pivot], None, rng)
+            checked += 1
+            h = [gprime.endpoints(e) for e in gprime.edges if e != pivot and e not in pa.p1.edges]
+            on_p1 = set(pa.p1.vertices)
+            comps = naive.components(set(gprime.vertices), h)
+            split += sum(len(c & on_p1) > 1 for c in comps) > 1
+        assert checked >= 200 and split >= 3
 
     @pytest.mark.parametrize("subdivide", [False, True])
     @pytest.mark.parametrize("family", [shared_partner_instance, distinct_partner_instance])
@@ -449,7 +484,19 @@ class TestPartnerSetsAgainstDefinition:
         for q in range(3, 13):
             hub = family(q, subdivide=subdivide)
             g = normalize(hub.instance).graph
-            assert_partners_match_definition(g, hub.chord, frozenset(g.edges), rng)
+            assert_partners_match_definition(g, [hub.chord], frozenset(g.edges), rng)
+
+    @pytest.mark.parametrize("q", [68, 347])
+    @pytest.mark.parametrize("subdivide", [False, True])
+    @pytest.mark.parametrize("family", [shared_partner_instance, distinct_partner_instance])
+    def test_large_hubs_against_per_vertex_referee(self, family, subdivide, q):
+        hub = family(q, subdivide=subdivide)
+        g = normalize(hub.instance).graph
+        pa = analysis_after(g, [hub.chord], 2)
+        crits = list(pa.p1.edges)
+        got = partner_set(g, pa.pivot, pa.p1, pa.p2, crits)
+        assert got == naive.partner_sets(g, pa.pivot, pa.p1, pa.p2, crits)
+        assert len(got) == q + 1 and all(got)
 
 
 class TestFullExistenceEquivalence:

@@ -423,6 +423,53 @@ class TestIrrelevantEdge:
             assert ok, s
 
 
+HUB = OracleBudget(max_vertices=20, max_edges=40, max_k=3)
+
+
+def heavy_rim_hub(q, k, pos):
+    """The plain shared-partner hub whose every solution holds one heavy
+    rim edge h, the one at ``pos``: h weighs 5, the other rim edges 1, the
+    chord 5.5, the edge from x to the shared partner w 2, the rest 0, and
+    w* = 7.  Two rim edges cut the rim between them off at w, and deleting
+    the chord makes every rim edge and x-w critical, so no set without h
+    reaches 7 (the chord with a spoke weighs 5.5); h with x-w does unless
+    h is x's own rim edge.  Returns the instance and h."""
+    weights = [1.0] * (q + 1)
+    weights[pos] = 5.0
+    hub = shared_partner_instance(
+        q, k=k, w_star=7.0, chord_weight=5.5, rim_weights=weights, other_weight=0.0
+    )
+    g = hub.instance.graph
+    rim = {v for e in hub.rim_edges for v in g.endpoints(e)}
+    w = next(v for v in g.neighbors(hub.x) if v not in rim)
+    weights = dict(hub.instance.weights)
+    weights[g.edge_between(hub.x, w)] = 2.0
+    return WbdInstance(g, k, 7.0, weights), hub.rim_edges[pos]
+
+
+class TestFreezeRuleAgainstOracle:
+    """Freezing must keep some solution.  On ``heavy_rim_hub`` under a
+    threshold of q or q + 1, greedy picks the chord first and stalls, and
+    the rich step's clean stretch holds h inside whenever h is not at
+    either end of the analysed rim edges.  Every solution holds h, so
+    freezing any interior edge but the lightest (h is the heaviest) would
+    turn these yes-instances into no-instances."""
+
+    @pytest.mark.parametrize("k, q", [(2, 10), (2, 12), (3, 12), (3, 13)])
+    def test_solve_agrees_with_oracle(self, k, q):
+        refereed = 0
+        for m in (q, q + 1):
+            for pos in range(q + 1):
+                inst, h = heavy_rim_hub(q, k, pos)
+                stats = SolveStats()
+                got = solve(inst, lambda _, m=m: m, stats) is not None
+                assert got == (oracle_wbd(inst, HUB) is not None), (m, pos)
+                if got and stats.irrelevant_edges:
+                    assert oracle_wbd(normalize(inst).with_frozen(frozenset((h,))), HUB) is None
+                    refereed += 1
+        assert refereed >= q
+
+
 class TestSolve:
     def test_k4_single_edge(self):
         sol = solve(unit(complete(4), 1, 1))
