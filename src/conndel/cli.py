@@ -17,7 +17,7 @@ import sys
 import time
 from typing import Dict, List, Optional, Sequence
 
-from .criticality import explain_partner_analysis
+from .criticality import PartnerAnalysis, find_clean_stretch
 from .errors import (
     BudgetExceededError,
     ConndelError,
@@ -81,6 +81,37 @@ def _edge_names(g: UndirectedGraph, edges: Sequence[int]) -> str:
         u, v = g.endpoints(eid)
         parts.append(f"{u}-{v}")
     return " ".join(parts)
+
+
+def explain_partner_analysis(pa: PartnerAnalysis) -> str:
+    """Structured text dump for ``solve --explain``."""
+    g = pa.graph
+    x, y = g.endpoints(pa.pivot)
+    lines = []
+    lines.append(
+        f"partner analysis: pivot {_edge_names(g, [pa.pivot])}, "
+        f"terminals ({x}, {y}), k={pa.k}"
+    )
+    lines.append("  P1: " + " ".join(str(v) for v in pa.p1.vertices))
+    lines.append("  P2: " + " ".join(str(v) for v in pa.p2.vertices))
+    lines.append(f"  analyzed critical edges on P1 (t={pa.t}):")
+    for i in range(1, pa.t + 1):
+        ps = " ".join(str(v) for v in pa.partner(i))
+        lines.append(f"    e_{i} = {_edge_names(g, [pa.edge(i)])}  partners: [{ps}]")
+    lines.append(
+        "  partner switches: "
+        + (" ".join(str(i) for i in sorted(pa.switches)) or "(none)")
+    )
+    lines.append(
+        "  affected components: "
+        + (" ".join(str(i) for i in sorted(pa.affected)) or "(none)")
+    )
+    for i in sorted(pa.components):
+        comp = " ".join(str(v) for v in sorted(pa.components[i]))
+        lines.append(f"    component[{i},{i + 1}] = {{{comp}}} partner {pa.shared_partner[i]}")
+    stretch = find_clean_stretch(pa)
+    lines.append(f"  clean stretch: {stretch if stretch else '(none)'}")
+    return "\n".join(lines)
 
 
 def _emit_report(fields: Dict[str, object]) -> None:

@@ -717,39 +717,3 @@ def find_clean_stretch(pa: PartnerAnalysis) -> Optional[Tuple[int, int]]:
             f"{pa.distinct_partner_sets} distinct partner sets and k={k}"
         )
     return None
-
-
-def explain_partner_analysis(pa: PartnerAnalysis) -> str:
-    """Structured text dump for the CLI's --explain output."""
-    g = pa.graph
-    x, y = g.endpoints(pa.pivot)
-    lines = []
-    lines.append(
-        f"partner analysis: pivot {_edge_str(g, pa.pivot)}, "
-        f"terminals ({x}, {y}), k={pa.k}"
-    )
-    lines.append("  P1: " + " ".join(str(v) for v in pa.p1.vertices))
-    lines.append("  P2: " + " ".join(str(v) for v in pa.p2.vertices))
-    lines.append(f"  analyzed critical edges on P1 (t={pa.t}):")
-    for i in range(1, pa.t + 1):
-        ps = " ".join(str(v) for v in pa.partner(i))
-        lines.append(f"    e_{i} = {_edge_str(g, pa.edge(i))}  partners: [{ps}]")
-    lines.append(
-        "  partner switches: "
-        + (" ".join(str(i) for i in sorted(pa.switches)) or "(none)")
-    )
-    lines.append(
-        "  affected components: "
-        + (" ".join(str(i) for i in sorted(pa.affected)) or "(none)")
-    )
-    for i in sorted(pa.components):
-        comp = " ".join(str(v) for v in sorted(pa.components[i]))
-        lines.append(f"    component[{i},{i + 1}] = {{{comp}}} partner {pa.shared_partner[i]}")
-    stretch = find_clean_stretch(pa)
-    lines.append(f"  clean stretch: {stretch if stretch else '(none)'}")
-    return "\n".join(lines)
-
-
-def _edge_str(g: UndirectedGraph, eid: int) -> str:
-    u, v = g.endpoints(eid)
-    return f"{u}-{v}"

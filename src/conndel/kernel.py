@@ -30,15 +30,14 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from .criticality import DfsTree
 from .errors import BudgetExceededError, InternalInconsistencyError, InvalidInputError
 from .graphs import Digraph, UndirectedGraph, is_biconnected, reachable
 from .solver import (
     WbdInstance,
     freeze_rounds,
+    heavy_order,
     mu,
     normalize,
-    normalized,
     solution_from_distinct_partners,
     validate_instance,
 )
@@ -295,7 +294,7 @@ def kernelize(
         raise InvalidInputError(f"max_terminals must be non-negative, got {max_terminals}")
     inst = unit_instance(graph, k, frozen)
     validate_instance(inst)
-    inst, tree = normalized(inst)
+    inst = normalize(inst)
     stats: Dict[str, object] = {
         "provider": provider,
         "f_before": len(inst.potential_edges()),
@@ -305,7 +304,7 @@ def kernelize(
         "phase1_rounds": 0,
     }
 
-    inst, answer = _budget_rules(inst) or _phase_one(inst, tree, mu_of, stats)
+    inst, answer = _budget_rules(inst) or _phase_one(inst, mu_of, stats)
     if answer is None:
         inst, answer = _phase_two(inst, provider, max_terminals, stats)
     stats["f_after"] = len(inst.potential_edges())
@@ -332,16 +331,12 @@ def _budget_rules(inst: WbdInstance) -> Optional[Tuple[WbdInstance, str]]:
 
 
 def _phase_one(
-    inst: WbdInstance,
-    tree: Optional[DfsTree],
-    mu_of: Callable[[int], int],
-    stats: Dict[str, object],
+    inst: WbdInstance, mu_of: Callable[[int], int], stats: Dict[str, object]
 ) -> Tuple[WbdInstance, Optional[str]]:
     """Bound the potential solution edges with the solver's freeze loop,
     marking the whole pool: the instance it leaves and no answer, or a
-    constant instance and the loop's answer.  ``tree`` is the DFS tree
-    that normalizing the instance built."""
-    inst, steps = freeze_rounds(inst, tree, mu_of, mark_all=True)
+    constant instance and the loop's answer."""
+    inst, steps = freeze_rounds(inst, heavy_order(inst), mu_of, mark_all=True)
     stats["phase1_rounds"] = len(steps)
     stats["irrelevant_frozen"] = sum(s.kind == "freeze" for s in steps)
     kind = steps[-1].kind if steps else None
@@ -380,7 +375,7 @@ def _phase_two(
             inst = fired
             continue
         reduced = rule_two_torso(inst, y_set)
-        reduced = normalize(reduced)
+        # Checked before normalizing, which refuses such a graph as bad input.
         if not is_biconnected(reduced.graph):
             raise InternalInconsistencyError("torso lost biconnectivity")
-        return reduced, None
+        return normalize(reduced), None

@@ -62,9 +62,13 @@ class WbdInstance:
     Edges in ``frozen`` can never be deleted; the remaining edges are the
     potential solution edges, the only ones whose weights are read.  A
     normalized instance additionally has every currently-critical edge
-    frozen.  Derived instances share ``weights``.  A branch child keeps
-    the root's ``w_star`` and records the weights already deleted on the
-    way to it in ``deleted``.
+    frozen, and ``tree`` holds the DFS tree of ``graph`` that ``normalize``
+    decided them on (None when every edge is critical), from which the
+    freeze loop's ``RoundCache`` derives residual critical sets.  Freezing
+    keeps it, since the graph is unchanged; deleting an edge drops it.
+    Derived instances share ``weights``.  A branch child keeps the root's
+    ``w_star`` and records the weights already deleted on the way to it
+    in ``deleted``.
 
     Weights are summed with ``math.fsum``: one correctly rounded sum, so a
     total does not depend on the order of its terms, and adding a
@@ -77,6 +81,7 @@ class WbdInstance:
     weights: Dict[int, float] = field(repr=False)
     frozen: FrozenSet[int] = frozenset()
     deleted: Tuple[float, ...] = ()
+    tree: Optional[DfsTree] = field(default=None, repr=False, compare=False)
 
     def potential_edges(self) -> List[int]:
         return [e for e in sorted(self.graph.edges) if e not in self.frozen]
@@ -99,6 +104,7 @@ class WbdInstance:
             graph=self.graph.without_edge(eid),
             k=self.k - 1,
             deleted=self.deleted + (self.weights.get(eid, 0.0),),
+            tree=None,
         )
 
 
@@ -145,24 +151,18 @@ def validate_instance(inst: WbdInstance) -> None:
 
 
 def normalize(inst: WbdInstance) -> WbdInstance:
-    """Freeze all currently-critical edges.
+    """Freeze all currently-critical edges, and keep as ``tree`` the DFS
+    tree they were decided on (``critical_tree``).
 
     Critical edges can never be deleted, so this loses no solutions;
     idempotent.  Rejects non-biconnected graphs.
     """
-    return normalized(inst)[0]
-
-
-def normalized(inst: WbdInstance) -> Tuple[WbdInstance, Optional[DfsTree]]:
-    """``normalize(inst)`` and the DFS tree its critical set came from
-    (``critical_tree``), which the freeze loop's ``RoundCache`` derives
-    greedy's residual critical sets from."""
     crit, tree = critical_tree(inst.graph)
     # critical_set marks every edge of a graph that is not biconnected, so
     # only a fully critical graph needs the biconnectivity check.
     if len(crit) == inst.graph.m and not is_biconnected(inst.graph):
         raise InvalidInputError("instance graph is not biconnected")
-    return inst.with_frozen(crit), tree
+    return replace(inst, frozen=inst.frozen | crit, tree=tree)
 
 
 def heavy_order(inst: WbdInstance) -> List[int]:
@@ -187,19 +187,13 @@ def verify_solution(inst: WbdInstance, edges) -> bool:
     return is_biconnected_without(inst.graph, frozenset(es))
 
 
-# Failed extension tests under one prefix before its critical set decides
-# the rest (see ``_enumerate_best``).  1 measured fastest on the hub tight
-# no's of scripts/freeze_sweep.py: 17-19 s, 21-24 s at 3 (2-core x86-64).
-PREFIX_FAILS_BEFORE_CRITICAL_SET = 1
-
-
-def _enumerate_best(inst: WbdInstance, stats: SolveStats) -> Optional[Solution]:
+def _enumerate_best(inst: WbdInstance, order: List[int], stats: SolveStats) -> Optional[Solution]:
     """The first feasible deletion set whose weight reaches w*, or None.
 
     This is a decision, so the first witness is returned, not the heaviest
-    one.  Depth-first over ``heavy_order`` (heaviest first, ties by id), so
-    the witness is deterministic.  Two cuts, both exact for non-negative
-    weights and an ``fsum`` total:
+    one.  Depth-first over ``order``, the instance's ``heavy_order``
+    (heaviest first, ties by id), so the witness is deterministic.  Two
+    cuts, both exact for non-negative weights and an ``fsum`` total:
 
     * a level stops once the chosen weights plus the next r pool weights
       (r the budget left) miss w*, since every later candidate is lighter;
@@ -218,18 +212,16 @@ def _enumerate_best(inst: WbdInstance, stats: SolveStats) -> Optional[Solution]:
     used: when it reaches w*, or when one of its own extensions survives
     the level cut and the degree rule.  Otherwise nothing below it could
     be tried, and it is dropped untested.  A test is one biconnectivity
-    pass (``stats.prefix_passes``) until ``PREFIX_FAILS_BEFORE_CRITICAL_SET``
-    of S's extensions have failed; then one ``critical_set(G - S)``
-    (``stats.prefix_critical_sets``) decides the rest of S's extensions
-    by membership.  The pruning and the witness are those of testing
-    every prefix.
+    pass (``stats.prefix_passes``) until one of S's extensions fails; then
+    one ``critical_set(G - S)`` (``stats.prefix_critical_sets``) decides
+    the rest of S's extensions by membership.  The pruning and the
+    witness are those of testing every prefix.
 
     This keeps the paper's mu(k)^k base case: at k = 3 and a pool of
     mu(3) = 957 there are about 457k depth-2 prefixes, still far too many.
     """
     if inst.reaches(()):
         return Solution((), 0.0)
-    order = heavy_order(inst)
     g = inst.graph
     degree = {v: g.degree(v) for v in g.vertices}
     chosen: List[int] = []
@@ -250,7 +242,6 @@ def _enumerate_best(inst: WbdInstance, stats: SolveStats) -> Optional[Solution]:
         """Try the open extensions of the feasible prefix ``chosen``, from
         the open index i on."""
         r = inst.k - len(chosen)
-        fails = 0
         crit: Optional[FrozenSet[int]] = None
         while i is not None:
             e = order[i]
@@ -268,8 +259,7 @@ def _enumerate_best(inst: WbdInstance, stats: SolveStats) -> Optional[Solution]:
                 else:
                     stats.prefix_passes += 1
                     ok = is_biconnected_without(g, removed | {e})
-                    fails += not ok
-                    if fails == PREFIX_FAILS_BEFORE_CRITICAL_SET:
+                    if not ok:
                         stats.prefix_critical_sets += 1
                         crit = critical_set(g.without_edges(removed))
                 if ok and (done or extend(j, removed | {e})):
@@ -296,8 +286,8 @@ class RoundCache:
     * ``critical(prefix)``: the ``critical_set`` of G - prefix, with the
       DFS tree it was decided on.  A prefix's set is derived from the
       tree of the prefix before it when its last pick is a back edge of
-      that tree (``DfsTree.without``), starting from ``tree``, the tree
-      that normalizing G built; a tree-edge pick (or no tree) costs a
+      that tree (``DfsTree.without``), starting from ``tree``, G's own
+      (``WbdInstance.tree``); a tree-edge pick (or no tree) costs a
       fresh DFS of a copy of G - prefix, whose tree later picks derive
       from;
     * ``residual(prefix)``: the graph G - prefix, a copy, made only for
@@ -313,7 +303,8 @@ class RoundCache:
     A lookup returns exactly what recomputing it would, so a round that
     uses the cache finds the same reduction as one that does not.  A cache
     belongs to one graph object: ``freeze_rounds`` makes one per graph and
-    drops it when it returns, and using it with another graph is refused.
+    drops it when it returns, and using it with another graph, or with a
+    tree of another graph, is refused.
     """
 
     def __init__(self, graph: UndirectedGraph, tree: Optional[DfsTree]):
@@ -551,7 +542,7 @@ def reduction_step(
 
 
 def freeze_rounds(
-    inst: WbdInstance, tree: Optional[DfsTree], mu_of: Callable[[int], int], mark_all: bool
+    inst: WbdInstance, order: List[int], mu_of: Callable[[int], int], mark_all: bool
 ) -> Tuple[WbdInstance, List[Reduction]]:
     """The freeze loop shared by the solver and the kernel's phase one.
 
@@ -566,17 +557,16 @@ def freeze_rounds(
     id order, and marks the whole pool; it never branches, and marking
     only mu(k) edges would leave some of its yes-instances undecided.
 
-    Freezing leaves the graph as it is, so the rounds share one
-    ``RoundCache`` of it, made here from ``tree``, the DFS tree that
-    normalizing the instance built (``normalized``), and dropped on
-    return; a branch child has its own graph and cache.  The instance
-    must be normalized.  Freezing only takes an edge out of the pool, so
-    the heavy order is sorted once, when the loop runs at all, and each
-    frozen edge is dropped from it.
+    The instance must be normalized; ``order`` is its ``heavy_order``.
+    Freezing only takes an edge out of the pool, so each frozen edge is
+    dropped from ``order``, which on return is the heavy order of the
+    returned instance.  Freezing leaves the graph as it is, so the rounds
+    share one ``RoundCache`` of it, made here from the instance's DFS
+    tree and dropped on return; a branch child has its own graph and
+    cache.
     """
-    cache = RoundCache(inst.graph, tree)
+    cache = RoundCache(inst.graph, inst.tree)
     steps: List[Reduction] = []
-    order = heavy_order(inst) if len(inst.potential_edges()) > mu_of(inst.k) else []
     while len(order) > mu_of(inst.k):
         # Even the k heaviest potential edges miss w*: no.  (The
         # enumerator's level cut makes the same test first.)
@@ -603,8 +593,8 @@ def solve(
     validate_instance(inst)
     if stats is None:
         stats = SolveStats()
-    inst, tree = normalized(inst)
-    edges = _solve(inst, tree, mu_of, stats, depth=0)
+    inst = normalize(inst)
+    edges = _solve(inst, mu_of, stats, depth=0)
     if edges is None:
         return None
     sol = Solution(tuple(sorted(edges)), inst.weight_of(edges))
@@ -614,16 +604,13 @@ def solve(
 
 
 def _solve(
-    inst: WbdInstance,
-    tree: Optional[DfsTree],
-    mu_of: Callable[[int], int],
-    stats: SolveStats,
-    depth: int,
+    inst: WbdInstance, mu_of: Callable[[int], int], stats: SolveStats, depth: int
 ) -> Optional[Tuple[int, ...]]:
-    """Decide one normalized node, ``tree`` the DFS tree its
-    normalization built: run ``freeze_rounds`` on the mu(k) heaviest
-    edges, then enumerate the pool it leaves, unless its last step answers
-    no, gives greedy's picks as a yes, or makes the node branch."""
+    """Decide one normalized node: run ``freeze_rounds`` on the mu(k)
+    heaviest edges, then enumerate the pool it leaves, unless its last
+    step answers no, gives greedy's picks as a yes, or makes the node
+    branch.  The node's pool is sorted once, by ``heavy_order``, and the
+    loop, the branch and the enumerator all read that order."""
     stats.nodes += 1
     stats.max_depth = max(stats.max_depth, depth)
     if inst.reaches(()):
@@ -631,7 +618,8 @@ def _solve(
     if inst.k == 0:
         return None
 
-    inst, steps = freeze_rounds(inst, tree, mu_of, mark_all=False)
+    order = heavy_order(inst)
+    inst, steps = freeze_rounds(inst, order, mu_of, mark_all=False)
     frozen = [s.edge for s in steps if s.kind == "freeze"]
     stats.irrelevant_edges += frozen
     stats.max_irrelevant_per_node = max(stats.max_irrelevant_per_node, len(frozen))
@@ -645,19 +633,24 @@ def _solve(
         # Every prefix of greedy's picks keeps the graph biconnected.
         return steps[-1].picks
     if kind in ("full", "distinct"):
-        return _branch(inst, mu_of, stats, depth)
+        return _branch(inst, order, mu_of, stats, depth)
     if kind == "stuck":
         stats.fallbacks += 1
     else:
         stats.enumerations += 1
-    sol = _enumerate_best(inst, stats)
+    sol = _enumerate_best(inst, order, stats)
     return sol.edges if sol else None
 
 
 def _branch(
-    inst: WbdInstance, mu_of: Callable[[int], int], stats: SolveStats, depth: int
+    inst: WbdInstance,
+    order: List[int],
+    mu_of: Callable[[int], int],
+    stats: SolveStats,
+    depth: int,
 ) -> Optional[Tuple[int, ...]]:
-    """Branch over the heavy edges; a solution, if any exists, intersects
+    """Branch over the heavy edges, the first mu(k) of ``order``, the
+    instance's ``heavy_order``; a solution, if any exists, intersects
     them.  The instance is normalized, so deleting any one of them keeps
     the graph biconnected.
 
@@ -665,13 +658,12 @@ def _branch(
     (normalizing it only freezes more), so when the deleted weights, e's
     and the k - 1 heaviest of those miss w*, the child is a no.  That
     bound is the same for the k heaviest candidates and never rises after
-    them along ``heavy_order`` (``fsum`` rounds monotonically), so the
-    first child that fails it is the last one tried.  That child, and a
-    leaf child (k = 0, or w* reached), is decided without copying the
-    graph; any other child is normalized, keeping its own DFS tree, and
+    them along ``order`` (``fsum`` rounds monotonically), so the first
+    child that fails it is the last one tried.  That child, and a leaf
+    child (k = 0, or w* reached), is decided without copying the graph;
+    any other child is normalized, which gives it its own DFS tree, and
     solved.
     """
-    order = heavy_order(inst)
     candidates = order[: mu_of(inst.k)]
     stats.max_branch_factor = max(stats.max_branch_factor, len(candidates))
     for e in candidates:
@@ -681,8 +673,7 @@ def _branch(
             stats.nodes += 1
             stats.max_depth = max(stats.max_depth, depth + 1)
             return (e,) if reached else None
-        child, tree = normalized(inst.child_after_deleting(e))
-        sub = _solve(child, tree, mu_of, stats, depth + 1)
+        sub = _solve(normalize(inst.child_after_deleting(e)), mu_of, stats, depth + 1)
         if sub is not None:
             return sub + (e,)
     return None

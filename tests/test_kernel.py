@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conndel.errors import BudgetExceededError, InvalidInputError
+from conndel.errors import BudgetExceededError, InternalInconsistencyError, InvalidInputError
+from conndel import kernel as kernel_module
 from conndel.families import (
     distinct_partner_instance,
     random_biconnected_graph,
@@ -546,6 +547,21 @@ def chord_first(hub):
 
 
 class TestKernelize:
+    def test_broken_torso_is_an_internal_inconsistency(self, monkeypatch):
+        # A torso that is not biconnected is the kernel's fault, not the
+        # input's: it must not reach normalize, which would refuse it as bad
+        # input (exit 2) instead of an internal inconsistency (exit 4).
+        path = UndirectedGraph.from_edges(range(4), [(0, 1), (1, 2), (2, 3)])
+        monkeypatch.setattr(kernel_module, "cut_covering_set", lambda aux, cap: frozenset())
+        monkeypatch.setattr(kernel_module, "rule_one", lambda inst, y: None)
+        monkeypatch.setattr(
+            kernel_module,
+            "rule_two_torso",
+            lambda inst, y: unit_instance(path, inst.k, frozenset()),
+        )
+        with pytest.raises(InternalInconsistencyError, match="torso lost biconnectivity"):
+            kernelize(complete(4), 2, provider="exhaustive")
+
     def test_phase1_detects_greedy_yes(self, outcomes):
         g = complete(4)
         res = kernelize(g, 2, mu_of=lambda k: 2)

@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 from decimal import Decimal
 
 import pytest
@@ -29,7 +30,6 @@ from conndel.solver import (
     irrelevant_edge,
     mu,
     normalize,
-    normalized,
     reduction_step,
     solution_from_distinct_partners,
     solve,
@@ -57,7 +57,8 @@ def unit(g, k, wstar):
 
 def enumerate_small(inst, stats=None):
     """The enumeration base case on the normalized instance."""
-    return solver_module._enumerate_best(normalize(inst), stats or SolveStats())
+    inst = normalize(inst)
+    return solver_module._enumerate_best(inst, heavy_order(inst), stats or SolveStats())
 
 
 def ladder(m):
@@ -132,6 +133,16 @@ class TestNormalize:
         g = UndirectedGraph.from_edges(range(3), [(0, 1), (1, 2)])
         with pytest.raises(InvalidInputError):
             normalize(unit(g, 1, 1))
+
+    def test_tree_lives_as_long_as_the_graph(self):
+        # Freezing keeps the DFS tree normalize decided on; deleting an
+        # edge makes another graph and drops it.
+        inst = normalize(unit(complete(5), 2, 2))
+        assert inst.tree is not None and inst.tree.graph is inst.graph
+        assert inst.with_frozen(frozenset((0,))).tree is inst.tree
+        child = inst.child_after_deleting(0)
+        assert child.tree is None
+        assert normalize(child).tree.graph is child.graph
 
 
 class TestHeavy:
@@ -297,24 +308,24 @@ class TestEnumeratorAgainstNaive:
 
 class TestGreedy:
     def test_ladder_reaches_full_budget(self):
-        inst, tree = normalized(unit(ladder(6), 2, 2))
+        inst = normalize(unit(ladder(6), 2, 2))
         pool = heavy_order(inst)[:2]
-        run = greedy_deletion_set(inst, pool, RoundCache(inst.graph, tree))
+        run = greedy_deletion_set(inst, pool, RoundCache(inst.graph, inst.tree))
         assert len(run.picks) == 2
         assert is_biconnected_without(inst.graph, frozenset(run.picks))
 
     def test_wheel_stalls_after_the_chord(self):
         hub = shared_partner_instance(q=7, k=2)
-        inst, tree = normalized(hub.instance)
+        inst = normalize(hub.instance)
         pool = heavy_order(inst)[:9]
-        run = greedy_deletion_set(inst, pool, RoundCache(inst.graph, tree))
+        run = greedy_deletion_set(inst, pool, RoundCache(inst.graph, inst.tree))
         assert run.picks == (hub.chord,)
         assert run.counts[0] == len(hub.rim_edges)
 
     def test_frozen_graph_runs_zero_steps(self):
-        inst, tree = normalized(unit(cycle(5), 2, 1))
+        inst = normalize(unit(cycle(5), 2, 1))
         pool = heavy_order(inst)[: mu(inst.k)]
-        run = greedy_deletion_set(inst, pool, RoundCache(inst.graph, tree))
+        run = greedy_deletion_set(inst, pool, RoundCache(inst.graph, inst.tree))
         assert run.picks == ()
 
 
@@ -539,9 +550,9 @@ class TestSolve:
 
         def counting(i):
             calls.append(i)
-            return normalized(i)
+            return normalize(i)
 
-        monkeypatch.setattr(solver_module, "normalized", counting)
+        monkeypatch.setattr(solver_module, "normalize", counting)
         stats = SolveStats()
         assert solve(inst, lambda k: 6, stats) is None
         assert stats.max_branch_factor == 6
@@ -768,9 +779,9 @@ class TestRoundCache:
         flow path may be P1: the cache keeps only what the graph and
         greedy's picks decide."""
         g = random_biconnected_graph(rng, n, chords)
-        inst, tree = normalized(WbdInstance(g, k, float(k), {e: 1.0 for e in g.edges}))
+        inst = normalize(WbdInstance(g, k, float(k), {e: 1.0 for e in g.edges}))
         mu_of = lambda k: k + 1  # every marked edge makes a step rich
-        cache = RoundCache(inst.graph, tree)
+        cache = RoundCache(inst.graph, inst.tree)
         for _ in range(16):
             potential = inst.potential_edges()
             if not potential:
@@ -784,8 +795,8 @@ class TestRoundCache:
                 inst = inst.with_frozen(frozenset((shared.edge,)))
 
     def test_refuses_another_graph(self):
-        inst, tree = normalized(shared_partner_instance(7, k=2).instance)
-        cache = RoundCache(inst.graph, tree)
+        inst = normalize(shared_partner_instance(7, k=2).instance)
+        cache = RoundCache(inst.graph, inst.tree)
         twin = WbdInstance(
             inst.graph.without_edges(()), inst.k, inst.w_star, inst.weights, inst.frozen
         )
@@ -800,6 +811,14 @@ class TestRoundCache:
                 call()
         assert reduction_step(inst, mu_of, pool, cache).kind == "freeze"
 
+    def test_refuses_a_tree_of_another_graph(self):
+        inst = normalize(shared_partner_instance(7, k=2).instance)
+        twin = replace(inst, graph=inst.graph.without_edges(()))
+        assert twin.graph == inst.graph and twin.tree is inst.tree
+        with pytest.raises(InternalInconsistencyError, match="DFS tree of another graph"):
+            RoundCache(twin.graph, twin.tree)
+        with pytest.raises(InternalInconsistencyError, match="DFS tree of another graph"):
+            freeze_rounds(twin, heavy_order(twin), lambda k: 9, mark_all=False)
 
     def test_back_edge_pick_copies_nothing(self, monkeypatch):
         # The kernel's first round on the unit-weight subdivided
@@ -809,9 +828,9 @@ class TestRoundCache:
         # skips it, and the analysis runs on G itself: the round copies no
         # graph and runs no fresh DFS.
         g = shared_partner_instance(mu(2) + 8, k=2, subdivide=True).instance.graph
-        inst, tree = normalized(kernel_module.unit_instance(g, 2, frozenset()))
+        inst = normalize(kernel_module.unit_instance(g, 2, frozenset()))
         pool = heavy_order(inst)
-        assert pool[0] == 0 and 0 not in tree.tree_edge
+        assert pool[0] == 0 and 0 not in inst.tree.tree_edge
         calls = []
 
         def counted(name, fn):
@@ -826,7 +845,7 @@ class TestRoundCache:
         )
         for name in ("critical_set", "critical_tree"):
             monkeypatch.setattr(solver_module, name, counted(name, getattr(solver_module, name)))
-        step = reduction_step(inst, mu, pool, RoundCache(inst.graph, tree))
+        step = reduction_step(inst, mu, pool, RoundCache(inst.graph, inst.tree))
         assert step.kind == "freeze" and step.analysis.graph is inst.graph
         assert calls == []
         assert reduction_summary(step) == reduction_summary(
@@ -836,18 +855,52 @@ class TestRoundCache:
 
 
 class TestFreezeRounds:
+    @pytest.mark.parametrize("case", ["freezes", "branches", "enumerates"])
+    def test_heavy_order_once_per_node(self, monkeypatch, case):
+        # Each node that gets past the w*- and k-exits sorts its pool once;
+        # the freeze loop's rounds, the branch and the enumerator share it.
+        if case == "freezes":
+            inst, mu_of = shared_partner_instance(mu(2) + 8, k=2).instance, mu
+        elif case == "branches":
+            inst, mu_of = greedy_miss_instance()
+        else:
+            inst, mu_of = unit(complete(5), 2, 2), mu
+        sorts, loops = [], []
+        original_sort, original_loop = solver_module.heavy_order, solver_module.freeze_rounds
+
+        def sorting(i):
+            sorts.append(i)
+            return original_sort(i)
+
+        def looping(i, order, mu_of, mark_all):
+            after, steps = original_loop(i, order, mu_of, mark_all)
+            loops.append(steps)
+            return after, steps
+
+        monkeypatch.setattr(solver_module, "heavy_order", sorting)
+        monkeypatch.setattr(solver_module, "freeze_rounds", looping)
+        stats = SolveStats()
+        assert solve(inst, mu_of, stats) is not None
+        assert len(sorts) == len(loops) >= 1
+        if case == "freezes":
+            assert len(loops[0]) >= 2 and stats.irrelevant_edges
+        elif case == "branches":
+            assert stats.max_depth >= 1 and len(loops) >= 2
+        else:
+            assert stats.enumerations == 1 and loops == [[]]
+
     def test_tight_no_stops_before_any_step(self, monkeypatch):
         # Chord 10 and rim 5 on a pool above mu(2): the two heaviest sum
         # to 15, so w* = 15.5 is a no that needs no reduction step.
         hub = shared_partner_instance(mu(2) + 1, k=2, w_star=15.5)
-        inst, tree = normalized(hub.instance)
+        inst = normalize(hub.instance)
         assert len(inst.potential_edges()) > mu(2)
 
         def refuse(*args, **kwargs):
             raise AssertionError("reduction_step called on a tight no")
 
         monkeypatch.setattr(solver_module, "reduction_step", refuse)
-        after, steps = freeze_rounds(inst, tree, mu, mark_all=False)
+        after, steps = freeze_rounds(inst, heavy_order(inst), mu, mark_all=False)
         assert after is inst and [s.kind for s in steps] == ["no"]
         stats = SolveStats()
         assert solve(hub.instance, stats=stats) is None
