@@ -25,8 +25,9 @@ graphs:
   the thresholds mu, 5 and 2k + 5: ``solve`` at four targets, with the
   default rim weights and with varied ones, and ``kernelize``.
 
-Run: ``python scripts/output_digest.py [--dump lines.txt]``; it takes
-about 6 s on a 2-core x86-64 host.
+Run: ``python scripts/output_digest.py [--dump lines.txt] [--expect HEX]``;
+it takes about 6 s on a 2-core x86-64 host.  With ``--expect`` it exits 1
+when the digest differs from HEX.
 """
 
 import argparse
@@ -250,6 +251,7 @@ def all_lines() -> Iterator[str]:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--dump", default=None, help="also write the result lines here")
+    ap.add_argument("--expect", default=None, help="exit 1 unless the sha256 is this hex digest")
     args = ap.parse_args()
     digest = hashlib.sha256()
     lines: List[str] = []
@@ -259,6 +261,9 @@ def main() -> int:
     if args.dump:
         Path(args.dump).write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"{len(lines)} results, sha256 {digest.hexdigest()}")
+    if args.expect is not None and digest.hexdigest() != args.expect.lower():
+        print(f"mismatch: expected sha256 {args.expect}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -14,6 +14,12 @@ deletable edges' endpoints gives Y, the vertices worth keeping, and rule
 one and the torso contract the graph onto Y from one pass over the
 components C of G - Y and their attachment sets N(C) in Y.
 
+Many inputs are decided by those rules alone, so ``kernelize`` does each
+whole-instance pass once per instance state: one ``normalize``, one pool
+list, which the rules read by its length and phase one takes as its
+heavy order (with unit weights, id order), and no rebuild of a decided
+answer, whose constant instance stands on a graph built at import.
+
 The cut-covering set construction is pluggable, and ``_phase_two`` is
 the one place that reads the provider.  Under ``trivial`` Y is every
 vertex, so past those rules phase two is the identity and returns before
@@ -35,7 +41,6 @@ from .graphs import Digraph, UndirectedGraph, is_biconnected, reachable
 from .solver import (
     WbdInstance,
     freeze_rounds,
-    heavy_order,
     mu,
     normalize,
     solution_from_distinct_partners,
@@ -47,22 +52,31 @@ DEFAULT_MAX_TERMINALS = 5
 
 
 def unit_instance(graph: UndirectedGraph, k: int, frozen: FrozenSet[int]) -> WbdInstance:
-    """Unweighted instance: unit weight on deletable edges, target k."""
-    weights = {e: (0.0 if e in frozen else 1.0) for e in graph.edges}
+    """Unweighted instance: unit weight on deletable edges, 0 on frozen
+    ones, target k."""
+    weights = dict.fromkeys(graph.edges, 1.0)
+    weights.update(dict.fromkeys(weights.keys() & frozen, 0.0))
     return WbdInstance(graph, k, float(k), weights, frozen)
+
+
+# The constant answers' graphs, built once: an ``UndirectedGraph`` is
+# immutable, so every constant instance may share one.
+_K4 = UndirectedGraph.from_edges(range(4), itertools.combinations(range(4), 2))
+_C4 = UndirectedGraph.from_edges(range(4), [(i, (i + 1) % 4) for i in range(4)])
 
 
 def constant_yes_instance() -> WbdInstance:
     """K4 with k=0 and everything frozen: the empty set is a valid solution
-    and no potential solution edges remain."""
-    g = UndirectedGraph.from_edges(range(4), itertools.combinations(range(4), 2))
-    return unit_instance(g, 0, frozenset(g.edges))
+    and no potential solution edges remain.  The graph is shared; the
+    instance and its weight map are new on every call."""
+    return unit_instance(_K4, 0, frozenset(_K4.edges))
 
 
 def constant_no_instance(k: int) -> WbdInstance:
-    """A cycle with every edge frozen: nothing is deletable, k >= 1 fails."""
-    g = UndirectedGraph.from_edges(range(4), [(i, (i + 1) % 4) for i in range(4)])
-    return unit_instance(g, k, frozenset(g.edges))
+    """A 4-cycle with every edge frozen: nothing is deletable, k >= 1
+    fails.  The graph is shared; the instance and its weight map are new
+    on every call."""
+    return unit_instance(_C4, k, frozenset(_C4.edges))
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +299,14 @@ def kernelize(
 
     Detected yes-instances are replaced by a constant yes-instance and
     decided no-instances by a constant no-instance, with the result's
-    answer field set to "yes" or "no"; otherwise it is None.  The result
-    is built by ``unit_instance``, so its frozen edges weigh 0.
+    answer field set to "yes" or "no"; otherwise it is None.  Either way
+    the result is a unit instance, whose frozen edges weigh 0.
+
+    The input is normalized once and its pool listed once: the budget
+    rules read the list's length and phase one takes the list as its
+    heavy order.  A decided answer is its constant instance as is, with
+    an empty pool; only an undecided result, whose newly frozen edges
+    still weigh 1, is rebuilt by ``unit_instance``.
     """
     if provider not in PROVIDERS:
         raise InvalidInputError(f"unknown cut-covering provider '{provider}'")
@@ -295,35 +315,42 @@ def kernelize(
     inst = unit_instance(graph, k, frozen)
     validate_instance(inst)
     inst = normalize(inst)
+    pool = inst.potential_edges()
     stats: Dict[str, object] = {
         "provider": provider,
-        "f_before": len(inst.potential_edges()),
+        "f_before": len(pool),
         "v_before": inst.graph.n,
         "irrelevant_frozen": 0,
         "rule_one_fired": 0,
         "phase1_rounds": 0,
     }
 
-    inst, answer = _budget_rules(inst) or _phase_one(inst, mu_of, stats)
+    inst, answer = _budget_rules(inst.k, len(pool)) or _phase_one(inst, pool, mu_of, stats)
     if answer is None:
-        inst, answer = _phase_two(inst, provider, max_terminals, stats)
-    stats["f_after"] = len(inst.potential_edges())
+        inst, answer = _phase_two(inst, pool, provider, max_terminals, stats)
+    if answer is None:
+        inst = unit_instance(inst.graph, inst.k, inst.frozen)
+        stats["f_after"] = len(inst.potential_edges())
+    else:
+        stats["f_after"] = 0
     stats["v_after"] = inst.graph.n
-    return KernelResult(unit_instance(inst.graph, inst.k, inst.frozen), answer, stats)
+    return KernelResult(inst, answer, stats)
 
 
-def _budget_rules(inst: WbdInstance) -> Optional[Tuple[WbdInstance, str]]:
+def _budget_rules(k: int, pool_size: int) -> Optional[Tuple[WbdInstance, str]]:
     """Decide what needs no work: k = 0 is a yes, fewer than k deletable
     edges a no, and k = 1 with a deletable edge a yes.  Applied before
-    phase one and on every pass of phase two, whose rule one lowers k."""
-    if inst.k == 0:
+    phase one and on every pass of phase two, whose rule one lowers k.
+    Reads only the budget and the pool's size, which the caller has
+    already listed, so a decided call makes no pass of its own."""
+    if k == 0:
         # Budget exhausted: the empty set meets w* = 0.
         return constant_yes_instance(), "yes"
-    if len(inst.potential_edges()) < inst.k:
+    if pool_size < k:
         # Unit weights: fewer than k deletable edges cannot meet w* = k,
         # so any constant no-instance is equivalent.
-        return constant_no_instance(inst.k), "no"
-    if inst.k == 1:
+        return constant_no_instance(k), "no"
+    if k == 1:
         # The instance is normalized, so any one deletable edge is
         # non-critical and deleting it alone is a solution.
         return constant_yes_instance(), "yes"
@@ -331,12 +358,19 @@ def _budget_rules(inst: WbdInstance) -> Optional[Tuple[WbdInstance, str]]:
 
 
 def _phase_one(
-    inst: WbdInstance, mu_of: Callable[[int], int], stats: Dict[str, object]
+    inst: WbdInstance, pool: List[int], mu_of: Callable[[int], int], stats: Dict[str, object]
 ) -> Tuple[WbdInstance, Optional[str]]:
     """Bound the potential solution edges with the solver's freeze loop,
     marking the whole pool: the instance it leaves and no answer, or a
-    constant instance and the loop's answer."""
-    inst, steps = freeze_rounds(inst, heavy_order(inst), mu_of, mark_all=True)
+    constant instance and the loop's answer.
+
+    ``pool`` is the normalized instance's ``potential_edges()``.  Under
+    unit weights every potential edge weighs 1, so its ``heavy_order``
+    (weight descending, ties by ascending id) is id order: the pool list
+    itself, which is passed to ``freeze_rounds`` as the order.  The loop
+    drops each frozen edge from it, so on return it is the pool of the
+    instance returned."""
+    inst, steps = freeze_rounds(inst, pool, mu_of, mark_all=True)
     stats["phase1_rounds"] = len(steps)
     stats["irrelevant_frozen"] = sum(s.kind == "freeze" for s in steps)
     kind = steps[-1].kind if steps else None
@@ -351,19 +385,22 @@ def _phase_one(
 
 def _phase_two(
     inst: WbdInstance,
+    pool: List[int],
     provider: str,
     max_terminals: int,
     stats: Dict[str, object],
 ) -> Tuple[WbdInstance, Optional[str]]:
+    """Contract onto Y, the vertices worth keeping, until the budget rules
+    decide or rule one no longer fires.  ``pool`` is the instance's
+    potential edges, listed again only when rule one makes a new one."""
     while True:
-        decided = _budget_rules(inst)
+        decided = _budget_rules(inst.k, len(pool))
         if decided is not None:
             return decided
         if provider == "trivial":
             # Y = V(G): rule one has no component of G - Y to use, and the
             # torso onto Y is G itself.
             return inst, None
-        pool = inst.potential_edges()
         aux = build_auxiliary_digraph(inst.graph, pool)
         z = cut_covering_set(aux, max_terminals)
         y_set = frozenset(z & inst.graph.vertices) | frozenset(
@@ -373,6 +410,7 @@ def _phase_two(
         if fired is not None:
             stats["rule_one_fired"] = int(stats["rule_one_fired"]) + 1
             inst = fired
+            pool = inst.potential_edges()
             continue
         reduced = rule_two_torso(inst, y_set)
         # Checked before normalizing, which refuses such a graph as bad input.

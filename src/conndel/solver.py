@@ -84,7 +84,10 @@ class WbdInstance:
     tree: Optional[DfsTree] = field(default=None, repr=False, compare=False)
 
     def potential_edges(self) -> List[int]:
-        return [e for e in sorted(self.graph.edges) if e not in self.frozen]
+        # A C-level set difference on the edge map's keys, not a filter
+        # over the read-only ``edges`` view: every solve and kernelize
+        # call lists its pool.
+        return sorted(self.graph._edges.keys() - self.frozen)
 
     def weight_of(self, edges) -> float:
         return math.fsum(self.weights.get(e, 0.0) for e in edges)
@@ -138,11 +141,16 @@ def validate_instance(inst: WbdInstance) -> None:
     negative weight (the solver's weight bounds assume non-negative ones).
 
     Checked once at the public entries; derived instances inherit validity.
+    Two C-level scans accept a valid map; only a refused one is walked
+    edge by edge, to name its first offender.
     """
     if inst.k < 0:
         raise InvalidInputError(f"k must be non-negative, got {inst.k}")
     if not math.isfinite(inst.w_star):
         raise InvalidInputError(f"w* must be finite, got {inst.w_star}")
+    ws = inst.weights.values()
+    if all(map(math.isfinite, ws)) and min(ws, default=0.0) >= 0:
+        return
     for eid, w in inst.weights.items():
         if not math.isfinite(w):
             raise InvalidInputError(f"edge {eid} has non-finite weight {w}")

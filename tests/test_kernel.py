@@ -26,7 +26,7 @@ from conndel.kernel import (
     unit_instance,
 )
 from conndel.oracles import OracleBudget, oracle_wbd
-from conndel.solver import mu, normalize
+from conndel.solver import WbdInstance, heavy_order, mu, normalize
 
 from . import naive
 from .catalog import edge_colored_canonical_form
@@ -678,3 +678,78 @@ class TestKernelize:
             assert res.answer in (None, want)
             if terminals <= 10:
                 assert res.answer is not None
+
+
+class TestOnePassPerState:
+    """``kernelize`` lists each instance state's pool once and builds no
+    graph for a constant answer."""
+
+    @staticmethod
+    def counted(monkeypatch):
+        calls = {"pool": 0, "from_edges": 0}
+        pool = WbdInstance.potential_edges
+        build = UndirectedGraph.from_edges
+
+        def counting_pool(self):
+            calls["pool"] += 1
+            return pool(self)
+
+        def counting_build(cls, *args, **kwargs):
+            calls["from_edges"] += 1
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(WbdInstance, "potential_edges", counting_pool)
+        monkeypatch.setattr(UndirectedGraph, "from_edges", classmethod(counting_build))
+        return calls
+
+    def test_k1_input_lists_the_pool_once_and_builds_no_graph(self, monkeypatch):
+        g = random_biconnected_graph(random.Random(23), 26, 40)
+        calls = self.counted(monkeypatch)
+        res = kernelize(g, 1)
+        assert res.answer == "yes" and res.instance == constant_yes_instance()
+        assert calls == {"pool": 1, "from_edges": 0}
+
+    def test_bench_hub_makes_at_most_two_pool_passes(self, monkeypatch):
+        g = shared_partner_instance(347, k=2, subdivide=True).instance.graph
+        calls = self.counted(monkeypatch)
+        res = kernelize(g, 2, provider="trivial")
+        assert res.answer is None and res.stats["phase1_rounds"] == 3
+        assert calls["pool"] <= 2
+
+    def test_constants_share_no_mutable_state(self):
+        first = kernelize(complete(4), 1)
+        assert first.answer == "yes"
+        first.instance.weights[0] = 7.0
+        first.instance.weights[99] = 1.0
+        second = kernelize(complete(5), 1)
+        assert second.answer == "yes" and second.instance == constant_yes_instance()
+        assert second.instance.weights is not first.instance.weights
+        no = constant_no_instance(2)
+        no.weights.clear()
+        assert constant_no_instance(2).weights == {e: 0.0 for e in range(4)}
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_constant_no_instance_carries_its_budget(self, k):
+        no = constant_no_instance(k)
+        assert no.k == k and no.w_star == float(k)
+
+    def test_constant_frozen_edges_weigh_zero(self):
+        for const in [constant_yes_instance()] + [constant_no_instance(k) for k in (1, 2, 3, 4)]:
+            assert const.frozen == frozenset(const.graph.edges)
+            assert all(const.weights[e] == 0.0 for e in const.frozen)
+            assert const.potential_edges() == []
+
+    def test_pool_is_the_unit_heavy_order(self):
+        # Phase one passes the pool list as its heavy order: with unit
+        # weights every potential edge weighs 1, so the two agree.
+        rng = random.Random(17)
+        graphs = [random_biconnected_graph(rng, rng.randint(4, 20), rng.randint(0, 12))
+                  for _ in range(30)]
+        for family in (shared_partner_instance, distinct_partner_instance):
+            for subdivide in (False, True):
+                graphs.append(family(q=9, k=2, subdivide=subdivide).instance.graph)
+        for g in graphs:
+            ids = sorted(g.edges)
+            for frozen in (frozenset(), frozenset(rng.sample(ids, len(ids) // 3))):
+                inst = normalize(unit_instance(g, 2, frozen))
+                assert heavy_order(inst) == inst.potential_edges()

@@ -33,6 +33,7 @@ from conndel.solver import (
     reduction_step,
     solution_from_distinct_partners,
     solve,
+    validate_instance,
     verify_solution,
 )
 
@@ -104,6 +105,27 @@ class TestBoundaryValidation:
                 oracle_wbd(inst)
         with pytest.raises(InvalidInputError):
             kernelize(g, -1)
+
+    @pytest.mark.parametrize(
+        "weights, message",
+        [
+            # The first offender in the map's order is named, whichever
+            # of the two checks it fails.
+            ({0: 1.0, 1: float("nan"), 2: -1.0}, "edge 1 has non-finite weight nan"),
+            ({0: 1.0, 1: -1.0, 2: float("inf")}, "edge 1 has negative weight -1.0"),
+            ({0: float("-inf"), 1: 1.0}, "edge 0 has non-finite weight -inf"),
+        ],
+    )
+    def test_refusal_names_the_first_offending_edge(self, weights, message):
+        inst = WbdInstance(complete(4), 1, 1.0, weights, frozenset())
+        with pytest.raises(InvalidInputError) as err:
+            validate_instance(inst)
+        assert str(err.value) == message
+
+    def test_negative_zero_and_empty_weights_are_accepted(self):
+        g = complete(4)
+        validate_instance(WbdInstance(g, 1, 1.0, {0: -0.0, 1: 1.0}, frozenset()))
+        validate_instance(WbdInstance(g, 1, 1.0, {}, frozenset()))
 
 
 class TestNormalize:
