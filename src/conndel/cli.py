@@ -34,7 +34,7 @@ from .formats import (
 )
 from .graphs import UndirectedGraph, contract_sequence, is_biconnected, is_strongly_connected
 from .hardness import gen_pc_psc, gen_vd_psc
-from .kernel import DEFAULT_MAX_TERMINALS, kernelize
+from .kernel import DEFAULT_MAX_TERMINALS, PROVIDERS, kernelize
 from .oracles import (
     OracleBudget,
     oracle_is,
@@ -346,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kernelize", help="shrink an unweighted instance")
     p.add_argument("path")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--provider", choices=("trivial", "exhaustive"), default="trivial")
+    p.add_argument("--provider", choices=PROVIDERS, default="trivial")
     p.add_argument(
         "--max-terminals",
         type=int,

@@ -12,12 +12,8 @@ biconnected).
 Deleting a non-critical pivot edge e = (x, y) can make other edges newly
 critical; each such edge on one path of a value-2 x-y flow pairs with
 "partner" vertices on the other path to form mixed cuts.  The machinery
-here computes that structure and locates clean stretches, which the
-solver mines for irrelevant edges.  Partner sets come from one DFS of
-G' - pivot less the first path's edges: its lowpoints give the components
-that each interior vertex of the second path cuts off, and the span of
-each component along the first path decides that path's edges, with no
-component pass per vertex and no path query per (edge, vertex) pair.
+here computes that structure (partner sets from one DFS, ``partner_set``)
+and locates clean stretches, which the solver mines for irrelevant edges.
 """
 
 from __future__ import annotations
@@ -534,10 +530,8 @@ def partner_set(
 class PartnerMemo:
     """Partner tuples per analysed edge, and the component per
     consecutive shared-partner pair of edges, for one G', pivot and
-    value-2 flow.  An edge lies on one of the flow's two paths, which is
-    then P1, so each entry is decided by the edge (or pair) alone, not by
-    which other edges are analysed: analyses that pick different edges on
-    the same flow can share one memo."""
+    value-2 flow, shared by the analyses on that flow (``RoundCache``
+    says why that is sound)."""
 
     partners: Dict[int, Tuple[int, ...]] = field(default_factory=dict)
     components: Dict[Tuple[int, ...], FrozenSet[int]] = field(default_factory=dict)
@@ -619,9 +613,8 @@ def build_partner_analysis(
     ``deleted_endpoints`` are the endpoint pairs of the edges removed from
     the original graph to form G'; a component touching one is affected.
     ``memo`` holds partner tuples and components found earlier on the
-    same G', pivot and flow, read from the round cache
-    (``RoundCache.partners``, one per prefix of greedy's picks); only what
-    it lacks is computed, and added to it.  The components are computed
+    same G', pivot and flow (``RoundCache`` keeps one per rich step); only
+    what it lacks is computed, and added to it.  The components are computed
     here only when ``deleted_endpoints`` is non-empty, as ``affected``
     needs them; otherwise when ``PartnerAnalysis.components`` is first read.
     """
@@ -669,8 +662,6 @@ def build_partner_analysis(
         memo=memo,
         k=k,
     )
-    # Only ``affected`` reads the components here; with nothing deleted
-    # none is affected, and they are computed when first read.
     endpoints = {v for pair in deleted_endpoints for v in pair}
     if not endpoints:
         return pa

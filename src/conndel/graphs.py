@@ -183,13 +183,12 @@ class UndirectedGraph:
 class Digraph:
     """Simple digraph (no loops, at most one arc per ordered pair)."""
 
-    __slots__ = ("_vertices", "_arcs", "_pair_to_id", "_out", "_in", "_next_arc_id", "_next_vertex_id", "_network")
+    __slots__ = ("_vertices", "_arcs", "_pair_to_id", "_out", "_in", "_next_vertex_id", "_network")
 
     def __init__(
         self,
         vertices: Iterable[int],
         arcs: Iterable[Tuple[int, int, int]] = (),
-        next_arc_id: Optional[int] = None,
         next_vertex_id: Optional[int] = None,
     ):
         """Build from vertex ids and (arc_id, tail, head) triples."""
@@ -215,11 +214,8 @@ class Digraph:
             lst.sort()
         for lst in self._in.values():
             lst.sort()
-        if next_arc_id is None:
-            next_arc_id = max(self._arcs, default=-1) + 1
         if next_vertex_id is None:
             next_vertex_id = max(self._vertices, default=-1) + 1
-        self._next_arc_id = next_arc_id
         self._next_vertex_id = next_vertex_id
         self._network: Optional[FlowNetwork] = None
 
@@ -272,7 +268,6 @@ class Digraph:
                 for aid, (t, h) in self._arcs.items()
                 if t not in gone and h not in gone
             ],
-            next_arc_id=self._next_arc_id,
             next_vertex_id=self._next_vertex_id,
         )
 

@@ -1,7 +1,7 @@
 """Kernelization for unweighted biconnectivity deletion.
 
 Phase 1 bounds the number of potential solution edges with the solver's
-freeze loop (unit weights, the whole pool marked): a full greedy run or
+freeze loop on unit weights (``freeze_rounds``): a full greedy run or
 many distinct partner sets certifies a yes-instance, a clean stretch
 yields an irrelevant edge to freeze.  Before phase one, and on every
 pass of phase two, three rules decide what needs no work: k = 0 is a
@@ -13,12 +13,6 @@ deletion-set feasibility to linkage questions (flows in its
 deletable edges' endpoints gives Y, the vertices worth keeping, and rule
 one and the torso contract the graph onto Y from one pass over the
 components C of G - Y and their attachment sets N(C) in Y.
-
-Many inputs are decided by those rules alone, so ``kernelize`` does each
-whole-instance pass once per instance state: one ``normalize``, one pool
-list, which the rules read by its length and phase one takes as its
-heavy order (with unit weights, id order), and no rebuild of a decided
-answer, whose constant instance stands on a graph built at import.
 
 The cut-covering set construction is pluggable, and ``_phase_two`` is
 the one place that reads the provider.  Under ``trivial`` Y is every
@@ -341,8 +335,7 @@ def _budget_rules(k: int, pool_size: int) -> Optional[Tuple[WbdInstance, str]]:
     """Decide what needs no work: k = 0 is a yes, fewer than k deletable
     edges a no, and k = 1 with a deletable edge a yes.  Applied before
     phase one and on every pass of phase two, whose rule one lowers k.
-    Reads only the budget and the pool's size, which the caller has
-    already listed, so a decided call makes no pass of its own."""
+    Reads only the budget and the pool's size."""
     if k == 0:
         # Budget exhausted: the empty set meets w* = 0.
         return constant_yes_instance(), "yes"
@@ -360,9 +353,9 @@ def _budget_rules(k: int, pool_size: int) -> Optional[Tuple[WbdInstance, str]]:
 def _phase_one(
     inst: WbdInstance, pool: List[int], mu_of: Callable[[int], int], stats: Dict[str, object]
 ) -> Tuple[WbdInstance, Optional[str]]:
-    """Bound the potential solution edges with the solver's freeze loop,
-    marking the whole pool: the instance it leaves and no answer, or a
-    constant instance and the loop's answer.
+    """Bound the potential solution edges with the solver's freeze loop
+    (``mark_all``): the instance it leaves and no answer, or a constant
+    instance and the loop's answer.
 
     ``pool`` is the normalized instance's ``potential_edges()``.  Under
     unit weights every potential edge weighs 1, so its ``heavy_order``

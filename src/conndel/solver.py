@@ -63,9 +63,9 @@ class WbdInstance:
     potential solution edges, the only ones whose weights are read.  A
     normalized instance additionally has every currently-critical edge
     frozen, and ``tree`` holds the DFS tree of ``graph`` that ``normalize``
-    decided them on (None when every edge is critical), from which the
-    freeze loop's ``RoundCache`` derives residual critical sets.  Freezing
-    keeps it, since the graph is unchanged; deleting an edge drops it.
+    decided them on (None when every edge is critical; ``RoundCache`` says
+    how the freeze loop uses it).  Freezing keeps it, since the graph is
+    unchanged; deleting an edge drops it.
     Derived instances share ``weights``.  A branch child keeps the root's
     ``w_star`` and records the weights already deleted on the way to it
     in ``deleted``.
@@ -166,9 +166,8 @@ def normalize(inst: WbdInstance) -> WbdInstance:
     idempotent.  Rejects non-biconnected graphs.
     """
     crit, tree = critical_tree(inst.graph)
-    # critical_set marks every edge of a graph that is not biconnected, so
-    # only a fully critical graph needs the biconnectivity check.
-    if len(crit) == inst.graph.m and not is_biconnected(inst.graph):
+    # No tree means n < 3 or not biconnected; only n = 2 with one edge passes.
+    if tree is None and not is_biconnected(inst.graph):
         raise InvalidInputError("instance graph is not biconnected")
     return replace(inst, frozen=inst.frozen | crit, tree=tree)
 
@@ -291,28 +290,32 @@ class RoundCache:
     cache holds results that are pure functions of G and of greedy's
     picks, never of the pool, each keyed by a prefix of the picks:
 
-    * ``critical(prefix)``: the ``critical_set`` of G - prefix, with the
-      DFS tree it was decided on.  A prefix's set is derived from the
-      tree of the prefix before it when its last pick is a back edge of
-      that tree (``DfsTree.without``), starting from ``tree``, G's own
-      (``WbdInstance.tree``); a tree-edge pick (or no tree) costs a
-      fresh DFS of a copy of G - prefix, whose tree later picks derive
-      from;
-    * ``residual(prefix)``: the graph G - prefix, a copy, made only for
-      such a fresh DFS and for the partner analysis's G' when the rich
-      step is not greedy's first pick;
-    * ``flow(prefix)``: the value-2 flow between the endpoints of the
-      prefix's last edge, the pivot, in G minus the prefix, run on G
-      with the prefix's edges skipped;
-    * ``partners(prefix)``: the ``PartnerMemo`` of that pivot and flow.
-      Which path is P1 depends on the pool, but needs no key of its own:
-      the memo is keyed by edge, and an edge lies on one path only.
+    * the ``critical_set`` of G - prefix, with the DFS tree it was decided
+      on.  A prefix's set is derived from the tree of the prefix before it
+      when its last pick is a back edge of that tree (``DfsTree.without``),
+      starting from ``tree``, G's own (``WbdInstance.tree``); a tree-edge
+      pick (or no tree) costs a fresh DFS of a copy of G - prefix, whose
+      tree later picks derive from;
+    * the graph G - prefix, a copy, made only for such a fresh DFS and for
+      the partner analysis's G' when the rich step is not greedy's first
+      pick;
+    * for a rich step, the prefix ending in its pivot: the value-2 flow
+      between the pivot's endpoints in G minus the prefix, run on G with
+      the prefix's edges skipped, and the ``PartnerMemo`` of that pivot
+      and flow.  Which path is P1 depends on the pool, but needs no key of
+      its own: the memo is keyed by edge, and an edge lies on one path
+      only, so analyses of different edges on one flow share the memo.
 
-    A lookup returns exactly what recomputing it would, so a round that
-    uses the cache finds the same reduction as one that does not.  A cache
-    belongs to one graph object: ``freeze_rounds`` makes one per graph and
-    drops it when it returns, and using it with another graph, or with a
-    tree of another graph, is refused.
+    What depends on the pool is recomputed on every call: greedy's
+    ``newly``, the rich step, which flow path is P1, the analysed edges and the analysis
+    built from them, with the flow's checks and the refusal of an empty
+    partner set.  So a lookup returns exactly what recomputing it would,
+    and a round that uses the cache finds the same reduction as one that
+    does not.  A cache belongs to one graph object: ``freeze_rounds`` makes
+    one per graph from the instance's DFS tree and drops it when it
+    returns (a branch child has its own graph, hence its own cache), and
+    using it with another graph, or with a tree of another graph, is
+    refused.
     """
 
     def __init__(self, graph: UndirectedGraph, tree: Optional[DfsTree]):
@@ -322,10 +325,9 @@ class RoundCache:
         self._graphs: Dict[Tuple[int, ...], UndirectedGraph] = {(): graph}
         self._crit: Dict[Tuple[int, ...], FrozenSet[int]] = {}
         self._trees: Dict[Tuple[int, ...], Optional[DfsTree]] = {(): tree}
-        self._flows: Dict[Tuple[int, ...], FlowDecomposition] = {}
-        self._memos: Dict[Tuple[int, ...], PartnerMemo] = {}
+        self._rich: Dict[Tuple[int, ...], Tuple[FlowDecomposition, PartnerMemo]] = {}
 
-    def residual(self, prefix: Tuple[int, ...]) -> UndirectedGraph:
+    def _residual(self, prefix: Tuple[int, ...]) -> UndirectedGraph:
         g = self._graphs.get(prefix)
         if g is None:
             g = self._graphs[prefix] = self.graph.without_edges(prefix)
@@ -337,21 +339,26 @@ class RoundCache:
             tree = self._trees.get(prefix[:-1]) if prefix else None
             found = tree.without(prefix[-1]) if tree is not None else None
             if found is None:
-                found = critical_tree(self.residual(prefix))
+                found = critical_tree(self._residual(prefix))
             crit, self._trees[prefix] = found
             self._crit[prefix] = crit
         return crit
 
-    def flow(self, prefix: Tuple[int, ...]) -> FlowDecomposition:
-        found = self._flows.get(prefix)
+    def analysis(self, prefix: Tuple[int, ...], newly: FrozenSet[int], k: int) -> PartnerAnalysis:
+        """The partner analysis of the pivot ``prefix[-1]`` in
+        G' = G - ``prefix[:-1]``, on the ``newly`` edges (``find_rich_flow``
+        and ``build_partner_analysis`` say what they must be)."""
+        pivot = prefix[-1]
+        found = self._rich.get(prefix)
         if found is None:
-            x, y = self.graph.endpoints(prefix[-1])
-            found = max_flow_bounded(self.graph, x, y, cap=3, removed_edges=frozenset(prefix))
-            self._flows[prefix] = found
-        return found
-
-    def partners(self, prefix: Tuple[int, ...]) -> PartnerMemo:
-        return self._memos.setdefault(prefix, PartnerMemo())
+            x, y = self.graph.endpoints(pivot)
+            flow = max_flow_bounded(self.graph, x, y, cap=3, removed_edges=frozenset(prefix))
+            found = self._rich[prefix] = (flow, PartnerMemo())
+        flow, memo = found
+        gprime = self._residual(prefix[:-1])
+        p1, p2 = find_rich_flow(gprime, pivot, newly, flow)
+        deleted = [self.graph.endpoints(e) for e in prefix[:-1]]
+        return build_partner_analysis(gprime, pivot, p1, p2, newly, deleted, k, memo)
 
 
 @dataclass(frozen=True)
@@ -381,11 +388,8 @@ def greedy_deletion_set(inst: WbdInstance, pool: Sequence[int], cache: RoundCach
 
     Precondition: the instance is normalized, so no pool edge is critical
     in ``inst.graph``.  The residual critical set is then carried from step
-    to step, one per pick before the k-th.  The residual critical sets are
-    read from ``cache``, the ``RoundCache`` of ``inst.graph``, which
-    computes each prefix's once, from a DFS tree where it can: they
-    depend on the picks alone.  ``newly`` depends on the pool too, so it
-    is recomputed on every call.
+    to step, one per pick before the k-th, read from ``cache``, the
+    ``RoundCache`` of ``inst.graph``.
     """
     if cache.graph is not inst.graph:
         raise InternalInconsistencyError("round cache used with another graph")
@@ -414,8 +418,8 @@ def find_rich_flow(
 
     ``newly`` is ``newly_critical(gprime, pivot) & marked``, as computed
     by the caller; greedy records it per pick (``GreedyRun.newly``).
-    ``flow`` is ``max_flow_bounded(G' - pivot, x, y, cap=3)``, read from
-    the round cache (``RoundCache.flow``); it is checked on every call."""
+    ``flow`` is ``max_flow_bounded(G' - pivot, x, y, cap=3)``, kept by
+    ``RoundCache``; it is checked on every call."""
     x, y = gprime.endpoints(pivot)
     if flow.value != 2:
         raise InternalInconsistencyError(
@@ -508,17 +512,10 @@ def reduction_step(
     edges go, so the counts ``GreedyRun.counts`` sum to |pool| - j, and one
     is at least (|pool| - j) / j > (mu(k) - k) / k.  So a stalled run with
     no rich step raises under the premise and is ``"stuck"`` otherwise.
-    Under the real threshold the premise always holds: the solver marks
-    mu(k) edges, the kernel more.
+    Under the real threshold the pools of ``freeze_rounds`` meet it.
 
-    From ``cache``, the ``RoundCache`` of ``inst.graph``, come greedy's
-    residual critical sets, G' (``inst.graph`` itself when the rich step
-    is greedy's first pick), the value-2 flow in G' - pivot per (prefix,
-    pivot), and the partner tuples and components per (prefix, pivot,
-    edge).  What depends on the pool is recomputed every round: greedy's
-    ``newly``, the rich index, which flow path is P1, and the analysed
-    edges; so are the flow's checks and the refusal of an empty partner
-    set.
+    Greedy's critical sets and the analysis come from ``cache``, the
+    ``RoundCache`` of ``inst.graph``.
     """
     run = greedy_deletion_set(inst, pool, cache)
     if len(run.picks) == inst.k:
@@ -532,15 +529,7 @@ def reduction_step(
                 "greedy stalled without any step making enough marked edges critical"
             )
         return Reduction("stuck")
-    gprime = cache.residual(run.picks[:rich])
-    key = run.picks[: rich + 1]
-    pivot = run.picks[rich]
-    newly = run.newly[rich]
-    p1, p2 = find_rich_flow(gprime, pivot, newly, cache.flow(key))
-    deleted_pairs = [inst.graph.endpoints(e) for e in run.picks[:rich]]
-    pa = build_partner_analysis(
-        gprime, pivot, p1, p2, newly, deleted_pairs, inst.k, cache.partners(key)
-    )
+    pa = cache.analysis(run.picks[: rich + 1], run.newly[rich], inst.k)
     if pa.distinct_partner_sets > 3 * inst.k:
         return Reduction("distinct", analysis=pa)
     stretch = find_clean_stretch(pa)
@@ -568,10 +557,7 @@ def freeze_rounds(
     The instance must be normalized; ``order`` is its ``heavy_order``.
     Freezing only takes an edge out of the pool, so each frozen edge is
     dropped from ``order``, which on return is the heavy order of the
-    returned instance.  Freezing leaves the graph as it is, so the rounds
-    share one ``RoundCache`` of it, made here from the instance's DFS
-    tree and dropped on return; a branch child has its own graph and
-    cache.
+    returned instance.  The rounds share one ``RoundCache``.
     """
     cache = RoundCache(inst.graph, inst.tree)
     steps: List[Reduction] = []

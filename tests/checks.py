@@ -5,10 +5,10 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from conndel.criticality import PartnerAnalysis, build_partner_analysis
+from conndel.criticality import PartnerAnalysis
 from conndel.errors import InvalidInputError
 from conndel.graphs import Digraph, Path, UndirectedGraph
-from conndel.solver import RoundCache, find_rich_flow
+from conndel.solver import RoundCache
 
 
 def path_in_graph(g: UndirectedGraph, vertices: Iterable[int]) -> Path:
@@ -29,23 +29,16 @@ def analysis_after(
     k: int,
     marked: Optional[FrozenSet[int]] = None,
 ) -> PartnerAnalysis:
-    """The partner analysis of the last pick as ``reduction_step`` builds
-    it: G' = g - picks[:-1], the value-2 flow and the partner memo are read
-    from a ``RoundCache`` of g (with no DFS tree, so its critical sets are
-    fresh ones), and the analysed edges are the ``marked`` ones (default:
-    all) that deleting the pivot makes newly critical."""
+    """The partner analysis of the last pick, from ``RoundCache.analysis``
+    on a cache of g (with no DFS tree, so its critical sets are fresh
+    ones); the analysed edges are the ``marked`` ones (default: all) that
+    deleting the pivot makes newly critical."""
     picks = tuple(picks)
     cache = RoundCache(g, None)
-    gprime = cache.residual(picks[:-1])
-    pivot = picks[-1]
     newly = cache.critical(picks) - cache.critical(picks[:-1])
     if marked is not None:
         newly &= marked
-    p1, p2 = find_rich_flow(gprime, pivot, newly, cache.flow(picks))
-    deleted = [g.endpoints(e) for e in picks[:-1]]
-    return build_partner_analysis(
-        gprime, pivot, p1, p2, newly, deleted, k, cache.partners(picks)
-    )
+    return cache.analysis(picks, newly, k)
 
 
 def out_neighbors(d: Digraph, v: int) -> List[int]:

@@ -733,6 +733,14 @@ class TestCleanStretch:
         pa, _ = analyzed_staircase()
         assert find_clean_stretch(pa) is None
 
+    def test_stretch_avoids_affected_components(self):
+        # An affected component splits the uniform wheel's run: the
+        # stretch starts after it.
+        hub = shared_partner_instance(20, k=1)
+        pa = analysis_after(normalize(hub.instance).graph, [hub.chord], 1)
+        assert find_clean_stretch(pa) == (1, 21)
+        assert find_clean_stretch(replace(pa, affected=frozenset({5}))) == (6, 21)
+
     def test_pigeonhole_on_synthetic_separator_sets(self):
         # 3k separators spread as evenly as possible over t = 10k^2+23k
         # indices always leave a run of length >= 2k+4.

@@ -16,6 +16,7 @@ from conndel.families import (
     shared_partner_instance,
 )
 from conndel.graphs import UndirectedGraph, is_biconnected_without
+from conndel import criticality as criticality_module
 from conndel import kernel as kernel_module
 from conndel import solver as solver_module
 from conndel.oracles import OracleBudget, oracle_irrelevance, oracle_wbd
@@ -165,6 +166,31 @@ class TestNormalize:
         child = inst.child_after_deleting(0)
         assert child.tree is None
         assert normalize(child).tree.graph is child.graph
+
+    def test_biconnectivity_is_decided_once(self, monkeypatch):
+        # A DFS tree from critical_tree already proves biconnectivity, so a
+        # cycle, every edge critical, makes no second pass; only a graph
+        # with no tree (n < 3, or not biconnected) is checked again.
+        calls = []
+        original = solver_module.is_biconnected
+
+        def counted(g):
+            calls.append(g)
+            return original(g)
+
+        monkeypatch.setattr(solver_module, "is_biconnected", counted)
+        assert normalize(unit(cycle(5), 1, 1)).potential_edges() == []
+        assert calls == []
+        single = UndirectedGraph.from_edges(range(2), [(0, 1)])
+        assert normalize(unit(single, 1, 1)).frozen == frozenset(single.edges)
+        for g in (
+            UndirectedGraph.from_edges(range(3), [(0, 1), (1, 2)]),
+            UndirectedGraph(range(2)),
+            UndirectedGraph(range(1)),
+        ):
+            with pytest.raises(InvalidInputError, match="not biconnected"):
+                normalize(unit(g, 1, 1))
+        assert len(calls) == 4
 
 
 class TestHeavy:
@@ -815,6 +841,37 @@ class TestRoundCache:
             )
             if shared.kind == "freeze":
                 inst = inst.with_frozen(frozenset((shared.edge,)))
+
+    def test_analysis_shares_flow_and_partners(self, monkeypatch):
+        # Two analyses of one rich step with nested edge sets: one flow,
+        # and the second computes partner sets only for the edges the
+        # first did not analyse.
+        hub = shared_partner_instance(20, k=1)
+        inst = normalize(hub.instance)
+        cache = RoundCache(inst.graph, inst.tree)
+        key = (hub.chord,)
+        newly = cache.critical(key) - cache.critical(())
+        flows, asked = [], []
+        flow, partner_set = solver_module.max_flow_bounded, criticality_module.partner_set
+
+        def counted_flow(*args, **kwargs):
+            flows.append(args)
+            return flow(*args, **kwargs)
+
+        def counted_partners(gprime, pivot, p1, p2, crits):
+            asked.append(list(crits))
+            return partner_set(gprime, pivot, p1, p2, crits)
+
+        monkeypatch.setattr(solver_module, "max_flow_bounded", counted_flow)
+        monkeypatch.setattr(criticality_module, "partner_set", counted_partners)
+        first = cache.analysis(key, frozenset(e for e in newly if e % 3 == 0), 1)
+        second = cache.analysis(key, newly, 1)
+        assert len(flows) == 1 and len(asked) == 2
+        assert 1 < first.t < second.t
+        assert asked[0] == list(first.edge_ids)
+        assert asked[1] == [e for e in second.edge_ids if e not in first.edge_ids]
+        monkeypatch.undo()
+        assert second == analysis_after(inst.graph, key, 1)
 
     def test_refuses_another_graph(self):
         inst = normalize(shared_partner_instance(7, k=2).instance)
