@@ -5,8 +5,8 @@ output as it was can be checked by running this before and after it.
 
 Each result is one line: for ``solve`` the answer, the witness, its weight
 and every ``SolveStats`` field (a partner analysis by its pivot, paths,
-edges and partner structure); for ``kernelize`` the answer, the stats and
-the output instance in the text format.  A refused input gives its error
+edges, partner structure and components); for ``kernelize`` the answer,
+the stats and the output instance in the text format.  A refused input gives its error
 instead.  ``--dump PATH`` also writes the lines, for a diff.
 
 The instances, all built here from ``conndel.families`` and seeded random
@@ -26,7 +26,7 @@ graphs:
   default rim weights and with varied ones, and ``kernelize``.
 
 Run: ``python scripts/output_digest.py [--dump lines.txt] [--expect HEX]``;
-it takes about 6 s on a 2-core x86-64 host.  With ``--expect`` it exits 1
+it takes about 8 s on a 2-core x86-64 host.  With ``--expect`` it exits 1
 when the digest differs from HEX.
 """
 
@@ -67,6 +67,7 @@ def _analysis(pa) -> tuple:
         sorted(pa.switches),
         sorted(pa.affected),
         pa.k,
+        sorted(pa.components.items()),
     )
 
 

@@ -106,9 +106,9 @@ def explain_partner_analysis(pa: PartnerAnalysis) -> str:
         "  affected components: "
         + (" ".join(str(i) for i in sorted(pa.affected)) or "(none)")
     )
-    for i in sorted(pa.components):
-        comp = " ".join(str(v) for v in sorted(pa.components[i]))
-        lines.append(f"    component[{i},{i + 1}] = {{{comp}}} partner {pa.shared_partner[i]}")
+    for i, comp in sorted(pa.components.items()):
+        vs = " ".join(str(v) for v in sorted(comp))
+        lines.append(f"    component[{i},{i + 1}] = {{{vs}}} partner {pa.shared_partner[i]}")
     stretch = find_clean_stretch(pa)
     lines.append(f"  clean stretch: {stretch if stretch else '(none)'}")
     return "\n".join(lines)

@@ -526,17 +526,6 @@ def partner_set(
     return tuple(tuple(partners[pos[e]]) for e in crits)
 
 
-@dataclass
-class PartnerMemo:
-    """Partner tuples per analysed edge, and the component per
-    consecutive shared-partner pair of edges, for one G', pivot and
-    value-2 flow, shared by the analyses on that flow (``RoundCache``
-    says why that is sound)."""
-
-    partners: Dict[int, Tuple[int, ...]] = field(default_factory=dict)
-    components: Dict[Tuple[int, ...], FrozenSet[int]] = field(default_factory=dict)
-
-
 @dataclass(frozen=True)
 class PartnerAnalysis:
     """Ordered critical edges on P1 with partner structure on P2.
@@ -557,7 +546,6 @@ class PartnerAnalysis:
     partners: Tuple[Tuple[int, ...], ...]
     switches: FrozenSet[int]
     shared_partner: Dict[int, int] = field(repr=False)
-    memo: PartnerMemo = field(repr=False, compare=False)
     affected: FrozenSet[int] = frozenset()
     k: int = 0
 
@@ -565,18 +553,13 @@ class PartnerAnalysis:
     def components(self) -> Dict[int, FrozenSet[int]]:
         """Component[i, i+1] per index i of ``shared_partner``: what G' -
         e_i - e_{i+1} - w(i) joins to P1's vertices after e_i up to the
-        start of e_{i+1}, read from ``memo`` or computed into it."""
+        start of e_{i+1}, computed on each read."""
         pos = {e: j for j, e in enumerate(self.p1.edges)}
         components: Dict[int, FrozenSet[int]] = {}
         for i, w in self.shared_partner.items():
-            pair = self.edge_ids[i - 1 : i + 1]
-            comp = self.memo.components.get(pair)
-            if comp is None:
-                segment = self.p1.vertices[pos[pair[0]] + 1 : pos[pair[1]] + 1]
-                comp = self.memo.components[pair] = frozenset(
-                    reachable(self.graph, segment, frozenset(pair), frozenset((w,)))
-                )
-            components[i] = comp
+            a, b = self.edge_ids[i - 1 : i + 1]
+            segment = self.p1.vertices[pos[a] + 1 : pos[b] + 1]
+            components[i] = frozenset(reachable(self.graph, segment, {a, b}, {w}))
         return components
 
     @property
@@ -602,7 +585,7 @@ def build_partner_analysis(
     newly: FrozenSet[int],
     deleted_endpoints: Iterable[Tuple[int, int]],
     k: int,
-    memo: PartnerMemo,
+    known: Dict[int, Tuple[int, ...]],
 ) -> PartnerAnalysis:
     """Assemble the full partner structure for one pivot edge.
 
@@ -612,11 +595,11 @@ def build_partner_analysis(
     ``newly_critical(gprime, pivot) & marked``.
     ``deleted_endpoints`` are the endpoint pairs of the edges removed from
     the original graph to form G'; a component touching one is affected.
-    ``memo`` holds partner tuples and components found earlier on the
-    same G', pivot and flow (``RoundCache`` keeps one per rich step); only
-    what it lacks is computed, and added to it.  The components are computed
-    here only when ``deleted_endpoints`` is non-empty, as ``affected``
-    needs them; otherwise when ``PartnerAnalysis.components`` is first read.
+    ``known`` holds the partner tuples found earlier on the same G', pivot
+    and flow, per edge (``RoundCache`` keeps one per rich step); the
+    missing ones are computed and added to it.  The components are
+    computed here only when ``deleted_endpoints`` is non-empty, for
+    ``affected``.
     """
     x, y = gprime.endpoints(pivot)
     for p in (p1, p2):
@@ -627,10 +610,10 @@ def build_partner_analysis(
     if not edge_ids:
         raise InvalidInputError("no marked newly critical edges on P1")
 
-    missing = [e for e in edge_ids if e not in memo.partners]
+    missing = [e for e in edge_ids if e not in known]
     if missing:
-        memo.partners.update(zip(missing, partner_set(gprime, pivot, p1, p2, missing)))
-    partners = tuple(map(memo.partners.__getitem__, edge_ids))
+        known.update(zip(missing, partner_set(gprime, pivot, p1, p2, missing)))
+    partners = tuple(map(known.__getitem__, edge_ids))
     if not all(partners):
         raise InternalInconsistencyError(
             f"edge {edge_ids[partners.index(())]} has an empty partner set; every "
@@ -659,7 +642,6 @@ def build_partner_analysis(
         partners=partners,
         switches=frozenset(switches),
         shared_partner=shared,
-        memo=memo,
         k=k,
     )
     endpoints = {v for pair in deleted_endpoints for v in pair}

@@ -33,7 +33,6 @@ from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence
 from .criticality import (
     DfsTree,
     PartnerAnalysis,
-    PartnerMemo,
     build_partner_analysis,
     critical_set,
     critical_tree,
@@ -296,15 +295,12 @@ class RoundCache:
       starting from ``tree``, G's own (``WbdInstance.tree``); a tree-edge
       pick (or no tree) costs a fresh DFS of a copy of G - prefix, whose
       tree later picks derive from;
-    * the graph G - prefix, a copy, made only for such a fresh DFS and for
-      the partner analysis's G' when the rich step is not greedy's first
-      pick;
     * for a rich step, the prefix ending in its pivot: the value-2 flow
       between the pivot's endpoints in G minus the prefix, run on G with
-      the prefix's edges skipped, and the ``PartnerMemo`` of that pivot
-      and flow.  Which path is P1 depends on the pool, but needs no key of
-      its own: the memo is keyed by edge, and an edge lies on one path
-      only, so analyses of different edges on one flow share the memo.
+      the prefix's edges skipped, and the partner tuples found on that
+      flow, per edge.  Which path is P1 depends on the pool, but needs no
+      key of its own: an edge lies on one path only, so analyses of
+      different edges on one flow share the tuples.
 
     What depends on the pool is recomputed on every call: greedy's
     ``newly``, the rich step, which flow path is P1, the analysed edges and the analysis
@@ -322,16 +318,11 @@ class RoundCache:
         if tree is not None and tree.graph is not graph:
             raise InternalInconsistencyError("DFS tree of another graph")
         self.graph = graph
-        self._graphs: Dict[Tuple[int, ...], UndirectedGraph] = {(): graph}
         self._crit: Dict[Tuple[int, ...], FrozenSet[int]] = {}
         self._trees: Dict[Tuple[int, ...], Optional[DfsTree]] = {(): tree}
-        self._rich: Dict[Tuple[int, ...], Tuple[FlowDecomposition, PartnerMemo]] = {}
-
-    def _residual(self, prefix: Tuple[int, ...]) -> UndirectedGraph:
-        g = self._graphs.get(prefix)
-        if g is None:
-            g = self._graphs[prefix] = self.graph.without_edges(prefix)
-        return g
+        self._rich: Dict[
+            Tuple[int, ...], Tuple[FlowDecomposition, Dict[int, Tuple[int, ...]]]
+        ] = {}
 
     def critical(self, prefix: Tuple[int, ...]) -> FrozenSet[int]:
         crit = self._crit.get(prefix)
@@ -339,7 +330,7 @@ class RoundCache:
             tree = self._trees.get(prefix[:-1]) if prefix else None
             found = tree.without(prefix[-1]) if tree is not None else None
             if found is None:
-                found = critical_tree(self._residual(prefix))
+                found = critical_tree(self.graph.without_edges(prefix) if prefix else self.graph)
             crit, self._trees[prefix] = found
             self._crit[prefix] = crit
         return crit
@@ -348,17 +339,18 @@ class RoundCache:
         """The partner analysis of the pivot ``prefix[-1]`` in
         G' = G - ``prefix[:-1]``, on the ``newly`` edges (``find_rich_flow``
         and ``build_partner_analysis`` say what they must be)."""
-        pivot = prefix[-1]
+        g = self.graph
+        before, pivot = prefix[:-1], prefix[-1]
         found = self._rich.get(prefix)
         if found is None:
-            x, y = self.graph.endpoints(pivot)
-            flow = max_flow_bounded(self.graph, x, y, cap=3, removed_edges=frozenset(prefix))
-            found = self._rich[prefix] = (flow, PartnerMemo())
-        flow, memo = found
-        gprime = self._residual(prefix[:-1])
+            x, y = g.endpoints(pivot)
+            flow = max_flow_bounded(g, x, y, cap=3, removed_edges=frozenset(prefix))
+            found = self._rich[prefix] = (flow, {})
+        flow, partners = found
+        gprime = g.without_edges(before) if before else g
         p1, p2 = find_rich_flow(gprime, pivot, newly, flow)
-        deleted = [self.graph.endpoints(e) for e in prefix[:-1]]
-        return build_partner_analysis(gprime, pivot, p1, p2, newly, deleted, k, memo)
+        deleted = [g.endpoints(e) for e in before]
+        return build_partner_analysis(gprime, pivot, p1, p2, newly, deleted, k, partners)
 
 
 @dataclass(frozen=True)

@@ -122,7 +122,7 @@ def check_partner_invariants(pa: PartnerAnalysis) -> None:
             assert not (ci & cj), f"components {i} and {j} intersect"
 
     ends = oriented(pa)
-    for i, ci in pa.components.items():
+    for i, ci in items:
         neighborhood = set()
         for v in ci:
             for u in pa.graph.neighbors(v):

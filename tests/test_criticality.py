@@ -7,7 +7,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conndel.criticality import (
-    PartnerMemo,
     build_partner_analysis,
     critical_set,
     critical_tree,
@@ -24,7 +23,7 @@ from conndel.families import (
     shared_partner_instance,
 )
 from conndel.graphs import Path, UndirectedGraph, has_path_without, max_flow_bounded
-from conndel.solver import normalize
+from conndel.solver import SolveStats, WbdInstance, normalize, solve
 
 from . import naive
 from .checks import (
@@ -561,10 +560,36 @@ class TestPartnerAnalysis:
         assert any(rim_v in pa.components.get(i, ()) for i in pa.affected)
         check_partner_invariants(pa)
 
+    def test_components_match_their_definition(self):
+        # Component[i, i+1] is what G' - e_i - e_{i+1} - w(i) joins to P1's
+        # vertices after e_i up to the start of e_{i+1}: checked per pair
+        # against naive.components on the hub and on the analyses of the
+        # decoy wheel (the acceptance suite's) with an affected component.
+        hub = shared_partner_instance(20, k=1)
+        analyses = [analysis_after(normalize(hub.instance).graph, [hub.chord], 1)]
+        wheel = shared_partner_instance(q=12, k=3)
+        g, (eid,) = wheel.instance.graph.with_edges([(2, 4)])
+        weights = {**wheel.instance.weights, eid: 20.0}
+        stats = SolveStats()
+        solve(WbdInstance(g, 3, 3.0, weights, frozenset()), lambda k: 15, stats)
+        analyses += [pa for pa in stats.analyses if pa.affected]
+        assert len(analyses) > 1
+        for pa in analyses:
+            g, vs, on_p1 = pa.graph, pa.p1.vertices, pa.p1.edges
+            components = pa.components
+            assert components and components.keys() == pa.shared_partner.keys()
+            assert pa.affected <= components.keys()
+            for i, w in pa.shared_partner.items():
+                a, b = pa.edge(i), pa.edge(i + 1)
+                kept = [uv for e, uv in g.edges.items() if e not in (a, b) and w not in uv]
+                segment = set(vs[on_p1.index(a) + 1 : on_p1.index(b) + 1])
+                reach = [c for c in naive.components(set(g.vertices) - {w}, kept) if c & segment]
+                assert components[i] == set().union(*reach)
+
     def test_no_marked_critical_edges_rejected(self):
         g, pivot, p1, p2 = pivot_chord_hexagon()
         with pytest.raises(InvalidInputError):
-            build_partner_analysis(g, pivot, p1, p2, frozenset(), [], 1, PartnerMemo())
+            build_partner_analysis(g, pivot, p1, p2, frozenset(), [], 1, {})
 
     def test_hexagon_rejected_because_nothing_is_newly_critical(self):
         # Every hexagon edge is critical before the chord is deleted, so
@@ -573,7 +598,7 @@ class TestPartnerAnalysis:
         assert newly_critical(g, pivot) == frozenset()
         with pytest.raises(InvalidInputError):
             build_partner_analysis(
-                g, pivot, p1, p2, newly_critical(g, pivot), [], 1, PartnerMemo()
+                g, pivot, p1, p2, newly_critical(g, pivot), [], 1, {}
             )
 
 

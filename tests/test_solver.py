@@ -899,6 +899,33 @@ class TestRoundCache:
         with pytest.raises(InternalInconsistencyError, match="DFS tree of another graph"):
             freeze_rounds(twin, heavy_order(twin), lambda k: 9, mark_all=False)
 
+    def test_rounds_copy_only_where_they_must(self, monkeypatch):
+        # A graph copy is made only for a fresh DFS of G - prefix or for a
+        # G' without earlier picks: the kernel on the subdivided hub makes
+        # none, the empty prefix is G itself, and the analysis of greedy's
+        # first pick runs on G (the hub's chord is a tree edge, so its own
+        # critical set takes one copy).
+        copies = []
+        without_edges = UndirectedGraph.without_edges
+
+        def counted(g, eids):
+            copies.append(eids)
+            return without_edges(g, eids)
+
+        big = shared_partner_instance(347, k=2, subdivide=True).instance.graph
+        hub = shared_partner_instance(20, k=1)
+        inst = normalize(hub.instance)
+        monkeypatch.setattr(UndirectedGraph, "without_edges", counted)
+        kernel_module.kernelize(big, 2)
+        assert copies == []
+        cache = RoundCache(inst.graph, inst.tree)
+        before = cache.critical(())
+        assert copies == []
+        newly = cache.critical((hub.chord,)) - before
+        assert copies == [(hub.chord,)]
+        assert cache.analysis((hub.chord,), newly, 1).graph is inst.graph
+        assert copies == [(hub.chord,)]
+
     def test_back_edge_pick_copies_nothing(self, monkeypatch):
         # The kernel's first round on the unit-weight subdivided
         # shared-partner hub, the whole pool marked: greedy's first pick,
