@@ -11,13 +11,30 @@ import argparse
 import random
 import sys
 from pathlib import Path
+from typing import Iterator, List
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from conndel.families import random_biconnected_graph
+from conndel.graphs import UndirectedGraph
 from conndel.kernel import build_auxiliary_digraph, kernelize, unit_instance
 from conndel.oracles import OracleBudget, oracle_wbd
 from conndel.solver import mu, normalize
+
+
+def graphs(count=40, max_n=9, seed=0) -> Iterator[UndirectedGraph]:
+    """The run's random graphs, on 4 to max_n vertices."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield random_biconnected_graph(rng, rng.randint(4, max_n), rng.randint(0, 3))
+
+
+def providers(g: UndirectedGraph, pool, max_terminals: int) -> List[str]:
+    """The providers run on g: ``exhaustive`` too when the auxiliary
+    digraph of the pool has at most max_terminals terminals."""
+    if len(build_auxiliary_digraph(g, pool).terminals) <= max_terminals:
+        return ["trivial", "exhaustive"]
+    return ["trivial"]
 
 
 def main() -> int:
@@ -31,21 +48,15 @@ def main() -> int:
     args = ap.parse_args()
     mu_of = mu if args.mu is None else (lambda k: args.mu)
 
-    rng = random.Random(args.seed)
     budget = OracleBudget(
         max_vertices=max(4, args.max_n), max_edges=4 * args.max_n, max_k=max(3, args.k)
     )
     rows = []
     mismatches = 0
-    for _ in range(args.count):
-        g = random_biconnected_graph(rng, rng.randint(4, args.max_n), rng.randint(0, 3))
+    for g in graphs(args.count, args.max_n, args.seed):
         inst = normalize(unit_instance(g, args.k, frozenset()))
         want = oracle_wbd(inst, budget) is not None
-        aux = build_auxiliary_digraph(g, inst.potential_edges())
-        providers = ["trivial"]
-        if len(aux.terminals) <= args.max_terminals:
-            providers.append("exhaustive")
-        for provider in providers:
+        for provider in providers(g, inst.potential_edges(), args.max_terminals):
             res = kernelize(
                 g, args.k, provider=provider, max_terminals=args.max_terminals, mu_of=mu_of
             )

@@ -1,13 +1,18 @@
 #!/usr/bin/env python3
-"""Print one sha256 over the outputs of ``solve`` and ``kernelize`` on a
-fixed set of seeded instances, so that a change meant to leave every
-output as it was can be checked by running this before and after it.
+"""Print one sha256 over the outputs of ``solve``, ``kernelize``, the
+hardness generators, their oracles and ``conndel verify`` on a fixed set
+of seeded instances, so that a change meant to leave every output as it
+was can be checked by running this before and after it.
 
 Each result is one line: for ``solve`` the answer, the witness, its weight
 and every ``SolveStats`` field (a partner analysis by its pivot, paths,
-edges, partner structure and components); for ``kernelize`` the answer,
-the stats and the output instance in the text format.  A refused input gives its error
-instead.  ``--dump PATH`` also writes the lines, for a diff.
+edges, partner structure and components, each component as a sorted
+tuple); for ``kernelize`` the answer, the stats and the output instance in
+the text format; for the strong-connectivity side both generated digraphs
+in the text format (gadget comments included), the witnesses of
+``oracle_is``, ``oracle_pcpsc`` and ``oracle_vdpsc``, and the exit codes
+of ``verify pcpsc|vdpsc`` on witness files.  A refused input gives its
+error instead.  ``--dump PATH`` also writes the lines, for a diff.
 
 The instances, all built here from ``conndel.families`` and seeded random
 graphs:
@@ -19,40 +24,50 @@ graphs:
   1/2); and unit-weight ones for ``kernelize``, among them the
   subdivided hub at q = 347;
 * the random instances of the CI runs of ``scripts/sweep_solver.py`` (four
-  configurations) and ``scripts/kernel_shrink_stats.py`` (three), drawn
-  from the same seeds in the same order;
+  configurations) and ``scripts/kernel_shrink_stats.py`` (three), from
+  those scripts' own generators;
 * both hub families, plain and subdivided, at k = 1-3 and q = 1-29, under
   the thresholds mu, 5 and 2k + 5: ``solve`` at four targets, with the
-  default rim weights and with varied ones, and ``kernelize``.
+  default rim weights and with varied ones, and ``kernelize``;
+* 40 random graphs on 1-4 vertices (``scripts/hardness_roundtrip.py``'s
+  generator) at k = 1 and 2, for the strong-connectivity side.
 
 Run: ``python scripts/output_digest.py [--dump lines.txt] [--expect HEX]``;
-it takes about 8 s on a 2-core x86-64 host.  With ``--expect`` it exits 1
+it takes about 13 s on a 2-core x86-64 host.  With ``--expect`` it exits 1
 when the digest differs from HEX.
 """
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
+import io
 import math
 import random
 import sys
+import tempfile
 from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Tuple
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from conndel import cli
 from conndel.criticality import critical_set
 from conndel.errors import ConndelError
 from conndel.families import (
     distinct_partner_instance,
     random_biconnected_graph,
-    random_weights,
     shared_partner_instance,
 )
-from conndel.formats import serialize_undirected
+from conndel.formats import parse_digraph, serialize_digraph, serialize_undirected
 from conndel.graphs import UndirectedGraph
-from conndel.kernel import build_auxiliary_digraph, kernelize, unit_instance
+from conndel.hardness import gen_pc_psc, gen_vd_psc
+from conndel.kernel import kernelize, unit_instance
+from conndel.oracles import OracleBudget, oracle_is, oracle_pcpsc, oracle_vdpsc
 from conndel.solver import SolveStats, WbdInstance, mu, normalize, solve
+from hardness_roundtrip import random_graph
+from kernel_shrink_stats import graphs as kernel_graphs, providers as kernel_providers
+from sweep_solver import instances as sweep_instances
 
 MuOf = Callable[[int], int]
 
@@ -67,7 +82,7 @@ def _analysis(pa) -> tuple:
         sorted(pa.switches),
         sorted(pa.affected),
         pa.k,
-        sorted(pa.components.items()),
+        sorted((i, tuple(sorted(c))) for i, c in pa.components.items()),
     )
 
 
@@ -178,13 +193,7 @@ def bench_hub() -> Iterator[str]:
 def sweep_solver(count: int, min_n=4, max_n=10, max_k=3, seed=0, mu_const=None) -> Iterator[str]:
     """The instances of ``scripts/sweep_solver.py`` with these options."""
     mu_of = mu if mu_const is None else (lambda k: mu_const)
-    rng = random.Random(seed)
-    for trial in range(count):
-        g = random_biconnected_graph(rng, rng.randint(min_n, max_n), rng.randint(0, 4))
-        k = rng.randint(0, max_k)
-        inst = WbdInstance(
-            g, k, float(rng.randint(0, 2 + 2 * k)), random_weights(rng, g), frozenset()
-        )
+    for trial, inst in enumerate(sweep_instances(count, min_n, max_n, max_k, seed)):
         label = f"sweep_solver seed={seed} mu={mu_const} trial={trial}"
         yield solve_line(label, inst, mu_of)
 
@@ -193,14 +202,9 @@ def kernel_shrink(k: int, count=40, max_n=9, seed=0, mu_const=None) -> Iterator[
     """The instances of ``scripts/kernel_shrink_stats.py`` with these
     options, each under the providers it runs."""
     mu_of = mu if mu_const is None else (lambda k: mu_const)
-    rng = random.Random(seed)
-    for trial in range(count):
-        g = random_biconnected_graph(rng, rng.randint(4, max_n), rng.randint(0, 3))
+    for trial, g in enumerate(kernel_graphs(count, max_n, seed)):
         pool = normalize(unit_instance(g, k, frozenset())).potential_edges()
-        providers = ["trivial"]
-        if len(build_auxiliary_digraph(g, pool).terminals) <= 7:
-            providers.append("exhaustive")
-        for provider in providers:
+        for provider in kernel_providers(g, pool, 7):
             label = f"kernel_shrink seed={seed} k={k} mu={mu_const} trial={trial} {provider}"
             yield kernel_line(label, g, k, provider=provider, max_terminals=7, mu_of=mu_of)
 
@@ -235,6 +239,71 @@ def hubs() -> Iterator[str]:
                                 yield kernel_line(label, inst.graph, k, mu_of=mu_of)
 
 
+# ---------------------------------------------------------------------------
+# the strong-connectivity side: gen, oracle and verify
+# ---------------------------------------------------------------------------
+
+
+def _sorted(vertices):
+    return None if vertices is None else sorted(vertices)
+
+
+def _verify_code(kind: str, path: Path, items: List[Tuple[int, ...]], k: int) -> int:
+    """Exit code of ``conndel verify`` on the instance at path and a
+    witness file of these items, printing nothing."""
+    wpath = path.with_suffix(".witness")
+    tag = "a" if kind == "pcpsc" else "v"
+    wpath.write_text("".join(f"{tag} {' '.join(map(str, it))}\n" for it in items))
+    argv = ["verify", kind, str(path), "--witness", str(wpath), "--k", str(k)]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return cli.main(argv)
+
+
+def _verify_codes(kind: str, path: Path, d, k: int, witness) -> List[int]:
+    """Verify the oracle's witness (or, on a no, the first k items), it one
+    item short, it with its first item repeated, and for ``vdpsc`` every
+    vertex at k = n."""
+    if kind == "pcpsc":
+        items = [tuple(a) for a in (witness or d.arc_pairs()[:k])]
+    else:
+        items = [(v,) for v in (sorted(witness) if witness else sorted(d.vertices)[:k])]
+    codes = [_verify_code(kind, path, items, k)]
+    if items:
+        codes.append(_verify_code(kind, path, items[:-1], k))
+        codes.append(_verify_code(kind, path, items + items[:1], k + 1))
+    if kind == "vdpsc":
+        codes.append(_verify_code(kind, path, [(v,) for v in sorted(d.vertices)], d.n))
+    return codes
+
+
+def hardness(count: int = 40) -> Iterator[str]:
+    """Seeded random graphs on 1-4 vertices at k = 1 and 2: both
+    generators' output, the three oracles' witnesses and ``verify``'s exit
+    codes."""
+    rng = random.Random("output-digest:hardness")
+    budget = OracleBudget(max_vertices=300, max_edges=600, max_k=4, max_candidates=10**8)
+    with tempfile.TemporaryDirectory() as tmp:
+        for trial in range(count):
+            g = random_graph(rng, rng.randint(1, 4))
+            for k in (1, 2):
+                pc, gm = gen_pc_psc(g, k)
+                vd, origin = gen_vd_psc(g, k)
+                fields = [f"is={_sorted(oracle_is(g, k, budget))}"]
+                for kind, text in (
+                    ("pcpsc", serialize_digraph(pc, gm.origin_labels())),
+                    ("vdpsc", serialize_digraph(vd, origin)),
+                ):
+                    path = Path(tmp) / f"{kind}.digraph"
+                    path.write_text(text)
+                    d = parse_digraph(text)
+                    oracle = oracle_pcpsc if kind == "pcpsc" else oracle_vdpsc
+                    witness = oracle(d, k, budget)
+                    codes = _verify_codes(kind, path, d, k, witness)
+                    shown = witness if kind == "pcpsc" else _sorted(witness)
+                    fields.append(f"{kind}={shown} verify={codes} {text!r}")
+                yield f"hardness trial={trial} n={g.n} m={g.m} k={k}: " + " ".join(fields)
+
+
 def all_lines() -> Iterator[str]:
     for seed in (1, 2):
         yield from bench_shaped(seed)
@@ -247,6 +316,7 @@ def all_lines() -> Iterator[str]:
     yield from kernel_shrink(2, seed=1)
     yield from kernel_shrink(3, count=120, max_n=12, seed=3, mu_const=4)
     yield from hubs()
+    yield from hardness()
 
 
 def main() -> int:

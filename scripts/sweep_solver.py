@@ -10,12 +10,24 @@ import random
 import sys
 import time
 from pathlib import Path
+from typing import Iterator
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from conndel.families import random_biconnected_graph, random_weights
 from conndel.oracles import OracleBudget, oracle_wbd
 from conndel.solver import SolveStats, WbdInstance, mu, solve
+
+
+def instances(count: int, min_n=4, max_n=10, max_k=3, seed=0) -> Iterator[WbdInstance]:
+    """The sweep's random instances: weighted, nothing frozen, k <= max_k."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        g = random_biconnected_graph(rng, rng.randint(min_n, max_n), rng.randint(0, 4))
+        k = rng.randint(0, max_k)
+        yield WbdInstance(
+            g, k, float(rng.randint(0, 2 + 2 * k)), random_weights(rng, g), frozenset()
+        )
 
 
 def main() -> int:
@@ -29,16 +41,12 @@ def main() -> int:
     args = ap.parse_args()
     mu_of = mu if args.mu is None else (lambda k: args.mu)
 
-    rng = random.Random(args.seed)
     budget = OracleBudget(max_vertices=args.max_n + 2, max_edges=4 * args.max_n, max_k=args.max_k)
     times = []
     yes = no = mismatches = analyses = passes = crit_sets = freezes = 0
-    for trial in range(args.count):
-        g = random_biconnected_graph(rng, rng.randint(args.min_n, args.max_n), rng.randint(0, 4))
-        k = rng.randint(0, args.max_k)
-        inst = WbdInstance(
-            g, k, float(rng.randint(0, 2 + 2 * k)), random_weights(rng, g), frozenset()
-        )
+    sweep = instances(args.count, args.min_n, args.max_n, args.max_k, args.seed)
+    for trial, inst in enumerate(sweep):
+        g, k = inst.graph, inst.k
         t0 = time.perf_counter()
         stats = SolveStats()
         got = solve(inst, mu_of, stats)

@@ -15,28 +15,29 @@ import hashlib
 import json
 import sys
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from .criticality import PartnerAnalysis, find_clean_stretch
 from .errors import (
     BudgetExceededError,
-    ConndelError,
     InternalInconsistencyError,
     InvalidInputError,
     ParseError,
 )
 from .formats import (
-    _content_lines,
     parse_digraph,
     parse_undirected,
+    parse_witness,
     serialize_digraph,
     serialize_undirected,
 )
-from .graphs import UndirectedGraph, contract_sequence, is_biconnected, is_strongly_connected
+from .graphs import UndirectedGraph, is_biconnected
 from .hardness import gen_pc_psc, gen_vd_psc
 from .kernel import DEFAULT_MAX_TERMINALS, PROVIDERS, kernelize
 from .oracles import (
     OracleBudget,
+    is_pcpsc_witness,
+    is_vdpsc_witness,
     oracle_is,
     oracle_pcpsc,
     oracle_vdpsc,
@@ -244,13 +245,11 @@ def cmd_oracle(args) -> int:
         witness = " ".join(str(v) for v in sorted(res)) if res else ""
         answer = res is not None
     elif args.kind == "pcpsc":
-        d = parse_digraph(text)
-        seq = oracle_pcpsc(d, args.k, budget)
+        seq = oracle_pcpsc(parse_digraph(text), args.k, budget)
         witness = " ".join(f"{t}->{h}" for t, h in seq) if seq else ""
         answer = seq is not None
     else:
-        d = parse_digraph(text)
-        res = oracle_vdpsc(d, args.k, budget)
+        res = oracle_vdpsc(parse_digraph(text), args.k, budget)
         witness = " ".join(str(v) for v in sorted(res)) if res else ""
         answer = res is not None
     _emit_report(
@@ -264,54 +263,21 @@ def cmd_oracle(args) -> int:
     return EXIT_YES if answer else EXIT_NO
 
 
-def _parse_witness(text: str, kind: str) -> List:
-    shape = {"wbd": "e <u> <v>", "pcpsc": "a <u> <v>"}.get(kind, "v <id>")
-    out: List = []
-    for no, tok in _content_lines(text):
-        if tok[0] != shape[0] or len(tok) != len(shape.split()):
-            raise ParseError(no, f"witness line must be '{shape}'")
-        try:
-            ids = tuple(int(t) for t in tok[1:])
-        except ValueError:
-            raise ParseError(no, "witness ids must be integers") from None
-        out.append(ids if len(ids) == 2 else ids[0])
-    return out
-
-
 def cmd_verify(args) -> int:
     text = _read(args.path)
     wtext = _read(args.witness)
-    witness = _parse_witness(wtext, args.kind)
+    witness = parse_witness(wtext, args.kind)
     if args.kind == "wbd":
         parsed = parse_undirected(text)
-        ids = []
-        for u, v in witness:
-            eid = parsed.graph.edge_between(u, v)
-            if eid is None:
-                ids = None
-                break
-            ids.append(eid)
         inst = _raw_instance(parsed, args)
-        valid = ids is not None and verify_solution(inst, ids)
+        ids = [parsed.graph.edge_between(u, v) for u, v in witness]
+        valid = None not in ids and verify_solution(inst, ids)
     elif args.k < 0:
         raise InvalidInputError(f"k must be non-negative, got {args.k}")
     elif args.kind == "pcpsc":
-        d = parse_digraph(text)
-        valid = len(witness) == args.k
-        if valid:
-            try:
-                valid = is_strongly_connected(contract_sequence(d, witness))
-            except ConndelError:
-                valid = False
+        valid = is_pcpsc_witness(parse_digraph(text), args.k, witness)
     else:
-        d = parse_digraph(text)
-        vs = set(witness)
-        # A proper subset: like the oracle, refuse deleting every vertex.
-        valid = (
-            len(vs) == len(witness) == args.k
-            and vs < d.vertices
-            and is_strongly_connected(d.without_vertices(vs))
-        )
+        valid = is_vdpsc_witness(parse_digraph(text), args.k, witness)
     _emit_report(
         {
             "subcommand": f"verify-{args.kind}",

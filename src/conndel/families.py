@@ -51,6 +51,8 @@ def _build_hub(
     other_weight: float,
     subdivide: bool,
 ) -> HubInstance:
+    if rim_weights is not None and len(rim_weights) != q + 1:
+        raise ValueError("need one weight per rim edge")
     if q < 1:
         raise ValueError("need at least one rim vertex")
     x, y = 0, 1
@@ -113,8 +115,6 @@ def shared_partner_instance(
     other_weight: float = 1.0,
     subdivide: bool = False,
 ) -> HubInstance:
-    if rim_weights is not None and len(rim_weights) != q + 1:
-        raise ValueError("need one weight per rim edge")
     return _build_hub(q, False, k, w_star, chord_weight, rim_weights, other_weight, subdivide)
 
 
@@ -127,8 +127,6 @@ def distinct_partner_instance(
     other_weight: float = 1.0,
     subdivide: bool = False,
 ) -> HubInstance:
-    if rim_weights is not None and len(rim_weights) != q + 1:
-        raise ValueError("need one weight per rim edge")
     return _build_hub(q, True, k, w_star, chord_weight, rim_weights, other_weight, subdivide)
 
 

@@ -9,6 +9,9 @@ Directed:
     p digraph <n> <m>
     a <u> <v>
 
+Witness, for ``conndel verify``, without a header: ``e <u> <v>`` edges,
+``a <u> <v>`` arcs in contraction order or ``v <id>`` vertices.
+
 Vertices are the 1-based integers 1..n.  The optional ``inf`` token marks
 an edge as frozen (never deletable).  Edge and arc ids are assigned in
 file order starting at 0.
@@ -154,6 +157,22 @@ def parse_digraph(text: str) -> Digraph:
         return Digraph(range(1, n + 1), triples)
     except InvalidInputError as exc:
         raise ParseError(_refused_line(lines[1:], triples, False), str(exc)) from None
+
+
+def parse_witness(text: str, kind: str) -> List:
+    """The records of a witness file for ``kind`` (``wbd``, ``pcpsc`` or
+    ``vdpsc``) in file order: (u, v) pairs, or vertex ids for ``vdpsc``."""
+    shape = {"wbd": "e <u> <v>", "pcpsc": "a <u> <v>"}.get(kind, "v <id>")
+    out: List = []
+    for no, tok in _content_lines(text):
+        if tok[0] != shape[0] or len(tok) != len(shape.split()):
+            raise ParseError(no, f"witness line must be '{shape}'")
+        try:
+            ids = tuple(int(t) for t in tok[1:])
+        except ValueError:
+            raise ParseError(no, "witness ids must be integers") from None
+        out.append(ids if len(ids) == 2 else ids[0])
+    return out
 
 
 def serialize_digraph(d: Digraph, comments: Dict[int, str] | None = None) -> str:

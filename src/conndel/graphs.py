@@ -6,7 +6,8 @@ under deletion (ids of deleted elements are never reused), so id-keyed data
 such as weights or frozen-edge sets survives graph surgery.
 
 The package has one reachability routine (``reachable``; the path query
-``has_path_without`` is one call of it) and one augmenting-path flow
+``has_path_without`` is one call of it, and ``is_strongly_connected`` two
+walks of its traversal) and one augmenting-path flow
 (``FlowNetwork.augment``, unit vertex capacities on a split network), used
 for the kernel's digraph cuts and for undirected x-y flows, whose only
 entry is ``max_flow_bounded`` (``cap=None`` for a maximum flow).  A
@@ -320,6 +321,25 @@ class FlowDecomposition:
 # ---------------------------------------------------------------------------
 
 
+def _reach(
+    adj: Mapping[int, List[Tuple[int, int]]],
+    seen: Set[int],
+    removed_edges: AbstractSet[int] = frozenset(),
+    removed_vertices: AbstractSet[int] = frozenset(),
+) -> Set[int]:
+    """Grow ``seen`` to every vertex it reaches along the ``(head, id)``
+    lists of ``adj`` without the removed edges or vertices; return it."""
+    stack = list(seen)
+    while stack:
+        v = stack.pop()
+        for u, eid in adj[v]:
+            if u in seen or eid in removed_edges or u in removed_vertices:
+                continue
+            seen.add(u)
+            stack.append(u)
+    return seen
+
+
 def reachable(
     g: UndirectedGraph,
     sources: Iterable[int],
@@ -331,16 +351,7 @@ def reachable(
     seen = set(sources)
     if not seen.isdisjoint(removed_vertices):
         raise InvalidInputError("terminal removed from graph")
-    adj = g._adj
-    stack = list(seen)
-    while stack:
-        v = stack.pop()
-        for u, eid in adj[v]:
-            if u in seen or eid in removed_edges or u in removed_vertices:
-                continue
-            seen.add(u)
-            stack.append(u)
-    return seen
+    return _reach(g._adj, seen, removed_edges, removed_vertices)
 
 
 def has_path_without(
@@ -409,18 +420,7 @@ def is_strongly_connected(d: Digraph) -> bool:
     if d.n <= 1:
         return True
     start = min(d._vertices)
-    for table in (d._out, d._in):
-        seen = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for u, _ in table[v]:
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        if len(seen) != d.n:
-            return False
-    return True
+    return all(len(_reach(table, {start})) == d.n for table in (d._out, d._in))
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,9 @@ instances are byte-stable for golden tests.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from .errors import InternalInconsistencyError, InvalidInputError
 from .graphs import Digraph, UndirectedGraph, is_strongly_connected
@@ -50,6 +51,23 @@ class PcGadgetMap:
         return out
 
 
+def _fresh_ids(g: UndirectedGraph, k: int) -> Iterator[int]:
+    """Refuse an input without vertices or a negative k; then ids 0, 1, ..."""
+    if g.n < 1:
+        raise InvalidInputError("need at least one vertex")
+    if k < 0:
+        raise InvalidInputError("k must be non-negative")
+    return itertools.count()
+
+
+def _strong_digraph(fresh: Iterator[int], arcs: List[Tuple[int, int]]) -> Digraph:
+    """The digraph on the ids drawn from fresh; it must be strongly connected."""
+    d = Digraph.from_arcs(range(next(fresh)), arcs)
+    if not is_strongly_connected(d):
+        raise InternalInconsistencyError("generated digraph is not strongly connected")
+    return d
+
+
 def gen_pc_psc(g: UndirectedGraph, k: int) -> Tuple[Digraph, PcGadgetMap]:
     """Reduce (g, k) independent set to path-contraction preservation.
 
@@ -57,31 +75,20 @@ def gen_pc_psc(g: UndirectedGraph, k: int) -> Tuple[Digraph, PcGadgetMap]:
     set of size k exists iff k arcs can be contracted while keeping it
     strongly connected.
     """
-    if g.n < 1:
-        raise InvalidInputError("need at least one vertex")
-    if k < 0:
-        raise InvalidInputError("k must be non-negative")
-    nxt = 0
-
-    def fresh() -> int:
-        nonlocal nxt
-        nxt += 1
-        return nxt - 1
-
+    fresh = _fresh_ids(g, k)
     v_minus: Dict[int, int] = {}
     v_plus: Dict[int, int] = {}
     for v in sorted(g.vertices):
-        v_minus[v] = fresh()
-        v_plus[v] = fresh()
+        v_minus[v] = next(fresh)
+        v_plus[v] = next(fresh)
     hub: Dict[int, int] = {}
     hub_pendants: Dict[int, Tuple[int, ...]] = {}
     for e in sorted(g.edges):
-        hub[e] = fresh()
-        hub_pendants[e] = tuple(fresh() for _ in range(k + 1))
-    x = fresh()
-    y = fresh()
-    x_pendants = tuple(fresh() for _ in range(k + 1))
-    y_pendants = tuple(fresh() for _ in range(k + 1))
+        hub[e] = next(fresh)
+        hub_pendants[e] = tuple(itertools.islice(fresh, k + 1))
+    x, y = next(fresh), next(fresh)
+    x_pendants = tuple(itertools.islice(fresh, k + 1))
+    y_pendants = tuple(itertools.islice(fresh, k + 1))
 
     arcs: List[Tuple[int, int]] = []
     for v in sorted(g.vertices):
@@ -103,9 +110,7 @@ def gen_pc_psc(g: UndirectedGraph, k: int) -> Tuple[Digraph, PcGadgetMap]:
             arcs.append((p, h))
         arcs.extend(((v_minus[v], h), (h, v_plus[v]), (v_minus[u], h), (h, v_plus[u])))
 
-    d = Digraph.from_arcs(range(nxt), arcs)
-    if not is_strongly_connected(d):
-        raise InternalInconsistencyError("generated digraph is not strongly connected")
+    d = _strong_digraph(fresh, arcs)
     expected = 2 * g.n + (k + 2) * g.m + 2 * k + 4
     if d.n != expected:
         raise InternalInconsistencyError(
@@ -133,32 +138,22 @@ def gen_vd_psc(g: UndirectedGraph, k: int) -> Tuple[Digraph, Dict[int, str]]:
     replace every protected vertex by a directed cycle of length k+2, which
     no budget-k deletion may touch.
     """
-    if g.n < 1:
-        raise InvalidInputError("need at least one vertex")
-    if k < 0:
-        raise InvalidInputError("k must be non-negative")
-    nxt = 0
-
-    def fresh() -> int:
-        nonlocal nxt
-        nxt += 1
-        return nxt - 1
-
+    fresh = _fresh_ids(g, k)
     origin: Dict[int, str] = {}
     name: Dict[int, int] = {}
     for v in sorted(g.vertices):
-        name[v] = fresh()
+        name[v] = next(fresh)
         origin[name[v]] = f"vertex {v}"
     protected: List[int] = []
     und_edges: List[Tuple[int, int]] = []
     for e in sorted(g.edges):
         u, v = g.endpoints(e)
-        s = fresh()
+        s = next(fresh)
         origin[s] = f"subdivision of edge {u}-{v}"
         protected.append(s)
         und_edges.append((name[u], s))
         und_edges.append((s, name[v]))
-    apex = fresh()
+    apex = next(fresh)
     origin[apex] = "apex"
     protected.append(apex)
     for v in sorted(g.vertices):
@@ -171,13 +166,10 @@ def gen_vd_psc(g: UndirectedGraph, k: int) -> Tuple[Digraph, Dict[int, str]]:
     for w in protected:
         prev = w
         for _ in range(k + 1):
-            c = fresh()
+            c = next(fresh)
             origin[c] = origin[w] + " cycle"
             arcs.append((prev, c))
             prev = c
         arcs.append((prev, w))
 
-    d = Digraph.from_arcs(range(nxt), arcs)
-    if not is_strongly_connected(d):
-        raise InternalInconsistencyError("generated digraph is not strongly connected")
-    return d, origin
+    return _strong_digraph(fresh, arcs), origin

@@ -2,7 +2,8 @@
 
 Nothing here is clever on purpose: every oracle enumerates candidates in a
 canonical order and returns the first (or best) witness, refusing inputs
-that exceed its budget instead of running unbounded.
+that exceed its budget instead of running unbounded.  The digraph oracles
+accept a candidate by the witness check that ``conndel verify`` runs.
 """
 
 from __future__ import annotations
@@ -10,11 +11,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import FrozenSet, Optional, Tuple
+from typing import FrozenSet, Optional, Sequence, Tuple
 
 from .errors import BudgetExceededError, ContractionError, InvalidInputError
 from .graphs import (
     Digraph,
+    Edge,
     UndirectedGraph,
     contract_sequence,
     is_biconnected_without,
@@ -83,24 +85,39 @@ def oracle_wbd(
     return best
 
 
+def is_pcpsc_witness(d: Digraph, k: int, arcs: Sequence[Edge]) -> bool:
+    """Are these k arcs of d, each present when its turn comes, a
+    contraction sequence that leaves d strongly connected?"""
+    if len(arcs) != k:
+        return False
+    try:
+        return is_strongly_connected(contract_sequence(d, arcs))
+    except ContractionError:
+        return False
+
+
+def is_vdpsc_witness(d: Digraph, k: int, vertices: Sequence[int]) -> bool:
+    """Are these k distinct vertices, a proper subset of d's, a deletion
+    that leaves d strongly connected?"""
+    vs = set(vertices)
+    return (
+        len(vs) == len(vertices) == k
+        and vs < d.vertices
+        and is_strongly_connected(d.without_vertices(vs))
+    )
+
+
 def oracle_pcpsc(
     d: Digraph, k: int, budget: OracleBudget = DEFAULT_BUDGET
-) -> Optional[Tuple[Tuple[int, int], ...]]:
-    """A length-k arc sequence whose contraction keeps strong connectivity.
-
-    Enumerates arc sets, then orderings of each set until one both applies
-    cleanly and yields a strongly connected result.
-    """
+) -> Optional[Tuple[Edge, ...]]:
+    """The first length-k arc sequence, by arc set and then by ordering,
+    that ``is_pcpsc_witness`` accepts."""
     budget.admit_graph(d.n, d.m, k)
     arcs = d.arc_pairs()
     budget.admit_candidates(math.perm(len(arcs), k))
     for combo in itertools.combinations(arcs, k):
         for order in itertools.permutations(combo):
-            try:
-                out = contract_sequence(d, order)
-            except ContractionError:
-                continue
-            if is_strongly_connected(out):
+            if is_pcpsc_witness(d, k, order):
                 return order
     return None
 
@@ -108,14 +125,15 @@ def oracle_pcpsc(
 def oracle_vdpsc(
     d: Digraph, k: int, budget: OracleBudget = DEFAULT_BUDGET
 ) -> Optional[FrozenSet[int]]:
-    """A set of exactly k vertices whose deletion keeps strong connectivity."""
+    """The first set of exactly k vertices that ``is_vdpsc_witness``
+    accepts; none when k >= n, before the candidate budget is read."""
     budget.admit_graph(d.n, d.m, k)
     verts = sorted(d.vertices)
     if k >= len(verts):
         return None
     budget.admit_candidates(math.comb(len(verts), k))
     for combo in itertools.combinations(verts, k):
-        if is_strongly_connected(d.without_vertices(combo)):
+        if is_vdpsc_witness(d, k, combo):
             return frozenset(combo)
     return None
 
@@ -133,13 +151,3 @@ def oracle_is(
         if all(g.edge_between(u, v) is None for u, v in itertools.combinations(combo, 2)):
             return frozenset(combo)
     return None
-
-
-def oracle_irrelevance(
-    inst: WbdInstance, eid: int, budget: OracleBudget = DEFAULT_BUDGET
-) -> bool:
-    """Is the edge irrelevant: no solution exists, or one avoids it?"""
-    if oracle_wbd(inst, budget) is None:
-        return True
-    without = inst.with_frozen(frozenset((eid,)))
-    return oracle_wbd(without, budget) is not None

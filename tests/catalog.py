@@ -144,6 +144,16 @@ def digraph_isomorphic(a: Digraph, b: Digraph) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def cycle(n: int) -> UndirectedGraph:
+    """The cycle 0-1-...-(n-1)-0."""
+    return UndirectedGraph.from_edges(range(n), [(i, (i + 1) % n) for i in range(n)])
+
+
+def complete(n: int) -> UndirectedGraph:
+    """The complete graph on 0..n-1."""
+    return UndirectedGraph.from_edges(range(n), itertools.combinations(range(n), 2))
+
+
 def all_graphs(n: int) -> List[UndirectedGraph]:
     """All unlabeled graphs on exactly n vertices (tiny n only)."""
     pairs = list(itertools.combinations(range(n), 2))

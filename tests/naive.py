@@ -3,8 +3,10 @@
 Everything here is written from definitions (brute force, exhaustive
 enumeration) with no shared code paths with the package, so tests can
 cross-check the real implementations against them at desk scale.  The
-one exception is ``first_witness``, which referees the enumerator's
-search and takes its biconnectivity test from the package.
+exceptions are ``first_witness``, which referees the enumerator's search
+and takes its biconnectivity test from the package, and
+``oracle_irrelevance``, which referees the freeze rule with two calls of
+the brute-force ``oracle_wbd``.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from conndel.graphs import is_biconnected_without
+from conndel.oracles import DEFAULT_BUDGET, OracleBudget, oracle_wbd
+from conndel.solver import WbdInstance
 
 
 def components(vertices: Set[int], edges: Iterable[Tuple[int, int]]) -> List[Set[int]]:
@@ -229,6 +233,12 @@ def directed_reach(
     return seen
 
 
+def strongly_connected(vertices: Set[int], arcs: Iterable[Tuple[int, int]]) -> bool:
+    """Does every vertex reach every vertex along the arcs?"""
+    arcs = list(arcs)
+    return all(directed_reach(vertices, arcs, (v,), set()) == vertices for v in vertices)
+
+
 def linkage_exists(
     vertices: Set[int],
     arcs: List[Tuple[int, int]],
@@ -413,3 +423,13 @@ def first_witness(inst) -> Optional[Tuple[int, ...]]:
         return None
 
     return search(0, [])
+
+
+def oracle_irrelevance(
+    inst: WbdInstance, eid: int, budget: OracleBudget = DEFAULT_BUDGET
+) -> bool:
+    """Is the edge irrelevant: no solution exists, or one avoids it?"""
+    if oracle_wbd(inst, budget) is None:
+        return True
+    without = inst.with_frozen(frozenset((eid,)))
+    return oracle_wbd(without, budget) is not None

@@ -26,6 +26,7 @@ from conndel.graphs import Path, UndirectedGraph, has_path_without, max_flow_bou
 from conndel.solver import SolveStats, WbdInstance, normalize, solve
 
 from . import naive
+from .catalog import complete, cycle
 from .checks import (
     analysis_after,
     check_partner_invariants,
@@ -34,14 +35,6 @@ from .checks import (
     segments,
 )
 from .strategies import biconnected_graphs, undirected_graphs
-
-
-def cycle(n):
-    return UndirectedGraph.from_edges(range(n), [(i, (i + 1) % n) for i in range(n)])
-
-
-def complete(n):
-    return UndirectedGraph.from_edges(range(n), itertools.combinations(range(n), 2))
 
 
 def plain(g):

@@ -21,16 +21,9 @@ from conndel.graphs import (
 )
 
 from . import naive
+from .catalog import complete, cycle
 from .checks import path_in_graph
 from .strategies import digraphs, ear_graphs, undirected_graphs
-
-
-def cycle(n):
-    return UndirectedGraph.from_edges(range(n), [(i, (i + 1) % n) for i in range(n)])
-
-
-def complete(n):
-    return UndirectedGraph.from_edges(range(n), itertools.combinations(range(n), 2))
 
 
 def path_graph(n):
@@ -124,6 +117,16 @@ class TestStrongConnectivity:
 
     def test_single_vertex(self):
         assert is_strongly_connected(Digraph([5]))
+
+    @given(digraphs(min_n=0, max_n=8))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_definition_both_ways(self, d):
+        vertices = set(d.vertices)
+        arcs = d.arc_pairs()
+        expect = naive.strongly_connected(vertices, arcs)
+        reverse = Digraph.from_arcs(vertices, [(h, t) for t, h in arcs])
+        assert is_strongly_connected(d) == expect
+        assert is_strongly_connected(reverse) == expect
 
 
 class TestMaxFlow:

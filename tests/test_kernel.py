@@ -29,19 +29,11 @@ from conndel.oracles import OracleBudget, oracle_wbd
 from conndel.solver import WbdInstance, heavy_order, mu, normalize
 
 from . import naive
-from .catalog import edge_colored_canonical_form
+from .catalog import complete, cycle, edge_colored_canonical_form
 from .checks import in_neighbors, out_neighbors
 from .strategies import ear_graphs
 
 BIG = OracleBudget(max_vertices=30, max_edges=60, max_k=3)
-
-
-def cycle(n):
-    return UndirectedGraph.from_edges(range(n), [(i, (i + 1) % n) for i in range(n)])
-
-
-def complete(n):
-    return UndirectedGraph.from_edges(range(n), itertools.combinations(range(n), 2))
 
 
 @pytest.fixture(scope="module")

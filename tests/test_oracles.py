@@ -1,12 +1,14 @@
 import itertools
+import random
 
 import pytest
 
-from conndel.errors import BudgetExceededError
-from conndel.graphs import Digraph, UndirectedGraph
+from conndel.errors import BudgetExceededError, ContractionError
+from conndel.graphs import Digraph, UndirectedGraph, contract_sequence
 from conndel.oracles import (
     OracleBudget,
-    oracle_irrelevance,
+    is_pcpsc_witness,
+    is_vdpsc_witness,
     oracle_is,
     oracle_pcpsc,
     oracle_vdpsc,
@@ -14,13 +16,10 @@ from conndel.oracles import (
 )
 from conndel.solver import WbdInstance, normalize
 
-
-def cycle(n):
-    return UndirectedGraph.from_edges(range(n), [(i, (i + 1) % n) for i in range(n)])
-
-
-def complete(n):
-    return UndirectedGraph.from_edges(range(n), itertools.combinations(range(n), 2))
+from . import naive
+from .catalog import complete, cycle
+from .naive import oracle_irrelevance
+from .strategies import random_digraph
 
 
 def dicycle(n):
@@ -120,6 +119,60 @@ class TestVdPsc:
         d = bidirected(UndirectedGraph.from_edges(range(2), [(0, 1)]))
         assert oracle_vdpsc(d, 1) is not None
         assert oracle_vdpsc(d, 2) is None  # cannot delete everything
+
+
+def small_digraphs():
+    """A single vertex; directed cycles on 2-5 vertices, with and without a
+    chord; and random digraphs on 2-5 vertices with at most 7 arcs (8 on
+    four vertices or fewer), so that every n-sequence of arcs can be tried."""
+    rng = random.Random(5)
+    out = [Digraph([0])]
+    for n in range(2, 6):
+        out.append(dicycle(n))
+        if n >= 3:
+            out.append(Digraph.from_arcs(range(n), dicycle(n).arc_pairs() + [(0, 2)]))
+        kept = 0
+        while kept < 6:
+            d = random_digraph(rng, n, 0.45)
+            if d.m <= (7 if n == 5 else 8):
+                out.append(d)
+                kept += 1
+    return out
+
+
+def budgets(d):
+    return sorted({0, 1, 2, d.n})
+
+
+class TestWitnessChecks:
+    """The two digraph witness checks against their definitions."""
+
+    def test_vdpsc_against_definition(self):
+        for d in small_digraphs():
+            vertices = set(d.vertices)
+            arcs = d.arc_pairs()
+            for k in budgets(d):
+                for combo in itertools.combinations(sorted(vertices), k):
+                    rest = vertices - set(combo)
+                    kept = [(t, h) for t, h in arcs if t in rest and h in rest]
+                    expect = bool(rest) and naive.strongly_connected(rest, kept)
+                    assert is_vdpsc_witness(d, k, combo) == expect, (d.arc_pairs(), combo)
+                    assert not is_vdpsc_witness(d, k + 1, combo)
+                    if combo:
+                        assert not is_vdpsc_witness(d, k + 1, combo + combo[:1])
+
+    def test_pcpsc_against_definition(self):
+        for d in small_digraphs():
+            for k in budgets(d):
+                for seq in itertools.permutations(d.arc_pairs(), k):
+                    try:
+                        out = contract_sequence(d, seq)
+                    except ContractionError:
+                        expect = False
+                    else:
+                        expect = naive.strongly_connected(set(out.vertices), out.arc_pairs())
+                    assert is_pcpsc_witness(d, k, seq) == expect, (d.arc_pairs(), seq)
+                    assert not is_pcpsc_witness(d, k + 1, seq)
 
 
 class TestIndependentSet:

@@ -19,7 +19,7 @@ from conndel.graphs import UndirectedGraph, is_biconnected_without
 from conndel import criticality as criticality_module
 from conndel import kernel as kernel_module
 from conndel import solver as solver_module
-from conndel.oracles import OracleBudget, oracle_irrelevance, oracle_wbd
+from conndel.oracles import OracleBudget, oracle_wbd
 from conndel.solver import (
     GreedyRun,
     RoundCache,
@@ -39,18 +39,12 @@ from conndel.solver import (
 )
 
 from . import naive
+from .catalog import complete, cycle
 from .checks import analysis_after, gammas
+from .naive import oracle_irrelevance
 from .strategies import ear_graphs
 
 BIG = OracleBudget(max_vertices=16, max_edges=50, max_k=3)
-
-
-def cycle(n):
-    return UndirectedGraph.from_edges(range(n), [(i, (i + 1) % n) for i in range(n)])
-
-
-def complete(n):
-    return UndirectedGraph.from_edges(range(n), itertools.combinations(range(n), 2))
 
 
 def unit(g, k, wstar):
