@@ -156,7 +156,7 @@ class TestWitnessChecks:
                     rest = vertices - set(combo)
                     kept = [(t, h) for t, h in arcs if t in rest and h in rest]
                     expect = bool(rest) and naive.strongly_connected(rest, kept)
-                    assert is_vdpsc_witness(d, k, combo) == expect, (d.arc_pairs(), combo)
+                    assert is_vdpsc_witness(d, k, combo) == expect, (arcs, combo)
                     assert not is_vdpsc_witness(d, k + 1, combo)
                     if combo:
                         assert not is_vdpsc_witness(d, k + 1, combo + combo[:1])
