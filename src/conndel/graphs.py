@@ -90,8 +90,10 @@ class UndirectedGraph:
         """Read-only view of edge id -> (u, v) with u < v."""
         return MappingProxyType(self._edges)
 
-    def edge_ids(self) -> List[int]:
-        return sorted(self._edges)
+    def edge_ids(self, excluded: AbstractSet[int] = frozenset()) -> List[int]:
+        """Edge ids ascending, leaving out ``excluded``: one C-level set
+        difference, since every solve and kernelize call lists its pool."""
+        return sorted(self._edges.keys() - excluded)
 
     @property
     def n(self) -> int:
@@ -621,7 +623,7 @@ def path_contract(d: Digraph, arc: Edge) -> Tuple[Digraph, Dict[int, int]]:
     mapping[x] = z
     mapping[y] = z
     kept: Dict[Edge, None] = {}
-    for t, h in d.arc_pairs():
+    for t, h in d._arcs.values():
         if t in (x, y) and h in (x, y):
             continue
         if t == x or h == y:
@@ -630,12 +632,19 @@ def path_contract(d: Digraph, arc: Edge) -> Tuple[Digraph, Dict[int, int]]:
         nh = z if h == x else h
         if nt != nh:
             kept[(nt, nh)] = None
-    verts = (d.vertices - {x, y}) | {z}
-    out = Digraph(
-        verts,
-        [(i, t, h) for i, (t, h) in enumerate(sorted(kept))],
-        next_vertex_id=z + 1,
-    )
+    # Built directly, as ``UndirectedGraph.without_edges`` is: the kept arcs
+    # are valid, and taken sorted they fill every adjacency list sorted.
+    out = object.__new__(Digraph)
+    out._vertices = (d.vertices - {x, y}) | {z}
+    out._arcs = dict(enumerate(sorted(kept)))
+    out._pair_to_id = {th: aid for aid, th in out._arcs.items()}
+    out._out = {v: [] for v in out._vertices}
+    out._in = {v: [] for v in out._vertices}
+    for aid, (t, h) in out._arcs.items():
+        out._out[t].append((h, aid))
+        out._in[h].append((t, aid))
+    out._next_vertex_id = z + 1
+    out._network = None
     return out, mapping
 
 

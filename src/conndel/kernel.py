@@ -6,13 +6,13 @@ many distinct partner sets certifies a yes-instance, a clean stretch
 yields an irrelevant edge to freeze.  Before phase one, and on every
 pass of phase two, three rules decide what needs no work: k = 0 is a
 yes, fewer than k deletable edges a no, and k = 1 with a deletable edge
-a yes, since the instance is normalized and every deletable edge is
-therefore non-critical.  Otherwise phase two's auxiliary digraph reduces
-deletion-set feasibility to linkage questions (flows in its
-``graphs.FlowNetwork``), a cut-covering set of that digraph plus the
-deletable edges' endpoints gives Y, the vertices worth keeping, and rule
-one and the torso contract the graph onto Y from one pass over the
-components C of G - Y and their attachment sets N(C) in Y.
+a yes, since every critical edge is frozen first (``kernelize`` says
+where), so no deletable edge is critical.  Otherwise phase two's
+auxiliary digraph reduces deletion-set feasibility to linkage questions
+(flows in its ``graphs.FlowNetwork``), a cut-covering set of that
+digraph plus the deletable edges' endpoints gives Y, the vertices worth
+keeping, and rule one and the torso contract the graph onto Y from one
+pass over the components C of G - Y and their attachment sets N(C) in Y.
 
 The cut-covering set construction is pluggable, and ``_phase_two`` is
 the one place that reads the provider.  Under ``trivial`` Y is every
@@ -34,43 +34,47 @@ from .errors import BudgetExceededError, InternalInconsistencyError, InvalidInpu
 from .graphs import Digraph, UndirectedGraph, is_biconnected, reachable
 from .solver import (
     WbdInstance,
+    checked_critical_tree,
     freeze_rounds,
     mu,
-    normalize,
     solution_from_distinct_partners,
-    validate_instance,
 )
 
 PROVIDERS = ("trivial", "exhaustive")
 DEFAULT_MAX_TERMINALS = 5
 
 
+def unit_weights(graph: UndirectedGraph, pool: Iterable[int]) -> Dict[int, float]:
+    """The unit weight map: 1 on the edges in ``pool``, 0 on all others."""
+    return dict.fromkeys(graph.edges, 0.0) | dict.fromkeys(pool, 1.0)
+
+
 def unit_instance(graph: UndirectedGraph, k: int, frozen: FrozenSet[int]) -> WbdInstance:
     """Unweighted instance: unit weight on deletable edges, 0 on frozen
-    ones, target k."""
-    weights = dict.fromkeys(graph.edges, 1.0)
-    weights.update(dict.fromkeys(weights.keys() & frozen, 0.0))
-    return WbdInstance(graph, k, float(k), weights, frozen)
+    ones, target k.  Normalized when ``frozen`` holds the critical edges."""
+    return WbdInstance(graph, k, float(k), unit_weights(graph, graph.edge_ids(frozen)), frozen)
 
 
-# The constant answers' graphs, built once: an ``UndirectedGraph`` is
-# immutable, so every constant instance may share one.
+# The constant answers' graphs and zero weight maps, built once: every
+# constant instance shares an immutable graph and copies its map.
 _K4 = UndirectedGraph.from_edges(range(4), itertools.combinations(range(4), 2))
 _C4 = UndirectedGraph.from_edges(range(4), [(i, (i + 1) % 4) for i in range(4)])
+_K4_ZERO = unit_weights(_K4, ())
+_C4_ZERO = unit_weights(_C4, ())
 
 
 def constant_yes_instance() -> WbdInstance:
     """K4 with k=0 and everything frozen: the empty set is a valid solution
     and no potential solution edges remain.  The graph is shared; the
     instance and its weight map are new on every call."""
-    return unit_instance(_K4, 0, frozenset(_K4.edges))
+    return WbdInstance(_K4, 0, 0.0, dict(_K4_ZERO), frozenset(_K4_ZERO))
 
 
 def constant_no_instance(k: int) -> WbdInstance:
     """A 4-cycle with every edge frozen: nothing is deletable, k >= 1
     fails.  The graph is shared; the instance and its weight map are new
     on every call."""
-    return unit_instance(_C4, k, frozenset(_C4.edges))
+    return WbdInstance(_C4, k, float(k), dict(_C4_ZERO), frozenset(_C4_ZERO))
 
 
 # ---------------------------------------------------------------------------
@@ -249,9 +253,7 @@ def rule_one(inst: WbdInstance, y_set: FrozenSet[int]) -> Optional[WbdInstance]:
         u, v = inst.graph.endpoints(eid)
         if any(u in attach and v in attach for attach in attachments):
             g2 = inst.graph.without_edge(eid)
-            return normalize(
-                unit_instance(g2, inst.k - 1, frozenset(e for e in inst.frozen if e != eid))
-            )
+            return unit_instance(g2, inst.k - 1, inst.frozen | checked_critical_tree(g2)[0])
     return None
 
 
@@ -296,37 +298,37 @@ def kernelize(
     answer field set to "yes" or "no"; otherwise it is None.  Either way
     the result is a unit instance, whose frozen edges weigh 0.
 
-    The input is normalized once and its pool listed once: the budget
-    rules read the list's length and phase one takes the list as its
-    heavy order.  A decided answer is its constant instance as is, with
-    an empty pool; only an undecided result, whose newly frozen edges
-    still weigh 1, is rebuilt by ``unit_instance``.
+    The graph is normalized and its pool listed first: the budget rules
+    read only k and the pool's size, and a decided answer copies a zero
+    map built at import, so it needs no instance or weight map of the
+    input.  Past them the one unit weight map is built, input-frozen and
+    critical edges at 0; phase one zeroes each edge it freezes on it.
     """
     if provider not in PROVIDERS:
         raise InvalidInputError(f"unknown cut-covering provider '{provider}'")
     if max_terminals < 0:
         raise InvalidInputError(f"max_terminals must be non-negative, got {max_terminals}")
-    inst = unit_instance(graph, k, frozen)
-    validate_instance(inst)
-    inst = normalize(inst)
-    pool = inst.potential_edges()
+    if k < 0:
+        raise InvalidInputError(f"k must be non-negative, got {k}")
+    crit, tree = checked_critical_tree(graph)
+    frozen = frozen | crit
+    pool = graph.edge_ids(frozen)
     stats: Dict[str, object] = {
         "provider": provider,
         "f_before": len(pool),
-        "v_before": inst.graph.n,
+        "v_before": graph.n,
         "irrelevant_frozen": 0,
         "rule_one_fired": 0,
         "phase1_rounds": 0,
     }
 
-    inst, answer = _budget_rules(inst.k, len(pool)) or _phase_one(inst, pool, mu_of, stats)
+    inst, answer = _budget_rules(k, len(pool)) or (None, None)
+    if inst is None:
+        inst = WbdInstance(graph, k, float(k), unit_weights(graph, pool), frozen, tree=tree)
+        inst, answer = _phase_one(inst, pool, mu_of, stats)
     if answer is None:
         inst, answer = _phase_two(inst, pool, provider, max_terminals, stats)
-    if answer is None:
-        inst = unit_instance(inst.graph, inst.k, inst.frozen)
-        stats["f_after"] = len(inst.potential_edges())
-    else:
-        stats["f_after"] = 0
+    stats["f_after"] = 0 if answer else len(pool)
     stats["v_after"] = inst.graph.n
     return KernelResult(inst, answer, stats)
 
@@ -362,8 +364,9 @@ def _phase_one(
     (weight descending, ties by ascending id) is id order: the pool list
     itself, which is passed to ``freeze_rounds`` as the order.  The loop
     drops each frozen edge from it, so on return it is the pool of the
-    instance returned."""
+    instance returned; each is also zeroed on the call's own weight map."""
     inst, steps = freeze_rounds(inst, pool, mu_of, mark_all=True)
+    inst.weights.update((s.edge, 0.0) for s in steps if s.kind == "freeze")
     stats["phase1_rounds"] = len(steps)
     stats["irrelevant_frozen"] = sum(s.kind == "freeze" for s in steps)
     kind = steps[-1].kind if steps else None
@@ -384,8 +387,8 @@ def _phase_two(
     stats: Dict[str, object],
 ) -> Tuple[WbdInstance, Optional[str]]:
     """Contract onto Y, the vertices worth keeping, until the budget rules
-    decide or rule one no longer fires.  ``pool`` is the instance's
-    potential edges, listed again only when rule one makes a new one."""
+    decide or rule one no longer fires.  ``pool``, the instance's potential
+    edges, is relisted in place for each instance rule one or the torso makes."""
     while True:
         decided = _budget_rules(inst.k, len(pool))
         if decided is not None:
@@ -403,10 +406,13 @@ def _phase_two(
         if fired is not None:
             stats["rule_one_fired"] = int(stats["rule_one_fired"]) + 1
             inst = fired
-            pool = inst.potential_edges()
+            pool[:] = inst.potential_edges()
             continue
         reduced = rule_two_torso(inst, y_set)
         # Checked before normalizing, which refuses such a graph as bad input.
         if not is_biconnected(reduced.graph):
             raise InternalInconsistencyError("torso lost biconnectivity")
-        return normalize(reduced), None
+        g = reduced.graph
+        inst = unit_instance(g, inst.k, reduced.frozen | checked_critical_tree(g)[0])
+        pool[:] = inst.potential_edges()
+        return inst, None

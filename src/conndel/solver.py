@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .criticality import (
@@ -83,10 +83,7 @@ class WbdInstance:
     tree: Optional[DfsTree] = field(default=None, repr=False, compare=False)
 
     def potential_edges(self) -> List[int]:
-        # A C-level set difference on the edge map's keys, not a filter
-        # over the read-only ``edges`` view: every solve and kernelize
-        # call lists its pool.
-        return sorted(self.graph._edges.keys() - self.frozen)
+        return self.graph.edge_ids(self.frozen)
 
     def weight_of(self, edges) -> float:
         return math.fsum(self.weights.get(e, 0.0) for e in edges)
@@ -97,17 +94,15 @@ class WbdInstance:
         return math.fsum(itertools.chain(self.deleted, added)) >= self.w_star
 
     def with_frozen(self, extra: FrozenSet[int]) -> "WbdInstance":
-        return replace(self, frozen=self.frozen | extra)
+        return WbdInstance(
+            self.graph, self.k, self.w_star, self.weights, self.frozen | extra, self.deleted, self.tree
+        )
 
     def child_after_deleting(self, eid: int) -> "WbdInstance":
         """The instance after deleting the potential edge ``eid``."""
-        return replace(
-            self,
-            graph=self.graph.without_edge(eid),
-            k=self.k - 1,
-            deleted=self.deleted + (self.weights.get(eid, 0.0),),
-            tree=None,
-        )
+        deleted = self.deleted + (self.weights.get(eid, 0.0),)
+        graph = self.graph.without_edge(eid)
+        return WbdInstance(graph, self.k - 1, self.w_star, self.weights, self.frozen, deleted)
 
 
 @dataclass(frozen=True)
@@ -157,18 +152,26 @@ def validate_instance(inst: WbdInstance) -> None:
             raise InvalidInputError(f"edge {eid} has negative weight {w}")
 
 
+def checked_critical_tree(graph: UndirectedGraph) -> Tuple[FrozenSet[int], Optional[DfsTree]]:
+    """``critical_tree``, rejecting a graph that is not biconnected."""
+    crit, tree = critical_tree(graph)
+    # No tree means n < 3 or not biconnected; only n = 2 with one edge passes.
+    if tree is None and not is_biconnected(graph):
+        raise InvalidInputError("instance graph is not biconnected")
+    return crit, tree
+
+
 def normalize(inst: WbdInstance) -> WbdInstance:
     """Freeze all currently-critical edges, and keep as ``tree`` the DFS
-    tree they were decided on (``critical_tree``).
+    tree they were decided on (``checked_critical_tree``, which
+    ``kernelize`` shares).
 
     Critical edges can never be deleted, so this loses no solutions;
     idempotent.  Rejects non-biconnected graphs.
     """
-    crit, tree = critical_tree(inst.graph)
-    # No tree means n < 3 or not biconnected; only n = 2 with one edge passes.
-    if tree is None and not is_biconnected(inst.graph):
-        raise InvalidInputError("instance graph is not biconnected")
-    return replace(inst, frozen=inst.frozen | crit, tree=tree)
+    crit, tree = checked_critical_tree(inst.graph)
+    frozen = inst.frozen | crit
+    return WbdInstance(inst.graph, inst.k, inst.w_star, inst.weights, frozen, inst.deleted, tree)
 
 
 def heavy_order(inst: WbdInstance) -> List[int]:

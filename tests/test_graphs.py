@@ -263,6 +263,21 @@ class TestPathContract:
         assert out.arc_between(z, 3) is not None
         assert is_strongly_connected(out)
 
+    @settings(max_examples=100, deadline=None)
+    @given(digraphs(min_n=2, max_n=8))
+    def test_direct_build_matches_the_constructor(self, d):
+        # path_contract skips the constructor's checks and sorts; every
+        # field it fills must be what the constructor would make.
+        for t, h in d.arc_pairs():
+            out, _ = path_contract(d, (t, h))
+            built = Digraph(
+                out.vertices,
+                [(aid, a, b) for aid, (a, b) in out.arcs.items()],
+                next_vertex_id=out._next_vertex_id,
+            )
+            for slot in Digraph.__slots__:
+                assert getattr(out, slot) == getattr(built, slot), slot
+
 
 class TestContractSequence:
     def test_two_disjoint_arcs_of_c5(self):

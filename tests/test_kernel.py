@@ -12,6 +12,7 @@ from conndel.families import (
     random_biconnected_graph,
     shared_partner_instance,
 )
+from conndel.criticality import critical_set
 from conndel.graphs import Digraph, UndirectedGraph, is_biconnected, is_biconnected_without
 from conndel.kernel import (
     AuxiliaryDigraph,
@@ -26,7 +27,7 @@ from conndel.kernel import (
     unit_instance,
 )
 from conndel.oracles import OracleBudget, oracle_wbd
-from conndel.solver import WbdInstance, heavy_order, mu, normalize
+from conndel.solver import heavy_order, mu, normalize
 
 from . import naive
 from .catalog import complete, cycle, edge_colored_canonical_form
@@ -397,6 +398,10 @@ class TestRulesAgainstDefinitions:
             return
         assert out is not None and out.k == inst.k - 1
         assert out.graph == g.without_edge(g.edge_between(*want))
+        # A normalized unit instance: edges critical after the deletion
+        # are frozen too, and weigh 0 like every frozen edge.
+        assert critical_set(out.graph) <= out.frozen
+        assert out.weights == {e: 0.0 if e in out.frozen else 1.0 for e in out.graph.edges}
 
     def test_rule_one_needs_the_pool_endpoints_in_y(self):
         g = UndirectedGraph.from_edges(range(4), [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
@@ -593,11 +598,33 @@ class TestKernelize:
         assert outcomes == ["freeze", "stuck"]
         assert res.stats["irrelevant_frozen"] >= 1
         # The output is a unit-weight instance: its frozen edges weigh 0.
-        assert all(res.instance.weights[e] == 0.0 for e in res.instance.frozen)
+        out = res.instance
+        assert out.weights == {e: 0.0 if e in out.frozen else 1.0 for e in out.graph.edges}
         big = OracleBudget(max_vertices=40, max_edges=80, max_k=3)
         before = oracle_wbd(normalize(unit_instance(g, 2, frozenset())), big) is not None
         after = (res.answer == "yes") or (oracle_wbd(res.instance, big) is not None)
         assert before == after
+
+    def test_rule_one_and_torso_output_weighs_frozen_edges_zero(self, monkeypatch):
+        # With Y = {0, 3} plus the pool's endpoints, rule one deletes a pool
+        # edge, which leaves (0, 4) critical, and the torso keeps it: the
+        # undecided output of the exhaustive path holds an edge rule one
+        # froze, besides the torso's frozen shortcuts.
+        g = UndirectedGraph.from_edges(
+            range(7),
+            [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (3, 5), (5, 6), (0, 6), (1, 6), (4, 5)]
+            + [(4, 6)],
+        )
+        frozen = frozenset(
+            g.edge_between(*p) for p in [(0, 1), (1, 2), (1, 6), (3, 4), (4, 5), (5, 6)]
+        )
+        monkeypatch.setattr(kernel_module, "cut_covering_set", lambda aux, cap: frozenset({0, 3}))
+        res = kernelize(g, 3, frozen, provider="exhaustive")
+        assert res.answer is None and res.stats["rule_one_fired"] == 1
+        out = res.instance
+        newly = g.edge_between(0, 4)
+        assert newly in out.frozen and newly not in normalize(unit_instance(g, 3, frozen)).frozen
+        assert out.weights == {e: 0.0 if e in out.frozen else 1.0 for e in out.graph.edges}
 
     def test_phase1_staircase_detects_distinct_partner_yes(self, outcomes):
         # In id order greedy would delete two rim edges first and answer
@@ -673,25 +700,32 @@ class TestKernelize:
 
 
 class TestOnePassPerState:
-    """``kernelize`` lists each instance state's pool once and builds no
-    graph for a constant answer."""
+    """``kernelize`` lists each instance state's pool once, builds no graph
+    for a constant answer and builds a weight map only past the budget
+    rules."""
 
     @staticmethod
     def counted(monkeypatch):
-        calls = {"pool": 0, "from_edges": 0}
-        pool = WbdInstance.potential_edges
+        calls = {"pool": 0, "from_edges": 0, "weights": 0}
+        pool = UndirectedGraph.edge_ids
         build = UndirectedGraph.from_edges
+        weights = kernel_module.unit_weights
 
-        def counting_pool(self):
+        def counting_pool(self, *args):
             calls["pool"] += 1
-            return pool(self)
+            return pool(self, *args)
 
         def counting_build(cls, *args, **kwargs):
             calls["from_edges"] += 1
             return build(*args, **kwargs)
 
-        monkeypatch.setattr(WbdInstance, "potential_edges", counting_pool)
+        def counting_weights(*args):
+            calls["weights"] += 1
+            return weights(*args)
+
+        monkeypatch.setattr(UndirectedGraph, "edge_ids", counting_pool)
         monkeypatch.setattr(UndirectedGraph, "from_edges", classmethod(counting_build))
+        monkeypatch.setattr(kernel_module, "unit_weights", counting_weights)
         return calls
 
     def test_k1_input_lists_the_pool_once_and_builds_no_graph(self, monkeypatch):
@@ -699,14 +733,34 @@ class TestOnePassPerState:
         calls = self.counted(monkeypatch)
         res = kernelize(g, 1)
         assert res.answer == "yes" and res.instance == constant_yes_instance()
-        assert calls == {"pool": 1, "from_edges": 0}
+        assert calls == {"pool": 1, "from_edges": 0, "weights": 0}
 
     def test_bench_hub_makes_at_most_two_pool_passes(self, monkeypatch):
         g = shared_partner_instance(347, k=2, subdivide=True).instance.graph
         calls = self.counted(monkeypatch)
         res = kernelize(g, 2, provider="trivial")
         assert res.answer is None and res.stats["phase1_rounds"] == 3
-        assert calls["pool"] <= 2
+        assert calls["pool"] == 1 and calls["weights"] == 1
+
+    @pytest.mark.parametrize(
+        "pairs, k, message",
+        [
+            (list(itertools.combinations(range(4), 2)), -1, "k must be non-negative, got -1"),
+            ([(0, 1), (1, 2), (2, 3)], 1, "instance graph is not biconnected"),
+            (
+                [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)],
+                1,
+                "instance graph is not biconnected",
+            ),
+        ],
+        ids=["negative-k", "path", "two-components"],
+    )
+    def test_refused_input_builds_no_weight_map(self, monkeypatch, pairs, k, message):
+        g = UndirectedGraph.from_edges(range(1 + max(map(max, pairs))), pairs)
+        calls = self.counted(monkeypatch)
+        with pytest.raises(InvalidInputError, match=message):
+            kernelize(g, k)
+        assert calls["weights"] == 0
 
     def test_constants_share_no_mutable_state(self):
         first = kernelize(complete(4), 1)
