@@ -26,6 +26,11 @@ graphs:
 * the random instances of the CI runs of ``scripts/sweep_solver.py`` (four
   configurations) and ``scripts/kernel_shrink_stats.py`` (three), from
   those scripts' own generators;
+* 120 of the latter's graphs (seed 3, up to 12 vertices) at k = 2 and 3
+  under the ``exhaustive`` provider with its cover replaced by two fixed
+  stand-ins, Z = {} and Z = the even vertex ids: every input that reaches
+  the real cover has at least 11 terminals, which it refuses, so this is
+  what runs rule one and the torso through ``kernelize``;
 * both hub families, plain and subdivided, at k = 1-3 and q = 1-29, under
   the thresholds mu, 5 and 2k + 5: ``solve`` at four targets, with the
   default rim weights and with varied ones, and ``kernelize``;
@@ -46,6 +51,7 @@ import math
 import random
 import sys
 import tempfile
+import unittest.mock
 from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Tuple
 
@@ -209,6 +215,23 @@ def kernel_shrink(k: int, count=40, max_n=9, seed=0, mu_const=None) -> Iterator[
             yield kernel_line(label, g, k, provider=provider, max_terminals=7, mu_of=mu_of)
 
 
+def stand_in_covers(count=120, max_n=12, seed=3) -> Iterator[str]:
+    """``kernelize`` through phase two's rules: the exhaustive provider,
+    its cover replaced by Z = {} and by Z = the even vertex ids."""
+    covers = {
+        "empty": lambda aux, cap: frozenset(),
+        "even": lambda aux, cap: frozenset(v for v in aux.digraph.vertices if v % 2 == 0),
+    }
+    for name, cover in covers.items():
+        with unittest.mock.patch("conndel.kernel.cut_covering_set", cover):
+            lines = [
+                kernel_line(f"stand-in cover={name} k={k} trial={t}", g, k, provider="exhaustive")
+                for t, g in enumerate(kernel_graphs(count, max_n, seed))
+                for k in (2, 3)
+            ]
+        yield from lines
+
+
 # ---------------------------------------------------------------------------
 # hub families
 # ---------------------------------------------------------------------------
@@ -315,6 +338,7 @@ def all_lines() -> Iterator[str]:
     yield from kernel_shrink(2, mu_const=3)
     yield from kernel_shrink(2, seed=1)
     yield from kernel_shrink(3, count=120, max_n=12, seed=3, mu_const=4)
+    yield from stand_in_covers()
     yield from hubs()
     yield from hardness()
 

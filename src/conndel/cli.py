@@ -204,7 +204,7 @@ def cmd_kernelize(args) -> int:
     stats["input-digest"] = _digest(text)
     stats["k_after"] = result.instance.k
     print(json.dumps(stats, sort_keys=True))
-    return EXIT_YES if result.answer == "yes" else EXIT_NO if result.answer == "no" else EXIT_YES
+    return EXIT_NO if result.answer == "no" else EXIT_YES
 
 
 def cmd_gen(args) -> int:

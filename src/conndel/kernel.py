@@ -11,8 +11,11 @@ where), so no deletable edge is critical.  Otherwise phase two's
 auxiliary digraph reduces deletion-set feasibility to linkage questions
 (flows in its ``graphs.FlowNetwork``), a cut-covering set of that
 digraph plus the deletable edges' endpoints gives Y, the vertices worth
-keeping, and rule one and the torso contract the graph onto Y from one
-pass over the components C of G - Y and their attachment sets N(C) in Y.
+keeping, and rule one and the torso contract the graph onto Y.  Both read
+one pass over the components C of G - Y and their attachment sets N(C)
+in Y, and both edit the graph alone: one ``critical_tree`` call per graph
+they make freezes its critical edges, and phase two's undecided output
+is the only instance it builds.
 
 The cut-covering set construction is pluggable, and ``_phase_two`` is
 the one place that reads the provider.  Under ``trivial`` Y is every
@@ -30,8 +33,9 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
+from .criticality import critical_tree
 from .errors import BudgetExceededError, InternalInconsistencyError, InvalidInputError
-from .graphs import Digraph, UndirectedGraph, is_biconnected, reachable
+from .graphs import Digraph, UndirectedGraph, reachable
 from .solver import (
     WbdInstance,
     checked_critical_tree,
@@ -107,17 +111,11 @@ def build_auxiliary_digraph(g: UndirectedGraph, f_edges: Iterable[int]) -> Auxil
             raise InvalidInputError(f"no edge with id {e}")
     f_set = set(f_ids)
     nxt = max(g.vertices, default=-1) + 1
-    x_edge: Dict[int, int] = {}
-    for e in f_ids:
-        x_edge[e] = nxt
-        nxt += 1
+    x_edge = {e: nxt + i for i, e in enumerate(f_ids)}
+    nxt += len(f_ids)
     endpoints = sorted({v for e in f_ids for v in g.endpoints(e)})
-    v_plus: Dict[int, int] = {}
-    v_minus: Dict[int, int] = {}
-    for v in endpoints:
-        v_plus[v] = nxt
-        v_minus[v] = nxt + 1
-        nxt += 2
+    v_plus = {v: nxt + 2 * i for i, v in enumerate(endpoints)}
+    v_minus = {v: x + 1 for v, x in v_plus.items()}
 
     # Subdivided undirected graph, as neighbor lists.
     neigh: Dict[int, List[int]] = {v: [] for v in g.vertices}
@@ -135,23 +133,12 @@ def build_auxiliary_digraph(g: UndirectedGraph, f_edges: Iterable[int]) -> Auxil
             neigh[u].append(v)
             neigh[v].append(u)
 
-    arcs: List[Tuple[int, int]] = []
-    for v in sorted(neigh):
-        for u in neigh[v]:
-            arcs.append((v, u))
-    for v in endpoints:
-        for u in neigh[v]:
-            arcs.append((v_plus[v], u))
-            arcs.append((u, v_minus[v]))
-
-    verts = list(neigh) + [v_plus[v] for v in endpoints] + [v_minus[v] for v in endpoints]
-    d = Digraph.from_arcs(verts, sorted(set(arcs)))
-    terminals = frozenset(
-        list(x_edge.values())
-        + [v_plus[v] for v in endpoints]
-        + [v_minus[v] for v in endpoints]
-        + endpoints
-    )
+    arcs = {(v, u) for v, us in neigh.items() for u in us}
+    arcs |= {(v_plus[v], u) for v in endpoints for u in neigh[v]}
+    arcs |= {(u, v_minus[v]) for v in endpoints for u in neigh[v]}
+    copies = [*v_plus.values(), *v_minus.values()]
+    d = Digraph.from_arcs([*neigh, *copies], sorted(arcs))
+    terminals = frozenset([*x_edge.values(), *copies, *endpoints])
     return AuxiliaryDigraph(d, x_edge, v_plus, v_minus, terminals)
 
 
@@ -239,35 +226,39 @@ def _attachments(g: UndirectedGraph, y_set: FrozenSet[int]) -> List[FrozenSet[in
     return out
 
 
-def rule_one(inst: WbdInstance, y_set: FrozenSet[int]) -> Optional[WbdInstance]:
-    """Delete the first deletable edge (u, v), in id order, joined by a path
-    that avoids every deletable edge and all of Y except the endpoints;
-    spend one budget unit.  Y holds every deletable edge's endpoints, so
-    such a path runs through one component C of G - Y with u, v in N(C).
-    Fires at most once; the driver reapplies it to exhaustion."""
-    pool = inst.potential_edges()
-    if not {v for e in pool for v in inst.graph.endpoints(e)} <= y_set:
+def rule_one(
+    g: UndirectedGraph, pool: List[int], y_set: FrozenSet[int], attachments: List[FrozenSet[int]]
+) -> Optional[int]:
+    """The first deletable edge (u, v), in id order, joined by a path that
+    avoids every deletable edge and all of Y except the endpoints, or None.
+    Y holds every deletable edge's endpoints, so such a path runs through
+    one component C of G - Y with u, v in N(C), one of ``attachments``.
+    Phase two deletes the edge, spends one budget unit and reapplies the
+    rule to exhaustion."""
+    if not {v for e in pool for v in g.endpoints(e)} <= y_set:
         raise InvalidInputError("Y must hold every endpoint of a deletable edge")
-    attachments = _attachments(inst.graph, y_set)
     for eid in pool:
-        u, v = inst.graph.endpoints(eid)
+        u, v = g.endpoints(eid)
         if any(u in attach and v in attach for attach in attachments):
-            g2 = inst.graph.without_edge(eid)
-            return unit_instance(g2, inst.k - 1, inst.frozen | checked_critical_tree(g2)[0])
+            return eid
     return None
 
 
-def rule_two_torso(inst: WbdInstance, y_set: FrozenSet[int]) -> WbdInstance:
+def rule_two_torso(
+    g: UndirectedGraph,
+    frozen: FrozenSet[int],
+    y_set: FrozenSet[int],
+    attachments: List[FrozenSet[int]],
+) -> Tuple[UndirectedGraph, FrozenSet[int]]:
     """Contract the graph onto Y: keep the induced subgraph and add a frozen
     shortcut edge, with fresh ids in pair order, for every non-adjacent pair
     of Y inside some N(C): exactly the pairs joined by a path whose interior
-    avoids Y, which lies in one component C of G - Y."""
-    g = inst.graph
-    pairs = {p for a in _attachments(g, y_set) for p in itertools.combinations(sorted(a), 2)}
+    avoids Y, which lies in one component C of G - Y.  The torso and its
+    frozen edges: the kept ones of ``frozen`` and the shortcuts."""
+    pairs = {p for a in attachments for p in itertools.combinations(sorted(a), 2)}
     shortcuts = sorted(p for p in pairs if g.edge_between(*p) is None)
     reduced, new_ids = g.induced(y_set).with_edges(shortcuts)
-    frozen = frozenset(e for e in inst.frozen if reduced.has_edge(e)) | frozenset(new_ids)
-    return unit_instance(reduced, inst.k, frozen)
+    return reduced, frozenset(e for e in frozen if reduced.has_edge(e)) | frozenset(new_ids)
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +292,9 @@ def kernelize(
     The graph is normalized and its pool listed first: the budget rules
     read only k and the pool's size, and a decided answer copies a zero
     map built at import, so it needs no instance or weight map of the
-    input.  Past them the one unit weight map is built, input-frozen and
-    critical edges at 0; phase one zeroes each edge it freezes on it.
+    input.  Past them phase one's unit weight map is built, input-frozen
+    and critical edges at 0, and phase one zeroes each edge it freezes on
+    it; phase two's torso builds the one map of its own output.
     """
     if provider not in PROVIDERS:
         raise InvalidInputError(f"unknown cut-covering provider '{provider}'")
@@ -387,32 +379,38 @@ def _phase_two(
     stats: Dict[str, object],
 ) -> Tuple[WbdInstance, Optional[str]]:
     """Contract onto Y, the vertices worth keeping, until the budget rules
-    decide or rule one no longer fires.  ``pool``, the instance's potential
-    edges, is relisted in place for each instance rule one or the torso makes."""
+    decide or rule one no longer fires.
+
+    The loop carries the graph, k, the frozen set and ``pool``, the list
+    of potential edges.  Each pass lists the components of G - Y once, for
+    both rules.  Each graph a rule makes gets one ``critical_tree`` call:
+    a graph that is not biconnected is the kernel's fault (exit 4), and
+    its critical edges are frozen; ``pool`` is then relisted in place.
+    The torso ends the loop, and its undecided output is the one instance
+    built, with one unit weight map and the DFS tree."""
+    g, k, frozen = inst.graph, inst.k, inst.frozen
     while True:
-        decided = _budget_rules(inst.k, len(pool))
+        decided = _budget_rules(k, len(pool))
         if decided is not None:
             return decided
         if provider == "trivial":
             # Y = V(G): rule one has no component of G - Y to use, and the
-            # torso onto Y is G itself.
+            # torso onto Y is G itself, so ``inst`` is still the input.
             return inst, None
-        aux = build_auxiliary_digraph(inst.graph, pool)
-        z = cut_covering_set(aux, max_terminals)
-        y_set = frozenset(z & inst.graph.vertices) | frozenset(
-            v for e in pool for v in inst.graph.endpoints(e)
-        )
-        fired = rule_one(inst, y_set)
-        if fired is not None:
+        z = cut_covering_set(build_auxiliary_digraph(g, pool), max_terminals)
+        y_set = frozenset(z & g.vertices) | frozenset(v for e in pool for v in g.endpoints(e))
+        attachments = _attachments(g, y_set)
+        eid = rule_one(g, pool, y_set, attachments)
+        if eid is not None:
             stats["rule_one_fired"] = int(stats["rule_one_fired"]) + 1
-            inst = fired
-            pool[:] = inst.potential_edges()
-            continue
-        reduced = rule_two_torso(inst, y_set)
-        # Checked before normalizing, which refuses such a graph as bad input.
-        if not is_biconnected(reduced.graph):
-            raise InternalInconsistencyError("torso lost biconnectivity")
-        g = reduced.graph
-        inst = unit_instance(g, inst.k, reduced.frozen | checked_critical_tree(g)[0])
-        pool[:] = inst.potential_edges()
-        return inst, None
+            g, k = g.without_edge(eid), k - 1
+        else:
+            g, frozen = rule_two_torso(g, frozen, y_set, attachments)
+        crit, tree = critical_tree(g)
+        if tree is None:  # n >= 3, as Y holds two pool edges' endpoints
+            rule = "torso" if eid is None else "rule one"
+            raise InternalInconsistencyError(f"{rule} lost biconnectivity")
+        frozen |= crit
+        pool[:] = g.edge_ids(frozen)
+        if eid is None:
+            return WbdInstance(g, k, float(k), unit_weights(g, pool), frozen, tree=tree), None

@@ -264,6 +264,17 @@ class TestKernelizeCommand:
     def test_usage_error_exit_two(self):
         assert main(["kernelize"]) == 2
 
+    def test_undecided_output_exits_zero(self, files, capsys):
+        assert main(["kernelize", files["k4"], "--k", "2"]) == 0
+        assert '"answer": null' in capsys.readouterr().out
+
+    def test_cover_over_its_cap_is_a_budget_refusal(self, files, capsys):
+        # K4 at k = 2: 6 subdivision vertices and three copies of each of
+        # the 4 endpoints make 18 terminals, above the default cap of 5.
+        assert main(["kernelize", files["k4"], "--k", "2", "--provider", "exhaustive"]) == 3
+        err = capsys.readouterr().err
+        assert "budget refusal" in err and "got 18" in err
+
     @pytest.mark.parametrize("command", [["kernelize"], ["gen", "pcpsc"]])
     def test_unwritable_out_is_a_usage_error(self, files, capsys, command):
         out = files["dir"] / "missing" / "out.txt"

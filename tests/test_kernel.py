@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conndel.errors import BudgetExceededError, InternalInconsistencyError, InvalidInputError
 from conndel import kernel as kernel_module
+from conndel import solver as solver_module
 from conndel.families import (
     distinct_partner_instance,
     random_biconnected_graph,
@@ -51,6 +52,25 @@ def c8_chord_exhaustive():
     z = cut_covering_set(aux, max_terminals=7)
     y = frozenset(z & g.vertices) | frozenset(v for e in pool for v in g.endpoints(e))
     return g, inst, z, y
+
+
+def fire_rule_one(inst, y):
+    """Rule one's edge on a unit instance's graph and pool, with the
+    components of G - Y listed as phase two lists them."""
+    g = inst.graph
+    return rule_one(g, inst.potential_edges(), y, kernel_module._attachments(g, y))
+
+
+def torso(inst, y):
+    """The torso of a unit instance onto Y: its graph and frozen edges."""
+    g = inst.graph
+    return rule_two_torso(g, inst.frozen, y, kernel_module._attachments(g, y))
+
+
+def torso_instance(inst, y):
+    """The torso as the normalized unit instance phase two builds."""
+    g, frozen = torso(inst, y)
+    return normalize(unit_instance(g, inst.k, frozen))
 
 
 def same_answer(g, before_inst, result):
@@ -303,23 +323,17 @@ class TestRules:
         inst = normalize(unit_instance(g, 1, frozenset()))
         f = inst.potential_edges()
         assert f == [g.edge_between(0, 2)]
-        y_set = frozenset({0, 2})
-        out = rule_one(inst, y_set)
-        assert out is not None
-        assert out.k == 0
-        assert not out.graph.has_edge(f[0])
+        assert fire_rule_one(inst, frozenset({0, 2})) == f[0]
 
     def test_rule_one_blocked_by_y(self):
         g = UndirectedGraph.from_edges(range(4), [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
         inst = normalize(unit_instance(g, 1, frozenset()))
-        assert rule_one(inst, frozenset(g.vertices)) is None
+        assert fire_rule_one(inst, frozenset(g.vertices)) is None
 
     def test_torso_identity_when_y_is_everything(self):
         g = complete(4)
         inst = normalize(unit_instance(g, 1, frozenset()))
-        out = rule_two_torso(inst, frozenset(g.vertices))
-        assert out.graph == g
-        assert out.frozen == inst.frozen
+        assert torso(inst, frozenset(g.vertices)) == (g, inst.frozen)
 
     def test_torso_shortcuts_replace_outside_paths(self):
         # path 0-4-1 with 4 outside Y becomes a frozen shortcut edge
@@ -328,24 +342,25 @@ class TestRules:
         )
         inst = normalize(unit_instance(g, 1, frozenset()))
         y_set = frozenset({0, 1, 2, 3})
-        out = rule_two_torso(inst, y_set)
-        assert set(out.graph.vertices) == set(y_set)
-        nid = out.graph.edge_between(0, 1)
-        assert nid is not None and nid in out.frozen
+        out, frozen = torso(inst, y_set)
+        assert set(out.vertices) == set(y_set)
+        nid = out.edge_between(0, 1)
+        assert nid is not None and nid in frozen
 
     def test_rule_one_firing_preserves_oracle_answer(self):
         g = UndirectedGraph.from_edges(range(4), [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
         inst = normalize(unit_instance(g, 1, frozenset()))
         before = oracle_wbd(inst, BIG) is not None
-        fired = rule_one(inst, frozenset({0, 2}))
-        assert fired is not None
+        eid = fire_rule_one(inst, frozenset({0, 2}))
+        assert eid is not None
+        fired = normalize(unit_instance(g.without_edge(eid), inst.k - 1, inst.frozen))
         after = oracle_wbd(fired, BIG) is not None
         assert before == after
 
     def test_torso_firing_preserves_oracle_answer(self, c8_chord_exhaustive):
         g, inst, _, y = c8_chord_exhaustive
-        torso = normalize(rule_two_torso(inst, y))
-        assert (oracle_wbd(inst, BIG) is None) == (oracle_wbd(torso, BIG) is None)
+        reduced = torso_instance(inst, y)
+        assert (oracle_wbd(inst, BIG) is None) == (oracle_wbd(reduced, BIG) is None)
 
 
 @st.composite
@@ -374,16 +389,15 @@ class TestRulesAgainstDefinitions:
         g = inst.graph
         edges = list(g.edges.values())
         shortcuts = sorted(naive.torso_shortcuts(set(g.vertices), edges, set(y)))
-        out = rule_two_torso(inst, y)
-        assert out.graph.vertices == y
+        out, frozen = torso(inst, y)
+        assert out.vertices == y
         kept = {e: uv for e, uv in g.edges.items() if set(uv) <= y}
-        added = {e: uv for e, uv in out.graph.edges.items() if e not in g.edges}
-        assert {e: uv for e, uv in out.graph.edges.items() if e in g.edges} == kept
+        added = {e: uv for e, uv in out.edges.items() if e not in g.edges}
+        assert {e: uv for e, uv in out.edges.items() if e in g.edges} == kept
         # Fresh ids above every old one, handed out in sorted pair order.
         assert [added[e] for e in sorted(added)] == shortcuts
         assert min(added, default=max(g.edges) + 1) > max(g.edges)
-        assert out.frozen == frozenset(added) | (inst.frozen & frozenset(kept))
-        assert out.k == inst.k
+        assert frozen == frozenset(added) | (inst.frozen & frozenset(kept))
 
     @settings(max_examples=100, deadline=None)
     @given(instances_with_y())
@@ -392,22 +406,14 @@ class TestRulesAgainstDefinitions:
         g = inst.graph
         pool = [g.endpoints(e) for e in inst.potential_edges()]
         want = naive.first_rule_one_edge(set(g.vertices), list(g.edges.values()), pool, set(y))
-        out = rule_one(inst, y)
-        if want is None:
-            assert out is None
-            return
-        assert out is not None and out.k == inst.k - 1
-        assert out.graph == g.without_edge(g.edge_between(*want))
-        # A normalized unit instance: edges critical after the deletion
-        # are frozen too, and weigh 0 like every frozen edge.
-        assert critical_set(out.graph) <= out.frozen
-        assert out.weights == {e: 0.0 if e in out.frozen else 1.0 for e in out.graph.edges}
+        out = fire_rule_one(inst, y)
+        assert out == (None if want is None else g.edge_between(*want))
 
     def test_rule_one_needs_the_pool_endpoints_in_y(self):
         g = UndirectedGraph.from_edges(range(4), [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
         inst = normalize(unit_instance(g, 1, frozenset()))
         with pytest.raises(InvalidInputError):
-            rule_one(inst, frozenset({0}))
+            fire_rule_one(inst, frozenset({0}))
 
     @pytest.mark.parametrize(
         "pairs, pool_edge",
@@ -534,6 +540,22 @@ def outcomes(monkeypatch):
     return kinds
 
 
+def rule_one_then_torso(monkeypatch):
+    """A graph and frozen set on which, at k = 3 with the cover stubbed to
+    {0, 3} (so Y is {0, 3} plus the pool's endpoints), phase two's rule
+    one fires once and the torso follows."""
+    g = UndirectedGraph.from_edges(
+        range(7),
+        [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (3, 5), (5, 6), (0, 6), (1, 6), (4, 5)]
+        + [(4, 6)],
+    )
+    frozen = frozenset(
+        g.edge_between(*p) for p in [(0, 1), (1, 2), (1, 6), (3, 4), (4, 5), (5, 6)]
+    )
+    monkeypatch.setattr(kernel_module, "cut_covering_set", lambda aux, cap: frozenset({0, 3}))
+    return g, frozen
+
+
 def chord_first(hub):
     """The hub's graph with the chord relabelled to edge id 0, so that the
     kernel's id-ordered greedy deletes it first, as the solver's
@@ -550,14 +572,26 @@ class TestKernelize:
         # input (exit 2) instead of an internal inconsistency (exit 4).
         path = UndirectedGraph.from_edges(range(4), [(0, 1), (1, 2), (2, 3)])
         monkeypatch.setattr(kernel_module, "cut_covering_set", lambda aux, cap: frozenset())
-        monkeypatch.setattr(kernel_module, "rule_one", lambda inst, y: None)
+        monkeypatch.setattr(kernel_module, "rule_one", lambda g, pool, y, att: None)
         monkeypatch.setattr(
-            kernel_module,
-            "rule_two_torso",
-            lambda inst, y: unit_instance(path, inst.k, frozenset()),
+            kernel_module, "rule_two_torso", lambda g, frozen, y, att: (path, frozenset())
         )
         with pytest.raises(InternalInconsistencyError, match="torso lost biconnectivity"):
             kernelize(complete(4), 2, provider="exhaustive")
+
+    def test_graph_rule_one_breaks_is_an_internal_inconsistency(self, monkeypatch):
+        # C5 plus the chords (0, 2) and (0, 3): the chords are deletable and
+        # (0, 1) is critical.  A rule one that deletes a critical edge leaves
+        # a graph that is not biconnected, which is the kernel's fault too.
+        g = UndirectedGraph.from_edges(
+            range(5), [(i, (i + 1) % 5) for i in range(5)] + [(0, 2), (0, 3)]
+        )
+        crit = g.edge_between(0, 1)
+        assert crit in critical_set(g)
+        monkeypatch.setattr(kernel_module, "cut_covering_set", lambda aux, cap: frozenset())
+        monkeypatch.setattr(kernel_module, "rule_one", lambda g, pool, y, att: crit)
+        with pytest.raises(InternalInconsistencyError, match="rule one lost biconnectivity"):
+            kernelize(g, 2, provider="exhaustive")
 
     def test_phase1_detects_greedy_yes(self, outcomes):
         g = complete(4)
@@ -606,24 +640,20 @@ class TestKernelize:
         assert before == after
 
     def test_rule_one_and_torso_output_weighs_frozen_edges_zero(self, monkeypatch):
-        # With Y = {0, 3} plus the pool's endpoints, rule one deletes a pool
-        # edge, which leaves (0, 4) critical, and the torso keeps it: the
-        # undecided output of the exhaustive path holds an edge rule one
-        # froze, besides the torso's frozen shortcuts.
-        g = UndirectedGraph.from_edges(
-            range(7),
-            [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (3, 5), (5, 6), (0, 6), (1, 6), (4, 5)]
-            + [(4, 6)],
-        )
-        frozen = frozenset(
-            g.edge_between(*p) for p in [(0, 1), (1, 2), (1, 6), (3, 4), (4, 5), (5, 6)]
-        )
-        monkeypatch.setattr(kernel_module, "cut_covering_set", lambda aux, cap: frozenset({0, 3}))
+        # Rule one deletes a pool edge, which leaves (0, 4) critical, and the
+        # torso keeps it: the undecided output of the exhaustive path holds
+        # an edge rule one froze, besides the torso's frozen shortcuts.
+        g, frozen = rule_one_then_torso(monkeypatch)
         res = kernelize(g, 3, frozen, provider="exhaustive")
         assert res.answer is None and res.stats["rule_one_fired"] == 1
         out = res.instance
+        # Rule one spent one budget unit; the torso spent none.
+        assert out.k == 2
         newly = g.edge_between(0, 4)
         assert newly in out.frozen and newly not in normalize(unit_instance(g, 3, frozen)).frozen
+        # A normalized unit instance: every critical edge is frozen, and
+        # frozen edges weigh 0.
+        assert critical_set(out.graph) <= out.frozen
         assert out.weights == {e: 0.0 if e in out.frozen else 1.0 for e in out.graph.edges}
 
     def test_phase1_staircase_detects_distinct_partner_yes(self, outcomes):
@@ -652,8 +682,8 @@ class TestKernelize:
 
     def test_exhaustive_provider_shrinks_cycle_with_chord(self, c8_chord_exhaustive):
         g, inst, _, y = c8_chord_exhaustive
-        assert rule_one(inst, y) is None
-        reduced = normalize(rule_two_torso(inst, y))
+        assert fire_rule_one(inst, y) is None
+        reduced = torso_instance(inst, y)
         assert reduced.graph.n < g.n
         assert (oracle_wbd(inst, BIG) is None) == (oracle_wbd(reduced, BIG) is None)
         assert is_biconnected(reduced.graph)
@@ -676,8 +706,8 @@ class TestKernelize:
 
     def test_vertex_bound_under_exhaustive_provider(self, c8_chord_exhaustive):
         g, inst, z, y = c8_chord_exhaustive
-        assert rule_one(inst, y) is None
-        reduced = normalize(rule_two_torso(inst, y))
+        assert fire_rule_one(inst, y) is None
+        reduced = torso_instance(inst, y)
         bound = len(z & g.vertices) + 2 * len(inst.potential_edges())
         assert reduced.graph.n <= bound
 
@@ -734,6 +764,31 @@ class TestOnePassPerState:
         res = kernelize(g, 1)
         assert res.answer == "yes" and res.instance == constant_yes_instance()
         assert calls == {"pool": 1, "from_edges": 0, "weights": 0}
+
+    def test_phase_two_lists_components_once_per_y_and_builds_one_map(self, monkeypatch):
+        # Two passes, each listing G - Y's components once for both rules;
+        # no map for the graph rule one makes, only the output's after
+        # phase one's; and each rule's graph is checked by its one DFS.
+        g, frozen = rule_one_then_torso(monkeypatch)
+        calls = self.counted(monkeypatch)
+        passes, checks = [], []
+        attachments = kernel_module._attachments
+        monkeypatch.setattr(
+            kernel_module, "_attachments", lambda g, y: passes.append(y) or attachments(g, y)
+        )
+        for module in (kernel_module, solver_module):
+            monkeypatch.setattr(
+                module,
+                "is_biconnected",
+                lambda g: checks.append(g) or is_biconnected(g),
+                raising=False,
+            )
+        res = kernelize(g, 3, frozen, provider="exhaustive")
+        assert res.answer is None and res.stats["rule_one_fired"] == 1
+        assert calls["weights"] == 2 and len(passes) == 2 and checks == []
+        out = res.instance
+        assert g.edge_between(0, 4) in out.frozen
+        assert out.weights == {e: 0.0 if e in out.frozen else 1.0 for e in out.graph.edges}
 
     def test_bench_hub_makes_at_most_two_pool_passes(self, monkeypatch):
         g = shared_partner_instance(347, k=2, subdivide=True).instance.graph
