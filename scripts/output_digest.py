@@ -14,6 +14,10 @@ in the text format (gadget comments included), the witnesses of
 of ``verify pcpsc|vdpsc`` on witness files.  A refused input gives its
 error instead.  ``--dump PATH`` also writes the lines, for a diff.
 
+A second sha256 leaves out each solve line's ``SolveStats`` counters, so
+that a change meant to move only the search's counters can show that
+every answer and witness stayed as it was.
+
 The instances, all built here from ``conndel.families`` and seeded random
 graphs:
 
@@ -37,9 +41,9 @@ graphs:
 * 40 random graphs on 1-4 vertices (``scripts/hardness_roundtrip.py``'s
   generator) at k = 1 and 2, for the strong-connectivity side.
 
-Run: ``python scripts/output_digest.py [--dump lines.txt] [--expect HEX]``;
-it takes about 13 s on a 2-core x86-64 host.  With ``--expect`` it exits 1
-when the digest differs from HEX.
+Run: ``python scripts/output_digest.py [--dump lines.txt] [--expect HEX]
+[--expect-answers HEX]``; it takes about 13 s on a 2-core x86-64 host.
+It exits 1 when a digest differs from the HEX given for it.
 """
 
 import argparse
@@ -343,23 +347,39 @@ def all_lines() -> Iterator[str]:
     yield from hardness()
 
 
+def answer_of(line: str) -> str:
+    """The line without its ``SolveStats`` counters, which on a solve line
+    start at the first field, ``nodes=``."""
+    return line.partition(" nodes=")[0] if line.startswith("solve ") else line
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--dump", default=None, help="also write the result lines here")
     ap.add_argument("--expect", default=None, help="exit 1 unless the sha256 is this hex digest")
+    ap.add_argument(
+        "--expect-answers", default=None, help="the same for the digest without solve counters"
+    )
     args = ap.parse_args()
-    digest = hashlib.sha256()
+    digest, answers = hashlib.sha256(), hashlib.sha256()
     lines: List[str] = []
     for line in all_lines():
         digest.update(line.encode() + b"\n")
+        answers.update(answer_of(line).encode() + b"\n")
         lines.append(line)
     if args.dump:
         Path(args.dump).write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"{len(lines)} results, sha256 {digest.hexdigest()}")
-    if args.expect is not None and digest.hexdigest() != args.expect.lower():
-        print(f"mismatch: expected sha256 {args.expect}", file=sys.stderr)
-        return 1
-    return 0
+    print(f"without solve counters, sha256 {answers.hexdigest()}")
+    status = 0
+    for name, want, got in (
+        ("sha256", args.expect, digest),
+        ("sha256 without solve counters", args.expect_answers, answers),
+    ):
+        if want is not None and got.hexdigest() != want.lower():
+            print(f"mismatch: expected {name} {want}", file=sys.stderr)
+            status = 1
+    return status
 
 
 if __name__ == "__main__":

@@ -165,6 +165,7 @@ def cmd_solve(args) -> int:
         "prefix-passes": stats.prefix_passes,
         "prefix-critical-sets": stats.prefix_critical_sets,
         "fallbacks": stats.fallbacks,
+        "decided-before-dfs": stats.decided_before_dfs,
         "irrelevant-edges": len(stats.irrelevant_edges),
         "flow-calls": stats.flow_calls,
     }

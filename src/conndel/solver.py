@@ -5,7 +5,12 @@ frozen (undeletable) edges, decide whether at most k deletable edges can
 be removed with total weight meeting the target while the graph stays
 biconnected.
 
-Strategy per node: while many potential solution edges remain, the
+Strategy per node: first try the heavy order before any DFS, with the
+enumerator's own search and none of its biconnectivity tests.  Finding
+no set that reaches the target is a no; where the node would return the
+first set it finds anyway (k = 1, or at most mu(k) potential edges), one
+verification of that set is a yes.  Otherwise freeze the critical edges
+(one DFS), and while many potential solution edges remain, the
 freeze loop answers no if the k heaviest weights miss the target, and
 otherwise takes one ``reduction_step``: greedily delete heavy
 non-critical edges and, if greedy stalls, analyze the partner structure
@@ -125,6 +130,7 @@ class SolveStats:
     prefix_critical_sets: int = 0
     flow_calls: int = 0
     fallbacks: int = 0
+    decided_before_dfs: int = 0
     irrelevant_edges: List[int] = field(default_factory=list)
     max_irrelevant_per_node: int = 0
     analyses: List[PartnerAnalysis] = field(default_factory=list)
@@ -196,7 +202,9 @@ def verify_solution(inst: WbdInstance, edges) -> bool:
     return is_biconnected_without(inst.graph, frozenset(es))
 
 
-def _enumerate_best(inst: WbdInstance, order: List[int], stats: SolveStats) -> Optional[Solution]:
+def _enumerate_best(
+    inst: WbdInstance, order: List[int], stats: SolveStats, tested: bool = True
+) -> Optional[Solution]:
     """The first feasible deletion set whose weight reaches w*, or None.
 
     This is a decision, so the first witness is returned, not the heaviest
@@ -209,9 +217,9 @@ def _enumerate_best(inst: WbdInstance, order: List[int], stats: SolveStats) -> O
     * a prefix whose deletion breaks biconnectivity is dropped, since
       deleting more edges never restores it.
 
-    Precondition: the instance is normalized.  Every prefix S kept so far
-    leaves G - S biconnected, so S + e is feasible iff e is not critical
-    in G - S.  Two rules decide that without a pass:
+    Tested (the default), the instance must be normalized.  Every prefix
+    S kept so far leaves G - S biconnected, so S + e is feasible iff e is
+    not critical in G - S.  Two rules decide that without a pass:
 
     * depth one: e is a potential edge, hence not critical in G;
     * degree: an endpoint of e with degree 2 in G - S makes e critical in
@@ -228,6 +236,24 @@ def _enumerate_best(inst: WbdInstance, order: List[int], stats: SolveStats) -> O
 
     This keeps the paper's mu(k)^k base case: at k = 3 and a pool of
     mu(3) = 957 there are about 457k depth-2 prefixes, still far too many.
+
+    With ``tested=False`` the instance need not be normalized, ``order``
+    is its ``heavy_order``, and no prefix is tested: the search returns
+    the first *candidate*, the first set in the same search order that
+    the level cut and the degree rule let through and that reaches w*.
+    A search node runs this before its DFS (``_solve``), and both uses
+    of it are exact:
+
+    * no candidate is a no: a solution is a set of potential edges, it
+      leaves every vertex with degree 2 or more (on n < 3 vertices no
+      edge can go), and the level cut drops only sets that miss w*;
+    * a candidate R that passes ``verify_solution`` is this search's
+      witness on the normalized instance.  Normalizing only takes critical
+      edges out of ``order``, so the tested search runs over a subsequence
+      of it in the same order.  R is feasible, so it holds no critical
+      edge, and every set before R in the search order misses w* or
+      breaks the degree rule, so none of them is feasible.  R is thus
+      also the first feasible set over the normalized pool.
     """
     if inst.reaches(()):
         return Solution((), 0.0)
@@ -261,7 +287,7 @@ def _enumerate_best(inst: WbdInstance, order: List[int], stats: SolveStats) -> O
             done = inst.reaches(chosen)
             j = None if done or r == 1 else next_open(i + 1, r - 1)
             if done or j is not None:
-                if not removed:
+                if not tested or not removed:
                     ok = True
                 elif crit is not None:
                     ok = e not in crit
@@ -578,36 +604,73 @@ def solve(
     mu_of: Callable[[int], int] = mu,
     stats: Optional[SolveStats] = None,
 ) -> Optional[Solution]:
-    """Decide the instance and return a witness solution when one exists."""
+    """Decide the instance and return a witness solution when one exists.
+
+    The root is a search node like any other (``_solve``); as the input it
+    also refuses a graph that is not biconnected, and its witness passes
+    ``verify_solution`` once."""
     validate_instance(inst)
     if stats is None:
         stats = SolveStats()
-    inst = normalize(inst)
     edges = _solve(inst, mu_of, stats, depth=0)
     if edges is None:
         return None
-    sol = Solution(tuple(sorted(edges)), inst.weight_of(edges))
-    if not verify_solution(inst, sol.edges):
-        raise InternalInconsistencyError("solver produced an invalid solution")
-    return sol
+    return Solution(tuple(sorted(edges)), inst.weight_of(edges))
 
 
 def _solve(
     inst: WbdInstance, mu_of: Callable[[int], int], stats: SolveStats, depth: int
 ) -> Optional[Tuple[int, ...]]:
-    """Decide one normalized node: run ``freeze_rounds`` on the mu(k)
-    heaviest edges, then enumerate the pool it leaves, unless its last
-    step answers no, gives greedy's picks as a yes, or makes the node
-    branch.  The node's pool is sorted once, by ``heavy_order``, and the
-    loop, the branch and the enumerator all read that order."""
+    """Decide one search node, trying its heavy order before its DFS.
+
+    The node's potential edges are sorted once, by ``heavy_order``, and
+    searched by ``_enumerate_best`` without tests.  No candidate is a no.
+    A candidate is the node's witness when the node would return it
+    anyway: the empty set once w* is reached, greedy's one pick at k = 1,
+    and the enumerator's witness when at most mu(k) potential edges
+    remain.  There it is verified, and a feasible one is a yes.  Otherwise
+    the node is normalized (its one DFS), its new critical edges leave the
+    sorted list, and ``_solve_normalized`` decides it.
+
+    The root (depth 0) also checks the input: a no decided without a DFS
+    costs it one biconnectivity pass, which refuses a graph that is not
+    biconnected, as ``normalize`` does, and a witness from
+    ``_solve_normalized`` is verified.  Children of a branch need neither.
+    """
     stats.nodes += 1
     stats.max_depth = max(stats.max_depth, depth)
-    if inst.reaches(()):
-        return ()
-    if inst.k == 0:
-        return None
-
     order = heavy_order(inst)
+    first = _enumerate_best(inst, order, stats, tested=False)
+    if first is None:
+        stats.decided_before_dfs += 1
+        if depth == 0 and not is_biconnected(inst.graph):
+            raise InvalidInputError("instance graph is not biconnected")
+        return None
+    is_witness = not first.edges or inst.k == 1 or len(order) <= mu_of(inst.k)
+    if is_witness and verify_solution(inst, first.edges):
+        stats.decided_before_dfs += 1
+        return first.edges
+    inst = normalize(inst)
+    order = [e for e in order if e not in inst.frozen]
+    edges = _solve_normalized(inst, order, mu_of, stats, depth)
+    if depth == 0 and edges is not None and not verify_solution(inst, edges):
+        raise InternalInconsistencyError("solver produced an invalid solution")
+    return edges
+
+
+def _solve_normalized(
+    inst: WbdInstance,
+    order: List[int],
+    mu_of: Callable[[int], int],
+    stats: SolveStats,
+    depth: int,
+) -> Optional[Tuple[int, ...]]:
+    """Decide a normalized node whose heavy order did not: run
+    ``freeze_rounds`` on the mu(k) heaviest edges, then enumerate the pool
+    it leaves, unless its last step answers no, gives greedy's picks as a
+    yes, or makes the node branch.  ``order`` is the node's
+    ``heavy_order``, and the loop, the branch and the enumerator all read
+    it."""
     inst, steps = freeze_rounds(inst, order, mu_of, mark_all=False)
     frozen = [s.edge for s in steps if s.kind == "freeze"]
     stats.irrelevant_edges += frozen
@@ -650,8 +713,8 @@ def _branch(
     them along ``order`` (``fsum`` rounds monotonically), so the first
     child that fails it is the last one tried.  That child, and a leaf
     child (k = 0, or w* reached), is decided without copying the graph;
-    any other child is normalized, which gives it its own DFS tree, and
-    solved.
+    any other child is a search node of its own (``_solve``), normalized
+    only when its heavy order does not decide it.
     """
     candidates = order[: mu_of(inst.k)]
     stats.max_branch_factor = max(stats.max_branch_factor, len(candidates))
@@ -662,7 +725,7 @@ def _branch(
             stats.nodes += 1
             stats.max_depth = max(stats.max_depth, depth + 1)
             return (e,) if reached else None
-        sub = _solve(normalize(inst.child_after_deleting(e)), mu_of, stats, depth + 1)
+        sub = _solve(inst.child_after_deleting(e), mu_of, stats, depth + 1)
         if sub is not None:
             return sub + (e,)
     return None

@@ -43,29 +43,34 @@ class TestSolve:
         assert "oracle-agrees: True" in capsys.readouterr().out
 
     def test_reports_search_counters(self, files, tmp_path, capsys):
+        # The root's heavy order decides: its first candidate, {01, 23},
+        # passes verification, so the node makes no DFS and no prefix pass.
         assert main(["solve", files["k4"], "--k", "2", "--wstar", "2"]) == 0
         out = capsys.readouterr().out.splitlines()
-        # Only the matching {01, 23} needs a pass: every other second edge
-        # meets a vertex that deleting 01 left with degree 2.
         for line in (
             "branch-nodes: 1",
             "max-depth: 0",
-            "enumerations: 1",
-            "prefix-passes: 1",
+            "enumerations: 0",
+            "prefix-passes: 0",
             "prefix-critical-sets: 0",
             "fallbacks: 0",
+            "decided-before-dfs: 1",
         ):
             assert line in out
-        # K28 plus vertex 29 joined to 1, 2, 3 by edges of weight 60, 59 and
-        # 58, only one of which can go; one K28 edge weighs 30, the rest 1.
-        # 381 edges exceed mu(2) = 346, greedy's picks (60, 30) miss
-        # w* = 90.5, so the root branches over 346 edges.  The three hot
-        # edges' children are normalized and are no's at depth 1 without
-        # enumerating; the fourth child (the 30 edge) misses the top-k bound,
-        # which no later child's bound exceeds, so it is the last one tried.
-        hot = {(1, 29): 60, (2, 29): 59, (3, 29): 58, (4, 5): 30}
-        pairs = list(itertools.combinations(range(1, 29), 2)) + [(1, 29), (2, 29), (3, 29)]
-        text = f"p graph 29 {len(pairs)}\n" + "".join(
+        # K28 plus a K4 on vertices 29-32, three of which attach to 1, 2, 3
+        # by edges of weight 60, 59 and 58; deleting two of them leaves the
+        # K4 hanging on the third, which no degree sees.  One K28 edge
+        # weighs 30, the rest 1.  387 edges exceed mu(2) = 346, greedy's
+        # picks (60, 30) miss w* = 90.5, so the root branches over 346
+        # edges.  The three hot edges' children are normalized, once their
+        # first candidate fails verification, and are no's at depth 1
+        # without enumerating; the fourth child (the 30 edge) misses the
+        # top-k bound, which no later child's bound exceeds, so it is the
+        # last one tried.
+        hot = {(1, 29): 60, (2, 30): 59, (3, 31): 58, (4, 5): 30}
+        gadget = list(itertools.combinations(range(29, 33), 2))
+        pairs = list(itertools.combinations(range(1, 29), 2)) + gadget + list(hot)[:3]
+        text = f"p graph 32 {len(pairs)}\n" + "".join(
             f"e {u} {v} {hot.get((u, v), 1)}\n" for u, v in pairs
         )
         p = tmp_path / "hot.graph"
@@ -78,6 +83,7 @@ class TestSolve:
             "enumerations: 0",
             "prefix-passes: 0",
             "fallbacks: 0",
+            "decided-before-dfs: 0",
         ):
             assert line in out
 
@@ -107,6 +113,21 @@ class TestSolve:
         p = tmp_path / "path.graph"
         p.write_text("p graph 3 2\ne 1 2 1\ne 2 3 1\n")
         assert main(["solve", str(p), "--k", "1", "--wstar", "1"]) == 2
+        assert "not biconnected" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k, wstar", [("1", "100"), ("1", "1"), ("0", "1"), ("0", "0")])
+    def test_non_biconnected_input_exits_two_before_or_after_a_candidate(
+        self, tmp_path, capsys, k, wstar
+    ):
+        # Two K4s sharing vertex 1: no vertex has degree 2, so at w* = 1 the
+        # root's first candidate passes the degree rule and fails
+        # verification; at w* = 100 the root has no candidate and makes no
+        # DFS; w* = 0 is reached by the empty set.
+        pairs = list(itertools.combinations((1, 2, 3, 4), 2))
+        pairs += list(itertools.combinations((1, 5, 6, 7), 2))
+        p = tmp_path / "bowtie.graph"
+        p.write_text(f"p graph 7 12\n" + "".join(f"e {u} {v} 1\n" for u, v in pairs))
+        assert main(["solve", str(p), "--k", k, "--wstar", wstar]) == 2
         assert "not biconnected" in capsys.readouterr().err
 
     def test_parse_error_reports_line(self, tmp_path, capsys):

@@ -79,6 +79,24 @@ def greedy_miss_instance():
     return WbdInstance(g, 2, 4.0, weights, frozenset()), lambda k: 4
 
 
+def hot_gadget(n, k, w_star):
+    """K_n plus a K4 on vertices n..n+3, three of which attach to 0, 1
+    and 2 by edges of weight 60, 59 and 58; the K_n edge (3, 4) weighs 30
+    and every other edge 1.  Deleting two attaching edges leaves the K4
+    hanging on the third, so a solution holds at most one of them and
+    weighs at most 60 + 30 at k = 2.  No vertex drops to degree 2 to show
+    it, so the degree rule lets {60, 59} through."""
+    pairs = list(itertools.combinations(range(n), 2))
+    pairs += list(itertools.combinations(range(n, n + 4), 2))
+    pairs += [(0, n), (1, n + 1), (2, n + 2)]
+    g = UndirectedGraph.from_edges(range(n + 4), pairs)
+    weights = {e: 1.0 for e in g.edges}
+    weights[g.edge_between(3, 4)] = 30.0
+    for i, w in enumerate((60.0, 59.0, 58.0)):
+        weights[g.edge_between(i, n + i)] = w
+    return WbdInstance(g, k, w_star, weights, frozenset())
+
+
 class TestBoundaryValidation:
     def test_public_entries_reject_bad_instances(self):
         from conndel.kernel import kernelize
@@ -571,23 +589,17 @@ class TestSolve:
         assert expect is not None
 
     def test_bound_decides_branch_children_without_normalizing(self, monkeypatch):
-        # K6 plus vertex 6 joined to 0, 1, 2 by edges of weight 60, 59 and
-        # 58, of which only one can go; one K6 edge weighs 30, the rest 1.
-        # The best deletion set weighs 60 + 30 < w* = 90.5, but the top two
-        # weights reach w*, and greedy's picks (60, 30) miss it, so the root
+        # K6 with the hot K4 gadget: the best deletion set weighs 60 + 30
+        # < w* = 90.5, but the degree rule lets {60, 59} through, so the
+        # root's first candidate fails verification and the root is
+        # normalized.  Greedy's picks (60, 30) miss w*, so the root
         # branches over its six heaviest edges.  Only the three hot edges'
-        # children reach w* with the k - 1 heaviest other parent edges; the
-        # fourth child misses that bound and is decided without being
-        # normalized, and as no later child's bound is higher, the last
-        # two are not tried.
-        g = UndirectedGraph.from_edges(
-            range(7), list(itertools.combinations(range(6), 2)) + [(0, 6), (1, 6), (2, 6)]
-        )
-        weights = {e: 1.0 for e in g.edges}
-        weights[g.edge_between(3, 4)] = 30.0
-        for u, w in ((0, 60.0), (1, 59.0), (2, 58.0)):
-            weights[g.edge_between(u, 6)] = w
-        inst = WbdInstance(g, 2, 90.5, weights, frozenset())
+        # children reach w* with the k - 1 heaviest other parent edges;
+        # each one's first candidate, another hot edge, fails
+        # verification, so each is normalized.  The fourth child misses
+        # that bound and is decided without being normalized, and as no
+        # later child's bound is higher, the last two are not tried.
+        inst = hot_gadget(6, 2, 90.5)
         calls = []
 
         def counting(i):
@@ -600,6 +612,7 @@ class TestSolve:
         assert stats.max_branch_factor == 6
         assert stats.nodes == 5  # the root, three hot-edge children, one failing child
         assert len(calls) == 4  # the root and the three hot-edge children
+        assert stats.decided_before_dfs == 0
         assert oracle_wbd(inst, BIG) is None
 
     def test_structural_bounds_hold(self):
@@ -660,12 +673,18 @@ class TestSolve:
         ):
             inst = WbdInstance(g, k, w_star, w, frozenset())
             stats = SolveStats()
-            sol = solve(inst, stats=stats)
-            assert stats.enumerations == 1
+            sol = enumerate_small(inst, stats)
             assert stats.prefix_passes == passes
             assert stats.prefix_critical_sets == 0
-            assert (sol and sol.edges) == edges
+            assert (sol and tuple(sorted(sol.edges))) == edges
             assert (oracle_wbd(inst, BIG) is None) == (edges is None)
+            # solve decides each at the root before its DFS, with the
+            # enumerator's witness and no prefix pass.
+            stats = SolveStats()
+            sol = solve(inst, stats=stats)
+            assert (stats.nodes, stats.decided_before_dfs) == (1, 1)
+            assert stats.enumerations == stats.prefix_passes == 0
+            assert (sol and sol.edges) == edges
 
     def test_accepts_prefrozen_edges(self):
         g = complete(4)
@@ -702,13 +721,24 @@ class TestBranchStopsAtFirstFailingBound:
 
     def test_hot_vertex_instance(self):
         # K28 plus vertex 29 joined to 1, 2, 3 by edges of weight 60, 59 and
-        # 58, one K28 edge of weight 30, the rest 1: the root branches over
-        # mu(2) = 346 edges, and the fourth child (the 30 edge) is the first
-        # to miss the bound: the root, three hot-edge children, one leaf.
+        # 58, one K28 edge of weight 30, the rest 1: vertex 29 has degree
+        # 3, so the degree rule lets only one of its edges go, and the
+        # root's heavy order has no candidate reaching w*: a no before
+        # its DFS, with no branch.
         hot = {(1, 29): 60.0, (2, 29): 59.0, (3, 29): 58.0, (4, 5): 30.0}
         pairs = list(itertools.combinations(range(1, 29), 2)) + [(1, 29), (2, 29), (3, 29)]
         g = UndirectedGraph.from_edges(range(1, 30), pairs)
         inst = WbdInstance(g, 2, 90.5, {e: hot.get(uv, 1.0) for e, uv in g.edges.items()})
+        stats = SolveStats()
+        assert solve(inst, stats=stats) is None
+        assert (stats.nodes, stats.decided_before_dfs, stats.max_branch_factor) == (1, 1, 0)
+
+    def test_hot_gadget_instance(self):
+        # K28 with the hot K4 gadget, which the degree rule does not see:
+        # the root branches over mu(2) = 346 edges, and the fourth child
+        # (the 30 edge) is the first to miss the bound: the root, three
+        # hot-edge children, one leaf.
+        inst = hot_gadget(28, 2, 90.5)
         stats = SolveStats()
         assert solve(inst, stats=stats) is None
         assert stats.max_branch_factor == mu(2)
@@ -716,18 +746,46 @@ class TestBranchStopsAtFirstFailingBound:
 
     @pytest.mark.parametrize(
         "k, w_star, nodes",
-        [(2, 159.5, 5), (2, 159.0, 3), (3, 189.5, 29), (3, 189.0, 3)],
+        [(2, 159.5, 1), (2, 159.0, 3), (3, 189.5, 1), (3, 189.0, 3)],
     )
     def test_planted_pair(self, k, w_star, nodes):
+        # The degree rule decides each tight no at the root, before its
+        # DFS; each yes branches over the 8 heaviest edges.
         inst = planted_pair(k, w_star)
         stats = SolveStats()
         sol = solve(inst, lambda k: 8, stats)
-        assert stats.max_branch_factor == 8
+        assert stats.max_branch_factor == (8 if sol else 0)
         assert stats.nodes == nodes
         expect = oracle_wbd(inst, BIG)
         assert (sol is None) == (expect is None) == (w_star % 1 == 0.5)
         if sol is not None:
             assert verify_solution(inst, sol.edges)
+
+    @pytest.mark.parametrize("k, w_star, nodes", [(2, 159.5, 4), (3, 189.5, 8)])
+    def test_planted_pair_branch_on_tight_no(self, k, w_star, nodes):
+        # The branch the root no longer reaches, driven on the normalized
+        # root: at k = 2 the fourth child is the first to miss the bound.
+        inst = normalize(planted_pair(k, w_star))
+        stats = SolveStats()
+        assert solver_module._branch(inst, heavy_order(inst), lambda k: 8, stats, 0) is None
+        assert (stats.max_branch_factor, stats.nodes) == (8, nodes)
+
+
+class TestNonBiconnectedInput:
+    """A root decided before its DFS still refuses a graph that is not
+    biconnected, as ``normalize`` does."""
+
+    @pytest.mark.parametrize("k, w_star", [(1, 100.0), (1, 1.0), (0, 1.0), (0, 0.0)])
+    def test_refused_before_or_after_a_candidate(self, k, w_star):
+        # Two K4s sharing vertex 0, so no vertex has degree 2: at w* = 1 the
+        # first candidate passes the degree rule and fails verification;
+        # at w* = 100 no candidate reaches w* and no DFS runs; w* = 0 is
+        # reached by the empty set.
+        pairs = list(itertools.combinations((0, 1, 2, 3), 2))
+        pairs += list(itertools.combinations((0, 4, 5, 6), 2))
+        g = UndirectedGraph.from_edges(range(7), pairs)
+        with pytest.raises(InvalidInputError, match="not biconnected"):
+            solve(unit(g, k, w_star))
 
 
 class TestDecimalWeights:
@@ -754,6 +812,41 @@ class TestDecimalWeights:
         assert (got is None) == (expect is None)
         if got is not None:
             assert verify_solution(inst, got.edges)
+
+
+class TestHeavyOrderBeforeDfs:
+    """A search node's first candidate, the first set its heavy order lets
+    through the level cut and the degree rule, is a no when there is none,
+    and the node's witness when it is feasible at k = 1 or with at most
+    mu(k) potential edges; on input-frozen edges and decimal weights the
+    witness must be the enumerator's on the normalized instance, or at
+    k = 1 the heaviest pool edge, and the answer the oracle's."""
+
+    @pytest.mark.parametrize("mu_knob", [None, 3])
+    @settings(max_examples=300, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_witness_is_the_enumerators(self, mu_knob, rng):
+        n = rng.randint(4, 8)
+        g = random_biconnected_graph(rng, n, rng.randint(0, 2 * n))
+        texts = {e: rng.choice(DECIMALS) for e in g.edges}
+        weights = {e: float(t) for e, t in texts.items()}
+        frozen = frozenset(e for e in g.edges if rng.random() < 0.2)
+        k = rng.randint(1, 3)
+        mu_of = mu if mu_knob is None else lambda _: mu_knob
+        heaviest = oracle_wbd(WbdInstance(g, k, 0.0, weights, frozen), BIG)
+        best = sum(Decimal(texts[e]) for e in heaviest.edges)
+        w_star = float(rng.choice([best, best + Decimal("0.1"), best * Decimal(rng.random())]))
+        inst = WbdInstance(g, k, w_star, weights, frozen)
+        got = solve(inst, mu_of)
+        assert (got is None) == (oracle_wbd(inst, BIG) is None)
+        witness = got and got.edges
+        norm = normalize(inst)
+        pool = heavy_order(norm)
+        if len(pool) <= mu_of(k):
+            first = solver_module._enumerate_best(norm, pool, SolveStats())
+            assert witness == (first and tuple(sorted(first.edges)))
+        if k == 1 and not norm.reaches(()):
+            assert witness == (tuple(pool[:1]) if pool and norm.reaches(pool[:1]) else None)
 
 
 def reduction_summary(step):
@@ -955,14 +1048,17 @@ class TestRoundCache:
 
 
 class TestFreezeRounds:
-    @pytest.mark.parametrize("case", ["freezes", "branches", "enumerates"])
+    @pytest.mark.parametrize("case", ["freezes", "branches", "enumerates", "decides"])
     def test_heavy_order_once_per_node(self, monkeypatch, case):
-        # Each node that gets past the w*- and k-exits sorts its pool once;
-        # the freeze loop's rounds, the branch and the enumerator share it.
+        # Each node sorts its pool once.  A node its heavy order does not
+        # decide hands that list, less its new critical edges, to the
+        # freeze loop's rounds, the branch and the enumerator.
         if case == "freezes":
             inst, mu_of = shared_partner_instance(mu(2) + 8, k=2).instance, mu
         elif case == "branches":
             inst, mu_of = greedy_miss_instance()
+        elif case == "enumerates":
+            inst, mu_of = hot_gadget(6, 2, 90.0), mu
         else:
             inst, mu_of = unit(complete(5), 2, 2), mu
         sorts, loops = [], []
@@ -973,6 +1069,7 @@ class TestFreezeRounds:
             return original_sort(i)
 
         def looping(i, order, mu_of, mark_all):
+            assert order == original_sort(i)
             after, steps = original_loop(i, order, mu_of, mark_all)
             loops.append(steps)
             return after, steps
@@ -981,13 +1078,15 @@ class TestFreezeRounds:
         monkeypatch.setattr(solver_module, "freeze_rounds", looping)
         stats = SolveStats()
         assert solve(inst, mu_of, stats) is not None
-        assert len(sorts) == len(loops) >= 1
+        assert len(sorts) == len(loops) + stats.decided_before_dfs
         if case == "freezes":
             assert len(loops[0]) >= 2 and stats.irrelevant_edges
         elif case == "branches":
-            assert stats.max_depth >= 1 and len(loops) >= 2
-        else:
+            assert stats.max_depth >= 1 and len(loops) == 1 and stats.decided_before_dfs == 2
+        elif case == "enumerates":
             assert stats.enumerations == 1 and loops == [[]]
+        else:
+            assert stats.decided_before_dfs == 1 and loops == []
 
     def test_tight_no_stops_before_any_step(self, monkeypatch):
         # Chord 10 and rim 5 on a pool above mu(2): the two heaviest sum
