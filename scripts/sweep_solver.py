@@ -6,9 +6,18 @@ enumerator's biconnectivity and critical-set passes and the search nodes
 decided before their DFS.  ``--mu M`` lowers the enumeration threshold to
 M at every k, so small instances reach the reduction step.  ``--frozen P``
 freezes each edge of the input with probability P (default 0, which
-draws nothing, so the instances stay those of earlier runs)."""
+draws nothing, so the instances stay those of earlier runs).
+
+``--family gadget`` sweeps K4 gadgets instead (``gadgets``), which reads
+only ``--count``, ``--seed`` and ``--mu``.  It also counts the instances
+whose search reached depth 1 and depth 2, and fails when none reached
+depth 2, so that the sweep cannot silently stop branching.
+
+    python scripts/sweep_solver.py --family gadget --count 300 --mu 5 --seed 5
+"""
 
 import argparse
+import itertools
 import random
 import sys
 import time
@@ -18,6 +27,7 @@ from typing import Iterator
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from conndel.families import random_biconnected_graph, random_weights
+from conndel.graphs import UndirectedGraph
 from conndel.oracles import OracleBudget, oracle_wbd
 from conndel.solver import SolveStats, WbdInstance, mu, solve
 
@@ -36,6 +46,36 @@ def instances(
         yield WbdInstance(g, k, w_star, weights, marked)
 
 
+GADGET_BUDGET = OracleBudget(max_vertices=12, max_edges=30, max_k=3)
+
+
+def gadgets(count: int, seed=0) -> Iterator[WbdInstance]:
+    """Two instances per K4 gadget: a random biconnected base graph on 5-8
+    vertices with 4-9 extra edges, plus a K4 on four new vertices, three of
+    which attach to distinct base vertices by edges of distinct weights
+    10-29; every other edge weighs 1-6, k is 2 or 3 and m at most 30.
+    Deleting two attaching edges leaves the K4 hanging on the third, so a
+    solution holds at most one of them, and the heavy edges greedy and the
+    branch try first keep failing together.  w* is the oracle's optimum
+    (a yes), then that plus 1/2 (a tight no)."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        base = random_biconnected_graph(rng, rng.randint(5, 8), rng.randint(4, 9))
+        while base.m > GADGET_BUDGET.max_edges - 9:
+            base = random_biconnected_graph(rng, rng.randint(5, 8), rng.randint(4, 9))
+        n = base.n
+        hooks = list(zip(rng.sample(range(n), 3), range(n, n + 3)))
+        k4 = itertools.combinations(range(n, n + 4), 2)
+        g = UndirectedGraph.from_edges(range(n + 4), [*base.edges.values(), *k4, *hooks])
+        weights = {e: float(rng.randint(1, 6)) for e in g.edges}
+        for pair, w in zip(hooks, rng.sample(range(10, 30), 3)):
+            weights[g.edge_between(*pair)] = float(w)
+        k = rng.choice((2, 3))
+        best = oracle_wbd(WbdInstance(g, k, 0.0, weights), GADGET_BUDGET).weight
+        yield WbdInstance(g, k, best, weights)
+        yield WbdInstance(g, k, best + 0.5, weights)
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--count", type=int, default=500)
@@ -45,13 +85,18 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--mu", type=int, default=None, help="constant enumeration threshold")
     ap.add_argument("--frozen", type=float, default=0.0, help="chance that an input edge is frozen")
+    ap.add_argument("--family", choices=("random", "gadget"), default="random")
     args = ap.parse_args()
     mu_of = mu if args.mu is None else (lambda k: args.mu)
 
-    budget = OracleBudget(max_vertices=args.max_n + 2, max_edges=4 * args.max_n, max_k=args.max_k)
+    if args.family == "gadget":
+        budget = GADGET_BUDGET
+        sweep = gadgets(args.count, args.seed)
+    else:
+        budget = OracleBudget(max_vertices=args.max_n + 2, max_edges=4 * args.max_n, max_k=args.max_k)
+        sweep = instances(args.count, args.min_n, args.max_n, args.max_k, args.seed, args.frozen)
     times = []
-    yes = no = mismatches = analyses = passes = crit_sets = freezes = early = 0
-    sweep = instances(args.count, args.min_n, args.max_n, args.max_k, args.seed, args.frozen)
+    yes = no = mismatches = analyses = passes = crit_sets = freezes = early = depth1 = depth2 = 0
     for trial, inst in enumerate(sweep):
         g, k = inst.graph, inst.k
         t0 = time.perf_counter()
@@ -63,6 +108,8 @@ def main() -> int:
         passes += stats.prefix_passes
         crit_sets += stats.prefix_critical_sets
         early += stats.decided_before_dfs
+        depth1 += stats.max_depth >= 1
+        depth2 += stats.max_depth >= 2
         expect = oracle_wbd(inst, budget)
         if (got is None) != (expect is None):
             mismatches += 1
@@ -74,11 +121,14 @@ def main() -> int:
     times.sort()
     pct = lambda p: times[min(len(times) - 1, int(p * len(times)))] * 1000
     print(
-        f"{args.count} instances: {yes} yes / {no} no, {mismatches} mismatches, "
+        f"{len(times)} instances: {yes} yes / {no} no, {mismatches} mismatches, "
         f"{analyses} partner analyses, {freezes} freezes, {passes} enumerator prefix passes, {crit_sets} prefix critical sets, "
-        f"{early} nodes decided before their DFS; "
+        f"{early} nodes decided before their DFS, {depth1} reached depth 1, {depth2} depth 2; "
         f"solve ms p50={pct(0.5):.2f} p90={pct(0.9):.2f} max={times[-1] * 1000:.2f}"
     )
+    if args.family == "gadget" and not depth2:
+        print("no instance reached depth 2")
+        return 1
     return 1 if mismatches else 0
 
 

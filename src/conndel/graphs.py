@@ -118,9 +118,6 @@ class UndirectedGraph:
     def neighbors(self, v: int) -> List[int]:
         return [u for u, _ in self._adj[v]]
 
-    def incident(self, v: int) -> List[int]:
-        return [eid for _, eid in self._adj[v]]
-
     def degree(self, v: int) -> int:
         return len(self._adj[v])
 
@@ -302,9 +299,6 @@ class Path:
     @property
     def interior(self) -> Tuple[int, ...]:
         return self.vertices[1:-1]
-
-    def __len__(self) -> int:
-        return len(self.vertices)
 
 
 @dataclass(frozen=True)

@@ -348,16 +348,23 @@ def _phase_one(
     inst: WbdInstance, pool: List[int], mu_of: Callable[[int], int], stats: Dict[str, object]
 ) -> Tuple[WbdInstance, Optional[str]]:
     """Bound the potential solution edges with the solver's freeze loop
-    (``mark_all``): the instance it leaves and no answer, or a constant
-    instance and the loop's answer.
+    (``mark_all``) at threshold mu(k), read once: the instance it leaves
+    and no answer, or the constant yes-instance and "yes".
 
     ``pool`` is the normalized instance's ``potential_edges()``.  Under
     unit weights every potential edge weighs 1, so its ``heavy_order``
     (weight descending, ties by ascending id) is id order: the pool list
     itself, which is passed to ``freeze_rounds`` as the order.  The loop
     drops each frozen edge from it, so on return it is the pool of the
-    instance returned; each is also zeroed on the call's own weight map."""
-    inst, steps = freeze_rounds(inst, pool, mu_of, mark_all=True)
+    instance returned; each is also zeroed on the call's own weight map.
+
+    The loop's ``"no"`` step needs no case here.  Under unit weights its
+    top-k test misses w* = k only when fewer than k pool edges are left,
+    and the loop runs only while the pool exceeds mu(k): never under the
+    real threshold, where mu(k) >= k, and under one lowered to k - 2 or
+    below, ``_phase_two``'s first budget rule returns the same constant
+    no-instance, with the same stats."""
+    inst, steps = freeze_rounds(inst, pool, mu_of(inst.k), mark_all=True)
     inst.weights.update((s.edge, 0.0) for s in steps if s.kind == "freeze")
     stats["phase1_rounds"] = len(steps)
     stats["irrelevant_frozen"] = sum(s.kind == "freeze" for s in steps)
@@ -366,8 +373,6 @@ def _phase_one(
         solution_from_distinct_partners(steps[-1].analysis, inst.k)
     if kind in ("full", "distinct"):
         return constant_yes_instance(), "yes"
-    if kind == "no":
-        return constant_no_instance(inst.k), "no"
     return inst, None
 
 

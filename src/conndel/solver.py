@@ -5,27 +5,16 @@ frozen (undeletable) edges, decide whether at most k deletable edges can
 be removed with total weight meeting the target while the graph stays
 biconnected.
 
-Strategy per node: first try the heavy order before any DFS, with the
-enumerator's own search and none of its biconnectivity tests.  Finding
-no set that reaches the target is a no; where the node would return the
-first set it finds anyway (k = 1, or at most mu(k) potential edges), one
-verification of that set is a yes.  Otherwise freeze the critical edges
-(one DFS), and while many potential solution edges remain, the
-freeze loop answers no if the k heaviest weights miss the target, and
-otherwise takes one ``reduction_step``: greedily delete heavy
-non-critical edges and, if greedy stalls, analyze the partner structure
-of its first rich step.  A full greedy run that reaches the target is a
-solution; one that misses it, or many distinct partner sets, certifies
-that the heavy edges intersect some solution, so we branch on them; a
-long clean stretch instead yields an irrelevant edge that is frozen,
-shrinking the instance without branching.  Once few remain, or the loop
-is stuck, enumerate.  The kernel's first phase runs the same loop on unit
-weights.
+``solve`` sorts the potential edges once, heaviest first, and each
+search node is one call of ``_solve``, which says what a node does: its
+heavy order first, then one DFS, the freeze loop (``freeze_rounds``,
+which the kernel's first phase runs on unit weights), and greedy's yes,
+a branch or the enumerator.
 
 One threshold drives the loop, mu(k) = 20k^3 + 46k^2 + k, passed to
-``solve`` and ``kernelize`` as the function ``mu_of``.  A lowered one
-steers small instances into the loop; ``reduction_step`` says which
-guarantee then lapses.
+``solve`` and ``kernelize`` as the function ``mu_of`` and read once per
+node.  A lowered one steers small instances into the loop;
+``reduction_step`` says which guarantee then lapses.
 """
 
 from __future__ import annotations
@@ -516,22 +505,21 @@ class Reduction:
     edge: Optional[int] = None
 
 
-def reduction_step(
-    inst: WbdInstance, mu_of: Callable[[int], int], pool: Sequence[int], cache: RoundCache
-) -> Reduction:
-    """One round of the reduction lemma.
+def reduction_step(inst: WbdInstance, m: int, pool: Sequence[int], cache: RoundCache) -> Reduction:
+    """One round of the reduction lemma at threshold ``m``, mu(k) for the
+    instance's k.
 
     Greedy runs over ``pool``, which is also the marked set; on a stalled
-    run the first rich step, one making at least ceil((mu(k) - k) / k)
+    run the first rich step, one making at least ceil((m - k) / k)
     (and at least one) marked edges critical, gets its rich flow, its
     partner analysis and a clean stretch.  The instance must be
     normalized.
 
-    The lemma's premise ``len(pool) >= mu(k) >= k`` guarantees a rich step:
+    The lemma's premise ``len(pool) >= m >= k`` guarantees a rich step:
     greedy stalls after 1 <= j < k picks (no pool edge is critical in G)
     with every unpicked marked edge critical; criticality only grows as
     edges go, so the counts ``GreedyRun.counts`` sum to |pool| - j, and one
-    is at least (|pool| - j) / j > (mu(k) - k) / k.  So a stalled run with
+    is at least (|pool| - j) / j > (m - k) / k.  So a stalled run with
     no rich step raises under the premise and is ``"stuck"`` otherwise.
     Under the real threshold the pools of ``freeze_rounds`` meet it.
 
@@ -541,7 +529,6 @@ def reduction_step(
     run = greedy_deletion_set(inst, pool, cache)
     if len(run.picks) == inst.k:
         return Reduction("full", picks=run.picks)
-    m = mu_of(inst.k)
     threshold = max(1, math.ceil((m - inst.k) / inst.k))
     rich = next((i for i, c in enumerate(run.counts) if c >= threshold), None)
     if rich is None:
@@ -560,36 +547,38 @@ def reduction_step(
 
 
 def freeze_rounds(
-    inst: WbdInstance, order: List[int], mu_of: Callable[[int], int], mark_all: bool
+    inst: WbdInstance, order: List[int], m: int, mark_all: bool
 ) -> Tuple[WbdInstance, List[Reduction]]:
-    """The freeze loop shared by the solver and the kernel's phase one.
+    """The freeze loop shared by the solver and the kernel's phase one, at
+    threshold ``m``, mu(k) for the instance's k, which no round changes.
 
-    While the pool exceeds mu(k): a ``"no"`` step if the k heaviest
+    While the pool exceeds m: a ``"no"`` step if the k heaviest
     potential edges miss w*, else one ``reduction_step``, freezing the
     edge of a ``"freeze"`` step; any other kind ends the loop.  Returns
     the instance with its frozen edges and the steps taken, in order.
 
-    The paper's lemma marks the mu(k) heaviest potential edges, heaviest
+    The paper's lemma marks the m heaviest potential edges, heaviest
     first: that is the solver's pool, and its branching rests on it.  The
     kernel (``mark_all``) works on unit weights, where the heavy order is
     id order, and marks the whole pool; it never branches, and marking
-    only mu(k) edges would leave some of its yes-instances undecided.
+    only m edges would leave some of its yes-instances undecided.
 
     The instance must be normalized; ``order`` is its ``heavy_order``.
     Freezing only takes an edge out of the pool, so each frozen edge is
-    dropped from ``order``, which on return is the heavy order of the
-    returned instance.  The rounds share one ``RoundCache``.
+    dropped from ``order`` itself, which on return is the heavy order of
+    the returned instance, the list a branch hands on to its children.
+    The rounds share one ``RoundCache``.
     """
     cache = RoundCache(inst.graph, inst.tree)
     steps: List[Reduction] = []
-    while len(order) > mu_of(inst.k):
+    while len(order) > m:
         # Even the k heaviest potential edges miss w*: no.  (The
         # enumerator's level cut makes the same test first.)
         if not inst.reaches(order[: inst.k]):
             steps.append(Reduction("no"))
             break
-        pool = order if mark_all else order[: mu_of(inst.k)]
-        step = reduction_step(inst, mu_of, pool, cache)
+        pool = order if mark_all else order[:m]
+        step = reduction_step(inst, m, pool, cache)
         steps.append(step)
         if step.kind != "freeze":
             break
@@ -606,72 +595,63 @@ def solve(
 ) -> Optional[Solution]:
     """Decide the instance and return a witness solution when one exists.
 
-    The root is a search node like any other (``_solve``); as the input it
-    also refuses a graph that is not biconnected, and its witness passes
-    ``verify_solution`` once."""
+    The potential edges are sorted here, once (``heavy_order``); the root
+    is a search node like any other (``_solve``), and each branch child
+    reads its parent's list."""
     validate_instance(inst)
     if stats is None:
         stats = SolveStats()
-    edges = _solve(inst, mu_of, stats, depth=0)
+    edges = _solve(inst, heavy_order(inst), mu_of, stats, depth=0)
     if edges is None:
         return None
     return Solution(tuple(sorted(edges)), inst.weight_of(edges))
 
 
 def _solve(
-    inst: WbdInstance, mu_of: Callable[[int], int], stats: SolveStats, depth: int
-) -> Optional[Tuple[int, ...]]:
-    """Decide one search node, trying its heavy order before its DFS.
-
-    The node's potential edges are sorted once, by ``heavy_order``, and
-    searched by ``_enumerate_best`` without tests.  No candidate is a no.
-    A candidate is the node's witness when the node would return it
-    anyway: the empty set once w* is reached, greedy's one pick at k = 1,
-    and the enumerator's witness when at most mu(k) potential edges
-    remain.  There it is verified, and a feasible one is a yes.  Otherwise
-    the node is normalized (its one DFS), its new critical edges leave the
-    sorted list, and ``_solve_normalized`` decides it.
-
-    The root (depth 0) also checks the input: a no decided without a DFS
-    costs it one biconnectivity pass, which refuses a graph that is not
-    biconnected, as ``normalize`` does, and a witness from
-    ``_solve_normalized`` is verified.  Children of a branch need neither.
-    """
-    stats.nodes += 1
-    stats.max_depth = max(stats.max_depth, depth)
-    order = heavy_order(inst)
-    first = _enumerate_best(inst, order, stats, tested=False)
-    if first is None:
-        stats.decided_before_dfs += 1
-        if depth == 0 and not is_biconnected(inst.graph):
-            raise InvalidInputError("instance graph is not biconnected")
-        return None
-    is_witness = not first.edges or inst.k == 1 or len(order) <= mu_of(inst.k)
-    if is_witness and verify_solution(inst, first.edges):
-        stats.decided_before_dfs += 1
-        return first.edges
-    inst = normalize(inst)
-    order = [e for e in order if e not in inst.frozen]
-    edges = _solve_normalized(inst, order, mu_of, stats, depth)
-    if depth == 0 and edges is not None and not verify_solution(inst, edges):
-        raise InternalInconsistencyError("solver produced an invalid solution")
-    return edges
-
-
-def _solve_normalized(
     inst: WbdInstance,
     order: List[int],
     mu_of: Callable[[int], int],
     stats: SolveStats,
     depth: int,
 ) -> Optional[Tuple[int, ...]]:
-    """Decide a normalized node whose heavy order did not: run
-    ``freeze_rounds`` on the mu(k) heaviest edges, then enumerate the pool
-    it leaves, unless its last step answers no, gives greedy's picks as a
-    yes, or makes the node branch.  ``order`` is the node's
-    ``heavy_order``, and the loop, the branch and the enumerator all read
-    it."""
-    inst, steps = freeze_rounds(inst, order, mu_of, mark_all=False)
+    """Decide one search node; ``order`` is its ``heavy_order``, and mu(k)
+    is read once, as m.
+
+    * Heavy order first: ``_enumerate_best`` searches ``order`` without
+      tests.  No candidate is a no.  A candidate is the node's witness
+      when the node would return it anyway: the empty set once w* is
+      reached, greedy's one pick at k = 1, and the enumerator's witness
+      when at most m potential edges remain.  There it is verified, and a
+      feasible one is a yes.
+    * Otherwise the node is normalized (its one DFS) and its new critical
+      edges leave the list.  ``freeze_rounds`` runs on the m heaviest
+      edges and drops each edge it freezes from the list.  Its last step
+      answers no, gives greedy's picks as a yes when they reach w* (every
+      prefix of them keeps the graph biconnected), or makes the node
+      branch (``_branch``); if it does none of these, the enumerator
+      decides the pool it leaves.
+
+    The root (depth 0) also checks the input: a no decided without a DFS
+    costs it one biconnectivity pass, which refuses a graph that is not
+    biconnected, as ``normalize`` does, and a witness found after the DFS
+    is verified.  Children of a branch need neither.
+    """
+    stats.nodes += 1
+    stats.max_depth = max(stats.max_depth, depth)
+    m = mu_of(inst.k)
+    first = _enumerate_best(inst, order, stats, tested=False)
+    if first is None:
+        stats.decided_before_dfs += 1
+        if depth == 0 and not is_biconnected(inst.graph):
+            raise InvalidInputError("instance graph is not biconnected")
+        return None
+    is_witness = not first.edges or inst.k == 1 or len(order) <= m
+    if is_witness and verify_solution(inst, first.edges):
+        stats.decided_before_dfs += 1
+        return first.edges
+    inst = normalize(inst)
+    order = [e for e in order if e not in inst.frozen]
+    inst, steps = freeze_rounds(inst, order, m, mark_all=False)
     frozen = [s.edge for s in steps if s.kind == "freeze"]
     stats.irrelevant_edges += frozen
     stats.max_irrelevant_per_node = max(stats.max_irrelevant_per_node, len(frozen))
@@ -682,50 +662,56 @@ def _solve_normalized(
     if kind == "no":
         return None
     if kind == "full" and inst.reaches(steps[-1].picks):
-        # Every prefix of greedy's picks keeps the graph biconnected.
-        return steps[-1].picks
-    if kind in ("full", "distinct"):
-        return _branch(inst, order, mu_of, stats, depth)
-    if kind == "stuck":
-        stats.fallbacks += 1
+        edges: Optional[Tuple[int, ...]] = steps[-1].picks
+    elif kind in ("full", "distinct"):
+        edges = _branch(inst, order, m, mu_of, stats, depth)
     else:
-        stats.enumerations += 1
-    sol = _enumerate_best(inst, order, stats)
-    return sol.edges if sol else None
+        if kind == "stuck":
+            stats.fallbacks += 1
+        else:
+            stats.enumerations += 1
+        sol = _enumerate_best(inst, order, stats)
+        edges = sol.edges if sol else None
+    if depth == 0 and edges is not None and not verify_solution(inst, edges):
+        raise InternalInconsistencyError("solver produced an invalid solution")
+    return edges
 
 
 def _branch(
     inst: WbdInstance,
     order: List[int],
+    m: int,
     mu_of: Callable[[int], int],
     stats: SolveStats,
     depth: int,
 ) -> Optional[Tuple[int, ...]]:
-    """Branch over the heavy edges, the first mu(k) of ``order``, the
-    instance's ``heavy_order``; a solution, if any exists, intersects
-    them.  The instance is normalized, so deleting any one of them keeps
-    the graph biconnected.
+    """Branch over the heavy edges, the first m of ``order``, the
+    instance's ``heavy_order``; m is mu(k) and a solution, if any exists,
+    intersects them.  The instance is normalized, so deleting any one of
+    them keeps the graph biconnected.
 
-    A child's potential edges are a subset of the parent's other ones
-    (normalizing it only freezes more), so when the deleted weights, e's
-    and the k - 1 heaviest of those miss w*, the child is a no.  That
-    bound is the same for the k heaviest candidates and never rises after
-    them along ``order`` (``fsum`` rounds monotonically), so the first
-    child that fails it is the last one tried.  That child, and a leaf
-    child (k = 0, or w* reached), is decided without copying the graph;
-    any other child is a search node of its own (``_solve``), normalized
-    only when its heavy order does not decide it.
+    A child's potential edges are the parent's less e, so its heavy order
+    is ``order`` less e: the sort is stable, and dropping one item keeps
+    the order of the rest.  Normalizing the child only freezes more, so
+    when the deleted weights, e's and the first k - 1 of that list miss
+    w*, the child is a no.  That bound is the same for
+    the k heaviest candidates and never rises after them along ``order``
+    (``fsum`` rounds monotonically), so the first child that fails it is
+    the last one tried.  That child, and a leaf child (k = 0, or w*
+    reached), is decided without copying the graph; any other child is a
+    search node of its own (``_solve``), normalized only when its heavy
+    order does not decide it.
     """
-    candidates = order[: mu_of(inst.k)]
+    candidates = order[:m]
     stats.max_branch_factor = max(stats.max_branch_factor, len(candidates))
     for e in candidates:
-        best = [f for f in order[: inst.k] if f != e][: inst.k - 1]
+        child = [f for f in order if f != e]
         reached = inst.reaches((e,))
-        if reached or not inst.reaches([e] + best):
+        if reached or not inst.reaches([e] + child[: inst.k - 1]):
             stats.nodes += 1
             stats.max_depth = max(stats.max_depth, depth + 1)
             return (e,) if reached else None
-        sub = _solve(inst.child_after_deleting(e), mu_of, stats, depth + 1)
+        sub = _solve(inst.child_after_deleting(e), child, mu_of, stats, depth + 1)
         if sub is not None:
             return sub + (e,)
     return None

@@ -546,8 +546,8 @@ class TestPartnerAnalysis:
         rim_v = oriented(pa0)[2][0]  # u_3, an interior rim vertex
         spoke = next(
             e
-            for e in g.incident(rim_v)
-            if e not in hub.rim_edges and e != hub.chord
+            for e in g.edges
+            if rim_v in g.endpoints(e) and e not in hub.rim_edges and e != hub.chord
         )
         pa = analysis_after(g, [spoke, hub.chord], 2)
         assert any(rim_v in pa.components.get(i, ()) for i in pa.affected)

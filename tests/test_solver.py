@@ -407,7 +407,7 @@ class TestReductionPremise:
             "greedy_deletion_set",
             lambda inst, pool, cache: GreedyRun((pool[0],), (frozenset(),)),
         )
-        step = lambda: reduction_step(inst, lambda k: threshold, pool, RoundCache(inst.graph, None))
+        step = lambda: reduction_step(inst, threshold, pool, RoundCache(inst.graph, None))
         if raises:
             with pytest.raises(InternalInconsistencyError, match="greedy stalled"):
                 step()
@@ -767,7 +767,7 @@ class TestBranchStopsAtFirstFailingBound:
         # root: at k = 2 the fourth child is the first to miss the bound.
         inst = normalize(planted_pair(k, w_star))
         stats = SolveStats()
-        assert solver_module._branch(inst, heavy_order(inst), lambda k: 8, stats, 0) is None
+        assert solver_module._branch(inst, heavy_order(inst), 8, lambda k: 8, stats, 0) is None
         assert (stats.max_branch_factor, stats.nodes) == (8, nodes)
 
 
@@ -868,10 +868,10 @@ def cache_rounds(monkeypatch):
     rounds = []
     original = solver_module.reduction_step
 
-    def checked(inst, mu_of, pool, cache):
-        step = original(inst, mu_of, pool, cache)
+    def checked(inst, m, pool, cache):
+        step = original(inst, m, pool, cache)
         found = reduction_summary(step)
-        assert found == reduction_summary(original(inst, mu_of, pool, RoundCache(inst.graph, None)))
+        assert found == reduction_summary(original(inst, m, pool, RoundCache(inst.graph, None)))
         rounds.append((cache, found))
         return step
 
@@ -915,16 +915,16 @@ class TestRoundCache:
         greedy's picks decide."""
         g = random_biconnected_graph(rng, n, chords)
         inst = normalize(WbdInstance(g, k, float(k), {e: 1.0 for e in g.edges}))
-        mu_of = lambda k: k + 1  # every marked edge makes a step rich
+        m = k + 1  # every marked edge makes a step rich
         cache = RoundCache(inst.graph, inst.tree)
         for _ in range(16):
             potential = inst.potential_edges()
             if not potential:
                 break
             pool = data.draw(st.permutations(potential))[: data.draw(st.integers(1, len(potential)))]
-            shared = reduction_step(inst, mu_of, pool, cache)
+            shared = reduction_step(inst, m, pool, cache)
             assert reduction_summary(shared) == reduction_summary(
-                reduction_step(inst, mu_of, pool, RoundCache(inst.graph, None))
+                reduction_step(inst, m, pool, RoundCache(inst.graph, None))
             )
             if shared.kind == "freeze":
                 inst = inst.with_frozen(frozenset((shared.edge,)))
@@ -967,15 +967,14 @@ class TestRoundCache:
             inst.graph.without_edges(()), inst.k, inst.w_star, inst.weights, inst.frozen
         )
         assert twin.graph == inst.graph
-        mu_of = lambda k: 9
         pool = heavy_order(inst)[:9]
         for call in (
-            lambda: reduction_step(twin, mu_of, pool, cache),
+            lambda: reduction_step(twin, 9, pool, cache),
             lambda: greedy_deletion_set(twin, pool, cache),
         ):
             with pytest.raises(InternalInconsistencyError):
                 call()
-        assert reduction_step(inst, mu_of, pool, cache).kind == "freeze"
+        assert reduction_step(inst, 9, pool, cache).kind == "freeze"
 
     def test_refuses_a_tree_of_another_graph(self):
         inst = normalize(shared_partner_instance(7, k=2).instance)
@@ -984,7 +983,7 @@ class TestRoundCache:
         with pytest.raises(InternalInconsistencyError, match="DFS tree of another graph"):
             RoundCache(twin.graph, twin.tree)
         with pytest.raises(InternalInconsistencyError, match="DFS tree of another graph"):
-            freeze_rounds(twin, heavy_order(twin), lambda k: 9, mark_all=False)
+            freeze_rounds(twin, heavy_order(twin), 9, mark_all=False)
 
     def test_rounds_copy_only_where_they_must(self, monkeypatch):
         # A graph copy is made only for a fresh DFS of G - prefix or for a
@@ -1038,21 +1037,40 @@ class TestRoundCache:
         )
         for name in ("critical_set", "critical_tree"):
             monkeypatch.setattr(solver_module, name, counted(name, getattr(solver_module, name)))
-        step = reduction_step(inst, mu, pool, RoundCache(inst.graph, inst.tree))
+        step = reduction_step(inst, mu(2), pool, RoundCache(inst.graph, inst.tree))
         assert step.kind == "freeze" and step.analysis.graph is inst.graph
         assert calls == []
         assert reduction_summary(step) == reduction_summary(
-            reduction_step(inst, mu, pool, RoundCache(inst.graph, None))
+            reduction_step(inst, mu(2), pool, RoundCache(inst.graph, None))
         )
         assert calls.count("copy") == 1 and calls.count("critical_tree") == 1
 
 
+@pytest.fixture
+def node_orders(monkeypatch):
+    """Every search node's depth, each node checked on entry: the list it
+    is handed is its own heavy order, a branch child's too."""
+    depths = []
+    original = solver_module._solve
+
+    def checked(inst, order, mu_of, stats, depth):
+        assert order == heavy_order(inst)
+        depths.append(depth)
+        return original(inst, order, mu_of, stats, depth)
+
+    monkeypatch.setattr(solver_module, "_solve", checked)
+    return depths
+
+
 class TestFreezeRounds:
     @pytest.mark.parametrize("case", ["freezes", "branches", "enumerates", "decides"])
-    def test_heavy_order_once_per_node(self, monkeypatch, case):
-        # Each node sorts its pool once.  A node its heavy order does not
-        # decide hands that list, less its new critical edges, to the
-        # freeze loop's rounds, the branch and the enumerator.
+    def test_heavy_order_once_per_node(self, monkeypatch, node_orders, case):
+        # ``solve`` sorts its pool once, and every node, a branch child
+        # too, is handed its own heavy order (``node_orders``).  A node its
+        # heavy order does not decide hands that list, less its new
+        # critical edges, to the freeze loop, which drops each edge it
+        # freezes from the list itself: the branch and the enumerator read
+        # it after the loop, and children inherit it.
         if case == "freezes":
             inst, mu_of = shared_partner_instance(mu(2) + 8, k=2).instance, mu
         elif case == "branches":
@@ -1068,9 +1086,10 @@ class TestFreezeRounds:
             sorts.append(i)
             return original_sort(i)
 
-        def looping(i, order, mu_of, mark_all):
+        def looping(i, order, m, mark_all):
             assert order == original_sort(i)
-            after, steps = original_loop(i, order, mu_of, mark_all)
+            after, steps = original_loop(i, order, m, mark_all)
+            assert order == original_sort(after)
             loops.append(steps)
             return after, steps
 
@@ -1078,7 +1097,8 @@ class TestFreezeRounds:
         monkeypatch.setattr(solver_module, "freeze_rounds", looping)
         stats = SolveStats()
         assert solve(inst, mu_of, stats) is not None
-        assert len(sorts) == len(loops) + stats.decided_before_dfs
+        assert len(sorts) == 1
+        assert len(node_orders) == len(loops) + stats.decided_before_dfs
         if case == "freezes":
             assert len(loops[0]) >= 2 and stats.irrelevant_edges
         elif case == "branches":
@@ -1087,6 +1107,22 @@ class TestFreezeRounds:
             assert stats.enumerations == 1 and loops == [[]]
         else:
             assert stats.decided_before_dfs == 1 and loops == []
+
+    @pytest.mark.parametrize("threshold", [5, 8])
+    def test_children_read_their_parents_order(self, node_orders, threshold):
+        # K4 gadgets with input-frozen edges under lowered thresholds, yes
+        # and tight no: every node's list is its heavy order, so it holds
+        # no input-frozen edge, and the answers are the oracle's.
+        rng = random.Random(threshold)
+        for n, k, _ in itertools.product((5, 6, 7), (2, 3), range(5)):
+            inst = hot_gadget(n, k, 0.0)
+            light = [e for e, w in inst.weights.items() if w < 58]
+            inst = replace(inst, frozen=frozenset(e for e in light if rng.random() < 0.2))
+            best = oracle_wbd(inst, BIG).weight
+            for w_star in (best, best + 0.5):
+                sol = solve(replace(inst, w_star=w_star), lambda k: threshold)
+                assert (sol is not None) == (w_star == best)
+        assert max(node_orders) == 2
 
     def test_tight_no_stops_before_any_step(self, monkeypatch):
         # Chord 10 and rim 5 on a pool above mu(2): the two heaviest sum
@@ -1099,7 +1135,7 @@ class TestFreezeRounds:
             raise AssertionError("reduction_step called on a tight no")
 
         monkeypatch.setattr(solver_module, "reduction_step", refuse)
-        after, steps = freeze_rounds(inst, heavy_order(inst), mu, mark_all=False)
+        after, steps = freeze_rounds(inst, heavy_order(inst), mu(2), mark_all=False)
         assert after is inst and [s.kind for s in steps] == ["no"]
         stats = SolveStats()
         assert solve(hub.instance, stats=stats) is None
