@@ -8,10 +8,20 @@ M at every k, so small instances reach the reduction step.  ``--frozen P``
 freezes each edge of the input with probability P (default 0, which
 draws nothing, so the instances stay those of earlier runs).
 
+It also counts the *chain roots*: yes-instances at k >= 2 with more
+potential edges than the threshold whose root was decided before its DFS
+with a non-empty witness.  Only greedy's chain (``solver._solve``)
+decides those, so a random sweep run with ``--mu`` fails when it counts
+none, and the rule cannot silently stop being refereed.
+
+    python scripts/sweep_solver.py --count 500 --mu 5 --seed 6
+
 ``--family gadget`` sweeps K4 gadgets instead (``gadgets``), which reads
 only ``--count``, ``--seed`` and ``--mu``.  It also counts the instances
 whose search reached depth 1 and depth 2, and fails when none reached
-depth 2, so that the sweep cannot silently stop branching.
+depth 2, so that the sweep cannot silently stop branching.  Its chain
+roots read 0 by design: the candidates greedy's chain would pass there
+take two attaching edges, and fail verification.
 
     python scripts/sweep_solver.py --family gadget --count 300 --mu 5 --seed 5
 """
@@ -97,6 +107,7 @@ def main() -> int:
         sweep = instances(args.count, args.min_n, args.max_n, args.max_k, args.seed, args.frozen)
     times = []
     yes = no = mismatches = analyses = passes = crit_sets = freezes = early = depth1 = depth2 = 0
+    chains = 0
     for trial, inst in enumerate(sweep):
         g, k = inst.graph, inst.k
         t0 = time.perf_counter()
@@ -110,6 +121,12 @@ def main() -> int:
         early += stats.decided_before_dfs
         depth1 += stats.max_depth >= 1
         depth2 += stats.max_depth >= 2
+        chains += (
+            k >= 2
+            and bool(got and got.edges)
+            and (stats.nodes, stats.decided_before_dfs) == (1, 1)
+            and len(inst.potential_edges()) > mu_of(k)
+        )
         expect = oracle_wbd(inst, budget)
         if (got is None) != (expect is None):
             mismatches += 1
@@ -123,11 +140,15 @@ def main() -> int:
     print(
         f"{len(times)} instances: {yes} yes / {no} no, {mismatches} mismatches, "
         f"{analyses} partner analyses, {freezes} freezes, {passes} enumerator prefix passes, {crit_sets} prefix critical sets, "
-        f"{early} nodes decided before their DFS, {depth1} reached depth 1, {depth2} depth 2; "
+        f"{early} nodes decided before their DFS, {chains} chain roots, "
+        f"{depth1} reached depth 1, {depth2} depth 2; "
         f"solve ms p50={pct(0.5):.2f} p90={pct(0.9):.2f} max={times[-1] * 1000:.2f}"
     )
     if args.family == "gadget" and not depth2:
         print("no instance reached depth 2")
+        return 1
+    if args.family == "random" and args.mu is not None and not chains:
+        print("no chain root: greedy's chain decided no root")
         return 1
     return 1 if mismatches else 0
 

@@ -193,8 +193,11 @@ def verify_solution(inst: WbdInstance, edges) -> bool:
 
 def _enumerate_best(
     inst: WbdInstance, order: List[int], stats: SolveStats, tested: bool = True
-) -> Optional[Solution]:
-    """The first feasible deletion set whose weight reaches w*, or None.
+) -> Tuple[Optional[Solution], Optional[int]]:
+    """The first feasible deletion set whose weight reaches w*, or None,
+    with the position in ``order`` of its last pick when the search took
+    no pick back (each pick the first index the level cut and the degree
+    rule left open after the one before it), else None.
 
     This is a decision, so the first witness is returned, not the heaviest
     one.  Depth-first over ``order``, the instance's ``heavy_order``
@@ -243,12 +246,19 @@ def _enumerate_best(
       edge, and every set before R in the search order misses w* or
       breaks the degree rule, so none of them is feasible.  R is thus
       also the first feasible set over the normalized pool.
+
+    A candidate reached without taking a pick back is greedy's chain: an
+    edge the degree rule skipped is critical in G - prefix (n >= 3), and
+    criticality only grows along a feasible prefix, so on the normalized
+    instance greedy's j-th pick is the candidate's j-th edge whenever the
+    candidate is feasible and its picks lie in greedy's pool (``_solve``).
     """
     if inst.reaches(()):
-        return Solution((), 0.0)
+        return Solution((), 0.0), None
     g = inst.graph
     degree = {v: g.degree(v) for v in g.vertices}
     chosen: List[int] = []
+    backtracked = False
 
     def next_open(i: int, r: int) -> Optional[int]:
         """The first index from i on that passes the level cut with r
@@ -262,9 +272,10 @@ def _enumerate_best(
             i += 1
         return None
 
-    def extend(i: Optional[int], removed: FrozenSet[int]) -> bool:
+    def extend(i: Optional[int], removed: FrozenSet[int]) -> Optional[int]:
         """Try the open extensions of the feasible prefix ``chosen``, from
-        the open index i on."""
+        the open index i on; the index of the last pick of the set found."""
+        nonlocal backtracked
         r = inst.k - len(chosen)
         crit: Optional[FrozenSet[int]] = None
         while i is not None:
@@ -286,17 +297,21 @@ def _enumerate_best(
                     if not ok:
                         stats.prefix_critical_sets += 1
                         crit = critical_set(g.without_edges(removed))
-                if ok and (done or extend(j, removed | {e})):
-                    return True
+                if ok:
+                    end = i if done else extend(j, removed | {e})
+                    if end is not None:
+                        return end
             chosen.pop()
+            backtracked = True
             degree[u] += 1
             degree[v] += 1
             i = next_open(i + 1, r)
-        return False
-
-    if not extend(next_open(0, inst.k), frozenset()):
         return None
-    return Solution(tuple(chosen), inst.weight_of(chosen))
+
+    end = extend(next_open(0, inst.k), frozenset())
+    if end is None:
+        return None, None
+    return Solution(tuple(chosen), inst.weight_of(chosen)), None if backtracked else end
 
 
 class RoundCache:
@@ -620,9 +635,10 @@ def _solve(
     * Heavy order first: ``_enumerate_best`` searches ``order`` without
       tests.  No candidate is a no.  A candidate is the node's witness
       when the node would return it anyway: the empty set once w* is
-      reached, greedy's one pick at k = 1, and the enumerator's witness
-      when at most m potential edges remain.  There it is verified, and a
-      feasible one is a yes.
+      reached, the enumerator's witness when at most m potential edges
+      remain, and greedy's chain, k edges picked without taking one back
+      whose last sits among the first m of ``order`` (anywhere at k = 1).
+      There it is verified, and a feasible one is a yes.
     * Otherwise the node is normalized (its one DFS) and its new critical
       edges leave the list.  ``freeze_rounds`` runs on the m heaviest
       edges and drops each edge it freezes from the list.  Its last step
@@ -630,6 +646,16 @@ def _solve(
       prefix of them keeps the graph biconnected), or makes the node
       branch (``_branch``); if it does none of these, the enumerator
       decides the pool it leaves.
+
+    A feasible chain is what the steps after the DFS return.  Greedy's
+    j-th pick on the normalized node is the chain's j-th edge
+    (``_enumerate_best``), and a pick's position in the normalized list is
+    at most its position in ``order``, so the chain lies in greedy's pool,
+    the list's first m; at k = 1 its one edge is the first edge of that
+    list.  When the list exceeds m, the freeze loop's top-k test passes,
+    since the chain lies in the list and reaches w*, and its first step is
+    ``"full"`` with the chain as picks, a yes; otherwise the enumerator
+    decides and returns the candidate, as above.
 
     The root (depth 0) also checks the input: a no decided without a DFS
     costs it one biconnectivity pass, which refuses a graph that is not
@@ -639,14 +665,14 @@ def _solve(
     stats.nodes += 1
     stats.max_depth = max(stats.max_depth, depth)
     m = mu_of(inst.k)
-    first = _enumerate_best(inst, order, stats, tested=False)
+    first, end = _enumerate_best(inst, order, stats, tested=False)
     if first is None:
         stats.decided_before_dfs += 1
         if depth == 0 and not is_biconnected(inst.graph):
             raise InvalidInputError("instance graph is not biconnected")
         return None
-    is_witness = not first.edges or inst.k == 1 or len(order) <= m
-    if is_witness and verify_solution(inst, first.edges):
+    chain = end is not None and len(first.edges) == inst.k and (inst.k == 1 or end < m)
+    if (not first.edges or chain or len(order) <= m) and verify_solution(inst, first.edges):
         stats.decided_before_dfs += 1
         return first.edges
     inst = normalize(inst)
@@ -670,7 +696,7 @@ def _solve(
             stats.fallbacks += 1
         else:
             stats.enumerations += 1
-        sol = _enumerate_best(inst, order, stats)
+        sol, _ = _enumerate_best(inst, order, stats)
         edges = sol.edges if sol else None
     if depth == 0 and edges is not None and not verify_solution(inst, edges):
         raise InternalInconsistencyError("solver produced an invalid solution")

@@ -54,7 +54,7 @@ def unit(g, k, wstar):
 def enumerate_small(inst, stats=None):
     """The enumeration base case on the normalized instance."""
     inst = normalize(inst)
-    return solver_module._enumerate_best(inst, heavy_order(inst), stats or SolveStats())
+    return solver_module._enumerate_best(inst, heavy_order(inst), stats or SolveStats())[0]
 
 
 def ladder(m):
@@ -817,12 +817,14 @@ class TestDecimalWeights:
 class TestHeavyOrderBeforeDfs:
     """A search node's first candidate, the first set its heavy order lets
     through the level cut and the degree rule, is a no when there is none,
-    and the node's witness when it is feasible at k = 1 or with at most
-    mu(k) potential edges; on input-frozen edges and decimal weights the
-    witness must be the enumerator's on the normalized instance, or at
-    k = 1 the heaviest pool edge, and the answer the oracle's."""
+    and the node's witness when it is feasible with at most mu(k)
+    potential edges or is greedy's chain; on input-frozen edges and
+    decimal weights the witness must be the enumerator's on the normalized
+    instance, greedy's picks when the freeze loop's first step on it is
+    a yes, or at k = 1 the heaviest pool edge, and the answer the
+    oracle's."""
 
-    @pytest.mark.parametrize("mu_knob", [None, 3])
+    @pytest.mark.parametrize("mu_knob", [None, 3, 4, 5])
     @settings(max_examples=300, deadline=None)
     @given(st.randoms(use_true_random=False))
     def test_witness_is_the_enumerators(self, mu_knob, rng):
@@ -842,9 +844,14 @@ class TestHeavyOrderBeforeDfs:
         witness = got and got.edges
         norm = normalize(inst)
         pool = heavy_order(norm)
-        if len(pool) <= mu_of(k):
-            first = solver_module._enumerate_best(norm, pool, SolveStats())
+        m = mu_of(k)
+        if len(pool) <= m:
+            first, _ = solver_module._enumerate_best(norm, pool, SolveStats())
             assert witness == (first and tuple(sorted(first.edges)))
+        elif not norm.reaches(()):
+            step = reduction_step(norm, m, pool[:m], RoundCache(norm.graph, norm.tree))
+            if step.kind == "full" and norm.reaches(step.picks):
+                assert witness == tuple(sorted(step.picks))
         if k == 1 and not norm.reaches(()):
             assert witness == (tuple(pool[:1]) if pool and norm.reaches(pool[:1]) else None)
 
