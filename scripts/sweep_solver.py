@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Cross-validate the solver against the brute-force oracle on random
 biconnected instances and report agreement, timing percentiles, the
-number of partner analyses run, the irrelevant edges frozen, the
-enumerator's biconnectivity and critical-set passes and the search nodes
-decided before their DFS.  ``--mu M`` lowers the enumeration threshold to
-M at every k, so small instances reach the reduction step.  ``--frozen P``
-freezes each edge of the input with probability P (default 0, which
-draws nothing, so the instances stay those of earlier runs).
+number of partner analyses run, the irrelevant edges frozen and the
+search nodes decided before their DFS.  ``--mu M`` lowers the
+enumeration threshold to M at every k, so small instances reach the
+reduction step.  ``--frozen P`` freezes each edge of the input with
+probability P (default 0, which draws nothing, so the instances stay
+those of earlier runs).
 
 It also counts the *chain roots*: yes-instances at k >= 2 with more
 potential edges than the threshold whose root was decided before its DFS
@@ -16,14 +16,19 @@ none, and the rule cannot silently stop being refereed.
 
     python scripts/sweep_solver.py --count 500 --mu 5 --seed 6
 
-``--family gadget`` sweeps K4 gadgets instead (``gadgets``), which reads
-only ``--count``, ``--seed`` and ``--mu``.  It also counts the instances
-whose search reached depth 1 and depth 2, and fails when none reached
-depth 2, so that the sweep cannot silently stop branching.  Its chain
-roots read 0 by design: the candidates greedy's chain would pass there
-take two attaching edges, and fail verification.
+``--family gadget`` sweeps K4 gadgets with three or four hooks instead
+(``gadgets``), which reads only ``--count``, ``--seed`` and ``--mu``.  It
+also counts the instances whose search reached depth 1 and depth 2, and
+fails when none reached depth 2, so that the sweep cannot silently stop
+branching.  Branch children exclude the siblings tried before them, so
+three-hook gadgets rarely reach depth 2; the four-hook ones do.
 
     python scripts/sweep_solver.py --family gadget --count 300 --mu 5 --seed 5
+    python scripts/sweep_solver.py --family gadget --count 300 --seed 7
+
+Under mu(k) the gadgets' lists are short, so a node whose first candidate
+fails verification branches over its whole list: the second run reaches
+depth 2 on most instances, the first through the partner analysis.
 """
 
 import argparse
@@ -61,24 +66,26 @@ GADGET_BUDGET = OracleBudget(max_vertices=12, max_edges=30, max_k=3)
 
 def gadgets(count: int, seed=0) -> Iterator[WbdInstance]:
     """Two instances per K4 gadget: a random biconnected base graph on 5-8
-    vertices with 4-9 extra edges, plus a K4 on four new vertices, three of
-    which attach to distinct base vertices by edges of distinct weights
-    10-29; every other edge weighs 1-6, k is 2 or 3 and m at most 30.
-    Deleting two attaching edges leaves the K4 hanging on the third, so a
-    solution holds at most one of them, and the heavy edges greedy and the
-    branch try first keep failing together.  w* is the oracle's optimum
-    (a yes), then that plus 1/2 (a tight no)."""
+    vertices with 4-9 extra edges, plus a K4 on four new vertices, h of
+    which (h = 3 or 4, drawn per gadget) attach to distinct base vertices
+    by edges of distinct weights 10-29; every other edge weighs 1-6, k is
+    2 or 3 and m at most 30.  The K4 must keep two attaching edges, so a
+    solution holds at most h - 2 of them, and the heavy edges greedy and
+    the branch try first keep failing together; with four hooks a search
+    can delete one hook and still fail two levels down.  w* is the
+    oracle's optimum (a yes), then that plus 1/2 (a tight no)."""
     rng = random.Random(seed)
     for _ in range(count):
+        h = rng.choice((3, 4))
         base = random_biconnected_graph(rng, rng.randint(5, 8), rng.randint(4, 9))
-        while base.m > GADGET_BUDGET.max_edges - 9:
+        while base.m > GADGET_BUDGET.max_edges - 6 - h:
             base = random_biconnected_graph(rng, rng.randint(5, 8), rng.randint(4, 9))
         n = base.n
-        hooks = list(zip(rng.sample(range(n), 3), range(n, n + 3)))
+        hooks = list(zip(rng.sample(range(n), h), range(n, n + h)))
         k4 = itertools.combinations(range(n, n + 4), 2)
         g = UndirectedGraph.from_edges(range(n + 4), [*base.edges.values(), *k4, *hooks])
         weights = {e: float(rng.randint(1, 6)) for e in g.edges}
-        for pair, w in zip(hooks, rng.sample(range(10, 30), 3)):
+        for pair, w in zip(hooks, rng.sample(range(10, 30), h)):
             weights[g.edge_between(*pair)] = float(w)
         k = rng.choice((2, 3))
         best = oracle_wbd(WbdInstance(g, k, 0.0, weights), GADGET_BUDGET).weight
@@ -106,7 +113,7 @@ def main() -> int:
         budget = OracleBudget(max_vertices=args.max_n + 2, max_edges=4 * args.max_n, max_k=args.max_k)
         sweep = instances(args.count, args.min_n, args.max_n, args.max_k, args.seed, args.frozen)
     times = []
-    yes = no = mismatches = analyses = passes = crit_sets = freezes = early = depth1 = depth2 = 0
+    yes = no = mismatches = analyses = freezes = early = depth1 = depth2 = 0
     chains = 0
     for trial, inst in enumerate(sweep):
         g, k = inst.graph, inst.k
@@ -116,8 +123,6 @@ def main() -> int:
         times.append(time.perf_counter() - t0)
         analyses += stats.flow_calls
         freezes += len(stats.irrelevant_edges)
-        passes += stats.prefix_passes
-        crit_sets += stats.prefix_critical_sets
         early += stats.decided_before_dfs
         depth1 += stats.max_depth >= 1
         depth2 += stats.max_depth >= 2
@@ -139,7 +144,7 @@ def main() -> int:
     pct = lambda p: times[min(len(times) - 1, int(p * len(times)))] * 1000
     print(
         f"{len(times)} instances: {yes} yes / {no} no, {mismatches} mismatches, "
-        f"{analyses} partner analyses, {freezes} freezes, {passes} enumerator prefix passes, {crit_sets} prefix critical sets, "
+        f"{analyses} partner analyses, {freezes} freezes, "
         f"{early} nodes decided before their DFS, {chains} chain roots, "
         f"{depth1} reached depth 1, {depth2} depth 2; "
         f"solve ms p50={pct(0.5):.2f} p90={pct(0.9):.2f} max={times[-1] * 1000:.2f}"

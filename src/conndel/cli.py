@@ -162,8 +162,6 @@ def cmd_solve(args) -> int:
         "branch-nodes": stats.nodes,
         "max-depth": stats.max_depth,
         "enumerations": stats.enumerations,
-        "prefix-passes": stats.prefix_passes,
-        "prefix-critical-sets": stats.prefix_critical_sets,
         "fallbacks": stats.fallbacks,
         "decided-before-dfs": stats.decided_before_dfs,
         "irrelevant-edges": len(stats.irrelevant_edges),

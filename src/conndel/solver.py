@@ -8,8 +8,8 @@ biconnected.
 ``solve`` sorts the potential edges once, heaviest first, and each
 search node is one call of ``_solve``, which says what a node does: its
 heavy order first, then one DFS, the freeze loop (``freeze_rounds``,
-which the kernel's first phase runs on unit weights), and greedy's yes,
-a branch or the enumerator.
+which the kernel's first phase runs on unit weights), and greedy's yes
+or a branch, the one exhaustive search.
 
 One threshold drives the loop, mu(k) = 20k^3 + 46k^2 + k, passed to
 ``solve`` and ``kernelize`` as the function ``mu_of`` and read once per
@@ -28,7 +28,6 @@ from .criticality import (
     DfsTree,
     PartnerAnalysis,
     build_partner_analysis,
-    critical_set,
     critical_tree,
     find_clean_stretch,
 )
@@ -44,7 +43,8 @@ from .graphs import (
 
 
 def mu(k: int) -> int:
-    """Potential-solution-edge threshold below which enumeration takes over."""
+    """Potential-solution-edge threshold at or below which a search node
+    branches over its whole list."""
     return 20 * k**3 + 46 * k**2 + k
 
 
@@ -115,8 +115,6 @@ class SolveStats:
     max_depth: int = 0
     max_branch_factor: int = 0
     enumerations: int = 0
-    prefix_passes: int = 0
-    prefix_critical_sets: int = 0
     flow_calls: int = 0
     fallbacks: int = 0
     decided_before_dfs: int = 0
@@ -191,70 +189,39 @@ def verify_solution(inst: WbdInstance, edges) -> bool:
     return is_biconnected_without(inst.graph, frozenset(es))
 
 
-def _enumerate_best(
-    inst: WbdInstance, order: List[int], stats: SolveStats, tested: bool = True
-) -> Tuple[Optional[Solution], Optional[int]]:
-    """The first feasible deletion set whose weight reaches w*, or None,
-    with the position in ``order`` of its last pick when the search took
-    no pick back (each pick the first index the level cut and the degree
-    rule left open after the one before it), else None.
+def _enumerate_best(inst: WbdInstance, order: List[int]) -> Tuple[Optional[Solution], bool]:
+    """A search node's first *candidate*, or None, and whether it is
+    greedy's chain: k picks, reached without taking one back.
 
-    This is a decision, so the first witness is returned, not the heaviest
-    one.  Depth-first over ``order``, the instance's ``heavy_order``
-    (heaviest first, ties by id), so the witness is deterministic.  Two
-    cuts, both exact for non-negative weights and an ``fsum`` total:
+    The search runs depth-first over ``order``, the instance's
+    ``heavy_order`` (heaviest first, ties by id), and tests no prefix: a
+    candidate is the first set that two cuts let through and that reaches
+    w*.  Both cuts are exact for non-negative weights and an ``fsum``
+    total:
 
-    * a level stops once the chosen weights plus the next r pool weights
-      (r the budget left) miss w*, since every later candidate is lighter;
-    * a prefix whose deletion breaks biconnectivity is dropped, since
-      deleting more edges never restores it.
-
-    Tested (the default), the instance must be normalized.  Every prefix
-    S kept so far leaves G - S biconnected, so S + e is feasible iff e is
-    not critical in G - S.  Two rules decide that without a pass:
-
-    * depth one: e is a potential edge, hence not critical in G;
+    * a level stops once the chosen weights plus the next r weights of
+      ``order`` (r the budget left) miss w*, since every later edge is
+      lighter;
     * degree: an endpoint of e with degree 2 in G - S makes e critical in
-      G - S (n >= 3), so the prefix is dropped.
+      G - S (n >= 3), so S + e is dropped.
 
-    A prefix S + e that neither rule decides is tested only when it is
-    used: when it reaches w*, or when one of its own extensions survives
-    the level cut and the degree rule.  Otherwise nothing below it could
-    be tried, and it is dropped untested.  A test is one biconnectivity
-    pass (``stats.prefix_passes``) until one of S's extensions fails; then
-    one ``critical_set(G - S)`` (``stats.prefix_critical_sets``) decides
-    the rest of S's extensions by membership.  The pruning and the
-    witness are those of testing every prefix.
+    So no candidate is a no: a solution is a set of potential edges, it
+    leaves every vertex with degree 2 or more (on n < 3 vertices no edge
+    can go), and the level cut drops only sets that miss w*.  A candidate
+    R that passes ``verify_solution`` is the first feasible set in this
+    search order: every set before it misses w* or breaks the degree rule.
+    A prefix of a feasible set is feasible, so R is also the first set
+    that a search testing every prefix would return, on this instance or
+    on its normalization, whose list is a subsequence of ``order``.
 
-    This keeps the paper's mu(k)^k base case: at k = 3 and a pool of
-    mu(3) = 957 there are about 457k depth-2 prefixes, still far too many.
-
-    With ``tested=False`` the instance need not be normalized, ``order``
-    is its ``heavy_order``, and no prefix is tested: the search returns
-    the first *candidate*, the first set in the same search order that
-    the level cut and the degree rule let through and that reaches w*.
-    A search node runs this before its DFS (``_solve``), and both uses
-    of it are exact:
-
-    * no candidate is a no: a solution is a set of potential edges, it
-      leaves every vertex with degree 2 or more (on n < 3 vertices no
-      edge can go), and the level cut drops only sets that miss w*;
-    * a candidate R that passes ``verify_solution`` is this search's
-      witness on the normalized instance.  Normalizing only takes critical
-      edges out of ``order``, so the tested search runs over a subsequence
-      of it in the same order.  R is feasible, so it holds no critical
-      edge, and every set before R in the search order misses w* or
-      breaks the degree rule, so none of them is feasible.  R is thus
-      also the first feasible set over the normalized pool.
-
-    A candidate reached without taking a pick back is greedy's chain: an
-    edge the degree rule skipped is critical in G - prefix (n >= 3), and
-    criticality only grows along a feasible prefix, so on the normalized
-    instance greedy's j-th pick is the candidate's j-th edge whenever the
-    candidate is feasible and its picks lie in greedy's pool (``_solve``).
+    A candidate reached without taking a pick back is greedy's: an edge
+    the degree rule skipped is critical in G - prefix, and criticality
+    only grows along a feasible prefix, so on the normalized instance
+    greedy's j-th pick is the candidate's j-th edge whenever the candidate
+    is feasible and its picks lie in greedy's pool (``_solve``).
     """
     if inst.reaches(()):
-        return Solution((), 0.0), None
+        return Solution((), 0.0), False
     g = inst.graph
     degree = {v: g.degree(v) for v in g.vertices}
     chosen: List[int] = []
@@ -272,46 +239,28 @@ def _enumerate_best(
             i += 1
         return None
 
-    def extend(i: Optional[int], removed: FrozenSet[int]) -> Optional[int]:
-        """Try the open extensions of the feasible prefix ``chosen``, from
-        the open index i on; the index of the last pick of the set found."""
+    def extend(i: Optional[int], r: int) -> bool:
+        """Try the open extensions of ``chosen``, with r picks left, from
+        the open index i on; True once ``chosen`` is a candidate."""
         nonlocal backtracked
-        r = inst.k - len(chosen)
-        crit: Optional[FrozenSet[int]] = None
         while i is not None:
-            e = order[i]
-            u, v = g.endpoints(e)
-            chosen.append(e)
+            u, v = g.endpoints(order[i])
+            chosen.append(order[i])
             degree[u] -= 1
             degree[v] -= 1
-            done = inst.reaches(chosen)
-            j = None if done or r == 1 else next_open(i + 1, r - 1)
-            if done or j is not None:
-                if not tested or not removed:
-                    ok = True
-                elif crit is not None:
-                    ok = e not in crit
-                else:
-                    stats.prefix_passes += 1
-                    ok = is_biconnected_without(g, removed | {e})
-                    if not ok:
-                        stats.prefix_critical_sets += 1
-                        crit = critical_set(g.without_edges(removed))
-                if ok:
-                    end = i if done else extend(j, removed | {e})
-                    if end is not None:
-                        return end
+            if inst.reaches(chosen) or r > 1 and extend(next_open(i + 1, r - 1), r - 1):
+                return True
             chosen.pop()
             backtracked = True
             degree[u] += 1
             degree[v] += 1
             i = next_open(i + 1, r)
-        return None
+        return False
 
-    end = extend(next_open(0, inst.k), frozenset())
-    if end is None:
-        return None, None
-    return Solution(tuple(chosen), inst.weight_of(chosen)), None if backtracked else end
+    if not extend(next_open(0, inst.k), inst.k):
+        return None, False
+    chain = not backtracked and len(chosen) == inst.k
+    return Solution(tuple(chosen), inst.weight_of(chosen)), chain
 
 
 class RoundCache:
@@ -587,8 +536,8 @@ def freeze_rounds(
     cache = RoundCache(inst.graph, inst.tree)
     steps: List[Reduction] = []
     while len(order) > m:
-        # Even the k heaviest potential edges miss w*: no.  (The
-        # enumerator's level cut makes the same test first.)
+        # Even the k heaviest potential edges miss w*: no.  (The heavy
+        # order's level cut makes the same test first.)
         if not inst.reaches(order[: inst.k]):
             steps.append(Reduction("no"))
             break
@@ -632,30 +581,43 @@ def _solve(
     """Decide one search node; ``order`` is its ``heavy_order``, and mu(k)
     is read once, as m.
 
-    * Heavy order first: ``_enumerate_best`` searches ``order`` without
-      tests.  No candidate is a no.  A candidate is the node's witness
-      when the node would return it anyway: the empty set once w* is
-      reached, the enumerator's witness when at most m potential edges
-      remain, and greedy's chain, k edges picked without taking one back
-      whose last sits among the first m of ``order`` (anywhere at k = 1).
-      There it is verified, and a feasible one is a yes.
+    * Heavy order first: ``_enumerate_best`` finds the node's first
+      candidate, and no candidate is a no.  A candidate is verified, and a
+      feasible one is the yes, where it is the witness the steps below
+      would give: the empty set once w* is reached, the first feasible
+      set when at most m potential edges remain, and greedy's chain, k
+      edges picked without taking one back.
     * Otherwise the node is normalized (its one DFS) and its new critical
       edges leave the list.  ``freeze_rounds`` runs on the m heaviest
       edges and drops each edge it freezes from the list.  Its last step
       answers no, gives greedy's picks as a yes when they reach w* (every
       prefix of them keeps the graph biconnected), or makes the node
-      branch (``_branch``); if it does none of these, the enumerator
-      decides the pool it leaves.
+      branch (``_branch``): over the m heaviest edges after a ``"full"``
+      or ``"distinct"`` step, whose lemma says a solution meets them, and
+      over the whole list when the loop left at most m edges
+      (``stats.enumerations``) or ended ``"stuck"`` (``stats.fallbacks``),
+      since a solution is a subset of the list.
 
-    A feasible chain is what the steps after the DFS return.  Greedy's
-    j-th pick on the normalized node is the chain's j-th edge
-    (``_enumerate_best``), and a pick's position in the normalized list is
-    at most its position in ``order``, so the chain lies in greedy's pool,
-    the list's first m; at k = 1 its one edge is the first edge of that
-    list.  When the list exceeds m, the freeze loop's top-k test passes,
-    since the chain lies in the list and reaches w*, and its first step is
-    ``"full"`` with the chain as picks, a yes; otherwise the enumerator
-    decides and returns the candidate, as above.
+    The branch over the whole list returns the first feasible set, except
+    where a child whose list exceeds its own threshold ends on greedy's k
+    picks and a shorter prefix of them already reaches w*.
+
+    A feasible chain C is what the steps after the DFS return, so its
+    position in ``order`` needs no test.  With no pick taken back, every
+    edge of ``order`` before C's last that is not in C was skipped by the
+    degree rule, so it was critical after a prefix of C, and stays
+    critical along C.  So on the normalized node greedy's picks are a
+    prefix of C, all of C once C lies in greedy's pool, and C's first edge
+    c is the first of the list.  An edge the loop freezes is critical
+    after a prefix of greedy's picks, hence after a prefix of C, so it is
+    no edge of C.  C reaches w*, so the loop's top-k test passes, and the
+    loop ends either ``"full"`` with C as picks, a yes, or in a branch
+    whose first child deletes c and freezes nothing more.  At k = 1 c
+    reaches w*, and the branch returns it as a leaf.  Otherwise the
+    child's bound passes, and its list, a sublist of ``order`` after c
+    that keeps the rest of C, gives the same scan: the same edges fail the
+    degree rule, and the level cut passes wherever C still fits.  So C
+    less c is the child's chain, and the child accepts it.
 
     The root (depth 0) also checks the input: a no decided without a DFS
     costs it one biconnectivity pass, which refuses a graph that is not
@@ -665,13 +627,12 @@ def _solve(
     stats.nodes += 1
     stats.max_depth = max(stats.max_depth, depth)
     m = mu_of(inst.k)
-    first, end = _enumerate_best(inst, order, stats, tested=False)
+    first, chain = _enumerate_best(inst, order)
     if first is None:
         stats.decided_before_dfs += 1
         if depth == 0 and not is_biconnected(inst.graph):
             raise InvalidInputError("instance graph is not biconnected")
         return None
-    chain = end is not None and len(first.edges) == inst.k and (inst.k == 1 or end < m)
     if (not first.edges or chain or len(order) <= m) and verify_solution(inst, first.edges):
         stats.decided_before_dfs += 1
         return first.edges
@@ -696,8 +657,7 @@ def _solve(
             stats.fallbacks += 1
         else:
             stats.enumerations += 1
-        sol, _ = _enumerate_best(inst, order, stats)
-        edges = sol.edges if sol else None
+        edges = _branch(inst, order, len(order), mu_of, stats, depth)
     if depth == 0 and edges is not None and not verify_solution(inst, edges):
         raise InternalInconsistencyError("solver produced an invalid solution")
     return edges
@@ -706,38 +666,50 @@ def _solve(
 def _branch(
     inst: WbdInstance,
     order: List[int],
-    m: int,
+    width: int,
     mu_of: Callable[[int], int],
     stats: SolveStats,
     depth: int,
 ) -> Optional[Tuple[int, ...]]:
-    """Branch over the heavy edges, the first m of ``order``, the
-    instance's ``heavy_order``; m is mu(k) and a solution, if any exists,
-    intersects them.  The instance is normalized, so deleting any one of
-    them keeps the graph biconnected.
+    """Branch over the first ``width`` edges of ``order``, the instance's
+    ``heavy_order``; a solution, if any exists, meets them (``_solve``).
+    The instance is normalized, so deleting any one of them keeps the
+    graph biconnected.
 
-    A child's potential edges are the parent's less e, so its heavy order
-    is ``order`` less e: the sort is stable, and dropping one item keeps
-    the order of the rest.  Normalizing the child only freezes more, so
-    when the deleted weights, e's and the first k - 1 of that list miss
-    w*, the child is a no.  That bound is the same for
-    the k heaviest candidates and never rises after them along ``order``
-    (``fsum`` rounds monotonically), so the first child that fails it is
-    the last one tried.  That child, and a leaf child (k = 0, or w*
-    reached), is decided without copying the graph; any other child is a
-    search node of its own (``_solve``), normalized only when its heavy
-    order does not decide it.
+    Child i deletes e_i = order[i] and freezes the siblings tried before
+    it, order[:i] (bounded-search-tree pruning; Cygan et al.,
+    *Parameterized Algorithms*, 2015, ch. 3).  This is exact: let S be a
+    solution and e_i its first edge in loop order.  S avoids order[:i], so
+    S - e_i is a solution of child i, and every child answers exactly, so
+    child i answers yes unless an earlier one did.
+
+    Child i's potential edges are order[i + 1:], which is its heavy order:
+    the sort is stable, and dropping items keeps the order of the rest.
+    A solution through child i weighs at most the deleted weights plus
+    order[i : i + k], the k heaviest edges left to it, e_i first, so a
+    child that misses that bound is a no.  The window only slides to
+    lighter edges (``fsum`` rounds monotonically), so the first child that
+    fails the bound is the last one tried.  That child, and a leaf child
+    (e_i alone reaches w*), is decided without copying the graph; any
+    other child is a search node of its own (``_solve``).
+
+    Over a whole list, each child's list within its own threshold, this
+    is the search of ``_enumerate_best`` with every prefix tested, one
+    level per node: the child bound is its level cut, and normalizing a
+    child is the prefix test, which also freezes every edge the degree
+    rule would skip.  It is the paper's mu(k)^k base case: at k = 3 and a
+    list of mu(3) = 957 there are about 457k depth-2 prefixes.
     """
-    candidates = order[:m]
+    candidates = order[:width]
     stats.max_branch_factor = max(stats.max_branch_factor, len(candidates))
-    for e in candidates:
-        child = [f for f in order if f != e]
+    for i, e in enumerate(candidates):
         reached = inst.reaches((e,))
-        if reached or not inst.reaches([e] + child[: inst.k - 1]):
+        if reached or not inst.reaches(order[i : i + inst.k]):
             stats.nodes += 1
             stats.max_depth = max(stats.max_depth, depth + 1)
             return (e,) if reached else None
-        sub = _solve(inst.child_after_deleting(e), child, mu_of, stats, depth + 1)
+        child = inst.with_frozen(frozenset(order[:i])).child_after_deleting(e)
+        sub = _solve(child, order[i + 1 :], mu_of, stats, depth + 1)
         if sub is not None:
             return sub + (e,)
     return None

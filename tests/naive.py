@@ -392,10 +392,11 @@ def closest_min_cut(
 
 
 def first_witness(inst) -> Optional[Tuple[int, ...]]:
-    """The solver's enumeration base case without its rules: the first
-    deletion set, depth-first over the deletable edges heaviest first
-    (ties by ascending id), that keeps the graph biconnected and whose
-    weight (with ``inst.deleted``, one ``fsum``) reaches w*, or None.
+    """The solver's base case, its branch over a whole list, without its
+    cuts: the first deletion set, depth-first over the deletable edges
+    heaviest first (ties by ascending id), that keeps the graph
+    biconnected and whose weight (with ``inst.deleted``, one ``fsum``)
+    reaches w*, or None.
 
     Every extension gets its own ``is_biconnected_without`` pass, and no
     level is cut short.  That pass is the package's, checked against the

@@ -44,15 +44,13 @@ class TestSolve:
 
     def test_reports_search_counters(self, files, tmp_path, capsys):
         # The root's heavy order decides: its first candidate, {01, 23},
-        # passes verification, so the node makes no DFS and no prefix pass.
+        # passes verification, so the node makes no DFS.
         assert main(["solve", files["k4"], "--k", "2", "--wstar", "2"]) == 0
         out = capsys.readouterr().out.splitlines()
         for line in (
             "branch-nodes: 1",
             "max-depth: 0",
             "enumerations: 0",
-            "prefix-passes: 0",
-            "prefix-critical-sets: 0",
             "fallbacks: 0",
             "decided-before-dfs: 1",
         ):
@@ -62,11 +60,11 @@ class TestSolve:
         # K4 hanging on the third, which no degree sees.  One K28 edge
         # weighs 30, the rest 1.  387 edges exceed mu(2) = 346, greedy's
         # picks (60, 30) miss w* = 90.5, so the root branches over 346
-        # edges.  The three hot edges' children are normalized, once their
-        # first candidate fails verification, and are no's at depth 1
-        # without enumerating; the fourth child (the 30 edge) misses the
-        # top-k bound, which no later child's bound exceeds, so it is the
-        # last one tried.
+        # edges, each child freezing the siblings tried before it.  The 60
+        # and 59 children are normalized, once their first candidate fails
+        # verification, and are no's at depth 1 without branching; the 58
+        # child (58 + 30) misses the top-k bound, which no later child's
+        # bound exceeds, so it is the last one tried.
         hot = {(1, 29): 60, (2, 30): 59, (3, 31): 58, (4, 5): 30}
         gadget = list(itertools.combinations(range(29, 33), 2))
         pairs = list(itertools.combinations(range(1, 29), 2)) + gadget + list(hot)[:3]
@@ -78,27 +76,12 @@ class TestSolve:
         assert main(["solve", str(p), "--k", "2", "--wstar", "90.5"]) == 1
         out = capsys.readouterr().out.splitlines()
         for line in (
-            "branch-nodes: 5",
+            "branch-nodes: 4",
             "max-depth: 1",
             "enumerations: 0",
-            "prefix-passes: 0",
             "fallbacks: 0",
             "decided-before-dfs: 0",
         ):
-            assert line in out
-
-    def test_reports_prefix_critical_sets(self, tmp_path, capsys):
-        # The unit-weight subdivided shared-partner hub with 3 rim vertices
-        # is a tight no at k = 2: no two of its rim edges and chord can go
-        # together.  Under each rim edge whose extensions are not all cut
-        # by the degree rule, the first extension tested fails, and one
-        # critical set decides the rest: 3 passes, 3 critical sets.
-        g = shared_partner_instance(3, k=2, subdivide=True).instance.graph
-        p = tmp_path / "hub.graph"
-        p.write_text(serialize_undirected(g, {e: 1.0 for e in g.edges}, frozenset()))
-        assert main(["solve", str(p), "--k", "2", "--wstar", "2"]) == 1
-        out = capsys.readouterr().out.splitlines()
-        for line in ("enumerations: 1", "prefix-passes: 3", "prefix-critical-sets: 3"):
             assert line in out
 
     def test_deterministic_reports(self, files, capsys):
@@ -403,15 +386,17 @@ class TestIndependentReferee:
 
     @pytest.fixture
     def chord_reported_critical(self, monkeypatch):
-        """A planted fault: ``critical_set`` also reports the chord."""
+        """A planted fault: the solver's ``critical_tree`` also reports the
+        chord."""
         import conndel.solver
 
-        real = conndel.solver.critical_set
+        real = conndel.solver.critical_tree
 
         def faulty(g):
-            return real(g) | {g.edge_between(1, 3)}
+            crit, tree = real(g)
+            return crit | {g.edge_between(1, 3)}, tree
 
-        monkeypatch.setattr(conndel.solver, "critical_set", faulty)
+        monkeypatch.setattr(conndel.solver, "critical_tree", faulty)
 
     def test_non_biconnected_input_exits_two(self, tmp_path, capsys):
         p = tmp_path / "path.graph"

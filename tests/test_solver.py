@@ -51,12 +51,6 @@ def unit(g, k, wstar):
     return WbdInstance(g, k, float(wstar), {e: 1.0 for e in g.edges}, frozenset())
 
 
-def enumerate_small(inst, stats=None):
-    """The enumeration base case on the normalized instance."""
-    inst = normalize(inst)
-    return solver_module._enumerate_best(inst, heavy_order(inst), stats or SolveStats())[0]
-
-
 def ladder(m):
     """Two rails of m vertices plus rungs; interior rungs are deletable."""
     edges = []
@@ -79,20 +73,20 @@ def greedy_miss_instance():
     return WbdInstance(g, 2, 4.0, weights, frozenset()), lambda k: 4
 
 
-def hot_gadget(n, k, w_star):
-    """K_n plus a K4 on vertices n..n+3, three of which attach to 0, 1
-    and 2 by edges of weight 60, 59 and 58; the K_n edge (3, 4) weighs 30
-    and every other edge 1.  Deleting two attaching edges leaves the K4
-    hanging on the third, so a solution holds at most one of them and
-    weighs at most 60 + 30 at k = 2.  No vertex drops to degree 2 to show
-    it, so the degree rule lets {60, 59} through."""
+def hot_gadget(n, k, w_star, hooks=3):
+    """K_n plus a K4 on vertices n..n+3, ``hooks`` of which (3 or 4)
+    attach to 0, 1, ... by edges of weight 60, 59, 58 and 57; the K_n edge
+    (3, 4) weighs 30 and every other edge 1.  The K4 must keep two
+    attaching edges, so a solution holds at most ``hooks`` - 2 of them:
+    with three hooks it weighs at most 60 + 30 at k = 2.  No vertex drops
+    to degree 2 to show it, so the degree rule lets {60, 59} through."""
     pairs = list(itertools.combinations(range(n), 2))
     pairs += list(itertools.combinations(range(n, n + 4), 2))
-    pairs += [(0, n), (1, n + 1), (2, n + 2)]
+    pairs += [(i, n + i) for i in range(hooks)]
     g = UndirectedGraph.from_edges(range(n + 4), pairs)
     weights = {e: 1.0 for e in g.edges}
     weights[g.edge_between(3, 4)] = 30.0
-    for i, w in enumerate((60.0, 59.0, 58.0)):
+    for i, w in enumerate((60.0, 59.0, 58.0, 57.0)[:hooks]):
         weights[g.edge_between(i, n + i)] = w
     return WbdInstance(g, k, w_star, weights, frozenset())
 
@@ -236,9 +230,12 @@ class TestVerifySolution:
 
 
 class TestEnumerateSmall:
+    """Pools below mu(k): ``solve`` takes the first candidate, or branches
+    over the whole normalized list."""
+
     def test_k4_matching(self):
         inst = normalize(unit(complete(4), 2, 2))
-        sol = enumerate_small(inst)
+        sol = solve(inst)
         assert sol is not None and len(sol.edges) == 2
         u1, v1 = inst.graph.endpoints(sol.edges[0])
         u2, v2 = inst.graph.endpoints(sol.edges[1])
@@ -246,12 +243,12 @@ class TestEnumerateSmall:
 
     def test_zero_budget_zero_target(self):
         inst = normalize(unit(cycle(5), 0, 0))
-        sol = enumerate_small(inst)
+        sol = solve(inst)
         assert sol is not None and sol.edges == ()
 
     def test_frozen_cycle_is_no(self):
         inst = normalize(unit(cycle(6), 1, 1))
-        assert enumerate_small(inst) is None
+        assert solve(inst) is None
 
     def test_unnormalized_input_never_yields_a_critical_edge(self):
         # Two K4s joined by two disjoint edges: each joining edge is
@@ -264,7 +261,7 @@ class TestEnumerateSmall:
         weights = {e: 1.0 for e in g.edges}
         weights[g.edge_between(0, 4)] = 10.0
         inst = WbdInstance(g, 1, 5.0, weights, frozenset())
-        assert enumerate_small(inst) is None
+        assert solve(inst) is None
         assert oracle_wbd(inst, BIG) is None
 
 
@@ -285,8 +282,9 @@ def planted_instance(rng, n, plants, k):
 
 
 class TestEnumeratorAgainstOracle:
-    """The enumerator's prefix rules (depth one, degree 2 in G - S) only
-    skip passes whose result they know, so it agrees with the oracle."""
+    """The heavy order's cuts (the level cut, degree 2 in G - S) drop only
+    sets that are no solutions, and the branch over a whole list searches
+    the rest, so ``solve`` agrees with the oracle."""
 
     @settings(max_examples=400, deadline=None)
     @given(
@@ -300,7 +298,7 @@ class TestEnumeratorAgainstOracle:
         best = oracle_wbd(base, BIG).weight
         for w_star in (best, best + 0.5):
             inst = WbdInstance(base.graph, k, w_star, base.weights, frozenset())
-            got = enumerate_small(inst)
+            got = solve(inst)
             assert (got is None) == (w_star > best)
             if got is not None:
                 assert len(got.edges) <= k and inst.reaches(got.edges)
@@ -319,15 +317,16 @@ def subdivided_hub(family, q, k, w_star):
 
 
 class TestEnumeratorAgainstNaive:
-    """The enumerator's rules, its used-prefix test and its critical-set
-    switch only decide what a pass per extension would, so it returns the
-    naive search's witness."""
+    """Below mu(k) a node's verified first candidate, or the branch over
+    its whole list, each child freezing the siblings tried before it,
+    returns the naive search's witness, sorted."""
 
     @staticmethod
     def agrees(inst):
         stats = SolveStats()
-        got = enumerate_small(inst, stats)
-        assert (got and got.edges) == naive.first_witness(inst)
+        got = solve(inst, stats=stats)
+        expect = naive.first_witness(inst)
+        assert (got and got.edges) == (expect and tuple(sorted(expect)))
         return stats
 
     @settings(max_examples=150, deadline=None)
@@ -353,17 +352,35 @@ class TestEnumeratorAgainstNaive:
     def test_subdivided_hubs(self, family, q, k, target):
         self.agrees(subdivided_hub(family, q, k, float(min(target, k))))
 
-    def test_critical_set_switch_fires(self):
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.randoms(use_true_random=False),
+        st.sampled_from([3, 4]),
+        st.integers(min_value=1, max_value=3),
+        st.sampled_from([0.8, 1.0]),
+    )
+    def test_k4_gadgets(self, rng, hooks, k, share):
+        inst = replace(k4_gadget(rng, hooks), k=k)
+        self.agrees(replace(inst, w_star=share * oracle_wbd(inst, BIG).weight))
+
+    def test_some_cases_branch(self):
         # On the shared-partner hubs' tight no's every rim edge can go
-        # alone but no two together, so the first test under a rim edge
-        # fails and its critical set decides the rest.  This keeps the
-        # properties above from passing with the switch dead.
-        crit_sets = sum(
-            self.agrees(subdivided_hub(shared_partner_instance, q, k, float(k))).prefix_critical_sets
+        # alone but no two together, and on the hot gadgets at their
+        # optimum the first candidate takes too many attaching edges, so
+        # each root's first candidate fails verification and the root
+        # branches over its whole list, to a no on the hubs and a yes on
+        # the gadgets.  This keeps the properties above from passing with
+        # no branch at all.
+        hubs = [
+            subdivided_hub(shared_partner_instance, q, k, float(k))
             for q in range(3, 9)
             for k in (2, 3, 4)
-        )
-        assert crit_sets > 0
+        ]
+        assert any(self.agrees(inst).max_depth >= 1 for inst in hubs)
+        for hooks, k in ((3, 2), (3, 3), (4, 3)):
+            inst = hot_gadget(6, k, 0.0, hooks)
+            inst = replace(inst, w_star=oracle_wbd(inst, BIG).weight)
+            assert self.agrees(inst).max_depth >= 1
 
 
 class TestGreedy:
@@ -593,12 +610,13 @@ class TestSolve:
         # < w* = 90.5, but the degree rule lets {60, 59} through, so the
         # root's first candidate fails verification and the root is
         # normalized.  Greedy's picks (60, 30) miss w*, so the root
-        # branches over its six heaviest edges.  Only the three hot edges'
-        # children reach w* with the k - 1 heaviest other parent edges;
-        # each one's first candidate, another hot edge, fails
-        # verification, so each is normalized.  The fourth child misses
-        # that bound and is decided without being normalized, and as no
-        # later child's bound is higher, the last two are not tried.
+        # branches over its six heaviest edges.  Each child freezes the
+        # siblings tried before it, so only the 60 and 59 children reach
+        # w* with the k - 1 heaviest edges left to them; each one's first
+        # candidate, another hot edge, fails verification, so each is
+        # normalized.  The 58 child (58 + 30) misses that bound and is
+        # decided without being normalized, and as no later child's bound
+        # is higher, the last three are not tried.
         inst = hot_gadget(6, 2, 90.5)
         calls = []
 
@@ -610,8 +628,8 @@ class TestSolve:
         stats = SolveStats()
         assert solve(inst, lambda k: 6, stats) is None
         assert stats.max_branch_factor == 6
-        assert stats.nodes == 5  # the root, three hot-edge children, one failing child
-        assert len(calls) == 4  # the root and the three hot-edge children
+        assert stats.nodes == 4  # the root, two hot-edge children, one failing child
+        assert len(calls) == 3  # the root and the two hot-edge children
         assert stats.decided_before_dfs == 0
         assert oracle_wbd(inst, BIG) is None
 
@@ -629,62 +647,60 @@ class TestSolve:
 
     def test_stalled_greedy_falls_back_to_enumeration(self):
         # With a one-edge pool greedy stops after one pick, short of k = 2,
-        # and no step is rich under the lowered threshold: the root
-        # enumerates instead of branching.
+        # and no step is rich under the lowered threshold: the root falls
+        # back to branching over its whole list, whose first child, one
+        # edge reaching w*, is a leaf.
         g = complete(4)
         weights = {e: 5.0 for e in g.edges}
         inst = WbdInstance(g, 2, 1.0, weights, frozenset())
         stats = SolveStats()
         sol = solve(inst, lambda k: 1, stats)
-        assert stats.fallbacks == 1
-        assert stats.nodes == 1
+        assert stats.fallbacks == 1 and stats.enumerations == 0
+        assert (stats.nodes, stats.max_depth, stats.max_branch_factor) == (2, 1, 6)
         assert sol is not None and verify_solution(inst, sol.edges)
         assert oracle_wbd(inst, BIG) is not None
 
-    def test_enumerator_passes_only_on_undecided_prefixes(self):
+    def test_enumerator_passes_only_on_undecided_prefixes(self, monkeypatch):
         # K5 (edges 0-9) plus vertex 5 joined to 0, 1 and 2 by edges 10, 11
         # and 12 of weights 10, 9 and 8; every other edge weighs 1, k = 2.
-        # The DFS order is 10, 11, 12, then 0-9.  Testing every prefix, the
-        # tight no (w* = 11.5) passes {10}, {10, 11}, {10, 12}, {11} and
-        # {11, 12} before the level cut ends the search: 5 passes.  The
-        # yes (w* = 11) passes {10}, {10, 11}, {10, 12} and {10, 0}: 4.
-        # With the rules, one-edge prefixes are feasible and a second edge
-        # at vertex 5 (degree 2 once 10 or 11 is gone) is dropped, so only
-        # {10, 0} needs a pass.
+        # A second edge at vertex 5 (degree 2 once 10 or 11 is gone) is
+        # dropped by the degree rule, so the tight no (w* = 11.5) has no
+        # candidate, and the yes (w* = 11) has {10, 0}.  At k = 3, with
+        # edge 9 = (3, 4) of weight 10, edges 10 and 11 of weights 9 and 8
+        # and every other edge weighing 1, the tight no (w* = 20.5) reaches
+        # {9, 10}, whose only extension left by the level cut, 11, meets
+        # vertex 5 at degree 2; the yes (w* = 20) takes {9, 10, 0}.  The
+        # heavy order tests no prefix: each root is decided before its
+        # DFS, and its one biconnectivity pass is the witness's check.
         g = UndirectedGraph.from_edges(
             range(6), list(itertools.combinations(range(5), 2)) + [(0, 5), (1, 5), (2, 5)]
         )
         weights = {e: 1.0 for e in g.edges}
         weights.update({10: 10.0, 11: 9.0, 12: 8.0})
-        # At k = 3, with edge 9 = (3, 4) of weight 10, edges 10 and 11 of
-        # weights 9 and 8 and every other edge weighing 1, the DFS order is
-        # 9, 10, 11, then 0-8 and 12.  The tight no (w* = 20.5) reaches
-        # {9, 10} by the rules; its only extension left by the level cut,
-        # 11, meets vertex 5 at degree 2, so {9, 10} is never used and
-        # costs no pass, where testing every undecided prefix would cost
-        # one.  The yes (w* = 20) uses it: {9, 10} and {9, 10, 0}.
         heavy3 = {e: 1.0 for e in g.edges}
         heavy3.update({9: 10.0, 10: 9.0, 11: 8.0})
-        for k, w, w_star, passes, edges in (
-            (2, weights, 11.5, 0, None),
-            (2, weights, 11.0, 1, (0, 10)),
-            (3, heavy3, 20.5, 0, None),
-            (3, heavy3, 20.0, 2, (0, 9, 10)),
+        passes = []
+        original = solver_module.is_biconnected_without
+
+        def counted(graph, removed):
+            passes.append(removed)
+            return original(graph, removed)
+
+        monkeypatch.setattr(solver_module, "is_biconnected_without", counted)
+        for k, w, w_star, edges in (
+            (2, weights, 11.5, None),
+            (2, weights, 11.0, (0, 10)),
+            (3, heavy3, 20.5, None),
+            (3, heavy3, 20.0, (0, 9, 10)),
         ):
             inst = WbdInstance(g, k, w_star, w, frozenset())
             stats = SolveStats()
-            sol = enumerate_small(inst, stats)
-            assert stats.prefix_passes == passes
-            assert stats.prefix_critical_sets == 0
-            assert (sol and tuple(sorted(sol.edges))) == edges
-            assert (oracle_wbd(inst, BIG) is None) == (edges is None)
-            # solve decides each at the root before its DFS, with the
-            # enumerator's witness and no prefix pass.
-            stats = SolveStats()
+            passes.clear()
             sol = solve(inst, stats=stats)
-            assert (stats.nodes, stats.decided_before_dfs) == (1, 1)
-            assert stats.enumerations == stats.prefix_passes == 0
+            assert (stats.nodes, stats.decided_before_dfs, stats.enumerations) == (1, 1, 0)
             assert (sol and sol.edges) == edges
+            assert passes == ([] if edges is None else [frozenset(edges)])
+            assert (oracle_wbd(inst, BIG) is None) == (edges is None)
 
     def test_accepts_prefrozen_edges(self):
         g = complete(4)
@@ -735,14 +751,14 @@ class TestBranchStopsAtFirstFailingBound:
 
     def test_hot_gadget_instance(self):
         # K28 with the hot K4 gadget, which the degree rule does not see:
-        # the root branches over mu(2) = 346 edges, and the fourth child
-        # (the 30 edge) is the first to miss the bound: the root, three
-        # hot-edge children, one leaf.
+        # the root branches over mu(2) = 346 edges, each child freezing the
+        # siblings before it, and the third child (58 + 30) is the first
+        # to miss the bound: the root, two hot-edge children, one leaf.
         inst = hot_gadget(28, 2, 90.5)
         stats = SolveStats()
         assert solve(inst, stats=stats) is None
         assert stats.max_branch_factor == mu(2)
-        assert (stats.nodes, stats.max_depth) == (5, 1)
+        assert (stats.nodes, stats.max_depth) == (4, 1)
 
     @pytest.mark.parametrize(
         "k, w_star, nodes",
@@ -761,14 +777,69 @@ class TestBranchStopsAtFirstFailingBound:
         if sol is not None:
             assert verify_solution(inst, sol.edges)
 
-    @pytest.mark.parametrize("k, w_star, nodes", [(2, 159.5, 4), (3, 189.5, 8)])
+    @pytest.mark.parametrize("k, w_star, nodes", [(2, 159.5, 2), (3, 189.5, 2)])
     def test_planted_pair_branch_on_tight_no(self, k, w_star, nodes):
         # The branch the root no longer reaches, driven on the normalized
-        # root: at k = 2 the fourth child is the first to miss the bound.
+        # root: the uv child is a no, and the second child, which may no
+        # longer delete uv, is the first to miss the bound.
         inst = normalize(planted_pair(k, w_star))
         stats = SolveStats()
         assert solver_module._branch(inst, heavy_order(inst), 8, lambda k: 8, stats, 0) is None
         assert (stats.max_branch_factor, stats.nodes) == (8, nodes)
+
+
+def k4_gadget(rng, hooks):
+    """The gadget sweep's shape (``scripts/sweep_solver.py``) at desk size:
+    a random biconnected base graph on 4-6 vertices with 2-5 extra edges,
+    plus a K4 on four new vertices, ``hooks`` of which attach to distinct
+    base vertices by edges of distinct weights 10-29; every other edge
+    weighs 1-6.  A solution holds at most ``hooks`` - 2 attaching edges."""
+    base = random_biconnected_graph(rng, rng.randint(4, 6), rng.randint(2, 5))
+    n = base.n
+    attach = list(zip(rng.sample(range(n), hooks), range(n, n + hooks)))
+    k4 = itertools.combinations(range(n, n + 4), 2)
+    g = UndirectedGraph.from_edges(range(n + 4), [*base.edges.values(), *k4, *attach])
+    weights = {e: float(rng.randint(1, 6)) for e in g.edges}
+    for pair, w in zip(attach, rng.sample(range(10, 30), hooks)):
+        weights[g.edge_between(*pair)] = float(w)
+    return WbdInstance(g, 0, 0.0, weights)
+
+
+class TestBranchExclusion:
+    """Each branch child freezes the siblings tried before it.  On K4
+    gadgets, whose heavy attaching edges fail together, nodes under lowered
+    thresholds branch, some of them twice over, and at the optimum and
+    just above it the answers must be the oracle's."""
+
+    @staticmethod
+    def check(inst, k, threshold):
+        mu_of = mu if threshold is None else (lambda _: threshold)
+        best = oracle_wbd(replace(inst, k=k), BIG).weight
+        for w_star in (best, best + 0.5):
+            case = replace(inst, k=k, w_star=w_star)
+            got = solve(case, mu_of)
+            assert (got is None) == (w_star > best)
+            assert got is None or verify_solution(case, got.edges)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.randoms(use_true_random=False),
+        st.sampled_from([3, 4]),
+        st.integers(min_value=1, max_value=3),
+        st.sampled_from([None, 2, 3, 4, 5]),
+    )
+    def test_sweep_gadgets(self, rng, hooks, k, threshold):
+        self.check(k4_gadget(rng, hooks), k, threshold)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(min_value=5, max_value=7),
+        st.sampled_from([3, 4]),
+        st.integers(min_value=1, max_value=3),
+        st.sampled_from([None, 2, 3, 4, 5]),
+    )
+    def test_hot_gadgets(self, n, hooks, k, threshold):
+        self.check(hot_gadget(n, k, 0.0, hooks), k, threshold)
 
 
 class TestNonBiconnectedInput:
@@ -819,10 +890,10 @@ class TestHeavyOrderBeforeDfs:
     through the level cut and the degree rule, is a no when there is none,
     and the node's witness when it is feasible with at most mu(k)
     potential edges or is greedy's chain; on input-frozen edges and
-    decimal weights the witness must be the enumerator's on the normalized
-    instance, greedy's picks when the freeze loop's first step on it is
-    a yes, or at k = 1 the heaviest pool edge, and the answer the
-    oracle's."""
+    decimal weights the witness must be the naive search's on the
+    normalized instance when it has at most mu(k) potential edges,
+    greedy's picks when the freeze loop's first step on it is a yes, or at
+    k = 1 the heaviest pool edge, and the answer the oracle's."""
 
     @pytest.mark.parametrize("mu_knob", [None, 3, 4, 5])
     @settings(max_examples=300, deadline=None)
@@ -846,8 +917,8 @@ class TestHeavyOrderBeforeDfs:
         pool = heavy_order(norm)
         m = mu_of(k)
         if len(pool) <= m:
-            first, _ = solver_module._enumerate_best(norm, pool, SolveStats())
-            assert witness == (first and tuple(sorted(first.edges)))
+            first = naive.first_witness(norm)
+            assert witness == (first and tuple(sorted(first)))
         elif not norm.reaches(()):
             step = reduction_step(norm, m, pool[:m], RoundCache(norm.graph, norm.tree))
             if step.kind == "full" and norm.reaches(step.picks):
@@ -1042,8 +1113,9 @@ class TestRoundCache:
         monkeypatch.setattr(
             UndirectedGraph, "without_edges", counted("copy", UndirectedGraph.without_edges)
         )
-        for name in ("critical_set", "critical_tree"):
-            monkeypatch.setattr(solver_module, name, counted(name, getattr(solver_module, name)))
+        monkeypatch.setattr(
+            solver_module, "critical_tree", counted("critical_tree", solver_module.critical_tree)
+        )
         step = reduction_step(inst, mu(2), pool, RoundCache(inst.graph, inst.tree))
         assert step.kind == "freeze" and step.analysis.graph is inst.graph
         assert calls == []
@@ -1076,8 +1148,8 @@ class TestFreezeRounds:
         # too, is handed its own heavy order (``node_orders``).  A node its
         # heavy order does not decide hands that list, less its new
         # critical edges, to the freeze loop, which drops each edge it
-        # freezes from the list itself: the branch and the enumerator read
-        # it after the loop, and children inherit it.
+        # freezes from the list itself: the branch reads it after the
+        # loop, and children inherit it.
         if case == "freezes":
             inst, mu_of = shared_partner_instance(mu(2) + 8, k=2).instance, mu
         elif case == "branches":
@@ -1111,25 +1183,44 @@ class TestFreezeRounds:
         elif case == "branches":
             assert stats.max_depth >= 1 and len(loops) == 1 and stats.decided_before_dfs == 2
         elif case == "enumerates":
-            assert stats.enumerations == 1 and loops == [[]]
+            # The root and its first child each branch over their whole
+            # list; the child's first child, the 30 edge, is a leaf.
+            assert stats.enumerations == 2 and loops == [[], []] and stats.max_depth == 2
         else:
             assert stats.decided_before_dfs == 1 and loops == []
 
     @pytest.mark.parametrize("threshold", [5, 8])
     def test_children_read_their_parents_order(self, node_orders, threshold):
-        # K4 gadgets with input-frozen edges under lowered thresholds, yes
-        # and tight no: every node's list is its heavy order, so it holds
-        # no input-frozen edge, and the answers are the oracle's.
+        # Four-hook K4 gadgets with input-frozen edges under lowered
+        # thresholds, yes and tight no: every node's list is its heavy
+        # order, so it holds no input-frozen edge, and the answers are the
+        # oracle's.  A solution holds two hooks at most, so some searches
+        # reach depth 2 even though children exclude their siblings.
         rng = random.Random(threshold)
         for n, k, _ in itertools.product((5, 6, 7), (2, 3), range(5)):
-            inst = hot_gadget(n, k, 0.0)
-            light = [e for e, w in inst.weights.items() if w < 58]
+            inst = hot_gadget(n, k, 0.0, hooks=4)
+            light = [e for e, w in inst.weights.items() if w < 57]
             inst = replace(inst, frozen=frozenset(e for e in light if rng.random() < 0.2))
             best = oracle_wbd(inst, BIG).weight
             for w_star in (best, best + 0.5):
                 sol = solve(replace(inst, w_star=w_star), lambda k: threshold)
                 assert (sol is not None) == (w_star == best)
         assert max(node_orders) == 2
+
+    def test_node_freezes_then_branches(self, node_orders):
+        # The shared-partner hub at q = 30, k = 2, w* = 14 (chord 10, rim
+        # 5) under threshold 9: the root's loop freezes 24 irrelevant
+        # edges and ends "stuck", so the root branches over the 40 edges
+        # left, and its children are handed (and ``node_orders`` checks) a
+        # list the loop shortened.  The chord child is a no, and the next
+        # child, the chord frozen, misses the bound: two rim edges weigh 10.
+        hub = shared_partner_instance(30, k=2, w_star=14.0)
+        stats = SolveStats()
+        assert solve(hub.instance, lambda k: 9, stats) is None
+        assert len(stats.irrelevant_edges) == 24
+        assert (stats.fallbacks, stats.max_branch_factor) == (1, 40)
+        assert stats.max_depth >= 1 and max(node_orders) == 1
+        assert oracle_wbd(hub.instance, OracleBudget(max_vertices=33, max_edges=64, max_k=2)) is None
 
     def test_tight_no_stops_before_any_step(self, monkeypatch):
         # Chord 10 and rim 5 on a pool above mu(2): the two heaviest sum
