@@ -17,8 +17,15 @@ and distinct, q = 7 ... 13, plain and subdivided, k = 1 ... 3, weights
 weighted hub and on its unit-weight version, and ``kernelize`` on the
 unit-weight version, must each answer as the oracle does.
 
-Any mismatch exits 1, and so does a second pass in which the solver or
-the kernel froze nothing."""
+Third pass, certified (``heavy_rim_hub``): the shared-partner hub at
+q = 350, k = 2, under mu(2), with its heavy rim edge h at every 25th rim
+position.  Every solution at w* = 7 holds h, so a freeze of h turns the
+yes into a no.  ``solve`` must answer yes at w_opt, with a verified
+witness that holds h where w_opt is 7 (h is not x's own rim edge), and
+no at w_opt + 1/2.
+
+Any mismatch exits 1, and so does a second or third pass in which
+nothing was frozen."""
 
 import argparse
 import random
@@ -27,7 +34,12 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from conndel.families import distinct_partner_instance, random_weights, shared_partner_instance
+from conndel.families import (
+    distinct_partner_instance,
+    heavy_rim_hub,
+    random_weights,
+    shared_partner_instance,
+)
 from conndel.kernel import kernelize, unit_instance
 from conndel.oracles import OracleBudget, oracle_wbd
 from conndel.solver import (
@@ -40,6 +52,7 @@ from conndel.solver import (
 )
 
 SMALL_HUBS = 200
+HEAVY_RIM_Q = 350
 ORACLE_BUDGET = OracleBudget(max_vertices=64, max_edges=128, max_k=3)
 
 
@@ -89,6 +102,27 @@ def oracle_pass() -> int:
     return 1 if mismatches or not solver_frozen or not kernel_frozen else 0
 
 
+def heavy_rim_pass() -> int:
+    """The third pass; returns its exit code."""
+    positions = range(0, HEAVY_RIM_Q + 1, 25)
+    mismatches = freezes = 0
+    for pos in positions:
+        hub = heavy_rim_hub(HEAVY_RIM_Q, 2, pos)
+        stats = SolveStats()
+        sol = solve(hub.instance, stats=stats)
+        freezes += len(stats.irrelevant_edges)
+        held = sol is not None and verify_solution(hub.instance, sol.edges)
+        held = held and (hub.w_opt < 7 or hub.witness[0] in sol.edges)
+        if not held or solve(hub.at(hub.w_opt + 0.5)) is not None:
+            mismatches += 1
+            print(f"MISMATCH heavy-rim hub q={HEAVY_RIM_Q} pos={pos}")
+    print(
+        f"heavy-rim pass: q={HEAVY_RIM_Q}, {len(positions)} positions of h, "
+        f"freezes {freezes}; {mismatches} mismatches"
+    )
+    return 1 if mismatches or not freezes else 0
+
+
 def main() -> int:
     argparse.ArgumentParser(description=__doc__).parse_args()
     k = 2
@@ -118,7 +152,8 @@ def main() -> int:
         f"freezes: solve {totals[0]}, unit solve {totals[1]}, kernel {totals[2]}; "
         f"{mismatches} mismatches"
     )
-    return 1 if oracle_pass() or mismatches else 0
+    failed = [oracle_pass(), heavy_rim_pass()]
+    return 1 if any(failed) or mismatches else 0
 
 
 if __name__ == "__main__":

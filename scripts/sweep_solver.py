@@ -17,10 +17,10 @@ none, and the rule cannot silently stop being refereed.
     python scripts/sweep_solver.py --count 500 --mu 5 --seed 6
 
 ``--family gadget`` sweeps K4 gadgets with three or four hooks instead
-(``gadgets``), which reads only ``--count``, ``--seed`` and ``--mu``.  It
-also counts the instances whose search reached depth 1 and depth 2, and
-fails when none reached depth 2, so that the sweep cannot silently stop
-branching.  Branch children exclude the siblings tried before them, so
+(``gadgets``, built by ``conndel.families.random_hook_gadget``), which
+reads only ``--count``, ``--seed`` and ``--mu``.  It also counts the
+instances whose search reached depth 1 and depth 2, and fails when none
+reached depth 2, so that the sweep cannot silently stop branching.  Branch children exclude the siblings tried before them, so
 three-hook gadgets rarely reach depth 2; the four-hook ones do.
 
     python scripts/sweep_solver.py --family gadget --count 300 --mu 5 --seed 5
@@ -32,17 +32,16 @@ depth 2 on most instances, the first through the partner analysis.
 """
 
 import argparse
-import itertools
 import random
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 from typing import Iterator
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from conndel.families import random_biconnected_graph, random_weights
-from conndel.graphs import UndirectedGraph
+from conndel.families import random_biconnected_graph, random_hook_gadget, random_weights
 from conndel.oracles import OracleBudget, oracle_wbd
 from conndel.solver import SolveStats, WbdInstance, mu, solve
 
@@ -65,32 +64,23 @@ GADGET_BUDGET = OracleBudget(max_vertices=12, max_edges=30, max_k=3)
 
 
 def gadgets(count: int, seed=0) -> Iterator[WbdInstance]:
-    """Two instances per K4 gadget: a random biconnected base graph on 5-8
-    vertices with 4-9 extra edges, plus a K4 on four new vertices, h of
-    which (h = 3 or 4, drawn per gadget) attach to distinct base vertices
-    by edges of distinct weights 10-29; every other edge weighs 1-6, k is
-    2 or 3 and m at most 30.  The K4 must keep two attaching edges, so a
-    solution holds at most h - 2 of them, and the heavy edges greedy and
-    the branch try first keep failing together; with four hooks a search
-    can delete one hook and still fail two levels down.  w* is the
-    oracle's optimum (a yes), then that plus 1/2 (a tight no)."""
+    """Two instances per hook gadget (``random_hook_gadget``): h = 3 or 4
+    hooks, drawn per gadget, on a random biconnected base graph on 5-8
+    vertices with 4-9 extra edges, k 2 or 3 and m at most 30.  The K4 must
+    keep two hooks, so the heavy edges greedy and the branch try first
+    keep failing together; with four hooks a search can delete one hook
+    and still fail two levels down.  w* is the oracle's optimum (a yes),
+    then that plus 1/2 (a tight no)."""
     rng = random.Random(seed)
     for _ in range(count):
         h = rng.choice((3, 4))
         base = random_biconnected_graph(rng, rng.randint(5, 8), rng.randint(4, 9))
         while base.m > GADGET_BUDGET.max_edges - 6 - h:
             base = random_biconnected_graph(rng, rng.randint(5, 8), rng.randint(4, 9))
-        n = base.n
-        hooks = list(zip(rng.sample(range(n), h), range(n, n + h)))
-        k4 = itertools.combinations(range(n, n + 4), 2)
-        g = UndirectedGraph.from_edges(range(n + 4), [*base.edges.values(), *k4, *hooks])
-        weights = {e: float(rng.randint(1, 6)) for e in g.edges}
-        for pair, w in zip(hooks, rng.sample(range(10, 30), h)):
-            weights[g.edge_between(*pair)] = float(w)
-        k = rng.choice((2, 3))
-        best = oracle_wbd(WbdInstance(g, k, 0.0, weights), GADGET_BUDGET).weight
-        yield WbdInstance(g, k, best, weights)
-        yield WbdInstance(g, k, best + 0.5, weights)
+        inst = replace(random_hook_gadget(rng, base, h), k=rng.choice((2, 3)))
+        best = oracle_wbd(inst, GADGET_BUDGET).weight
+        yield replace(inst, w_star=best)
+        yield replace(inst, w_star=best + 0.5)
 
 
 def main() -> int:

@@ -22,9 +22,10 @@ needs in order to stall rather than finish.
 from __future__ import annotations
 
 import itertools
+import math
 import random
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .graphs import UndirectedGraph, is_biconnected
 from .solver import WbdInstance
@@ -169,3 +170,101 @@ def random_weights(
     rng: random.Random, g: UndirectedGraph, lo: int = 0, hi: int = 5
 ) -> Dict[int, float]:
     return {e: float(rng.randint(lo, hi)) for e in g.edges}
+
+
+# ---------------------------------------------------------------------------
+# certified families
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Certified:
+    """An instance at w* = ``w_opt``, its optimum as argued by its builder,
+    and a planted witness (sorted) of that weight: at any size w_opt is a
+    yes that ``verify_solution`` checks and w_opt + 1/2 is a no."""
+
+    instance: WbdInstance
+    witness: Tuple[int, ...]
+    w_opt: float
+
+    def at(self, w_star: float) -> WbdInstance:
+        return replace(self.instance, w_star=w_star)
+
+
+def _certified(g: UndirectedGraph, k: int, weights: Dict[int, float], witness) -> Certified:
+    w_opt = math.fsum(weights[e] for e in witness)
+    return Certified(WbdInstance(g, k, w_opt, weights), tuple(sorted(witness)), w_opt)
+
+
+def _chords(rng: random.Random, base: UndirectedGraph, count: int) -> List[Tuple[int, int]]:
+    """``count`` pairs of non-adjacent base vertices, drawn by ``rng``."""
+    pairs = itertools.combinations(range(base.n), 2)
+    return rng.sample([p for p in pairs if base.edge_between(*p) is None], count)
+
+
+def heavy_rim_hub(q: int, k: int, pos: int) -> Certified:
+    """The plain shared-partner hub, k >= 2, whose rim edge h at ``pos``
+    weighs 5, the other rim edges 1, the chord 5.5, x-w 2 (w the shared
+    partner) and the rest 0.  Without the chord every rim edge and x-w are
+    critical, and two rim edges cut the rim between them off at w.  So
+    w_opt is 7, as {h, x-w}, and every solution at 7 holds h; only when h
+    is x's own rim edge (pos = 0) is w_opt 5.5, the chord."""
+    rim = [5.0 if i == pos else 1.0 for i in range(q + 1)]
+    hub = shared_partner_instance(q, k, 7.0, 5.5, rim, other_weight=0.0)
+    g, weights = hub.instance.graph, dict(hub.instance.weights)
+    xw = g.edge_between(hub.x, q + 2)  # w comes right after the rim
+    weights[xw] = 2.0
+    return _certified(g, k, weights, (hub.rim_edges[pos], xw) if pos else (hub.chord,))
+
+
+def hook_gadget(
+    rng: random.Random, base: UndirectedGraph, k: int, hooks: Sequence[float], light=(1, 29)
+) -> Certified:
+    """A biconnected ``base`` on 0..n-1 and a K4 hooked to h distinct base
+    vertices by h = len(hooks) edges (2 <= h <= 4) of the given weights,
+    each 30 or more; k - j chords, j = min(k, h - 2), weigh 30.  In id
+    order (base, K4, hooks, chords) every edge first draws a weight from
+    ``light``, under 30.  The K4 keeps two hooks, so a solution holds
+    i <= j of them and at most k - i edges of 30 or less: w_opt is the j
+    heaviest hooks plus the chords, whose deletion leaves the base and
+    the K4 on h - j >= 2 disjoint hooks."""
+    n, h, j = base.n, len(hooks), min(k, len(hooks) - 2)
+    if not (2 <= h <= 4 and min(hooks) >= 30 > light[1]):
+        raise ValueError("need 2-4 hooks of weight >= 30 and light weights < 30")
+    ends = list(zip(rng.sample(range(n), h), range(n, n + h)))
+    pairs = [*base.edges.values(), *itertools.combinations(range(n, n + 4), 2), *ends]
+    pairs += _chords(rng, base, k - j)
+    g = UndirectedGraph.from_edges(range(n + 4), pairs)
+    weights = random_weights(rng, g, *light)
+    hook_ids, chords = range(base.m + 6, base.m + 6 + h), range(base.m + 6 + h, g.m)
+    weights.update(zip(hook_ids, map(float, hooks)))
+    weights.update(dict.fromkeys(chords, 30.0))
+    return _certified(g, k, weights, [*sorted(hook_ids, key=weights.get)[h - j :], *chords])
+
+
+def random_hook_gadget(rng: random.Random, base: UndirectedGraph, h: int) -> WbdInstance:
+    """The oracle sweep's gadget: ``hook_gadget`` at k = h - 2, so with no
+    chords, and weights 1-6, then distinct weights 10-29 on its h hooks,
+    the last edges.  Not certified: k and w* are 0, for the caller."""
+    inst = hook_gadget(rng, base, h - 2, [30.0] * h, (1, 6)).instance
+    m = inst.graph.m
+    inst.weights.update(zip(range(m - h, m), map(float, rng.sample(range(10, 30), h))))
+    return WbdInstance(inst.graph, 0, 0.0, inst.weights)
+
+
+def planted_pair(rng: random.Random, base: UndirectedGraph, k: int, light=(1, 29)) -> Certified:
+    """Adjacent vertices u and v of degree 3 on a biconnected ``base`` on
+    0..n-1, k >= 2: uv weighs 100, u-a1 80, v-b1 79, u-a2 and v-b2 are
+    light, for four distinct anchors, k - 2 chords weigh 30, and other
+    edges draw from ``light``, under 30.  A solution deletes at most one
+    edge at u and one at v, uv at both, so 100 or at most 80 + 79 there,
+    and at most 30 per other edge: w_opt = 159 + 30(k - 2), reached by
+    u-a1, v-b1 and the chords, which leave the base and the ear a2-u-v-b2."""
+    n, m = base.n, base.m
+    a1, a2, b1, b2 = rng.sample(range(n), 4)
+    pairs = [*base.edges.values(), (n, n + 1), (a1, n), (b1, n + 1), (a2, n), (b2, n + 1)]
+    pairs += _chords(rng, base, k - 2)
+    g = UndirectedGraph.from_edges(range(n + 2), pairs)
+    weights = random_weights(rng, g, *light)
+    weights.update({m: 100.0, m + 1: 80.0, m + 2: 79.0, **dict.fromkeys(range(m + 5, g.m), 30.0)})
+    return _certified(g, k, weights, [m + 1, m + 2, *range(m + 5, g.m)])

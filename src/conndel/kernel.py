@@ -356,14 +356,7 @@ def _phase_one(
     (weight descending, ties by ascending id) is id order: the pool list
     itself, which is passed to ``freeze_rounds`` as the order.  The loop
     drops each frozen edge from it, so on return it is the pool of the
-    instance returned; each is also zeroed on the call's own weight map.
-
-    The loop's ``"no"`` step needs no case here.  Under unit weights its
-    top-k test misses w* = k only when fewer than k pool edges are left,
-    and the loop runs only while the pool exceeds mu(k): never under the
-    real threshold, where mu(k) >= k, and under one lowered to k - 2 or
-    below, ``_phase_two``'s first budget rule returns the same constant
-    no-instance, with the same stats."""
+    instance returned; each is also zeroed on the call's own weight map."""
     inst, steps = freeze_rounds(inst, pool, mu_of(inst.k), mark_all=True)
     inst.weights.update((s.edge, 0.0) for s in steps if s.kind == "freeze")
     stats["phase1_rounds"] = len(steps)

@@ -189,9 +189,9 @@ def verify_solution(inst: WbdInstance, edges) -> bool:
     return is_biconnected_without(inst.graph, frozenset(es))
 
 
-def _enumerate_best(inst: WbdInstance, order: List[int]) -> Tuple[Optional[Solution], bool]:
-    """A search node's first *candidate*, or None, and whether it is
-    greedy's chain: k picks, reached without taking one back.
+def _enumerate_best(inst: WbdInstance, order: List[int]) -> Tuple[Optional[Tuple[int, ...]], bool]:
+    """A search node's first *candidate*, its edges, or None, and whether
+    it is greedy's chain: k picks, reached without taking one back.
 
     The search runs depth-first over ``order``, the instance's
     ``heavy_order`` (heaviest first, ties by id), and tests no prefix: a
@@ -221,7 +221,7 @@ def _enumerate_best(inst: WbdInstance, order: List[int]) -> Tuple[Optional[Solut
     is feasible and its picks lie in greedy's pool (``_solve``).
     """
     if inst.reaches(()):
-        return Solution((), 0.0), False
+        return (), False
     g = inst.graph
     degree = {v: g.degree(v) for v in g.vertices}
     chosen: List[int] = []
@@ -259,8 +259,7 @@ def _enumerate_best(inst: WbdInstance, order: List[int]) -> Tuple[Optional[Solut
 
     if not extend(next_open(0, inst.k), inst.k):
         return None, False
-    chain = not backtracked and len(chosen) == inst.k
-    return Solution(tuple(chosen), inst.weight_of(chosen)), chain
+    return tuple(chosen), not backtracked and len(chosen) == inst.k
 
 
 class RoundCache:
@@ -456,9 +455,7 @@ class Reduction:
     * ``"freeze"``: ``edge`` lies inside a clean stretch and is irrelevant;
     * ``"stuck"``: no greedy step made enough marked edges critical (only
       when the pool is below mu(k) or mu(k) < k, so only under a lowered
-      threshold), or the analysis has no clean stretch;
-    * ``"no"``: even the k heaviest potential edges miss w* (made by
-      ``freeze_rounds`` without a step).
+      threshold), or the analysis has no clean stretch.
 
     ``analysis`` is the partner analysis, when one was built.
     """
@@ -516,10 +513,18 @@ def freeze_rounds(
     """The freeze loop shared by the solver and the kernel's phase one, at
     threshold ``m``, mu(k) for the instance's k, which no round changes.
 
-    While the pool exceeds m: a ``"no"`` step if the k heaviest
-    potential edges miss w*, else one ``reduction_step``, freezing the
-    edge of a ``"freeze"`` step; any other kind ends the loop.  Returns
-    the instance with its frozen edges and the steps taken, in order.
+    While the pool exceeds m: one ``reduction_step``, freezing the edge
+    of a ``"freeze"`` step; any other kind ends the loop.  Returns the
+    instance with its frozen edges and the steps taken, in order.
+
+    A freeze never lowers the sum of the k heaviest potential weights, so
+    the top-k test that ``_solve`` makes before the loop holds in every
+    round.  The frozen edge is the lightest of the at least 2k + 2
+    interior edges of a clean stretch, all of them marked, hence in the
+    list.  At most k - 1 of the others lie among the first k of the list
+    with it, so at least k + 2 lie past them, and each weighs at least as
+    much: dropping the frozen edge moves one of at least its weight into
+    the first k.
 
     The paper's lemma marks the m heaviest potential edges, heaviest
     first: that is the solver's pool, and its branching rests on it.  The
@@ -536,11 +541,6 @@ def freeze_rounds(
     cache = RoundCache(inst.graph, inst.tree)
     steps: List[Reduction] = []
     while len(order) > m:
-        # Even the k heaviest potential edges miss w*: no.  (The heavy
-        # order's level cut makes the same test first.)
-        if not inst.reaches(order[: inst.k]):
-            steps.append(Reduction("no"))
-            break
         pool = order if mark_all else order[:m]
         step = reduction_step(inst, m, pool, cache)
         steps.append(step)
@@ -588,13 +588,15 @@ def _solve(
       set when at most m potential edges remain, and greedy's chain, k
       edges picked without taking one back.
     * Otherwise the node is normalized (its one DFS) and its new critical
-      edges leave the list.  ``freeze_rounds`` runs on the m heaviest
-      edges and drops each edge it freezes from the list.  Its last step
-      answers no, gives greedy's picks as a yes when they reach w* (every
-      prefix of them keeps the graph biconnected), or makes the node
-      branch (``_branch``): over the m heaviest edges after a ``"full"``
-      or ``"distinct"`` step, whose lemma says a solution meets them, and
-      over the whole list when the loop left at most m edges
+      edges leave the list.  If more than m are left and even the k
+      heaviest miss w*, the node is a no.  Else ``freeze_rounds`` runs on
+      the m heaviest edges and drops each edge it freezes from the list;
+      no freeze lowers that top-k sum, so the test is made once.  The
+      loop's last step gives greedy's picks as a yes when they reach w*
+      (every prefix of them keeps the graph biconnected), or makes the
+      node branch (``_branch``): over the m heaviest edges after a
+      ``"full"`` or ``"distinct"`` step, whose lemma says a solution meets
+      them, and over the whole list when the loop left at most m edges
       (``stats.enumerations``) or ended ``"stuck"`` (``stats.fallbacks``),
       since a solution is a subset of the list.
 
@@ -610,9 +612,9 @@ def _solve(
     prefix of C, all of C once C lies in greedy's pool, and C's first edge
     c is the first of the list.  An edge the loop freezes is critical
     after a prefix of greedy's picks, hence after a prefix of C, so it is
-    no edge of C.  C reaches w*, so the loop's top-k test passes, and the
-    loop ends either ``"full"`` with C as picks, a yes, or in a branch
-    whose first child deletes c and freezes nothing more.  At k = 1 c
+    no edge of C.  C reaches w*, so the top-k test passes, and the loop
+    ends either ``"full"`` with C as picks, a yes, or in a branch whose
+    first child deletes c and freezes nothing more.  At k = 1 c
     reaches w*, and the branch returns it as a leaf.  Otherwise the
     child's bound passes, and its list, a sublist of ``order`` after c
     that keeps the rest of C, gives the same scan: the same edges fail the
@@ -633,11 +635,13 @@ def _solve(
         if depth == 0 and not is_biconnected(inst.graph):
             raise InvalidInputError("instance graph is not biconnected")
         return None
-    if (not first.edges or chain or len(order) <= m) and verify_solution(inst, first.edges):
+    if (not first or chain or len(order) <= m) and verify_solution(inst, first):
         stats.decided_before_dfs += 1
-        return first.edges
+        return first
     inst = normalize(inst)
     order = [e for e in order if e not in inst.frozen]
+    if len(order) > m and not inst.reaches(order[: inst.k]):
+        return None
     inst, steps = freeze_rounds(inst, order, m, mark_all=False)
     frozen = [s.edge for s in steps if s.kind == "freeze"]
     stats.irrelevant_edges += frozen
@@ -646,8 +650,6 @@ def _solve(
     stats.flow_calls += len(analyses)
     stats.analyses += analyses
     kind = steps[-1].kind if steps else None
-    if kind == "no":
-        return None
     if kind == "full" and inst.reaches(steps[-1].picks):
         edges: Optional[Tuple[int, ...]] = steps[-1].picks
     elif kind in ("full", "distinct"):

@@ -18,7 +18,8 @@ from conndel.families import (
 )
 from conndel.graphs import contract_sequence, max_flow_bounded
 from conndel.hardness import gen_pc_psc, gen_vd_psc
-from conndel.kernel import build_auxiliary_digraph, kernelize, unit_instance
+from conndel import kernel as kernel_module
+from conndel.kernel import kernelize, unit_instance
 from conndel.oracles import (
     OracleBudget,
     oracle_is,
@@ -201,7 +202,7 @@ class TestAcceptance:
             violations.append(("fired on too few instances", fired))
         _report(4, f"freezing fired edges preserved {fired} answers", violations, started)
 
-    def test_05_kernel_equivalence(self, catalog7):
+    def test_05_kernel_equivalence(self, catalog7, monkeypatch):
         started = time.time()
         violations = []
         rng = random.Random(55)
@@ -209,32 +210,42 @@ class TestAcceptance:
         for _ in range(150):
             graphs.append(random_biconnected_graph(rng, 8, extra_edges=rng.randint(0, 4)))
 
-        exhaustive_runs = 0
+        def check(g, k, provider):
+            before = oracle_wbd(normalize(unit_instance(g, k, frozenset())), BUDGET) is not None
+            res = kernelize(g, k, provider=provider)
+            after = (res.answer == "yes") or (oracle_wbd(res.instance, WIDE) is not None)
+            if before != after:
+                violations.append((g.n, g.m, k, provider))
+            f_after = len(res.instance.potential_edges())
+            if f_after > mu(k):
+                violations.append(("|F| bound", g.n, g.m, k, f_after))
+            return res
+
         for g in graphs:
             for k in (0, 1, 2):
-                inst = normalize(unit_instance(g, k, frozenset()))
-                before = oracle_wbd(inst, BUDGET) is not None
-                providers = ["trivial"]
-                aux = build_auxiliary_digraph(inst.graph, inst.potential_edges())
-                if len(aux.terminals) <= 5:
-                    providers.append("exhaustive")
-                for provider in providers:
-                    res = kernelize(g, k, provider=provider)
-                    if provider == "exhaustive":
-                        exhaustive_runs += 1
-                    after = (res.answer == "yes") or (
-                        oracle_wbd(res.instance, WIDE) is not None
-                    )
-                    if before != after:
-                        violations.append((g.n, g.m, k, provider))
-                    f_after = len(res.instance.potential_edges())
-                    if f_after > mu(k):
-                        violations.append(("|F| bound", g.n, g.m, k, f_after))
-        if exhaustive_runs == 0:
-            violations.append(("exhaustive provider never ran",))
+                check(g, k, "trivial")
+        # Phase two's rules: every input that reaches the exhaustive
+        # provider's cover has too many terminals for it, so its cover is
+        # replaced by the output digest's two stand-ins, Z = {} and Z = the
+        # even vertex ids, on the random graphs at k = 2 and 3.
+        stand_in_covers = rule_one_fired = 0
+        for even in (False, True):
+
+            def cover(aux, cap, even=even):
+                nonlocal stand_in_covers
+                stand_in_covers += 1
+                return frozenset(v for v in aux.digraph.vertices if even and v % 2 == 0)
+
+            monkeypatch.setattr(kernel_module, "cut_covering_set", cover)
+            for g in graphs[-150:]:
+                for k in (2, 3):
+                    rule_one_fired += check(g, k, "exhaustive").stats["rule_one_fired"]
+        if not stand_in_covers or not rule_one_fired:
+            violations.append(("stand-in covers built", stand_in_covers, "rule one", rule_one_fired))
         _report(
             5,
-            f"kernel equivalence ({exhaustive_runs} exhaustive runs)",
+            f"kernel equivalence ({stand_in_covers} stand-in covers, "
+            f"rule one fired {rule_one_fired} times)",
             violations,
             started,
         )

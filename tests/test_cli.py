@@ -1,12 +1,15 @@
 import itertools
+import random
 
 import pytest
 
 from conndel.cli import main
-from conndel.families import shared_partner_instance
+from conndel.families import hook_gadget, shared_partner_instance
 from conndel.formats import parse_undirected, serialize_undirected
 from conndel.oracles import oracle_wbd
 from conndel.solver import WbdInstance
+
+from .catalog import complete
 
 K4 = "p graph 4 6\ne 1 2 1\ne 1 3 1\ne 1 4 1\ne 2 3 1\ne 2 4 1\ne 3 4 1\n"
 C5 = "p graph 5 5\ne 1 2 1\ne 2 3 1\ne 3 4 1\ne 4 5 1\ne 1 5 1\n"
@@ -55,24 +58,21 @@ class TestSolve:
             "decided-before-dfs: 1",
         ):
             assert line in out
-        # K28 plus a K4 on vertices 29-32, three of which attach to 1, 2, 3
-        # by edges of weight 60, 59 and 58; deleting two of them leaves the
-        # K4 hanging on the third, which no degree sees.  One K28 edge
-        # weighs 30, the rest 1.  387 edges exceed mu(2) = 346, greedy's
+        # K28 plus a K4 attached to it by three hooks of weight 60, 59 and
+        # 58 (``hook_gadget``); deleting two of them leaves the K4 hanging
+        # on the third, which no degree sees.  One K28 edge, the chord,
+        # weighs 30, the rest 1.  386 edges exceed mu(2) = 346, greedy's
         # picks (60, 30) miss w* = 90.5, so the root branches over 346
         # edges, each child freezing the siblings tried before it.  The 60
         # and 59 children are normalized, once their first candidate fails
         # verification, and are no's at depth 1 without branching; the 58
         # child (58 + 30) misses the top-k bound, which no later child's
         # bound exceeds, so it is the last one tried.
-        hot = {(1, 29): 60, (2, 30): 59, (3, 31): 58, (4, 5): 30}
-        gadget = list(itertools.combinations(range(29, 33), 2))
-        pairs = list(itertools.combinations(range(1, 29), 2)) + gadget + list(hot)[:3]
-        text = f"p graph 32 {len(pairs)}\n" + "".join(
-            f"e {u} {v} {hot.get((u, v), 1)}\n" for u, v in pairs
-        )
+        base = complete(28).without_edges((0, 1))
+        gadget = hook_gadget(random.Random(28), base, 2, (60.0, 59.0, 58.0), light=(1, 1))
+        assert gadget.w_opt == 90.0 and gadget.instance.graph.m == 386
         p = tmp_path / "hot.graph"
-        p.write_text(text)
+        p.write_text(serialize_undirected(gadget.instance.graph, gadget.instance.weights))
         assert main(["solve", str(p), "--k", "2", "--wstar", "90.5"]) == 1
         out = capsys.readouterr().out.splitlines()
         for line in (

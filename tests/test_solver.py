@@ -11,7 +11,11 @@ from conndel.criticality import find_clean_stretch
 from conndel.errors import InternalInconsistencyError, InvalidInputError
 from conndel.families import (
     distinct_partner_instance,
+    heavy_rim_hub,
+    hook_gadget,
+    planted_pair,
     random_biconnected_graph,
+    random_hook_gadget,
     random_weights,
     shared_partner_instance,
 )
@@ -73,22 +77,13 @@ def greedy_miss_instance():
     return WbdInstance(g, 2, 4.0, weights, frozenset()), lambda k: 4
 
 
-def hot_gadget(n, k, w_star, hooks=3):
-    """K_n plus a K4 on vertices n..n+3, ``hooks`` of which (3 or 4)
-    attach to 0, 1, ... by edges of weight 60, 59, 58 and 57; the K_n edge
-    (3, 4) weighs 30 and every other edge 1.  The K4 must keep two
-    attaching edges, so a solution holds at most ``hooks`` - 2 of them:
-    with three hooks it weighs at most 60 + 30 at k = 2.  No vertex drops
-    to degree 2 to show it, so the degree rule lets {60, 59} through."""
-    pairs = list(itertools.combinations(range(n), 2))
-    pairs += list(itertools.combinations(range(n, n + 4), 2))
-    pairs += [(i, n + i) for i in range(hooks)]
-    g = UndirectedGraph.from_edges(range(n + 4), pairs)
-    weights = {e: 1.0 for e in g.edges}
-    weights[g.edge_between(3, 4)] = 30.0
-    for i, w in enumerate((60.0, 59.0, 58.0, 57.0)[:hooks]):
-        weights[g.edge_between(i, n + i)] = w
-    return WbdInstance(g, k, w_star, weights, frozenset())
+def kn_gadget(n, k, h=3):
+    """``hook_gadget`` on K_n less its edges 01 and 02, room for two
+    chords: hooks of weight 60, 59, 58 and 57 (the first h), chords 30,
+    every other edge 1.  No vertex drops to degree 2 when hooks go, so the degree rule
+    lets the heavy hooks through together."""
+    base = complete(n).without_edges((0, 1))
+    return hook_gadget(random.Random(n), base, k, (60.0, 59.0, 58.0, 57.0)[:h], light=(1, 1))
 
 
 class TestBoundaryValidation:
@@ -308,14 +303,6 @@ class TestEnumeratorAgainstOracle:
                 assert naive.biconnected_by_definition(set(inst.graph.vertices), kept)
 
 
-def subdivided_hub(family, q, k, w_star):
-    """A unit-weight subdivided hub: only the chord and the rim can go,
-    and after one rim edge most others are critical, so tight no's fail
-    many prefix tests."""
-    g = family(q, k=k, subdivide=True).instance.graph
-    return WbdInstance(g, k, w_star, {e: 1.0 for e in g.edges}, frozenset())
-
-
 class TestEnumeratorAgainstNaive:
     """Below mu(k) a node's verified first candidate, or the branch over
     its whole list, each child freezing the siblings tried before it,
@@ -350,7 +337,10 @@ class TestEnumeratorAgainstNaive:
         st.integers(min_value=0, max_value=4),
     )
     def test_subdivided_hubs(self, family, q, k, target):
-        self.agrees(subdivided_hub(family, q, k, float(min(target, k))))
+        # Unit weights: only the chord and the rim can go, and after one
+        # rim edge most others are critical.
+        hub = family(q, k, float(min(target, k)), 1.0, [1.0] * (q + 1), subdivide=True)
+        self.agrees(hub.instance)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -360,7 +350,8 @@ class TestEnumeratorAgainstNaive:
         st.sampled_from([0.8, 1.0]),
     )
     def test_k4_gadgets(self, rng, hooks, k, share):
-        inst = replace(k4_gadget(rng, hooks), k=k)
+        base = random_biconnected_graph(rng, rng.randint(4, 6), rng.randint(2, 5))
+        inst = replace(random_hook_gadget(rng, base, hooks), k=k)
         self.agrees(replace(inst, w_star=share * oracle_wbd(inst, BIG).weight))
 
     def test_some_cases_branch(self):
@@ -372,15 +363,13 @@ class TestEnumeratorAgainstNaive:
         # the gadgets.  This keeps the properties above from passing with
         # no branch at all.
         hubs = [
-            subdivided_hub(shared_partner_instance, q, k, float(k))
+            shared_partner_instance(q, k, float(k), 1.0, [1.0] * (q + 1), subdivide=True)
             for q in range(3, 9)
             for k in (2, 3, 4)
         ]
-        assert any(self.agrees(inst).max_depth >= 1 for inst in hubs)
+        assert any(self.agrees(hub.instance).max_depth >= 1 for hub in hubs)
         for hooks, k in ((3, 2), (3, 3), (4, 3)):
-            inst = hot_gadget(6, k, 0.0, hooks)
-            inst = replace(inst, w_star=oracle_wbd(inst, BIG).weight)
-            assert self.agrees(inst).max_depth >= 1
+            assert self.agrees(kn_gadget(6, k, hooks).instance).max_depth >= 1
 
 
 class TestGreedy:
@@ -514,44 +503,24 @@ class TestIrrelevantEdge:
 HUB = OracleBudget(max_vertices=20, max_edges=40, max_k=3)
 
 
-def heavy_rim_hub(q, k, pos):
-    """The plain shared-partner hub whose every solution holds one heavy
-    rim edge h, the one at ``pos``: h weighs 5, the other rim edges 1, the
-    chord 5.5, the edge from x to the shared partner w 2, the rest 0, and
-    w* = 7.  Two rim edges cut the rim between them off at w, and deleting
-    the chord makes every rim edge and x-w critical, so no set without h
-    reaches 7 (the chord with a spoke weighs 5.5); h with x-w does unless
-    h is x's own rim edge.  Returns the instance and h."""
-    weights = [1.0] * (q + 1)
-    weights[pos] = 5.0
-    hub = shared_partner_instance(
-        q, k=k, w_star=7.0, chord_weight=5.5, rim_weights=weights, other_weight=0.0
-    )
-    g = hub.instance.graph
-    rim = {v for e in hub.rim_edges for v in g.endpoints(e)}
-    w = next(v for v in g.neighbors(hub.x) if v not in rim)
-    weights = dict(hub.instance.weights)
-    weights[g.edge_between(hub.x, w)] = 2.0
-    return WbdInstance(g, k, 7.0, weights), hub.rim_edges[pos]
-
-
 class TestFreezeRuleAgainstOracle:
-    """Freezing must keep some solution.  On ``heavy_rim_hub`` under a
-    threshold of q or q + 1, greedy picks the chord first and stalls, and
-    the rich step's clean stretch holds h inside whenever h is not at
-    either end of the analysed rim edges.  Every solution holds h, so
-    freezing any interior edge but the lightest (h is the heaviest) would
-    turn these yes-instances into no-instances."""
+    """Freezing must keep some solution.  On ``heavy_rim_hub`` at w* = 7
+    under a threshold of q or q + 1, greedy picks the chord first and
+    stalls, and the rich step's clean stretch holds h inside whenever h
+    is not at either end of the analysed rim edges.  Every solution holds
+    h, so freezing any interior edge but the lightest (h is the heaviest)
+    would turn these yes-instances into no-instances."""
 
     @pytest.mark.parametrize("k, q", [(2, 10), (2, 12), (3, 12), (3, 13)])
     def test_solve_agrees_with_oracle(self, k, q):
         refereed = 0
         for m in (q, q + 1):
             for pos in range(q + 1):
-                inst, h = heavy_rim_hub(q, k, pos)
+                hub = heavy_rim_hub(q, k, pos)
+                inst, h = hub.at(7.0), hub.witness[0]
                 stats = SolveStats()
                 got = solve(inst, lambda _, m=m: m, stats) is not None
-                assert got == (oracle_wbd(inst, HUB) is not None), (m, pos)
+                assert got == (oracle_wbd(inst, HUB) is not None) == (hub.w_opt == 7.0), (m, pos)
                 if got and stats.irrelevant_edges:
                     assert oracle_wbd(normalize(inst).with_frozen(frozenset((h,))), HUB) is None
                     refereed += 1
@@ -606,7 +575,7 @@ class TestSolve:
         assert expect is not None
 
     def test_bound_decides_branch_children_without_normalizing(self, monkeypatch):
-        # K6 with the hot K4 gadget: the best deletion set weighs 60 + 30
+        # The hook gadget on K6: the best deletion set weighs 60 + 30
         # < w* = 90.5, but the degree rule lets {60, 59} through, so the
         # root's first candidate fails verification and the root is
         # normalized.  Greedy's picks (60, 30) miss w*, so the root
@@ -617,7 +586,7 @@ class TestSolve:
         # normalized.  The 58 child (58 + 30) misses that bound and is
         # decided without being normalized, and as no later child's bound
         # is higher, the last three are not tried.
-        inst = hot_gadget(6, 2, 90.5)
+        inst = kn_gadget(6, 2).at(90.5)
         calls = []
 
         def counting(i):
@@ -715,20 +684,10 @@ class TestSolve:
 DECIMALS = ("0", "0", "0", "0", "0.1", "0.2", "0.3", "0.4", "0.6", "0.7", "1.1", "1.3")
 
 
-def planted_pair(k, w_star, seed=0):
-    """Two adjacent degree-3 vertices u, v on a sparse ear graph: uv weighs
-    100, one more edge at u 80 and one at v 79, every other edge 1-30.
-    Deleting uv leaves u and v with degree 2, so the best deletion set at
-    k = 2 weighs 80 + 79 = 159 and at k = 3 adds the best other edge."""
-    rng = random.Random(seed)
-    g = random_biconnected_graph(rng, 12, 14)
-    pairs = [g.endpoints(e) for e in sorted(g.edges)]
-    weights = [float(rng.randint(1, 30)) for _ in pairs]
-    (a1, a2), (b1, b2) = rng.sample(range(12), 2), rng.sample(range(12), 2)
-    pairs += [(12, 13), (a1, 12), (b1, 13), (a2, 12), (b2, 13)]
-    weights += [100.0, 80.0, 79.0, 1.0, 1.0]
-    g = UndirectedGraph.from_edges(range(14), pairs)
-    return WbdInstance(g, k, w_star, dict(enumerate(weights)), frozenset())
+def desk_pair(k):
+    """``planted_pair`` on a sparse ear graph of 12 vertices."""
+    rng = random.Random(0)
+    return planted_pair(rng, random_biconnected_graph(rng, 12, 14), k)
 
 
 class TestBranchStopsAtFirstFailingBound:
@@ -750,11 +709,11 @@ class TestBranchStopsAtFirstFailingBound:
         assert (stats.nodes, stats.decided_before_dfs, stats.max_branch_factor) == (1, 1, 0)
 
     def test_hot_gadget_instance(self):
-        # K28 with the hot K4 gadget, which the degree rule does not see:
-        # the root branches over mu(2) = 346 edges, each child freezing the
+        # The hook gadget on K28, which the degree rule does not see: the
+        # root branches over mu(2) = 346 edges, each child freezing the
         # siblings before it, and the third child (58 + 30) is the first
         # to miss the bound: the root, two hot-edge children, one leaf.
-        inst = hot_gadget(28, 2, 90.5)
+        inst = kn_gadget(28, 2).at(90.5)
         stats = SolveStats()
         assert solve(inst, stats=stats) is None
         assert stats.max_branch_factor == mu(2)
@@ -765,15 +724,16 @@ class TestBranchStopsAtFirstFailingBound:
         [(2, 159.5, 1), (2, 159.0, 3), (3, 189.5, 1), (3, 189.0, 3)],
     )
     def test_planted_pair(self, k, w_star, nodes):
-        # The degree rule decides each tight no at the root, before its
-        # DFS; each yes branches over the 8 heaviest edges.
-        inst = planted_pair(k, w_star)
+        # The degree rule decides each tight no (w_opt + 1/2) at the root,
+        # before its DFS; each yes branches over the 8 heaviest edges.
+        pair = desk_pair(k)
+        inst = pair.at(w_star)
         stats = SolveStats()
         sol = solve(inst, lambda k: 8, stats)
         assert stats.max_branch_factor == (8 if sol else 0)
         assert stats.nodes == nodes
         expect = oracle_wbd(inst, BIG)
-        assert (sol is None) == (expect is None) == (w_star % 1 == 0.5)
+        assert (sol is None) == (expect is None) == (w_star == pair.w_opt + 0.5)
         if sol is not None:
             assert verify_solution(inst, sol.edges)
 
@@ -782,27 +742,12 @@ class TestBranchStopsAtFirstFailingBound:
         # The branch the root no longer reaches, driven on the normalized
         # root: the uv child is a no, and the second child, which may no
         # longer delete uv, is the first to miss the bound.
-        inst = normalize(planted_pair(k, w_star))
+        pair = desk_pair(k)
+        assert w_star == pair.w_opt + 0.5
+        inst = normalize(pair.at(w_star))
         stats = SolveStats()
         assert solver_module._branch(inst, heavy_order(inst), 8, lambda k: 8, stats, 0) is None
         assert (stats.max_branch_factor, stats.nodes) == (8, nodes)
-
-
-def k4_gadget(rng, hooks):
-    """The gadget sweep's shape (``scripts/sweep_solver.py``) at desk size:
-    a random biconnected base graph on 4-6 vertices with 2-5 extra edges,
-    plus a K4 on four new vertices, ``hooks`` of which attach to distinct
-    base vertices by edges of distinct weights 10-29; every other edge
-    weighs 1-6.  A solution holds at most ``hooks`` - 2 attaching edges."""
-    base = random_biconnected_graph(rng, rng.randint(4, 6), rng.randint(2, 5))
-    n = base.n
-    attach = list(zip(rng.sample(range(n), hooks), range(n, n + hooks)))
-    k4 = itertools.combinations(range(n, n + 4), 2)
-    g = UndirectedGraph.from_edges(range(n + 4), [*base.edges.values(), *k4, *attach])
-    weights = {e: float(rng.randint(1, 6)) for e in g.edges}
-    for pair, w in zip(attach, rng.sample(range(10, 30), hooks)):
-        weights[g.edge_between(*pair)] = float(w)
-    return WbdInstance(g, 0, 0.0, weights)
 
 
 class TestBranchExclusion:
@@ -820,6 +765,7 @@ class TestBranchExclusion:
             got = solve(case, mu_of)
             assert (got is None) == (w_star > best)
             assert got is None or verify_solution(case, got.edges)
+        return best
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -829,7 +775,8 @@ class TestBranchExclusion:
         st.sampled_from([None, 2, 3, 4, 5]),
     )
     def test_sweep_gadgets(self, rng, hooks, k, threshold):
-        self.check(k4_gadget(rng, hooks), k, threshold)
+        base = random_biconnected_graph(rng, rng.randint(4, 6), rng.randint(2, 5))
+        self.check(random_hook_gadget(rng, base, hooks), k, threshold)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -839,7 +786,8 @@ class TestBranchExclusion:
         st.sampled_from([None, 2, 3, 4, 5]),
     )
     def test_hot_gadgets(self, n, hooks, k, threshold):
-        self.check(hot_gadget(n, k, 0.0, hooks), k, threshold)
+        gadget = kn_gadget(n, k, hooks)
+        assert self.check(gadget.instance, k, threshold) == gadget.w_opt
 
 
 class TestNonBiconnectedInput:
@@ -1155,7 +1103,7 @@ class TestFreezeRounds:
         elif case == "branches":
             inst, mu_of = greedy_miss_instance()
         elif case == "enumerates":
-            inst, mu_of = hot_gadget(6, 2, 90.0), mu
+            inst, mu_of = kn_gadget(6, 2).instance, mu
         else:
             inst, mu_of = unit(complete(5), 2, 2), mu
         sorts, loops = [], []
@@ -1198,7 +1146,7 @@ class TestFreezeRounds:
         # reach depth 2 even though children exclude their siblings.
         rng = random.Random(threshold)
         for n, k, _ in itertools.product((5, 6, 7), (2, 3), range(5)):
-            inst = hot_gadget(n, k, 0.0, hooks=4)
+            inst = kn_gadget(n, k, 4).at(0.0)
             light = [e for e, w in inst.weights.items() if w < 57]
             inst = replace(inst, frozen=frozenset(e for e in light if rng.random() < 0.2))
             best = oracle_wbd(inst, BIG).weight
@@ -1223,18 +1171,20 @@ class TestFreezeRounds:
         assert oracle_wbd(hub.instance, OracleBudget(max_vertices=33, max_edges=64, max_k=2)) is None
 
     def test_tight_no_stops_before_any_step(self, monkeypatch):
-        # Chord 10 and rim 5 on a pool above mu(2): the two heaviest sum
-        # to 15, so w* = 15.5 is a no that needs no reduction step.
-        hub = shared_partner_instance(mu(2) + 1, k=2, w_star=15.5)
-        inst = normalize(hub.instance)
-        assert len(inst.potential_edges()) > mu(2)
+        # A K4 on two hooks, both critical, of weight 60 and 59 on K28 with
+        # two 30-chords, at k = 2: w_opt is 60, the chords.  At w* = 60.5
+        # the root's first candidate, the two hooks, fails verification,
+        # and once normalized, with more than mu(2) potential edges left,
+        # the two heaviest weigh 60: a no that needs no reduction step.
+        gadget = kn_gadget(28, 2, h=2)
+        assert gadget.w_opt == 60.0
+        inst = gadget.at(60.5)
+        assert len(normalize(inst).potential_edges()) > mu(2)
 
         def refuse(*args, **kwargs):
             raise AssertionError("reduction_step called on a tight no")
 
         monkeypatch.setattr(solver_module, "reduction_step", refuse)
-        after, steps = freeze_rounds(inst, heavy_order(inst), mu(2), mark_all=False)
-        assert after is inst and [s.kind for s in steps] == ["no"]
         stats = SolveStats()
-        assert solve(hub.instance, stats=stats) is None
-        assert stats.nodes == 1 and stats.enumerations == 0 and stats.flow_calls == 0
+        assert solve(inst, stats=stats) is None
+        assert (stats.nodes, stats.decided_before_dfs, stats.enumerations) == (1, 0, 0)
