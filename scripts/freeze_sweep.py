@@ -112,7 +112,7 @@ def heavy_rim_pass() -> int:
         sol = solve(hub.instance, stats=stats)
         freezes += len(stats.irrelevant_edges)
         held = sol is not None and verify_solution(hub.instance, sol.edges)
-        held = held and (hub.w_opt < 7 or hub.witness[0] in sol.edges)
+        held = held and (hub.w_opt < 7 or pos in sol.edges)  # h is edge pos
         if not held or solve(hub.at(hub.w_opt + 0.5)) is not None:
             mismatches += 1
             print(f"MISMATCH heavy-rim hub q={HEAVY_RIM_Q} pos={pos}")

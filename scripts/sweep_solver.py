@@ -77,7 +77,8 @@ def gadgets(count: int, seed=0) -> Iterator[WbdInstance]:
         base = random_biconnected_graph(rng, rng.randint(5, 8), rng.randint(4, 9))
         while base.m > GADGET_BUDGET.max_edges - 6 - h:
             base = random_biconnected_graph(rng, rng.randint(5, 8), rng.randint(4, 9))
-        inst = replace(random_hook_gadget(rng, base, h), k=rng.choice((2, 3)))
+        g, weights = random_hook_gadget(rng, base, h)
+        inst = WbdInstance(g, rng.choice((2, 3)), 0.0, weights)
         best = oracle_wbd(inst, GADGET_BUDGET).weight
         yield replace(inst, w_star=best)
         yield replace(inst, w_star=best + 0.5)

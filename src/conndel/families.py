@@ -208,7 +208,8 @@ def heavy_rim_hub(q: int, k: int, pos: int) -> Certified:
     partner) and the rest 0.  Without the chord every rim edge and x-w are
     critical, and two rim edges cut the rim between them off at w.  So
     w_opt is 7, as {h, x-w}, and every solution at 7 holds h; only when h
-    is x's own rim edge (pos = 0) is w_opt 5.5, the chord."""
+    is x's own rim edge (pos = 0) is w_opt 5.5, the chord.  Rim edges
+    have ids 0..q in order, so h is edge ``pos``."""
     rim = [5.0 if i == pos else 1.0 for i in range(q + 1)]
     hub = shared_partner_instance(q, k, 7.0, 5.5, rim, other_weight=0.0)
     g, weights = hub.instance.graph, dict(hub.instance.weights)
@@ -217,46 +218,55 @@ def heavy_rim_hub(q: int, k: int, pos: int) -> Certified:
     return _certified(g, k, weights, (hub.rim_edges[pos], xw) if pos else (hub.chord,))
 
 
+def _hooked_k4(rng: random.Random, base: UndirectedGraph, h: int, chords: int, light):
+    """``base`` on 0..n-1, a K4 on n..n+3, h edges hooking its vertices
+    n..n+h-1 to distinct base vertices (ids base.m + 6 on) and ``chords``
+    chords, every edge weighed from ``light``; returns the graph, the
+    weights and the hook ids."""
+    n = base.n
+    ends = list(zip(rng.sample(range(n), h), range(n, n + h)))
+    pairs = [*base.edges.values(), *itertools.combinations(range(n, n + 4), 2), *ends]
+    pairs += _chords(rng, base, chords)
+    g = UndirectedGraph.from_edges(range(n + 4), pairs)
+    return g, random_weights(rng, g, *light), range(base.m + 6, base.m + 6 + h)
+
+
 def hook_gadget(
     rng: random.Random, base: UndirectedGraph, k: int, hooks: Sequence[float], light=(1, 29)
 ) -> Certified:
-    """A biconnected ``base`` on 0..n-1 and a K4 hooked to h distinct base
-    vertices by h = len(hooks) edges (2 <= h <= 4) of the given weights,
-    each 30 or more; k - j chords, j = min(k, h - 2), weigh 30.  In id
-    order (base, K4, hooks, chords) every edge first draws a weight from
+    """A biconnected ``base`` and a K4 hooked to it by h = len(hooks)
+    edges (2 <= h <= 4) of the given weights, each 30 or more; k - j
+    chords, j = min(k, h - 2), weigh 30, and other edges draw from
     ``light``, under 30.  The K4 keeps two hooks, so a solution holds
     i <= j of them and at most k - i edges of 30 or less: w_opt is the j
     heaviest hooks plus the chords, whose deletion leaves the base and
     the K4 on h - j >= 2 disjoint hooks."""
-    n, h, j = base.n, len(hooks), min(k, len(hooks) - 2)
+    h, j = len(hooks), min(k, len(hooks) - 2)
     if not (2 <= h <= 4 and min(hooks) >= 30 > light[1]):
         raise ValueError("need 2-4 hooks of weight >= 30 and light weights < 30")
-    ends = list(zip(rng.sample(range(n), h), range(n, n + h)))
-    pairs = [*base.edges.values(), *itertools.combinations(range(n, n + 4), 2), *ends]
-    pairs += _chords(rng, base, k - j)
-    g = UndirectedGraph.from_edges(range(n + 4), pairs)
-    weights = random_weights(rng, g, *light)
-    hook_ids, chords = range(base.m + 6, base.m + 6 + h), range(base.m + 6 + h, g.m)
+    g, weights, hook_ids = _hooked_k4(rng, base, h, k - j, light)
+    chords = range(hook_ids.stop, g.m)
     weights.update(zip(hook_ids, map(float, hooks)))
     weights.update(dict.fromkeys(chords, 30.0))
     return _certified(g, k, weights, [*sorted(hook_ids, key=weights.get)[h - j :], *chords])
 
 
-def random_hook_gadget(rng: random.Random, base: UndirectedGraph, h: int) -> WbdInstance:
-    """The oracle sweep's gadget: ``hook_gadget`` at k = h - 2, so with no
-    chords, and weights 1-6, then distinct weights 10-29 on its h hooks,
-    the last edges.  Not certified: k and w* are 0, for the caller."""
-    inst = hook_gadget(rng, base, h - 2, [30.0] * h, (1, 6)).instance
-    m = inst.graph.m
-    inst.weights.update(zip(range(m - h, m), map(float, rng.sample(range(10, 30), h))))
-    return WbdInstance(inst.graph, 0, 0.0, inst.weights)
+def random_hook_gadget(
+    rng: random.Random, base: UndirectedGraph, h: int
+) -> Tuple[UndirectedGraph, Dict[int, float]]:
+    """The oracle sweep's gadget, not certified: ``base`` and a K4 on h
+    hooks, no chords, weights 1-6, then distinct weights 10-29 on the
+    hooks.  The caller picks k and asks the oracle for w*."""
+    g, weights, hook_ids = _hooked_k4(rng, base, h, 0, (1, 6))
+    weights.update(zip(hook_ids, map(float, rng.sample(range(10, 30), h))))
+    return g, weights
 
 
-def planted_pair(rng: random.Random, base: UndirectedGraph, k: int, light=(1, 29)) -> Certified:
+def planted_pair(rng: random.Random, base: UndirectedGraph, k: int) -> Certified:
     """Adjacent vertices u and v of degree 3 on a biconnected ``base`` on
     0..n-1, k >= 2: uv weighs 100, u-a1 80, v-b1 79, u-a2 and v-b2 are
     light, for four distinct anchors, k - 2 chords weigh 30, and other
-    edges draw from ``light``, under 30.  A solution deletes at most one
+    edges weigh 1-29, under 30.  A solution deletes at most one
     edge at u and one at v, uv at both, so 100 or at most 80 + 79 there,
     and at most 30 per other edge: w_opt = 159 + 30(k - 2), reached by
     u-a1, v-b1 and the chords, which leave the base and the ear a2-u-v-b2."""
@@ -265,6 +275,6 @@ def planted_pair(rng: random.Random, base: UndirectedGraph, k: int, light=(1, 29
     pairs = [*base.edges.values(), (n, n + 1), (a1, n), (b1, n + 1), (a2, n), (b2, n + 1)]
     pairs += _chords(rng, base, k - 2)
     g = UndirectedGraph.from_edges(range(n + 2), pairs)
-    weights = random_weights(rng, g, *light)
+    weights = random_weights(rng, g, 1, 29)
     weights.update({m: 100.0, m + 1: 80.0, m + 2: 79.0, **dict.fromkeys(range(m + 5, g.m), 30.0)})
     return _certified(g, k, weights, [m + 1, m + 2, *range(m + 5, g.m)])

@@ -351,7 +351,8 @@ class TestEnumeratorAgainstNaive:
     )
     def test_k4_gadgets(self, rng, hooks, k, share):
         base = random_biconnected_graph(rng, rng.randint(4, 6), rng.randint(2, 5))
-        inst = replace(random_hook_gadget(rng, base, hooks), k=k)
+        g, weights = random_hook_gadget(rng, base, hooks)
+        inst = WbdInstance(g, k, 0.0, weights)
         self.agrees(replace(inst, w_star=share * oracle_wbd(inst, BIG).weight))
 
     def test_some_cases_branch(self):
@@ -517,12 +518,13 @@ class TestFreezeRuleAgainstOracle:
         for m in (q, q + 1):
             for pos in range(q + 1):
                 hub = heavy_rim_hub(q, k, pos)
-                inst, h = hub.at(7.0), hub.witness[0]
+                inst = hub.at(7.0)
                 stats = SolveStats()
                 got = solve(inst, lambda _, m=m: m, stats) is not None
                 assert got == (oracle_wbd(inst, HUB) is not None) == (hub.w_opt == 7.0), (m, pos)
                 if got and stats.irrelevant_edges:
-                    assert oracle_wbd(normalize(inst).with_frozen(frozenset((h,))), HUB) is None
+                    # h is rim edge ``pos``.
+                    assert oracle_wbd(normalize(inst).with_frozen(frozenset((pos,))), HUB) is None
                     refereed += 1
         assert refereed >= q
 
@@ -776,7 +778,8 @@ class TestBranchExclusion:
     )
     def test_sweep_gadgets(self, rng, hooks, k, threshold):
         base = random_biconnected_graph(rng, rng.randint(4, 6), rng.randint(2, 5))
-        self.check(random_hook_gadget(rng, base, hooks), k, threshold)
+        g, weights = random_hook_gadget(rng, base, hooks)
+        self.check(WbdInstance(g, k, 0.0, weights), k, threshold)
 
     @settings(max_examples=40, deadline=None)
     @given(
