@@ -19,8 +19,10 @@ unit-weight version, must each answer as the oracle does.
 
 Third pass, certified (``heavy_rim_hub``): the shared-partner hub at
 q = 350, k = 2, under mu(2), with its heavy rim edge h at every 25th rim
-position.  Every solution at w* = 7 holds h, so a freeze of h turns the
-yes into a no.  ``solve`` must answer yes at w_opt, with a verified
+position and at the nine next to each end of the rim (positions 1 ... 9
+and q - 9 ... q - 1, where the clean stretch's first and last edges
+lie), 33 positions.  Every solution at w* = 7 holds h, so a freeze of h
+turns the yes into a no.  ``solve`` must answer yes at w_opt, with a verified
 witness that holds h where w_opt is 7 (h is not x's own rim edge), and
 no at w_opt + 1/2.
 
@@ -104,10 +106,11 @@ def oracle_pass() -> int:
 
 def heavy_rim_pass() -> int:
     """The third pass; returns its exit code."""
-    positions = range(0, HEAVY_RIM_Q + 1, 25)
+    q = HEAVY_RIM_Q
+    positions = sorted({*range(0, q + 1, 25), *range(1, 10), *range(q - 9, q)})
     mismatches = freezes = 0
     for pos in positions:
-        hub = heavy_rim_hub(HEAVY_RIM_Q, 2, pos)
+        hub = heavy_rim_hub(q, 2, pos)
         stats = SolveStats()
         sol = solve(hub.instance, stats=stats)
         freezes += len(stats.irrelevant_edges)
@@ -115,9 +118,9 @@ def heavy_rim_pass() -> int:
         held = held and (hub.w_opt < 7 or pos in sol.edges)  # h is edge pos
         if not held or solve(hub.at(hub.w_opt + 0.5)) is not None:
             mismatches += 1
-            print(f"MISMATCH heavy-rim hub q={HEAVY_RIM_Q} pos={pos}")
+            print(f"MISMATCH heavy-rim hub q={q} pos={pos}")
     print(
-        f"heavy-rim pass: q={HEAVY_RIM_Q}, {len(positions)} positions of h, "
+        f"heavy-rim pass: q={q}, {len(positions)} positions of h, "
         f"freezes {freezes}; {mismatches} mismatches"
     )
     return 1 if mismatches or not freezes else 0

@@ -32,9 +32,10 @@ graphs:
   those scripts' own generators;
 * 120 of the latter's graphs (seed 3, up to 12 vertices) at k = 2 and 3
   under the ``exhaustive`` provider with its cover replaced by two fixed
-  stand-ins, Z = {} and Z = the even vertex ids: every input that reaches
-  the real cover has at least 11 terminals, which it refuses, so this is
-  what runs rule one and the torso through ``kernelize``;
+  stand-ins, Z = {} and Z = the even vertex ids: the real cover refuses
+  every input that reaches it (``conndel.kernel`` counts their
+  terminals), so this is what runs rule one and the torso through
+  ``kernelize``;
 * both hub families, plain and subdivided, at k = 1-3 and q = 1-29, under
   the thresholds mu, 5 and 2k + 5: ``solve`` at four targets, with the
   default rim weights and with varied ones, and ``kernelize``;

@@ -7,7 +7,6 @@ hardness-instance generators, and desk-scale brute-force oracles.
 
 from .graphs import (
     Digraph,
-    FlowDecomposition,
     Path,
     UndirectedGraph,
     contract_sequence,
@@ -24,7 +23,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Digraph",
-    "FlowDecomposition",
     "KernelResult",
     "OracleBudget",
     "Path",

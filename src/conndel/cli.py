@@ -316,9 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-terminals",
         type=int,
         default=DEFAULT_MAX_TERMINALS,
-        help="refuse the exhaustive cover (exit 3) beyond this many terminals; every "
-        "instance that reaches the cover has at least 11, since k <= 1 and fewer "
-        "than k deletable edges are decided by rule",
+        help="refuse the exhaustive cover (exit 3) beyond this many terminals; the "
+        "conndel.kernel docstring counts those of the inputs that reach it",
     )
     p.add_argument("--out")
     p.set_defaults(func=cmd_kernelize)

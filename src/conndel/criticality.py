@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
-from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import AbstractSet, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import InternalInconsistencyError, InvalidInputError
 from .graphs import Path, UndirectedGraph, is_biconnected_without, reachable
@@ -385,15 +385,17 @@ def newly_critical(g: UndirectedGraph, eid: int) -> FrozenSet[int]:
 
 
 def partner_set(
-    gprime: UndirectedGraph,
+    g: UndirectedGraph,
     pivot: int,
     p1: Path,
     p2: Path,
     crits: Sequence[int],
+    removed: AbstractSet[int] = frozenset(),
 ) -> Tuple[Tuple[int, ...], ...]:
     """Partner vertices of newly critical edges on P1, one tuple per edge
     in ``crits`` order: the internal vertices v of P2 for which
-    {edge, v} is a mixed x-y cut of G' - pivot, in P2 order.  Each edge is
+    {edge, v} is a mixed x-y cut of G' - pivot, G' = g less the
+    ``removed`` edges (which the DFS below skips), in P2 order.  Each edge is
     decided on its own, so any subset of P1's edges may be asked for.  For
     an edge that deleting the pivot made critical the tuple is never empty;
     ``build_partner_analysis`` refuses an empty one.
@@ -426,7 +428,7 @@ def partner_set(
     minima and maxima.  A v with no separated child subtree holding a P1
     vertex has the spans of H itself, computed once.
     """
-    x, y = gprime.endpoints(pivot)
+    x, y = g.endpoints(pivot)
     ends = {x, y}
     if {p1.vertices[0], p1.vertices[-1]} != ends or {p2.vertices[0], p2.vertices[-1]} != ends:
         raise InvalidInputError("flow paths must run between the pivot endpoints")
@@ -436,8 +438,8 @@ def partner_set(
     if not set(p2.interior).isdisjoint(p1.vertices):
         raise InvalidInputError("the first flow path must avoid the second's interior")
     at = {u: i for i, u in enumerate(p1.vertices)}
-    removed = frozenset(p1.edges) | {pivot}
-    adj = gprime._adj
+    skipped = frozenset(p1.edges).union(removed, (pivot,))
+    adj = g._adj
 
     # pre: vertex to preorder number; low per number; order: P1's
     # positions in preorder.  A stack entry holds a vertex's number, the
@@ -461,7 +463,7 @@ def partner_set(
         while stack:
             i, entry, it, start = stack[-1]
             for u, eid in it:
-                if eid == entry or eid in removed:
+                if eid == entry or eid in skipped:
                     continue
                 j = pre.get(u)
                 if j is None:
@@ -528,17 +530,20 @@ def partner_set(
 
 @dataclass(frozen=True)
 class PartnerAnalysis:
-    """Ordered critical edges on P1 with partner structure on P2.
+    """Ordered critical edges on P1 with partner structure on P2, in
+    G' = ``graph`` less the ``removed`` edges (greedy's picks before the
+    pivot).
 
     Indices are 1-based: edges e_1..e_t appear along P1 from x to y.
     ``switches`` collects indices i < t whose partner set differs from the
     next edge's; for the others the shared single partner is w(i), and
     Component[i, i+1] hangs between e_i and e_{i+1} off that partner.
-    ``affected`` is the i whose component touches an endpoint of an edge
-    removed to form G'.
+    ``affected`` is the i whose component touches an endpoint of a
+    removed edge.
     """
 
     graph: UndirectedGraph
+    removed: FrozenSet[int]
     pivot: int
     p1: Path
     p2: Path
@@ -559,7 +564,7 @@ class PartnerAnalysis:
         for i, w in self.shared_partner.items():
             a, b = self.edge_ids[i - 1 : i + 1]
             segment = self.p1.vertices[pos[a] + 1 : pos[b] + 1]
-            components[i] = frozenset(reachable(self.graph, segment, {a, b}, {w}))
+            components[i] = frozenset(reachable(self.graph, segment, self.removed | {a, b}, {w}))
         return components
 
     @property
@@ -578,30 +583,28 @@ class PartnerAnalysis:
 
 
 def build_partner_analysis(
-    gprime: UndirectedGraph,
+    g: UndirectedGraph,
     pivot: int,
     p1: Path,
     p2: Path,
     newly: FrozenSet[int],
-    deleted_endpoints: Iterable[Tuple[int, int]],
+    removed: FrozenSet[int],
     k: int,
     known: Dict[int, Tuple[int, ...]],
 ) -> PartnerAnalysis:
-    """Assemble the full partner structure for one pivot edge.
+    """Assemble the full partner structure for one pivot edge in
+    G' = ``g`` less the ``removed`` edges, which the analysis records.
 
-    ``p1`` and ``p2`` must run from x to y, (x, y) = ``gprime.endpoints(pivot)``.
+    ``p1`` and ``p2`` must run from x to y, (x, y) = ``g.endpoints(pivot)``.
     ``newly`` is the set of edges to analyze: the caller's marked edges
-    that deleting the pivot makes newly critical, that is
-    ``newly_critical(gprime, pivot) & marked``.
-    ``deleted_endpoints`` are the endpoint pairs of the edges removed from
-    the original graph to form G'; a component touching one is affected.
-    ``known`` holds the partner tuples found earlier on the same G', pivot
-    and flow, per edge (``RoundCache`` keeps one per rich step); the
-    missing ones are computed and added to it.  The components are
-    computed here only when ``deleted_endpoints`` is non-empty, for
-    ``affected``.
+    that deleting the pivot makes newly critical in G', that is
+    ``newly_critical(G', pivot) & marked``.  ``known`` holds the partner
+    tuples found earlier on the same G', pivot and flow, per edge
+    (``RoundCache`` keeps one per rich step); the missing ones are
+    computed and added to it.  A component touching an endpoint of a
+    removed edge is affected; only then are the components computed here.
     """
-    x, y = gprime.endpoints(pivot)
+    x, y = g.endpoints(pivot)
     for p in (p1, p2):
         if p.vertices[0] != x or p.vertices[-1] != y:
             raise InvalidInputError("flow paths must run from x to y")
@@ -612,7 +615,7 @@ def build_partner_analysis(
 
     missing = [e for e in edge_ids if e not in known]
     if missing:
-        known.update(zip(missing, partner_set(gprime, pivot, p1, p2, missing)))
+        known.update(zip(missing, partner_set(g, pivot, p1, p2, missing, removed)))
     partners = tuple(map(known.__getitem__, edge_ids))
     if not all(partners):
         raise InternalInconsistencyError(
@@ -634,7 +637,8 @@ def build_partner_analysis(
             shared[i] = pset[0]
 
     pa = PartnerAnalysis(
-        graph=gprime,
+        graph=g,
+        removed=removed,
         pivot=pivot,
         p1=p1,
         p2=p2,
@@ -644,9 +648,9 @@ def build_partner_analysis(
         shared_partner=shared,
         k=k,
     )
-    endpoints = {v for pair in deleted_endpoints for v in pair}
-    if not endpoints:
+    if not removed:
         return pa
+    endpoints = {v for e in removed for v in g.endpoints(e)}
     return replace(pa, affected=frozenset(i for i, c in pa.components.items() if endpoints & c))
 
 

@@ -301,17 +301,6 @@ class Path:
         return self.vertices[1:-1]
 
 
-@dataclass(frozen=True)
-class FlowDecomposition:
-    """A set of internally vertex-disjoint x-y paths; value = path count."""
-
-    paths: Tuple[Path, ...] = ()
-
-    @property
-    def value(self) -> int:
-        return len(self.paths)
-
-
 # ---------------------------------------------------------------------------
 # connectivity predicates
 # ---------------------------------------------------------------------------
@@ -544,6 +533,36 @@ class FlowNetwork:
             value += 1
         return value, via, queue
 
+    def paths(
+        self, source: int, sink: int, limit: Optional[int] = None
+    ) -> List[Tuple[List[int], List[int]]]:
+        """Push up to ``limit`` units (all when None) from source to sink
+        and read the paths off the residual network: per path its vertices,
+        source first, and its arcs' positions in the constructor's
+        ``arcs``, whose capacity must be 1.  Unit vertex capacities leave
+        each internal vertex's out-node one carrying arc to follow."""
+        residual = self.cap[:]
+        self.augment(residual, (source,), (sink,), limit=limit)
+        index, head, adj, vertices = self.index, self.head, self.adj, self.vertices
+        base = 2 * len(vertices)
+        end = 2 * index[sink]
+
+        def carried(node: int) -> List[int]:
+            return [a for a in adj[node] if not a & 1 and not residual[a]]
+
+        out = []
+        for a in carried(2 * index[source] + 1):
+            seq, on = [source], []
+            while True:
+                node = head[a]
+                seq.append(vertices[node >> 1])
+                on.append((a - base) >> 1)
+                if node == end:
+                    break
+                (a,) = carried(node + 1)
+            out.append((seq, on))
+        return out
+
 
 def max_flow_bounded(
     g: UndirectedGraph,
@@ -551,16 +570,14 @@ def max_flow_bounded(
     y: int,
     cap: Optional[int] = None,
     removed_edges: AbstractSet[int] = frozenset(),
-) -> FlowDecomposition:
-    """Maximum set of internally vertex-disjoint x-y paths in g minus the
-    given edges, stopping at cap; no graph copy is made.
+) -> Tuple[Path, ...]:
+    """A maximum set of internally vertex-disjoint x-y paths in g minus the
+    given edges, stopping at cap, sorted by vertex sequence; no graph copy
+    is made.
 
-    A ``FlowNetwork`` with x and y open and each edge t left (in id order) two
-    capacity-1 arcs, u to v with id ``2n + 4t`` and v to u with id
-    ``2n + 4t + 2`` (so a direct x-y edge carries one path).  The paths are
-    read off the residual network: each leaves x's out-node by a forward
-    arc that carries flow, and unit vertex capacities leave every internal
-    vertex's out-node exactly one such arc to follow.
+    A ``FlowNetwork`` with x and y open and two capacity-1 arcs per edge
+    left, u to v and then v to u, in id order, so a direct x-y edge
+    carries one path.
     """
     if x == y:
         raise InvalidInputError("flow endpoints must differ")
@@ -572,28 +589,11 @@ def max_flow_bounded(
     arcs[0::2] = ends
     arcs[1::2] = [(v, u) for u, v in ends]
     net = FlowNetwork(sorted(g._vertices), arcs, 1, frozenset((x, y)))
-    residual = net.cap[:]
-    net.augment(residual, (x,), (y,), limit=cap)
-
-    base = 2 * len(net.vertices)
-    end = 2 * net.index[y]
-
-    def carried(node: int) -> List[int]:
-        return [a for a in net.adj[node] if not a & 1 and not residual[a]]
-
-    paths = []
-    for a in carried(2 * net.index[x] + 1):
-        seq, on = [x], []
-        while True:
-            node = net.head[a]
-            seq.append(net.vertices[node >> 1])
-            on.append(eids[(a - base) >> 2])
-            if node == end:
-                break
-            (a,) = carried(node + 1)
-        paths.append(Path(tuple(seq), tuple(on)))
+    paths = [
+        Path(tuple(seq), tuple(eids[j >> 1] for j in on)) for seq, on in net.paths(x, y, cap)
+    ]
     paths.sort(key=lambda p: p.vertices)
-    return FlowDecomposition(tuple(paths))
+    return tuple(paths)
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,10 @@ vertex, so past those rules phase two is the identity and returns before
 building anything.  ``exhaustive`` (``cut_covering_set``) is the cover by
 its definition: X plus one closest minimum cut per disjoint terminal
 triple.  Its cost is exponential in the number of terminals, so it
-refuses beyond a cap; every instance that phase two brings to it has
-k >= 2 and at least two deletable edges, hence at least 11 terminals.
+refuses beyond a cap.  Every instance that phase two brings to it has
+k >= 2 and at least two deletable edges, hence at least 11 terminals:
+one subdivision vertex per deletable edge and three copies of each of at
+least three endpoints.  So under the default cap it refuses them all.
 """
 
 from __future__ import annotations

@@ -33,7 +33,6 @@ from .criticality import (
 )
 from .errors import InternalInconsistencyError, InvalidInputError
 from .graphs import (
-    FlowDecomposition,
     Path,
     UndirectedGraph,
     is_biconnected,
@@ -277,11 +276,12 @@ class RoundCache:
       pick (or no tree) costs a fresh DFS of a copy of G - prefix, whose
       tree later picks derive from;
     * for a rich step, the prefix ending in its pivot: the value-2 flow
-      between the pivot's endpoints in G minus the prefix, run on G with
-      the prefix's edges skipped, and the partner tuples found on that
-      flow, per edge.  Which path is P1 depends on the pool, but needs no
-      key of its own: an edge lies on one path only, so analyses of
-      different edges on one flow share the tuples.
+      between the pivot's endpoints in G minus the prefix, as its paths,
+      and the partner tuples found on that flow, per edge.  Which path is
+      P1 depends on the pool, but needs no key of its own: an edge lies on
+      one path only, so analyses of different edges on one flow share the
+      tuples.  Both read G' = G less the picks before the pivot as G and
+      those picks (``analysis``), so no round copies G'.
 
     What depends on the pool is recomputed on every call: greedy's
     ``newly``, the rich step, which flow path is P1, the analysed edges and the analysis
@@ -301,9 +301,7 @@ class RoundCache:
         self.graph = graph
         self._crit: Dict[Tuple[int, ...], FrozenSet[int]] = {}
         self._trees: Dict[Tuple[int, ...], Optional[DfsTree]] = {(): tree}
-        self._rich: Dict[
-            Tuple[int, ...], Tuple[FlowDecomposition, Dict[int, Tuple[int, ...]]]
-        ] = {}
+        self._rich: Dict[Tuple[int, ...], Tuple[Tuple[Path, ...], Dict[int, Tuple[int, ...]]]] = {}
 
     def critical(self, prefix: Tuple[int, ...]) -> FrozenSet[int]:
         crit = self._crit.get(prefix)
@@ -318,41 +316,29 @@ class RoundCache:
 
     def analysis(self, prefix: Tuple[int, ...], newly: FrozenSet[int], k: int) -> PartnerAnalysis:
         """The partner analysis of the pivot ``prefix[-1]`` in
-        G' = G - ``prefix[:-1]``, on the ``newly`` edges (``find_rich_flow``
-        and ``build_partner_analysis`` say what they must be)."""
+        G' = G - ``prefix[:-1]``, read as G and ``prefix[:-1]``, on the
+        ``newly`` edges (``find_rich_flow`` and ``build_partner_analysis``
+        say what they must be)."""
         g = self.graph
-        before, pivot = prefix[:-1], prefix[-1]
+        before, pivot = frozenset(prefix[:-1]), prefix[-1]
         found = self._rich.get(prefix)
         if found is None:
             x, y = g.endpoints(pivot)
             flow = max_flow_bounded(g, x, y, cap=3, removed_edges=frozenset(prefix))
             found = self._rich[prefix] = (flow, {})
         flow, partners = found
-        gprime = g.without_edges(before) if before else g
-        p1, p2 = find_rich_flow(gprime, pivot, newly, flow)
-        deleted = [g.endpoints(e) for e in before]
-        return build_partner_analysis(gprime, pivot, p1, p2, newly, deleted, k, partners)
+        p1, p2 = find_rich_flow(g, pivot, newly, flow)
+        return build_partner_analysis(g, pivot, p1, p2, newly, before, k, partners)
 
 
-@dataclass(frozen=True)
-class GreedyRun:
-    """Greedy deletion picks; ``newly[i]`` holds the marked edges that pick
-    i made newly critical in the residual graph.
-
-    A run of k picks has no entry for the k-th: callers branch on such a
-    run (or answer yes) without reading it, so it is not computed.
-    """
-
-    picks: Tuple[int, ...]
-    newly: Tuple[FrozenSet[int], ...]
-
-    @property
-    def counts(self) -> Tuple[int, ...]:
-        return tuple(len(s) for s in self.newly)
-
-
-def greedy_deletion_set(inst: WbdInstance, pool: Sequence[int], cache: RoundCache) -> GreedyRun:
-    """Repeatedly delete the first still-non-critical edge of the pool.
+def greedy_deletion_set(
+    inst: WbdInstance, pool: Sequence[int], cache: RoundCache
+) -> Tuple[Tuple[int, ...], Tuple[FrozenSet[int], ...]]:
+    """Repeatedly delete the first still-non-critical edge of the pool;
+    returns the picks and ``newly``, where ``newly[i]`` holds the marked
+    edges that pick i made newly critical in the residual graph.  A run of
+    k picks has no entry for the k-th: callers branch on such a run (or
+    answer yes) without reading it, so it is not computed.
 
     The pool is also the marked set (``freeze_rounds`` says which pool
     each caller marks).  Stops after k picks or when every remaining pool
@@ -380,27 +366,30 @@ def greedy_deletion_set(inst: WbdInstance, pool: Sequence[int], cache: RoundCach
         after = cache.critical(tuple(picks))
         newly.append((after - crit) & marked)
         crit = after
-    return GreedyRun(tuple(picks), tuple(newly))
+    return tuple(picks), tuple(newly)
 
 
 def find_rich_flow(
-    gprime: UndirectedGraph, pivot: int, newly: FrozenSet[int], flow: FlowDecomposition
+    g: UndirectedGraph, pivot: int, newly: FrozenSet[int], flow: Tuple[Path, ...]
 ) -> Tuple[Path, Path]:
-    """A value-2 flow between the pivot's endpoints in G' - pivot, with the
-    path carrying at least half the marked newly-critical edges first.
+    """A value-2 flow between the pivot's endpoints in G' - pivot, G' = G
+    less greedy's picks before the pivot, with the path carrying at least
+    half the marked newly-critical edges first.
 
-    ``newly`` is ``newly_critical(gprime, pivot) & marked``, as computed
-    by the caller; greedy records it per pick (``GreedyRun.newly``).
-    ``flow`` is ``max_flow_bounded(G' - pivot, x, y, cap=3)``, kept by
-    ``RoundCache``; it is checked on every call."""
-    x, y = gprime.endpoints(pivot)
-    if flow.value != 2:
+    ``newly`` is the marked edges that deleting the pivot makes newly
+    critical in G', as greedy records it per pick.  ``flow`` is the paths
+    of ``max_flow_bounded(g, x, y, cap=3, removed_edges=...)`` with the
+    pivot and the earlier picks removed, kept by ``RoundCache``; it is
+    checked on every call.  G' enters only through ``flow``: the pivot has
+    the same endpoints in G."""
+    x, y = g.endpoints(pivot)
+    if len(flow) != 2:
         raise InternalInconsistencyError(
-            f"expected a value-2 flow between {x} and {y}, got {flow.value}"
+            f"expected a value-2 flow between {x} and {y}, got {len(flow)}"
         )
     if not newly:
         raise InvalidInputError("pivot deletion makes no marked edge critical")
-    a, b = flow.paths
+    a, b = flow
     on_a = len(newly & set(a.edges))
     on_b = len(newly & set(b.edges))
     if on_a + on_b != len(newly):
@@ -412,7 +401,8 @@ def find_rich_flow(
 
 def solution_from_distinct_partners(pa: PartnerAnalysis, k: int) -> Tuple[int, ...]:
     """Every-third selection from 3k+1 edges with pairwise distinct partner
-    sets; the result is a size-k deletion set, verified before returning.
+    sets; the result is a size-k deletion set of G', verified on G less
+    ``pa.removed`` before returning.
 
     Partner sets of the analyzed edges are equal exactly on contiguous
     blocks, so block-leading indices enumerate the distinct sets.
@@ -426,7 +416,7 @@ def solution_from_distinct_partners(pa: PartnerAnalysis, k: int) -> Tuple[int, .
     edges = tuple(pa.edge(i) for i in chosen)
     if len(edges) != k:
         raise InternalInconsistencyError("distinct-partner selection missized")
-    if not is_biconnected_without(pa.graph, frozenset(edges)):
+    if not is_biconnected_without(pa.graph, pa.removed | frozenset(edges)):
         raise InternalInconsistencyError(
             "distinct-partner deletion set does not preserve biconnectivity"
         )
@@ -470,16 +460,17 @@ def reduction_step(inst: WbdInstance, m: int, pool: Sequence[int], cache: RoundC
     """One round of the reduction lemma at threshold ``m``, mu(k) for the
     instance's k.
 
-    Greedy runs over ``pool``, which is also the marked set; on a stalled
-    run the first rich step, one making at least ceil((m - k) / k)
-    (and at least one) marked edges critical, gets its rich flow, its
-    partner analysis and a clean stretch.  The instance must be
-    normalized.
+    Greedy runs over ``pool``, which is also the marked set, and returns
+    its picks and ``newly``; on a stalled run the first rich step i, one
+    whose ``newly[i]`` holds at least ceil((m - k) / k) (and at least one)
+    marked edges, gets its rich flow, its partner analysis and a clean
+    stretch, all in G' = G less picks[:i], read as G and those picks.  The
+    instance must be normalized.
 
     The lemma's premise ``len(pool) >= m >= k`` guarantees a rich step:
     greedy stalls after 1 <= j < k picks (no pool edge is critical in G)
     with every unpicked marked edge critical; criticality only grows as
-    edges go, so the counts ``GreedyRun.counts`` sum to |pool| - j, and one
+    edges go, so the counts ``len(newly[i])`` sum to |pool| - j, and one
     is at least (|pool| - j) / j > (m - k) / k.  So a stalled run with
     no rich step raises under the premise and is ``"stuck"`` otherwise.
     Under the real threshold the pools of ``freeze_rounds`` meet it.
@@ -487,18 +478,18 @@ def reduction_step(inst: WbdInstance, m: int, pool: Sequence[int], cache: RoundC
     Greedy's critical sets and the analysis come from ``cache``, the
     ``RoundCache`` of ``inst.graph``.
     """
-    run = greedy_deletion_set(inst, pool, cache)
-    if len(run.picks) == inst.k:
-        return Reduction("full", picks=run.picks)
+    picks, newly = greedy_deletion_set(inst, pool, cache)
+    if len(picks) == inst.k:
+        return Reduction("full", picks=picks)
     threshold = max(1, math.ceil((m - inst.k) / inst.k))
-    rich = next((i for i, c in enumerate(run.counts) if c >= threshold), None)
+    rich = next((i for i, s in enumerate(newly) if len(s) >= threshold), None)
     if rich is None:
         if len(pool) >= m >= inst.k:
             raise InternalInconsistencyError(
                 "greedy stalled without any step making enough marked edges critical"
             )
         return Reduction("stuck")
-    pa = cache.analysis(run.picks[: rich + 1], run.newly[rich], inst.k)
+    pa = cache.analysis(picks[: rich + 1], newly[rich], inst.k)
     if pa.distinct_partner_sets > 3 * inst.k:
         return Reduction("distinct", analysis=pa)
     stretch = find_clean_stretch(pa)

@@ -41,6 +41,13 @@ def analysis_after(
     return cache.analysis(picks, newly, k)
 
 
+def gprime(pa: PartnerAnalysis) -> UndirectedGraph:
+    """G' as a graph of its own: the analysis's graph less its removed
+    edges (a copy the analysis itself never makes), or that graph when
+    nothing was removed."""
+    return pa.graph.without_edges(pa.removed) if pa.removed else pa.graph
+
+
 def out_neighbors(d: Digraph, v: int) -> List[int]:
     """Heads of v's out-arcs, ascending."""
     return sorted(h for t, h in d.arcs.values() if t == v)
@@ -71,11 +78,12 @@ def gammas(pa: PartnerAnalysis) -> Dict[int, FrozenSet[int]]:
     """Gamma[i, i+1] per component: the edges of G' with an end in the
     component and the other end in it or at its shared partner."""
     out = {}
+    edges = gprime(pa).edges
     for i, comp in pa.components.items():
         side = comp | {pa.shared_partner[i]}
         out[i] = frozenset(
             e
-            for e, (a, b) in pa.graph.edges.items()
+            for e, (a, b) in edges.items()
             if (a in comp or b in comp) and a in side and b in side
         )
     return out
@@ -122,10 +130,11 @@ def check_partner_invariants(pa: PartnerAnalysis) -> None:
             assert not (ci & cj), f"components {i} and {j} intersect"
 
     ends = oriented(pa)
+    g = gprime(pa)
     for i, ci in items:
         neighborhood = set()
         for v in ci:
-            for u in pa.graph.neighbors(v):
+            for u in g.neighbors(v):
                 if u not in ci:
                     neighborhood.add(u)
         u_i = ends[i - 1][0]

@@ -136,10 +136,7 @@ class TestAcceptance:
                         )
                         is not None
                     )
-                    c = (
-                        max_flow_bounded(without.without_edge(e2), x, y, 2).value
-                        <= 1
-                    )
+                    c = len(max_flow_bounded(without.without_edge(e2), x, y, 2)) <= 1
                     if not (a == b == c):
                         violations.append((g.n, g.m, e, e2, a, b, c))
         _report(2, "membership / mixed-cut / flow-forcing agree", violations, started)

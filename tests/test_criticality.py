@@ -23,13 +23,14 @@ from conndel.families import (
     shared_partner_instance,
 )
 from conndel.graphs import Path, UndirectedGraph, has_path_without, max_flow_bounded
-from conndel.solver import SolveStats, WbdInstance, normalize, solve
+from conndel.solver import RoundCache, SolveStats, WbdInstance, normalize, solve
 
 from . import naive
 from .catalog import complete, cycle
 from .checks import (
     analysis_after,
     check_partner_invariants,
+    gprime,
     oriented,
     path_in_graph,
     segments,
@@ -401,9 +402,11 @@ def assert_partners_match_definition(g, picks, marked, rng):
     """``partner_set`` on the rich flow's paths of the last pick in
     G' = g - picks[:-1], each path in a random orientation, against the
     mixed-cut definition in G' - pivot, for the analysed edges and for
-    every edge of P1 in a random order.  Returns the analysis."""
+    every edge of P1 in a random order, both on G' built as a copy and on
+    g with the earlier picks removed.  Returns the analysis."""
     pa = analysis_after(g, picks, 1, marked)
-    gprime, pivot = pa.graph, pa.pivot
+    pivot = pa.pivot
+    gp = gprime(pa)
     p1, p2 = pa.p1, pa.p2
     if rng.random() < 0.5:
         p1 = reversed_path(p1)
@@ -411,19 +414,18 @@ def assert_partners_match_definition(g, picks, marked, rng):
         p2 = reversed_path(p2)
     crits = [e for e in p1.edges if e in pa.edge_ids]
     crits += rng.sample(p1.edges, len(p1.edges))
-    x, y = gprime.endpoints(pivot)
-    kept = [gprime.endpoints(e) for e in gprime.edges if e != pivot]
+    x, y = gp.endpoints(pivot)
+    kept = [gp.endpoints(e) for e in gp.edges if e != pivot]
     expect = tuple(
         tuple(
             v
             for v in p2.interior
-            if naive.separates_with_edge(
-                set(gprime.vertices), kept, x, y, gprime.endpoints(e), v
-            )
+            if naive.separates_with_edge(set(gp.vertices), kept, x, y, gp.endpoints(e), v)
         )
         for e in crits
     )
-    assert partner_set(gprime, pivot, p1, p2, crits) == expect
+    assert partner_set(gp, pivot, p1, p2, crits) == expect
+    assert partner_set(g, pivot, p1, p2, crits, pa.removed) == expect
     return pa
 
 
@@ -508,7 +510,7 @@ class TestFullExistenceEquivalence:
                     in_newly = e2 in newly
                     has_cut = size2_mixed_cut(without, e2) is not None
                     flow_forced = (
-                        max_flow_bounded(without.without_edge(e2), x, y, 2).value <= 1
+                        len(max_flow_bounded(without.without_edge(e2), x, y, 2)) <= 1
                     )
                     assert in_newly == has_cut == flow_forced
 
@@ -568,7 +570,7 @@ class TestPartnerAnalysis:
         analyses += [pa for pa in stats.analyses if pa.affected]
         assert len(analyses) > 1
         for pa in analyses:
-            g, vs, on_p1 = pa.graph, pa.p1.vertices, pa.p1.edges
+            g, vs, on_p1 = gprime(pa), pa.p1.vertices, pa.p1.edges
             components = pa.components
             assert components and components.keys() == pa.shared_partner.keys()
             assert pa.affected <= components.keys()
@@ -582,7 +584,7 @@ class TestPartnerAnalysis:
     def test_no_marked_critical_edges_rejected(self):
         g, pivot, p1, p2 = pivot_chord_hexagon()
         with pytest.raises(InvalidInputError):
-            build_partner_analysis(g, pivot, p1, p2, frozenset(), [], 1, {})
+            build_partner_analysis(g, pivot, p1, p2, frozenset(), frozenset(), 1, {})
 
     def test_hexagon_rejected_because_nothing_is_newly_critical(self):
         # Every hexagon edge is critical before the chord is deleted, so
@@ -591,8 +593,85 @@ class TestPartnerAnalysis:
         assert newly_critical(g, pivot) == frozenset()
         with pytest.raises(InvalidInputError):
             build_partner_analysis(
-                g, pivot, p1, p2, newly_critical(g, pivot), [], 1, {}
+                g, pivot, p1, p2, newly_critical(g, pivot), frozenset(), 1, {}
             )
+
+
+class TestOneGPrime:
+    """The rich step reads G' = G less greedy's earlier picks as G and
+    those picks: its analysis equals the one built on the copy G - picks
+    with nothing removed, and ``RoundCache.analysis`` copies no graph."""
+
+    @staticmethod
+    def check(g, before, pivot):
+        gp = g.without_edges(before)
+        newly = critical_set(gp.without_edge(pivot)) - critical_set(gp)
+        assume(newly)
+        key = tuple(before) + (pivot,)
+        copies = []
+        with pytest.MonkeyPatch.context() as mp:
+            without_edges = UndirectedGraph.without_edges
+            mp.setattr(
+                UndirectedGraph,
+                "without_edges",
+                lambda graph, eids: copies.append(eids) or without_edges(graph, eids),
+            )
+            pa = RoundCache(g, None).analysis(key, newly, 2)
+        assert copies == []
+        copy = RoundCache(gp, None).analysis((pivot,), newly, 2)
+        assert pa.removed == frozenset(before) and copy.removed == frozenset()
+        assert (pa.p1, pa.p2, pa.edge_ids) == (copy.p1, copy.p2, copy.edge_ids)
+        assert pa.partners == copy.partners
+        assert pa.switches == copy.switches
+        assert pa.shared_partner == copy.shared_partner
+        assert pa.components == copy.components
+        ends = {v for e in before for v in g.endpoints(e)}
+        assert pa.affected == {i for i, c in pa.components.items() if c & ends}
+        assert copy.affected == frozenset()
+
+    @staticmethod
+    def draw_picks(g, data, count):
+        """``count`` earlier picks, each non-critical in what the ones
+        before it leave, as greedy's are; None when none is left."""
+        picks = []
+        for _ in range(count):
+            crit = critical_set(g.without_edges(picks))
+            open_ = sorted(set(g.edges) - crit - set(picks))
+            if not open_:
+                return None
+            picks.append(data.draw(st.sampled_from(open_)))
+        return picks
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.integers(min_value=6, max_value=16),
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=1, max_value=2),
+        st.randoms(use_true_random=False),
+        st.data(),
+    )
+    def test_random_graphs(self, n, chords, count, rng, data):
+        g = random_biconnected_graph(rng, n, chords)
+        picks = self.draw_picks(g, data, count + 1)
+        assume(picks is not None)
+        self.check(g, picks[:-1], picks[-1])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([shared_partner_instance, distinct_partner_instance]),
+        st.integers(min_value=4, max_value=14),
+        st.booleans(),
+        st.integers(min_value=1, max_value=2),
+        st.data(),
+    )
+    def test_hub_families(self, family, q, subdivide, count, data):
+        # The chord is the pivot: picks drawn on G - chord leave G - picks
+        # - chord biconnected, so the chord is non-critical in G'.
+        hub = family(q, subdivide=subdivide)
+        g = hub.instance.graph
+        before = self.draw_picks(g.without_edge(hub.chord), data, count)
+        assume(before is not None)
+        self.check(g, before, hub.chord)
 
 
 class TestSegmentStructure:
@@ -600,7 +679,7 @@ class TestSegmentStructure:
         # Any path with both endpoints on P1, internally disjoint from
         # P1 and P2, stays before e_1, after e_t, or inside one segment.
         for pa in (analyzed_wheel()[0], analyzed_staircase()[0]):
-            g = pa.graph
+            g = gprime(pa)
             edges = list(g.edges.values())
             p1v, p2v = set(pa.p1.vertices), set(pa.p2.vertices)
             order = {v: i for i, v in enumerate(pa.p1.vertices)}
@@ -630,7 +709,7 @@ class TestSegmentStructure:
 
     def test_every_segment_admits_a_nice_path(self):
         for pa in (analyzed_wheel()[0], analyzed_staircase()[0]):
-            g = pa.graph
+            g = gprime(pa)
             edges = list(g.edges.values())
             p1v, p2v = set(pa.p1.vertices), set(pa.p2.vertices)
             p2_interior = set(pa.p2.interior)
@@ -654,7 +733,7 @@ class TestSegmentStructure:
         # paths with one through the pivot edge and the other covering the
         # whole partner set.
         pa, _ = analyzed_wheel(q=5, k=1)
-        g = pa.graph
+        g = gprime(pa)
         edges = list(g.edges.values())
         pivot_pair = set(g.endpoints(pa.pivot))
         for i in range(1, pa.t + 1):
@@ -686,7 +765,7 @@ class TestSegmentStructure:
         # partner and e_i must run through every other stretch edge.
         pa, _ = analyzed_wheel(q=7, k=2)
         a, b = find_clean_stretch(pa)
-        g = pa.graph
+        g = gprime(pa)
         w = pa.shared_partner[a]
         stretch_edges = {pa.edge(j): j for j in range(a, b + 1)}
         components = set().union(*(pa.components[j] for j in range(a, b)))
@@ -710,7 +789,7 @@ class TestSegmentStructure:
         stretch = find_clean_stretch(pa)
         assert stretch is not None
         a, b = stretch
-        g = pa.graph
+        g = gprime(pa)
         for i in range(a + 1, b):
             w = pa.shared_partner[i]
             comp = pa.components[i]

@@ -25,7 +25,6 @@ from conndel import kernel as kernel_module
 from conndel import solver as solver_module
 from conndel.oracles import OracleBudget, oracle_wbd
 from conndel.solver import (
-    GreedyRun,
     RoundCache,
     SolveStats,
     WbdInstance,
@@ -377,23 +376,23 @@ class TestGreedy:
     def test_ladder_reaches_full_budget(self):
         inst = normalize(unit(ladder(6), 2, 2))
         pool = heavy_order(inst)[:2]
-        run = greedy_deletion_set(inst, pool, RoundCache(inst.graph, inst.tree))
-        assert len(run.picks) == 2
-        assert is_biconnected_without(inst.graph, frozenset(run.picks))
+        picks, _ = greedy_deletion_set(inst, pool, RoundCache(inst.graph, inst.tree))
+        assert len(picks) == 2
+        assert is_biconnected_without(inst.graph, frozenset(picks))
 
     def test_wheel_stalls_after_the_chord(self):
         hub = shared_partner_instance(q=7, k=2)
         inst = normalize(hub.instance)
         pool = heavy_order(inst)[:9]
-        run = greedy_deletion_set(inst, pool, RoundCache(inst.graph, inst.tree))
-        assert run.picks == (hub.chord,)
-        assert run.counts[0] == len(hub.rim_edges)
+        picks, newly = greedy_deletion_set(inst, pool, RoundCache(inst.graph, inst.tree))
+        assert picks == (hub.chord,)
+        assert len(newly[0]) == len(hub.rim_edges)
 
     def test_frozen_graph_runs_zero_steps(self):
         inst = normalize(unit(cycle(5), 2, 1))
         pool = heavy_order(inst)[: mu(inst.k)]
-        run = greedy_deletion_set(inst, pool, RoundCache(inst.graph, inst.tree))
-        assert run.picks == ()
+        picks, newly = greedy_deletion_set(inst, pool, RoundCache(inst.graph, inst.tree))
+        assert picks == () and newly == ()
 
 
 class TestReductionPremise:
@@ -412,7 +411,7 @@ class TestReductionPremise:
         monkeypatch.setattr(
             solver_module,
             "greedy_deletion_set",
-            lambda inst, pool, cache: GreedyRun((pool[0],), (frozenset(),)),
+            lambda inst, pool, cache: ((pool[0],), (frozenset(),)),
         )
         step = lambda: reduction_step(inst, threshold, pool, RoundCache(inst.graph, None))
         if raises:
@@ -974,9 +973,9 @@ class TestRoundCache:
             flows.append(args)
             return flow(*args, **kwargs)
 
-        def counted_partners(gprime, pivot, p1, p2, crits):
+        def counted_partners(g, pivot, p1, p2, crits, removed):
             asked.append(list(crits))
-            return partner_set(gprime, pivot, p1, p2, crits)
+            return partner_set(g, pivot, p1, p2, crits, removed)
 
         monkeypatch.setattr(solver_module, "max_flow_bounded", counted_flow)
         monkeypatch.setattr(criticality_module, "partner_set", counted_partners)
@@ -1015,11 +1014,10 @@ class TestRoundCache:
             freeze_rounds(twin, heavy_order(twin), 9, mark_all=False)
 
     def test_rounds_copy_only_where_they_must(self, monkeypatch):
-        # A graph copy is made only for a fresh DFS of G - prefix or for a
-        # G' without earlier picks: the kernel on the subdivided hub makes
-        # none, the empty prefix is G itself, and the analysis of greedy's
-        # first pick runs on G (the hub's chord is a tree edge, so its own
-        # critical set takes one copy).
+        # A graph copy is made only for a fresh DFS of G - prefix: the
+        # kernel on the subdivided hub makes none, the empty prefix is G
+        # itself, and the analysis runs on G (the hub's chord is a tree
+        # edge, so its own critical set takes one copy).
         copies = []
         without_edges = UndirectedGraph.without_edges
 
