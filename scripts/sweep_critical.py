@@ -13,14 +13,20 @@ removed edges are back edges of G's DFS tree is also derived from that tree
 (``DfsTree.without``, as the solver's round cache does) and checked against
 the same referee: each such hub residual, and per dense graph one one-edge
 and one two-edge residual.  Prints the graph count per family and the
-derived count; any mismatch is printed and exits 1."""
+derived count.
+
+The referee itself is checked too: on each dense graph, with one to three
+edges removed (random ones, or ones at a vertex of least degree, so that
+both answers occur), ``is_biconnected_without`` must agree with
+``bfs_biconnected``, a test by definition written here with one search
+per deleted vertex.  Any mismatch is printed and exits 1."""
 
 import argparse
 import itertools
 import random
 import sys
 import time
-from collections import Counter
+from collections import Counter, deque
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -37,6 +43,30 @@ from conndel.graphs import UndirectedGraph, is_biconnected_without
 def referee(g):
     """The critical edges by definition: one biconnectivity pass per edge."""
     return frozenset(e for e in g.edges if not is_biconnected_without(g, frozenset((e,))))
+
+
+def bfs_biconnected(g, removed):
+    """Biconnectivity of g less the removed edges by definition: two or more
+    vertices, and connected after deleting no vertex or any one vertex,
+    each tested by a breadth-first search over the edge list."""
+    near = {v: [] for v in g.vertices}
+    for e, (u, v) in g.edges.items():
+        if e not in removed:
+            near[u].append(v)
+            near[v].append(u)
+
+    def connected(cut):
+        rest = [v for v in near if v != cut]
+        seen = {rest[0]}
+        queue = deque(seen)
+        while queue:
+            for u in near[queue.popleft()]:
+                if u != cut and u not in seen:
+                    seen.add(u)
+                    queue.append(u)
+        return len(seen) == len(rest)
+
+    return len(near) >= 2 and all(connected(cut) for cut in [None, *near])
 
 
 def relabelled(g, rng):
@@ -71,6 +101,10 @@ def main() -> int:
 
     # (family, graph, its critical set derived from a DFS tree or None)
     graphs = []
+    # (dense graph, removed edges) for the referee's own check; a separate
+    # generator, so the graphs above do not depend on it.
+    removals = []
+    pick = random.Random(f"removals:{args.seed}")
     for _ in range(args.count):
         n = rng.randint(args.min_n, args.max_n)
         g = random_biconnected_graph(rng, n, rng.randint(0, n))
@@ -79,6 +113,12 @@ def main() -> int:
         n = rng.randint(30, 60)
         g = relabelled(dense(rng, n, rng.randint(2 * n, 10 * n)), rng)
         graphs.append(("dense", g, None))
+        if pick.random() < 0.5:
+            near = sorted(g.edges)
+        else:
+            low = min(g.vertices, key=g.degree)
+            near = sorted(e for e, uv in g.edges.items() if low in uv)
+        removals.append((g, frozenset(pick.sample(near, pick.randint(1, min(3, len(near)))))))
         tree = critical_tree(g)[1]
         e, f = rng.sample(sorted(set(g.edges) - set(tree.tree_edge)), 2)
         one = tree.without(e)
@@ -111,8 +151,19 @@ def main() -> int:
                     f"MISMATCH {how} {name} n={g.n} m={g.m}: missed {sorted(expect - got)}, "
                     f"extra {sorted(got - expect)}; edges {sorted(g.edges.items())}"
                 )
+    kept = 0
+    for g, removed in removals:
+        expect = bfs_biconnected(g, removed)
+        kept += expect
+        if is_biconnected_without(g, removed) != expect:
+            mismatches += 1
+            print(
+                f"MISMATCH is_biconnected_without n={g.n} m={g.m} removed {sorted(removed)}: "
+                f"expected {expect}; edges {sorted(g.edges.items())}"
+            )
     for name, count in Counter(name for name, _, _ in graphs).items():
         print(f"{name}: {count} graphs")
+    print(f"referee: {len(removals)} dense graphs less 1-3 edges, {kept} still biconnected")
     print(
         f"{len(graphs)} graphs, {derived_count} derived critical sets, {mismatches} mismatches "
         f"({time.perf_counter() - t0:.1f} s)"

@@ -356,43 +356,56 @@ def is_biconnected_without(
     """Biconnectivity of g minus the given edges.
 
     Connected, at least two vertices, no cut-vertex; a single edge counts as
-    biconnected.  One iterative articulation-point pass, no graph copy.
+    biconnected.  One iterative articulation-point pass (Hopcroft-Tarjan
+    1973) and no graph copy: only the lists of a removed edge's endpoints
+    are copied, once, without it, so no entry is tested against the
+    removed set.  Ids that are not edges of g are ignored.
+
+    The pass does not skip the tree edge back to a vertex's parent p.  In
+    a simple graph that edge only adds disc(p) to the child's low, and
+    min(low, disc(p)) >= disc(p) exactly when low >= disc(p), while p's
+    own low is at most disc(p) already; so the vertex test and every low
+    it feeds are unchanged.
     """
     adj = g._adj
     if g.n < 2:
         return False
+    if removed_edges:
+        adj = dict(adj)
+        for eid in removed_edges:
+            for v in g._edges.get(eid, ()):
+                adj[v] = [a for a in adj[v] if a[1] != eid]
     root = min(g._vertices)
-    # Lows are indexed by discovery number; a stack entry carries that
-    # number, the edge it was entered by and its adjacency iterator.
+    # The current vertex's discovery number, low and adjacency iterator
+    # are locals; the stack holds its ancestors' as they were on descent,
+    # since only a vertex's own scan and its children's returns lower it.
     disc = {root: 0}
-    low = [0]
-    root_children = 0
-    stack = [(0, -1, iter(adj[root]))]
-    while stack:
-        dv, parent_eid, it = stack[-1]
-        for u, eid in it:
-            if eid == parent_eid or eid in removed_edges:
-                continue
+    dv = lo = root_children = 0
+    it = iter(adj[root])
+    stack = []
+    while True:
+        for u, _ in it:
             du = disc.get(u)
             if du is None:
-                du = disc[u] = len(low)
-                low.append(du)
-                stack.append((du, eid, iter(adj[u])))
+                stack.append((dv, lo, it))
+                dv = lo = len(disc)
+                disc[u] = dv
+                it = iter(adj[u])
                 break
-            if du < low[dv]:
-                low[dv] = du
+            if du < lo:
+                lo = du
         else:
-            stack.pop()
-            if stack:
-                dp = stack[-1][0]
-                lv = low[dv]
-                if lv < low[dp]:
-                    low[dp] = lv
-                if dp == 0:
-                    root_children += 1
-                elif lv >= dp:
-                    return False
-    return len(low) == g.n and root_children <= 1
+            if not stack:
+                break
+            lv = lo
+            dv, lo, it = stack.pop()
+            if lv < lo:
+                lo = lv
+            if dv == 0:
+                root_children += 1
+            elif lv >= dv:
+                return False
+    return len(disc) == g.n and root_children <= 1
 
 
 def is_biconnected(g: UndirectedGraph) -> bool:

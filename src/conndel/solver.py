@@ -218,24 +218,31 @@ def _enumerate_best(inst: WbdInstance, order: List[int]) -> Tuple[Optional[Tuple
     only grows along a feasible prefix, so on the normalized instance
     greedy's j-th pick is the candidate's j-th edge whenever the candidate
     is feasible and its picks lie in greedy's pool (``_solve``).
+
+    A scan applies the degree rule first and the level cut only at the
+    first index the rule leaves open.  The cut is monotone along
+    ``order``: a later window holds lighter or fewer non-negative weights,
+    and ``fsum`` rounds monotonically, so it fails there if it failed at
+    any index before.  With one pick left the cut at i is the test that
+    ``chosen`` plus order[i] reaches w*, so that pick is not tested again.
+    The degree map holds only the vertices a scan reads, each an endpoint
+    of an edge, so no degree in it is 0.
     """
     if inst.reaches(()):
         return (), False
     g = inst.graph
-    degree = {v: g.degree(v) for v in g.vertices}
+    degree: Dict[int, int] = {}
     chosen: List[int] = []
     backtracked = False
 
     def next_open(i: int, r: int) -> Optional[int]:
-        """The first index from i on that passes the level cut with r
-        picks left and the degree rule, or None."""
-        while i < len(order):
-            if not inst.reaches(chosen + order[i : i + r]):
-                return None
-            u, v = g.endpoints(order[i])
-            if degree[u] > 2 and degree[v] > 2:
-                return i
-            i += 1
+        """The first index from i on that passes the degree rule, if it
+        passes the level cut with r picks left, or None."""
+        for j in range(i, len(order)):
+            u, v = g.endpoints(order[j])
+            du = degree.get(u) or degree.setdefault(u, g.degree(u))
+            if du > 2 and (degree.get(v) or degree.setdefault(v, g.degree(v))) > 2:
+                return j if inst.reaches(chosen + order[j : j + r]) else None
         return None
 
     def extend(i: Optional[int], r: int) -> bool:
@@ -247,7 +254,7 @@ def _enumerate_best(inst: WbdInstance, order: List[int]) -> Tuple[Optional[Tuple
             chosen.append(order[i])
             degree[u] -= 1
             degree[v] -= 1
-            if inst.reaches(chosen) or r > 1 and extend(next_open(i + 1, r - 1), r - 1):
+            if r == 1 or inst.reaches(chosen) or extend(next_open(i + 1, r - 1), r - 1):
                 return True
             chosen.pop()
             backtracked = True

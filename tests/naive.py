@@ -4,7 +4,8 @@ Everything here is written from definitions (brute force, exhaustive
 enumeration) with no shared code paths with the package, so tests can
 cross-check the real implementations against them at desk scale.  The
 exceptions are ``first_witness``, which referees the enumerator's search
-and takes its biconnectivity test from the package, and
+and takes its biconnectivity test from the package, ``first_candidate``,
+which reads the heavy order it referees from the caller, and
 ``oracle_irrelevance``, which referees the freeze rule with two calls of
 the brute-force ``oracle_wbd``.
 """
@@ -424,6 +425,58 @@ def first_witness(inst) -> Optional[Tuple[int, ...]]:
         return None
 
     return search(0, [])
+
+
+def first_candidate(inst, order: Sequence[int]) -> Tuple[Optional[Tuple[int, ...]], bool]:
+    """The heavy order's first candidate without its level cut, and
+    whether it is greedy's chain: the referee of ``_enumerate_best``.
+
+    Index tuples i1 < ... < ij (j <= k) of ``order`` are walked in
+    depth-first preorder.  A tuple is kept only while each pick leaves both
+    its endpoints with degree 2 or more, and the first kept tuple whose
+    weights (with ``inst.deleted``, one ``fsum``) reach w* is returned as
+    its edges.  It is greedy's chain when it has k >= 1 edges and each i_j
+    is the first index after i_(j-1) whose edge that rule keeps.  Degrees
+    are counted afresh from the edge list at every tuple."""
+    ends = inst.graph.edges
+
+    def degrees(picks: Tuple[int, ...]) -> Dict[int, int]:
+        gone = {order[i] for i in picks}
+        deg = {v: 0 for v in inst.graph.vertices}
+        for e, pair in ends.items():
+            if e not in gone:
+                for v in pair:
+                    deg[v] += 1
+        return deg
+
+    def kept(picks: Tuple[int, ...]) -> List[int]:
+        """The indices after the last pick whose edge the degree rule keeps."""
+        deg = degrees(picks)
+        start = picks[-1] + 1 if picks else 0
+        return [i for i in range(start, len(order)) if all(deg[v] >= 3 for v in ends[order[i]])]
+
+    def reaches(picks: Tuple[int, ...]) -> bool:
+        weights = [inst.weights.get(order[i], 0.0) for i in picks]
+        return math.fsum(list(inst.deleted) + weights) >= inst.w_star
+
+    def search(picks: Tuple[int, ...]) -> Optional[Tuple[int, ...]]:
+        if reaches(picks):
+            return picks
+        if len(picks) == inst.k:
+            return None
+        for i in kept(picks):
+            found = search(picks + (i,))
+            if found is not None:
+                return found
+        return None
+
+    found = search(())
+    if found is None:
+        return None, False
+    chain = 0 < len(found) == inst.k and all(
+        kept(found[:j])[:1] == [i] for j, i in enumerate(found)
+    )
+    return tuple(order[i] for i in found), chain
 
 
 def oracle_irrelevance(

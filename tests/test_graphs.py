@@ -60,6 +60,36 @@ class TestBiconnectivity:
                 g.without_edge(eid)
             )
 
+    @pytest.mark.parametrize(
+        "n, pairs, removed_pairs, ghosts, expect",
+        [
+            # Ids that are not edges of g are ignored, alone or with real ones.
+            (5, [(i, (i + 1) % 5) for i in range(5)], [], (99,), True),
+            (5, [(i, (i + 1) % 5) for i in range(5)], [(0, 1)], (99, 100), False),
+            (4, list(itertools.combinations(range(4), 2)), [], (6, 7, 1000), True),
+            # Removed edges at the root, min(V) = 0.
+            (4, list(itertools.combinations(range(4), 2)), [(0, 1)], (), True),
+            (4, list(itertools.combinations(range(4), 2)), [(0, 1), (0, 2)], (), False),
+            (4, list(itertools.combinations(range(4), 2)), [(0, 1), (0, 2), (0, 3)], (), False),
+            # The two-vertex single edge, kept and removed.
+            (2, [(0, 1)], [], (5,), True),
+            (2, [(0, 1)], [(0, 1)], (), False),
+            # Vertex 4 of degree 2 on a K4: one or both of its edges removed.
+            (5, [*itertools.combinations(range(4), 2), (0, 4), (1, 4)], [], (), True),
+            (5, [*itertools.combinations(range(4), 2), (0, 4), (1, 4)], [(1, 4)], (), False),
+            (5, [*itertools.combinations(range(4), 2), (0, 4), (1, 4)], [(0, 4), (1, 4)], (), False),
+            (5, [*itertools.combinations(range(4), 2), (0, 4), (1, 4)], [(2, 3)], (), True),
+        ],
+    )
+    def test_removal_edge_cases(self, n, pairs, removed_pairs, ghosts, expect):
+        g = UndirectedGraph.from_edges(range(n), pairs)
+        removed = frozenset(g.edge_between(u, v) for u, v in removed_pairs) | frozenset(ghosts)
+        kept = [pair for eid, pair in g.edges.items() if eid not in removed]
+        assert naive.biconnected_by_definition(set(g.vertices), kept) == expect
+        assert is_biconnected_without(g, removed) == expect
+        # The pass leaves g itself unchanged.
+        assert is_biconnected(g) == naive.biconnected_by_definition(set(g.vertices), list(pairs))
+
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(undirected_graphs(min_n=2, max_n=8), ear_graphs(min_n=3, max_n=9)), st.data())
     def test_removal_views_match_definition_on_relabelled_graphs(self, g, data):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from dataclasses import replace
 from decimal import Decimal
@@ -213,6 +214,58 @@ class TestHeavy:
         inst = WbdInstance(g, 1, 0.0, weights, frozen)
         expect = sorted(inst.potential_edges(), key=lambda e: (-weights.get(e, 0.0), e))
         assert heavy_order(inst) == expect
+
+
+def search_instance(rng, k, child):
+    """An unnormalized instance at budget k for the heavy-order search:
+    integer or decimal weights from short lists, so ties are common, some
+    edges frozen on input, and w* the weight of up to k + 1 potential
+    edges, give or take 0.05.  A ``child`` is a branch child of an
+    instance at budget k + 1: one potential edge deleted, its weight in
+    ``deleted``, and the siblings before it frozen."""
+    n = rng.randint(3, 8)
+    g = random_biconnected_graph(rng, n, rng.randint(0, 2 * n))
+    values = rng.choice([(0, 1, 2, 3, 5), (0, 0.1, 0.2, 0.3, 0.7, 1.1)])
+    weights = {e: float(rng.choice(values)) for e in g.edges}
+    frozen = frozenset(e for e in g.edges if rng.random() < 0.2)
+    inst = WbdInstance(g, k + child, 0.0, weights, frozen)
+    order = heavy_order(inst)
+    if child and order:
+        i = rng.randrange(len(order))
+        inst = inst.with_frozen(frozenset(order[:i])).child_after_deleting(order[i])
+    else:
+        inst = replace(inst, k=k)
+    picks = rng.sample(order, min(len(order), rng.randint(0, k + 1)))
+    added = [weights[e] for e in picks]
+    w_star = math.fsum([*inst.deleted, *added]) + rng.choice([0.0, 0.0, 0.05, -0.05])
+    return replace(inst, w_star=w_star)
+
+
+class TestEnumerateBestAgainstNaive:
+    """The heavy-order search gives the first candidate and the chain flag
+    of ``naive.first_candidate``, a preorder walk under the degree rule
+    with no level cut, on unnormalized instances at k = 0-4, with
+    input-frozen edges, and on branch children."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(min_value=0, max_value=4), st.booleans())
+    def test_matches_the_referee(self, rng, k, child):
+        inst = search_instance(rng, k, child)
+        order = heavy_order(inst)
+        assert solver_module._enumerate_best(inst, order) == naive.first_candidate(inst, order)
+
+    def test_instances_reach_every_outcome(self):
+        # No candidate, the empty set, a chain, and a candidate found after
+        # taking a pick back, each on a branch child too.
+        seen = set()
+        rng = random.Random(0)
+        for _ in range(400):
+            child = rng.random() < 0.5
+            inst = search_instance(rng, rng.randint(0, 4), child)
+            first, chain = naive.first_candidate(inst, heavy_order(inst))
+            kind = "none" if first is None else "empty" if not first else "chain" if chain else "other"
+            seen.add((kind, bool(inst.deleted)))
+        assert seen == {(kind, d) for kind in ("none", "empty", "chain", "other") for d in (False, True)}
 
 
 class TestVerifySolution:
