@@ -254,6 +254,18 @@ class TestEnumerateBestAgainstNaive:
         order = heavy_order(inst)
         assert solver_module._enumerate_best(inst, order) == naive.first_candidate(inst, order)
 
+    def test_k_picks_after_taking_one_back_are_not_the_chain(self):
+        # K4 at k = 2, w* = 10: deleting 01 leaves 0 and 1 at degree 2, so
+        # 02 and 13 are closed and the light 23 misses w*; 01 is taken
+        # back, and 02 + 13 reach w* with k picks, but not as greedy's.
+        g = complete(4)
+        heavy = {g.edge_between(u, v): 5.0 for u, v in ((0, 1), (0, 2), (1, 3))}
+        inst = WbdInstance(g, 2, 10.0, {e: heavy.get(e, 1.0) for e in g.edges}, frozenset())
+        expect = ((g.edge_between(0, 2), g.edge_between(1, 3)), False)
+        order = heavy_order(inst)
+        assert naive.first_candidate(inst, order) == expect
+        assert solver_module._enumerate_best(inst, order) == expect
+
     def test_instances_reach_every_outcome(self):
         # No candidate, the empty set, a chain, and a candidate found after
         # taking a pick back, each on a branch child too.
