@@ -33,7 +33,7 @@ from .formats import (
 )
 from .graphs import UndirectedGraph, is_biconnected
 from .hardness import gen_pc_psc, gen_vd_psc
-from .kernel import DEFAULT_MAX_TERMINALS, PROVIDERS, kernelize
+from .kernel import kernelize
 from .oracles import (
     OracleBudget,
     is_pcpsc_witness,
@@ -120,20 +120,10 @@ def _emit_report(fields: Dict[str, object]) -> None:
         print(f"{key}: {fields[key]}")
 
 
-def _budget_from_args(args) -> OracleBudget:
-    return OracleBudget(
-        max_vertices=args.max_vertices,
-        max_edges=args.max_edges,
-        max_k=args.max_k,
-        max_candidates=args.max_candidates,
-    )
-
-
-def _add_budget_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-vertices", type=int, default=10)
-    p.add_argument("--max-edges", type=int, default=20)
-    p.add_argument("--max-k", type=int, default=3)
-    p.add_argument("--max-candidates", type=int, default=10_000_000)
+def _instance(parsed, args) -> WbdInstance:
+    """The instance as read, nothing frozen beyond the file's own marks:
+    the referees judge it so, sharing no criticality code with the solver."""
+    return WbdInstance(parsed.graph, args.k, args.wstar, dict(parsed.weights), parsed.frozen)
 
 
 # ---------------------------------------------------------------------------
@@ -144,11 +134,9 @@ def _add_budget_flags(p: argparse.ArgumentParser) -> None:
 def cmd_solve(args) -> int:
     text = _read(args.path)
     parsed = parse_undirected(text)
-    inst = WbdInstance(parsed.graph, args.k, args.wstar, dict(parsed.weights), parsed.frozen)
-    budget = _budget_from_args(args) if args.oracle_check else None
     stats = SolveStats()
     t0 = time.perf_counter()
-    sol = solve(inst, stats=stats)
+    sol = solve(_instance(parsed, args), stats=stats)
     elapsed = time.perf_counter() - t0
     if args.explain:
         for pa in stats.analyses:
@@ -167,12 +155,6 @@ def cmd_solve(args) -> int:
         "irrelevant-edges": len(stats.irrelevant_edges),
         "flow-calls": stats.flow_calls,
     }
-    if args.oracle_check:
-        try:
-            oracle = oracle_wbd(inst, budget)
-            report["oracle-agrees"] = (oracle is None) == (sol is None)
-        except BudgetExceededError:
-            report["oracle-agrees"] = "skipped"
     _emit_report(report)
     print(f"elapsed-ms: {elapsed * 1000:.1f}")
     return EXIT_YES if sol else EXIT_NO
@@ -187,13 +169,7 @@ def cmd_kernelize(args) -> int:
                 "kernelization handles unit weights only; edge "
                 f"{_edge_names(parsed.graph, [eid])} has weight {w}"
             )
-    result = kernelize(
-        parsed.graph,
-        args.k,
-        parsed.frozen,
-        provider=args.provider,
-        max_terminals=args.max_terminals,
-    )
+    result = kernelize(parsed.graph, args.k, parsed.frozen)
     out_text = serialize_undirected(
         result.instance.graph, result.instance.weights, result.instance.frozen
     )
@@ -219,23 +195,17 @@ def cmd_gen(args) -> int:
     return EXIT_YES
 
 
-def _raw_instance(parsed, args) -> WbdInstance:
-    """The instance as read, for the referees: nothing frozen beyond the
-    file's own marks, so they share no criticality code with the solver.
-    A negative k or a non-finite w* is refused as ``solve`` refuses it."""
-    if not is_biconnected(parsed.graph):
-        raise InvalidInputError("instance graph is not biconnected")
-    inst = WbdInstance(parsed.graph, args.k, args.wstar, dict(parsed.weights), parsed.frozen)
-    validate_instance(inst)
-    return inst
-
-
 def cmd_oracle(args) -> int:
-    budget = _budget_from_args(args)
+    budget = OracleBudget(
+        max_vertices=args.max_vertices,
+        max_edges=args.max_edges,
+        max_k=args.max_k,
+        max_candidates=args.max_candidates,
+    )
     text = _read(args.path)
     if args.kind == "wbd":
         parsed = parse_undirected(text)
-        sol = oracle_wbd(_raw_instance(parsed, args), budget)
+        sol = oracle_wbd(_instance(parsed, args), budget)
         witness = _edge_names(parsed.graph, sol.edges) if sol else ""
         answer = sol is not None
     elif args.kind == "is":
@@ -268,7 +238,10 @@ def cmd_verify(args) -> int:
     witness = parse_witness(wtext, args.kind)
     if args.kind == "wbd":
         parsed = parse_undirected(text)
-        inst = _raw_instance(parsed, args)
+        if not is_biconnected(parsed.graph):
+            raise InvalidInputError("instance graph is not biconnected")
+        inst = _instance(parsed, args)
+        validate_instance(inst)
         ids = [parsed.graph.edge_between(u, v) for u, v in witness]
         valid = None not in ids and verify_solution(inst, ids)
     elif args.k < 0:
@@ -304,21 +277,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--wstar", type=float, required=True)
     p.add_argument("--explain", action="store_true")
-    p.add_argument("--oracle-check", action="store_true")
-    _add_budget_flags(p)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("kernelize", help="shrink an unweighted instance")
     p.add_argument("path")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--provider", choices=PROVIDERS, default="trivial")
-    p.add_argument(
-        "--max-terminals",
-        type=int,
-        default=DEFAULT_MAX_TERMINALS,
-        help="refuse the exhaustive cover (exit 3) beyond this many terminals; the "
-        "conndel.kernel docstring counts those of the inputs that reach it",
-    )
     p.add_argument("--out")
     p.set_defaults(func=cmd_kernelize)
 
@@ -334,7 +297,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--wstar", type=float, default=0.0)
-    _add_budget_flags(p)
+    p.add_argument("--max-vertices", type=int, default=10)
+    p.add_argument("--max-edges", type=int, default=20)
+    p.add_argument("--max-k", type=int, default=3)
+    p.add_argument("--max-candidates", type=int, default=10_000_000)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("verify", help="check a witness file against an instance")

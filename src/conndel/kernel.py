@@ -26,7 +26,8 @@ triple.  Its cost is exponential in the number of terminals, so it
 refuses beyond a cap.  Every instance that phase two brings to it has
 k >= 2 and at least two deletable edges, hence at least 11 terminals:
 one subdivision vertex per deletable edge and three copies of each of at
-least three endpoints.  So under the default cap it refuses them all.
+least three endpoints.  So under the default cap it refuses them all,
+and ``conndel kernelize`` runs ``trivial`` alone.
 """
 
 from __future__ import annotations

@@ -19,6 +19,7 @@ from .graphs import (
     Edge,
     UndirectedGraph,
     contract_sequence,
+    is_biconnected,
     is_biconnected_without,
     is_strongly_connected,
 )
@@ -63,9 +64,15 @@ DEFAULT_BUDGET = OracleBudget()
 def oracle_wbd(
     inst: WbdInstance, budget: OracleBudget = DEFAULT_BUDGET
 ) -> Optional[Solution]:
-    """Max-weight feasible deletion set by checking all subsets of size <= k."""
-    validate_instance(inst)
+    """Max-weight feasible deletion set by checking all subsets of size <= k.
+
+    A graph that is not biconnected is refused as ``solve`` refuses it,
+    by ``is_biconnected``, which shares no code with the solver's
+    critical sets."""
     g = inst.graph
+    if not is_biconnected(g):
+        raise InvalidInputError("instance graph is not biconnected")
+    validate_instance(inst)
     budget.admit_graph(g.n, g.m, inst.k)
     pool = inst.potential_edges()
     total = 0

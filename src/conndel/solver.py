@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .criticality import (
@@ -87,15 +87,13 @@ class WbdInstance:
         return math.fsum(itertools.chain(self.deleted, added)) >= self.w_star
 
     def with_frozen(self, extra: FrozenSet[int]) -> "WbdInstance":
-        return WbdInstance(
-            self.graph, self.k, self.w_star, self.weights, self.frozen | extra, self.deleted, self.tree
-        )
+        return replace(self, frozen=self.frozen | extra)
 
     def child_after_deleting(self, eid: int) -> "WbdInstance":
         """The instance after deleting the potential edge ``eid``."""
         deleted = self.deleted + (self.weights.get(eid, 0.0),)
         graph = self.graph.without_edge(eid)
-        return WbdInstance(graph, self.k - 1, self.w_star, self.weights, self.frozen, deleted)
+        return replace(self, graph=graph, k=self.k - 1, deleted=deleted, tree=None)
 
 
 @dataclass(frozen=True)
@@ -162,8 +160,7 @@ def normalize(inst: WbdInstance) -> WbdInstance:
     idempotent.  Rejects non-biconnected graphs.
     """
     crit, tree = checked_critical_tree(inst.graph)
-    frozen = inst.frozen | crit
-    return WbdInstance(inst.graph, inst.k, inst.w_star, inst.weights, frozen, inst.deleted, tree)
+    return replace(inst, frozen=inst.frozen | crit, tree=tree)
 
 
 def heavy_order(inst: WbdInstance) -> List[int]:

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conndel.errors import BudgetExceededError, ContractionError
+from conndel.errors import BudgetExceededError, ContractionError, InvalidInputError
 from conndel.graphs import Digraph, UndirectedGraph, contract_sequence
 from conndel.oracles import (
     OracleBudget,
@@ -14,7 +14,7 @@ from conndel.oracles import (
     oracle_vdpsc,
     oracle_wbd,
 )
-from conndel.solver import WbdInstance, normalize
+from conndel.solver import WbdInstance, normalize, solve
 
 from . import naive
 from .catalog import complete, cycle
@@ -64,6 +64,15 @@ class TestWbd:
             for wstar in range(0, 4):
                 if answers[(k, wstar + 1)]:
                     assert answers[(k, wstar)]
+
+    def test_refuses_what_solve_refuses_when_not_biconnected(self):
+        # Two triangles sharing vertex 2, which is a cut-vertex.
+        g = UndirectedGraph.from_edges(range(5), [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
+        for k in (0, 1):
+            inst = WbdInstance(g, k, float(k), {e: 1.0 for e in g.edges})
+            for referee in (solve, oracle_wbd):
+                with pytest.raises(InvalidInputError, match="not biconnected"):
+                    referee(inst)
 
     def test_budget_refusal(self):
         tight = OracleBudget(max_vertices=3)
